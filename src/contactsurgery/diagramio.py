@@ -2,7 +2,9 @@
 
 Diagram schema: a top-level object with "components", each component an
 object {"tb": int, "rot": int, "coeff": "+1"|"-1", "role": str,
-"stab_signs": [str, ...]}; stab_signs is optional on input.  Open book
+"stab_signs": [str, ...]}; stab_signs is optional on input.  Every
+component has tb + rot odd, and each one after the first is a pushoff of
+its predecessor stabilized by its stab_signs.  Open book
 schema: {"surface": {genus, boundary, pairing, boundary_classes},
 "alphabet": {name: class vector}, "word": [[name, sign], ...]}.
 """
@@ -19,7 +21,7 @@ from .expansion import (
     ROLE_CHAIN,
     ROLE_PLUS_ONE,
 )
-from .legendrian import LegendrianKnot
+from .legendrian import LegendrianKnot, stabilize_many
 from .openbook import SurfaceModel, word as make_word
 
 
@@ -30,6 +32,15 @@ def _load_json(text: str, source: str) -> Any:
         raise DiagramFormatError(
             f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def _read_json_file(path: str) -> Any:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DiagramFormatError(f"{path}: cannot read the file: {exc}") from exc
+    return _load_json(text, path)
 
 
 def _require(mapping: dict, key: str, kind, path: str):
@@ -62,9 +73,25 @@ def presentation_from_dict(data: Any, source: str = "diagram") -> ContactSurgery
         rot = _require(raw, "rot", int, path)
         coeff = parse_coefficient(raw.get("coeff"), f"{path}.coeff")
         role = raw.get("role", ROLE_PLUS_ONE if coeff == 1 else ROLE_CHAIN)
-        signs = tuple(raw.get("stab_signs", ()))
-        if any(s not in ("+", "-") for s in signs):
+        signs = raw.get("stab_signs", [])
+        if not isinstance(signs, list) or any(s not in ("+", "-") for s in signs):
             raise DiagramFormatError(f"{path}.stab_signs: entries must be '+' or '-'")
+        signs = tuple(signs)
+        if (tb + rot) % 2 == 0:
+            raise DiagramFormatError(
+                f"{path}: tb + rot = {tb + rot} is even; a Legendrian knot in "
+                "the 3-sphere has tb + rot odd"
+            )
+        if components:
+            prev = components[-1].legendrian
+            expected = stabilize_many(prev, signs)
+            if (tb, rot) != (expected.tb, expected.rot):
+                raise DiagramFormatError(
+                    f"{path}: (tb, rot) = ({tb}, {rot}) is not the previous "
+                    f"component ({prev.tb}, {prev.rot}) stabilized by "
+                    f"stab_signs {list(signs)}, which gives "
+                    f"({expected.tb}, {expected.rot})"
+                )
         try:
             components.append(
                 Component(role, LegendrianKnot(tb, rot), coeff, stab_signs=signs)
@@ -80,8 +107,7 @@ def presentation_from_dict(data: Any, source: str = "diagram") -> ContactSurgery
 
 
 def parse_diagram_file(path: str) -> ContactSurgeryPresentation:
-    with open(path, encoding="utf-8") as fh:
-        return presentation_from_dict(_load_json(fh.read(), path), path)
+    return presentation_from_dict(_read_json_file(path), path)
 
 
 def presentation_to_dict(presentation: ContactSurgeryPresentation) -> dict:
@@ -134,8 +160,7 @@ def open_book_from_dict(data: Any, source: str = "openbook") -> tuple[SurfaceMod
 
 
 def parse_open_book_file(path: str) -> tuple[SurfaceModel, tuple]:
-    with open(path, encoding="utf-8") as fh:
-        return open_book_from_dict(_load_json(fh.read(), path), path)
+    return open_book_from_dict(_read_json_file(path), path)
 
 
 def open_book_to_dict(surface: SurfaceModel, letters) -> dict:
@@ -153,8 +178,7 @@ def open_book_to_dict(surface: SurfaceModel, letters) -> dict:
 
 def facts_from_file(path: str) -> list[dict]:
     """Ledger fact records: a list of {offset, status, rule} objects."""
-    with open(path, encoding="utf-8") as fh:
-        data = _load_json(fh.read(), path)
+    data = _read_json_file(path)
     if not isinstance(data, list):
         raise DiagramFormatError(f"{path}: top level must be a list")
     records = []

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import IncompleteData, NotRationalHomologySphere
 from .expansion import ContactSurgeryPresentation
 from .legendrian import LegendrianKnot
-from .linalg import det_int, signature_exact, solve_exact
+from .linalg import PushoffChain, det_int, pushoff_chain, signature_exact, solve_exact
 
 
 @dataclass(frozen=True)
@@ -35,25 +36,28 @@ class LinkingMatrix:
     def determinant(self) -> int:
         return det_int(self.entries)
 
+    @cached_property
+    def chain(self) -> PushoffChain | None:
+        """The O(n) pushoff-chain kernel's factorization, computed once;
+        None sends callers to the generic kernels."""
+        return pushoff_chain(self.entries)
+
 
 def linking_matrix(presentation: ContactSurgeryPresentation) -> LinkingMatrix:
     """Linking matrix of the presentation's smooth surgery diagram.
 
     Component j is a pushoff of component j-1, so it links its
     predecessor in the predecessor's contact framing (its tb) and copies
-    the predecessor's linking with every earlier component.  Diagonal
-    entries are tb + contact coefficient.
+    the predecessor's linking with every earlier component: row i is
+    (tb_0, ..., tb_{i-1}, tb_i + coefficient_i, tb_i, ..., tb_i).
     """
     comps = presentation.components
-    n = len(comps)
-    m = [[0] * n for _ in range(n)]
-    for i, comp in enumerate(comps):
-        m[i][i] = comp.legendrian.tb + comp.coefficient
-    for j in range(1, n):
-        m[j][j - 1] = m[j - 1][j] = comps[j - 1].legendrian.tb
-        for i in range(j - 1):
-            m[j][i] = m[i][j] = m[j - 1][i]
-    return LinkingMatrix(tuple(tuple(row) for row in m))
+    tbs = tuple(c.legendrian.tb for c in comps)
+    n = len(tbs)
+    return LinkingMatrix(tuple(
+        tbs[:i] + (tb + comp.coefficient,) + (tb,) * (n - i - 1)
+        for i, (tb, comp) in enumerate(zip(tbs, comps))
+    ))
 
 
 @dataclass(frozen=True)
@@ -66,11 +70,15 @@ class HomologyData:
 
 def homology_data(matrix: LinkingMatrix) -> HomologyData:
     """|H1| (None when infinite), signature, and euler = 1 + size."""
-    det = matrix.determinant()
+    chain = matrix.chain
+    if chain is None:
+        det, signature = det_int(matrix.entries), signature_exact(matrix.entries)
+    else:
+        det, signature = chain.determinant, chain.signature
     return HomologyData(
         determinant=det,
         order_h1=abs(det) if det != 0 else None,
-        signature=signature_exact(matrix.entries),
+        signature=signature,
         euler_characteristic=1 + matrix.size,
     )
 
@@ -98,8 +106,12 @@ def spin_c_evaluation(
     rot = tuple(c.legendrian.rot for c in presentation.components)
     if not rot:
         return SpinCEvaluation((), (), Fraction(0))
-    if matrix.determinant() == 0:
+    chain = matrix.chain
+    det = det_int(matrix.entries) if chain is None else chain.determinant
+    if det == 0:
         raise NotRationalHomologySphere("linking matrix is singular")
+    if chain is not None:
+        return SpinCEvaluation(rot, *chain.solve(rot))
     solution = solve_exact(matrix.entries, rot)
     c_sq = sum((x * r for x, r in zip(solution, rot)), Fraction(0))
     return SpinCEvaluation(rot, solution, c_sq)
@@ -112,11 +124,11 @@ def d3_invariant(presentation: ContactSurgeryPresentation) -> Fraction:
     (nonzero determinant); the empty presentation gives -1/2.
     """
     matrix = linking_matrix(presentation)
-    if matrix.size and matrix.determinant() == 0:
+    data = homology_data(matrix)
+    if data.order_h1 is None:
         raise NotRationalHomologySphere(
             "d3 is undefined: the surgered manifold has infinite H1"
         )
-    data = homology_data(matrix)
     spin = spin_c_evaluation(presentation, matrix)
     q = sum(1 for c in presentation.components if c.coefficient == 1)
     return (

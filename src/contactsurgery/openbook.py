@@ -126,9 +126,19 @@ def free_reduce(letters) -> tuple[Letter, ...]:
     return tuple(out)
 
 
+def _cyclically_reduce(letters) -> tuple[Letter, ...]:
+    """Free reduction, then cancel inverse pairs across the word's ends."""
+    w = free_reduce(letters)
+    i, j = 0, len(w)
+    while j - i >= 2 and w[i][0] == w[j - 1][0] and w[i][1] != w[j - 1][1]:
+        i, j = i + 1, j - 1
+    return w[i:j]
+
+
 def cyclic_words_equal(first, second) -> bool:
-    """Equality of monodromy words: free reduction, then up to rotation."""
-    a, b = free_reduce(first), free_reduce(second)
+    """Equality of monodromy words up to conjugation: cyclic reduction,
+    then up to rotation."""
+    a, b = _cyclically_reduce(first), _cyclically_reduce(second)
     if len(a) != len(b):
         return False
     if not a:

@@ -159,6 +159,43 @@ def test_cli_missing_file_exit_code(capsys):
     assert main(["d3", "--file", "/nonexistent/diagram.json"]) == 2
 
 
+@pytest.mark.parametrize("verb", ["d3", "homology", "openbook"])
+def test_cli_unreadable_file_exit_code(tmp_path, capsys, verb):
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'{"components": [], "note": "\xe9"}')
+    for path in (tmp_path, undecodable):
+        assert main([verb, "--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in captured.err and "Traceback" not in captured.err
+
+
+def test_parse_rejects_a_link_that_is_not_its_stated_stabilization(tmp_path, capsys):
+    bad = {
+        "components": [
+            {"tb": -1, "rot": 0, "coeff": "+1"},
+            {"tb": -7, "rot": 4, "coeff": "-1", "stab_signs": ["-"]},
+        ]
+    }
+    with pytest.raises(DiagramFormatError) as info:
+        presentation_from_dict(bad)
+    assert "components[1]" in str(info.value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["d3", "--file", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_parse_rejects_even_tb_plus_rot():
+    bad = {"components": [{"tb": -1, "rot": 1, "coeff": "-1"}]}
+    with pytest.raises(DiagramFormatError) as info:
+        presentation_from_dict(bad)
+    assert "components[0]" in str(info.value)
+    with pytest.raises(DiagramFormatError):
+        presentation_from_dict({"components": [{"tb": -1, "rot": 0, "coeff": "-1",
+                                                "stab_signs": 5}]})
+
+
 def test_cli_classify(capsys):
     assert main(["classify", "--knot", "C(2,3;T(2,3))"]) == 0
     out = capsys.readouterr().out

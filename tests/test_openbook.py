@@ -72,6 +72,14 @@ def test_cyclic_equality():
     assert not cyclic_words_equal(w1, (("a", "+"), ("c", "+"), ("b", "-")))
 
 
+def test_cyclic_equality_cancels_across_the_ends():
+    word = (("x", "+"), ("y", "+"), ("x", "-"))
+    assert cyclic_words_equal(word, word[1:] + word[:1])
+    assert cyclic_words_equal(word, (("y", "+"),))
+    assert cyclic_words_equal((("x", "+"), ("x", "-")), ())
+    assert not cyclic_words_equal(word, (("y", "-"),))
+
+
 def test_empty_word_acts_as_identity():
     surface = torus_like_surface()
     assert homology_action((), surface) == identity_int(3)
