@@ -35,6 +35,15 @@ _KNOWN_FLAGS = frozenset(
 )
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of a file; an unreadable file is a format error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DiagramFormatError(f"{path}: cannot read the file: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class KnotType:
     """Invariant record for a topological knot type in the 3-sphere.
@@ -213,11 +222,10 @@ class Catalog:
 
     @classmethod
     def from_json(cls, path: str) -> "Catalog":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                records = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DiagramFormatError(f"catalog {path}: {exc}") from exc
+        try:
+            records = json.loads(read_text(path))
+        except json.JSONDecodeError as exc:
+            raise DiagramFormatError(f"catalog {path}: {exc}") from exc
         if not isinstance(records, list):
             raise DiagramFormatError(f"catalog {path}: top level must be a list")
         return cls.from_records(records)

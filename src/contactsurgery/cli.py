@@ -51,7 +51,6 @@ _INPUT_ERRORS = (
     NotInCatalog,
     OutOfRange,
     UnsupportedCoefficient,
-    FileNotFoundError,
 )
 _COMPUTE_ERRORS = (
     CannotCapLastBoundary,

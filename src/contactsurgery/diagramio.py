@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from .catalog import read_text
 from .errors import DiagramFormatError, InvalidCoefficient
 from .expansion import (
     Component,
@@ -35,12 +36,7 @@ def _load_json(text: str, source: str) -> Any:
 
 
 def _read_json_file(path: str) -> Any:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DiagramFormatError(f"{path}: cannot read the file: {exc}") from exc
-    return _load_json(text, path)
+    return _load_json(read_text(path), path)
 
 
 def _require(mapping: dict, key: str, kind, path: str):

@@ -10,7 +10,6 @@ whole set of presentations, all-negative choice first.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,33 +102,33 @@ class ContactSurgeryPresentation:
         return tuple((c.legendrian.tb, c.legendrian.rot) for c in self.components)
 
 
-def _sign_run(total: int, plus_count: int) -> tuple[str, ...]:
-    # Stabilizations commute, so a choice is a multiset; canonical order
-    # puts the negatives first, which sorts lexicographically with - < +.
-    return (NEGATIVE,) * (total - plus_count) + (POSITIVE,) * plus_count
-
-
 def _chain_presentations(
     base: LegendrianKnot,
     one_minus_r: Fraction,
     prefix: tuple[Component, ...],
 ) -> tuple[ContactSurgeryPresentation, ...]:
-    terms = negative_continued_fraction(one_minus_r)
-    stab_counts = [a - 2 for a in terms]
-    presentations = []
-    for choice in itertools.product(*(range(k + 1) for k in stab_counts)):
-        current = base
-        chain = []
-        for stabs, plus_count in zip(stab_counts, choice):
-            signs = _sign_run(stabs, plus_count)
-            current = stabilize_many(current, signs)
-            chain.append(
-                Component(ROLE_CHAIN, current, -1, stab_signs=signs)
-            )
-        presentations.append(
-            ContactSurgeryPresentation(prefix + tuple(chain))
-        )
-    return tuple(presentations)
+    # Link by link over the continued fraction terms.  A link depends on its
+    # prefix only through the previous knot: k stabilizations, plus of them
+    # positive, so tb - k and rot + plus - (k - plus) as in stabilize, in O(1).
+    # Stabilizations commute, so a level's choices are the k + 1 sign runs
+    # with negatives first, built once and shared by every prefix.  Each
+    # prefix is extended by its choices in turn: lexicographic order, '-' < '+'.
+    chains = [(list(prefix), base)]
+    for a in negative_continued_fraction(one_minus_r):
+        k = a - 2
+        runs = [(NEGATIVE,) * (k - plus) + (POSITIVE,) * plus for plus in range(k + 1)]
+        grown = []
+        for links, last in chains:
+            for plus, signs in enumerate(runs):
+                knot = LegendrianKnot(last.tb - k, last.rot + 2 * plus - k, last.knot_type)
+                # Other choices copy the prefix list, the last takes it over:
+                # no list is shared, and a level with one choice (a = 2)
+                # copies nothing, so a long chain such as r = -1/N stays O(links).
+                extended = links if plus == k else links.copy()
+                extended.append(Component(ROLE_CHAIN, knot, -1, stab_signs=signs))
+                grown.append((extended, knot))
+        chains = grown
+    return tuple(ContactSurgeryPresentation(tuple(links)) for links, _ in chains)
 
 
 def expand(knot: LegendrianKnot, r) -> tuple[ContactSurgeryPresentation, ...]:
@@ -147,16 +146,12 @@ def expand(knot: LegendrianKnot, r) -> tuple[ContactSurgeryPresentation, ...]:
         raise UnsupportedCoefficient(
             f"coefficients in (0, 1) are not supported, got {r}"
         )
-    if r == 1:
-        return (
-            ContactSurgeryPresentation(
-                (Component(ROLE_PLUS_ONE, knot, 1),)
-            ),
-        )
     if r < 0:
         # The chain starts at a pushoff of the knot, which copies (tb, rot).
         return _chain_presentations(knot, 1 - r, prefix=())
     plus_one = Component(ROLE_PLUS_ONE, knot, 1)
+    if r == 1:
+        return (ContactSurgeryPresentation((plus_one,)),)
     residual = Fraction(r.numerator, r.denominator - r.numerator)
     return _chain_presentations(knot, 1 - residual, prefix=(plus_one,))
 

@@ -170,6 +170,21 @@ def test_cli_unreadable_file_exit_code(tmp_path, capsys, verb):
         assert str(path) in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--list"],
+    ["expand", "--tb", "-1", "--rot", "0", "--coeff", "2", "--knot", "unknot"],
+    ["classify", "--knot", "unknot"],
+])
+def test_cli_unreadable_catalog_exit_code(tmp_path, capsys, argv):
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'[{"name": "\xe9", "genus": 0, "slice_genus": 0}]')
+    for path in (tmp_path, undecodable):
+        assert main(argv + ["--catalog", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in captured.err and "Traceback" not in captured.err
+
+
 def test_parse_rejects_a_link_that_is_not_its_stated_stabilization(tmp_path, capsys):
     bad = {
         "components": [

@@ -1,7 +1,10 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from contactsurgery.errors import (
     InvalidCoefficient,
@@ -9,7 +12,10 @@ from contactsurgery.errors import (
     UnsupportedCoefficient,
 )
 from contactsurgery.expansion import (
+    ROLE_CHAIN,
     ROLE_PLUS_ONE,
+    Component,
+    ContactSurgeryPresentation,
     Slope,
     all_negative_presentation,
     evaluate_continued_fraction,
@@ -19,7 +25,14 @@ from contactsurgery.expansion import (
     normalize_slope,
     presentation_for_framing,
 )
+from contactsurgery.homology import linking_matrix
+from contactsurgery import legendrian
 from contactsurgery.legendrian import Framing, LegendrianKnot, stabilize
+
+SETTINGS = settings(
+    max_examples=50, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 def brute_force_expansion(x: Fraction, max_len=6, max_term=6):
@@ -183,3 +196,99 @@ def test_normalize_slope_values():
 def test_gluing_pullback():
     for n in range(1, 8):
         assert gluing_pullback(n) == (1, n)
+
+
+@st.composite
+def knots(draw):
+    """(tb, rot) with tb in [-6, 1], tb + rot odd and |rot| <= |tb| + 1."""
+    tb = draw(st.integers(-6, 1))
+    bound = abs(tb) + 1
+    rot = draw(st.sampled_from([r for r in range(-bound, bound + 1) if (tb + r) % 2]))
+    return LegendrianKnot(tb, rot)
+
+
+def chain_terms(r: Fraction) -> tuple[int, ...]:
+    """The continued fraction terms of the chain of contact r-surgery."""
+    return negative_continued_fraction(1 - (r if r < 0 else r / (1 - r)))
+
+
+def presentation_count(r: Fraction) -> int:
+    return 1 if r == 1 else math.prod(a - 1 for a in chain_terms(r))
+
+
+@st.composite
+def coefficients(draw, max_count=500):
+    """r < 0 or r >= 1 with at most max_count presentations."""
+    q = draw(st.integers(1, 12))
+    p = draw(st.integers(0 if draw(st.booleans()) else -max_count * q, max_count))
+    r = Fraction(-p, q) if p > 0 else Fraction(q - p, q)
+    assume(presentation_count(r) <= max_count)
+    return r
+
+
+def reference_expansion(knot: LegendrianKnot, r: Fraction):
+    """expand by brute force: itertools.product over the stabilization
+    choices, each sign folded through stabilize one at a time."""
+    head = () if r < 0 else (Component(ROLE_PLUS_ONE, knot, 1),)
+    if r == 1:
+        return (ContactSurgeryPresentation(head),)
+    counts = [a - 2 for a in chain_terms(r)]
+    presentations = []
+    for choice in itertools.product(*(range(k + 1) for k in counts)):
+        current, chain = knot, []
+        for k, plus in zip(counts, choice):
+            signs = ("-",) * (k - plus) + ("+",) * plus
+            for sign in signs:
+                current = stabilize(current, sign)
+            chain.append(Component(ROLE_CHAIN, current, -1, stab_signs=signs))
+        presentations.append(ContactSurgeryPresentation(head + tuple(chain)))
+    return tuple(presentations)
+
+
+@SETTINGS
+@given(knots(), coefficients())
+@example(LegendrianKnot(-1, 0), Fraction(-500))
+@example(LegendrianKnot(-2, 1), Fraction(500, 499))
+def test_expand_matches_brute_force(knot, r):
+    assert expand(knot, r) == reference_expansion(knot, r)
+
+
+def fold_stabilize(knot, signs):
+    for sign in signs:
+        knot = stabilize(knot, sign)
+    return knot
+
+
+def test_expand_is_linear_in_its_output(monkeypatch):
+    # r = -N is one link with N - 1 stabilizations and N sign choices.
+    # Restabilizing every choice one sign at a time makes about N^2 / 2
+    # stabilize calls (stabilize_many loops over them); building each link
+    # from its predecessor makes at most one call per link of the output.
+    calls = 0
+
+    def counted(knot, sign):
+        nonlocal calls
+        calls += 1
+        assert calls <= 2000, "expand restabilizes sign by sign"
+        return stabilize(knot, sign)
+
+    monkeypatch.setattr(legendrian, "stabilize", counted)
+    knot = LegendrianKnot(-3, 0)
+    presentations = expand(knot, -2000)
+    assert len(presentations) == 2000
+    for p, presentation in enumerate(presentations):
+        assert presentation.tb_rot_profile() == ((-2002, -1999 + 2 * p),)
+    all_negative = Component(
+        ROLE_CHAIN, fold_stabilize(knot, "-" * 1999), -1, stab_signs=("-",) * 1999
+    )
+    assert presentations[0] == ContactSurgeryPresentation((all_negative,))
+
+
+@SETTINGS
+@given(knots(), coefficients(max_count=60))
+def test_order_of_h1_of_every_presentation(knot, r):
+    # Contact r-surgery is smooth (tb + r)-surgery, so |H1| = |tb q + p|
+    # for r = p/q, on every presentation and with or without the +1 head.
+    for presentation in expand(knot, r):
+        det = linking_matrix(presentation).determinant()
+        assert abs(det) == abs(knot.tb * r.denominator + r.numerator)
