@@ -37,11 +37,9 @@ from .homology import (
     d3_invariant,
     homology_data,
     linking_matrix,
-    nonvanishing_criterion,
     spin_c_evaluation,
 )
 from .ledger import (
-    CobordismRecord,
     LedgerState,
     LedgerSubject,
     LedgerVerdict,

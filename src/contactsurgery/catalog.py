@@ -81,6 +81,9 @@ class KnotType:
         unknown = self.flags - _KNOWN_FLAGS
         if unknown:
             raise ValueError(f"{self.name}: unknown flags {sorted(unknown)}")
+        if self.max_sl is not None and self.max_sl % 2 != 1:
+            # A transverse knot in the 3-sphere has odd self-linking number.
+            raise ValueError(f"{self.name}: max self-linking {self.max_sl} must be odd")
 
 
 def lint_knot(knot: KnotType) -> list[str]:
@@ -172,6 +175,32 @@ UNKNOT = KnotType(
 )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_or_null(value) -> bool:
+    return value is None or _is_int(value)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+# Each catalog record field with its check and the type it must have.
+_RECORD_FIELDS = {
+    "name": (_is_str, "a string"),
+    "genus": (_is_int, "an integer"),
+    "slice_genus": (_is_int, "an integer"),
+    "max_tb": (_is_int_or_null, "an integer or null"),
+    "max_sl": (_is_int_or_null, "an integer or null"),
+    "flags": (lambda v: isinstance(v, list) and all(map(_is_str, v)), "a list of strings"),
+    "provenance": (_is_str, "a string"),
+}
+# The value of an optional field that a record omits.
+_RECORD_DEFAULTS = {"max_tb": None, "max_sl": None, "flags": [], "provenance": ""}
+
+
 class Catalog:
     """Immutable name-indexed collection of KnotType records."""
 
@@ -205,17 +234,17 @@ class Catalog:
         entries = []
         for i, rec in enumerate(records):
             try:
-                entries.append(
-                    KnotType(
-                        name=rec["name"],
-                        genus=rec["genus"],
-                        slice_genus=rec["slice_genus"],
-                        max_tb=rec.get("max_tb"),
-                        max_sl=rec.get("max_sl"),
-                        flags=frozenset(rec.get("flags", [])),
-                        provenance=rec.get("provenance", ""),
-                    )
-                )
+                fields = {}
+                for key, (ok, kind) in _RECORD_FIELDS.items():
+                    if key in _RECORD_DEFAULTS:
+                        value = rec.get(key, _RECORD_DEFAULTS[key])
+                    else:
+                        value = rec[key]
+                    if not ok(value):
+                        raise DiagramFormatError(f"catalog record [{i}].{key}: must be {kind}")
+                    fields[key] = value
+                fields["flags"] = frozenset(fields["flags"])
+                entries.append(KnotType(**fields))
             except (KeyError, TypeError, ValueError) as exc:
                 raise DiagramFormatError(f"catalog record [{i}]: {exc}") from exc
         return cls(entries)

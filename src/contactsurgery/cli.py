@@ -15,23 +15,7 @@ from fractions import Fraction
 
 from . import acceptance, diagramio
 from .catalog import Catalog, lint_knot
-from .errors import (
-    CannotCapLastBoundary,
-    ContactSurgeryError,
-    Contradiction,
-    DiagramFormatError,
-    IncompleteData,
-    InvalidCableParameters,
-    InvalidCoefficient,
-    InvalidStabilization,
-    NotInCatalog,
-    NotRationalHomologySphere,
-    NotRealizable,
-    OutOfRange,
-    PatternMismatch,
-    UnknownCurve,
-    UnsupportedCoefficient,
-)
+from .errors import ContactSurgeryError, InvalidCoefficient
 from .expansion import expand
 from .homology import d3_invariant, homology_data, linking_matrix
 from .ledger import (
@@ -44,23 +28,8 @@ from .ledger import (
 from .legendrian import LegendrianKnot, TransverseKnot
 from .openbook import InvariantStatus, cap_off, homology_action
 
-_INPUT_ERRORS = (
-    DiagramFormatError,
-    InvalidCableParameters,
-    InvalidCoefficient,
-    NotInCatalog,
-    OutOfRange,
-    UnsupportedCoefficient,
-)
-_COMPUTE_ERRORS = (
-    CannotCapLastBoundary,
-    IncompleteData,
-    InvalidStabilization,
-    NotRationalHomologySphere,
-    NotRealizable,
-    PatternMismatch,
-    UnknownCurve,
-)
+# The stderr prefix for each exit code of a ContactSurgeryError.
+_PREFIXES = {1: "error", 2: "input error", 3: "contradiction"}
 
 
 def _load_catalog(args) -> Catalog:
@@ -74,6 +43,18 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidCoefficient(f"cannot parse coefficient {text!r}") from exc
+
+
+def _self_linking(text: str) -> int:
+    """The argparse type of --sl: an odd integer, as self-linking numbers of
+    knots in the 3-sphere are."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value % 2 != 1:
+        raise argparse.ArgumentTypeError(f"self-linking number must be odd, got {value}")
+    return value
 
 
 def _knot_record(knot) -> dict:
@@ -312,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     led.add_argument("--catalog", help="path to a catalog JSON file")
     led.add_argument("--tb", type=int, help="Legendrian tb (enables rule R1)")
     led.add_argument("--rot", type=int, default=0)
-    led.add_argument("--sl", type=int, help="transverse self-linking number")
+    led.add_argument("--sl", type=_self_linking, help="transverse self-linking number")
     led.add_argument("--binding", action="store_true",
                      help="assert the subject is an open book binding")
     led.add_argument("--positively-stabilized", action="store_true")
@@ -340,18 +321,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except Contradiction as exc:
-        print(f"contradiction: {exc}", file=sys.stderr)
-        return 3
-    except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except _COMPUTE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ContactSurgeryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{_PREFIXES[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -185,8 +185,12 @@ def facts_from_file(path: str) -> list[dict]:
         if status not in ("Zero", "NonZero"):
             raise DiagramFormatError(f"{path}[{i}].status: must be Zero or NonZero")
         offset = raw.get("offset")
-        if offset is not None and not isinstance(offset, int):
+        if offset is None and status != "Zero":
+            raise DiagramFormatError(f"{path}[{i}].offset: null (every framing) is valid only for Zero")
+        if offset is not None and (isinstance(offset, bool) or not isinstance(offset, int)):
             raise DiagramFormatError(f"{path}[{i}].offset: must be an integer or null")
         rule = raw.get("rule", "file")
+        if not isinstance(rule, str):
+            raise DiagramFormatError(f"{path}[{i}].rule: must be a string")
         records.append({"offset": offset, "status": status, "rule": rule})
     return records

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Every domain failure raises a subclass of ContactSurgeryError so callers
-(and the CLI exit-code mapping) can distinguish input problems from
-computational ones.
+Every domain failure raises a subclass of ContactSurgeryError.  Its
+exit_code tells input problems (2) and ledger contradictions (3) from
+computational failures (1); the CLI exits with it.
 """
 
 from __future__ import annotations
@@ -11,13 +11,19 @@ from __future__ import annotations
 class ContactSurgeryError(Exception):
     """Base class for all domain errors raised by this package."""
 
+    exit_code = 1
+
 
 class NotInCatalog(ContactSurgeryError):
     """Requested knot name is not present in the loaded catalog."""
 
+    exit_code = 2
+
 
 class InvalidCableParameters(ContactSurgeryError):
     """Cable parameters must satisfy q > p >= 1 with gcd(p, q) = 1."""
+
+    exit_code = 2
 
 
 class IncompleteData(ContactSurgeryError):
@@ -31,13 +37,19 @@ class NotRealizable(ContactSurgeryError):
 class OutOfRange(ContactSurgeryError):
     """Argument outside the domain of the continued fraction expansion."""
 
+    exit_code = 2
+
 
 class UnsupportedCoefficient(ContactSurgeryError):
     """Surgery coefficients in the open interval (0, 1) are rejected."""
 
+    exit_code = 2
+
 
 class InvalidCoefficient(ContactSurgeryError):
     """Surgery coefficient zero (or unparseable) is not a valid input."""
+
+    exit_code = 2
 
 
 class NotRationalHomologySphere(ContactSurgeryError):
@@ -64,9 +76,13 @@ class DiagramFormatError(ContactSurgeryError):
     """A diagram, open book or catalog file failed syntactic or semantic
     validation; the message carries the offending field path."""
 
+    exit_code = 2
+
 
 class Contradiction(ContactSurgeryError):
     """Ledger closure produced both Zero and NonZero at some framing."""
+
+    exit_code = 3
 
     def __init__(self, offset, zero_rule: str, nonzero_rule: str):
         self.offset = offset

@@ -17,9 +17,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import IncompleteData, NotRationalHomologySphere
+from .errors import NotRationalHomologySphere
 from .expansion import ContactSurgeryPresentation
-from .legendrian import LegendrianKnot
 from .linalg import PushoffChain, det_int, pushoff_chain, signature_exact, solve_exact
 
 
@@ -210,25 +209,3 @@ def adjunction_congruence(genus: int, cap_value: int) -> AdjunctionReport:
     residue = (cap_value + 2 * genus) % modulus
     min_abs = min(abs(residue), abs(residue - modulus))
     return AdjunctionReport(residue, min_abs, min_abs >= 2 * genus)
-
-
-def nonvanishing_criterion(
-    knot: LegendrianKnot, n: int, binding: bool = True
-) -> bool:
-    """Sufficient condition for the surgered contact invariant to be nonzero.
-
-    Requires the knot type's genus g >= 1, the surgery to land on framing
-    2g (tb + n = 2g), the transverse pushoff to maximize self-linking
-    (sl = 2g - 1), and the caller to assert that the transverse
-    representative is an open book binding.
-    """
-    if knot.knot_type is None:
-        raise IncompleteData("nonvanishing criterion needs the knot type")
-    g = knot.knot_type.genus
-    if g < 1:
-        return False
-    if not binding:
-        return False
-    # Pushoff self-linking computed directly; an even tb - rot simply
-    # fails the sl = 2g - 1 test rather than being rejected as malformed.
-    return knot.tb + n == 2 * g and knot.tb - knot.rot == 2 * g - 1

@@ -11,27 +11,20 @@ the framing-lowering maps, so the closure is monotone:
 and a framing that ends up both Zero and NonZero is a Contradiction,
 never silently resolved.
 
-Built-in rules (provenance ids recorded with each fact):
-
-    R1  Zero at every framing f <= tb for a Legendrian subject.
-    R2  Zero at all framings when the subject is a positive stabilization.
-    R3  Zero at all framings when the complement is overtwisted or has
-        positive Giroux torsion.
-    R4  Zero at all framings for a binding of an open book supporting a
-        structure with vanishing invariant on a rational homology sphere.
-    R5  NonZero at f_S + 2g for a self-linking-maximizing binding in the
-        standard tight 3-sphere (sl = 2g - 1).
-    R6  NonZero at tb + 1 for a Legendrian in the standard 3-sphere with
-        tb = 2*slice_genus - 1 > 0.
-    E1  NonZero at tb + 1 for the maximal Legendrian unknot (tb = -1).
+The built-in rules R1-R6 and E1 are the entries of RULES, each with its
+id (recorded as the provenance of the facts it asserts), precondition and
+conclusion.  apply_rules asserts them in table order; the classifier
+tight_surgery_ranges reads the entries R5 and R6.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .catalog import KnotType
 from .errors import Contradiction, IncompleteData
@@ -39,6 +32,9 @@ from .legendrian import Framing, LegendrianKnot, TransverseKnot
 from .openbook import BindingVerdict, InvariantStatus, binding_vanishing_rule
 
 STANDARD_TIGHT_S3 = "S3-standard"
+
+ZERO = InvariantStatus.ZERO
+NONZERO = InvariantStatus.NONZERO
 
 
 class LedgerVerdict(enum.Enum):
@@ -53,43 +49,6 @@ class Fact(NamedTuple):
     offset: int | None
     status: InvariantStatus
     rule: str
-
-
-COBORDISM_KINDS = ("Wf", "Xkn", "Zcap")
-
-
-@dataclass(frozen=True)
-class CobordismRecord:
-    """Bookkeeping for the cobordisms behind the propagation maps.
-
-    A 'Wf' record is the framing-lowering step, built on a normal circle
-    framed one below the Seifert framing, so it always carries framing
-    offset -1.  An 'Xkn' record is the handle attachment realizing the
-    surgery; a 'Zcap' record is the capping cobordism, which is the Xkn
-    cobordism upside down with reversed orientation (checked by
-    is_reverse_of).
-    """
-
-    kind: str
-    source: str
-    target: str
-    framing_offset: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in COBORDISM_KINDS:
-            raise ValueError(f"unknown cobordism kind {self.kind!r}")
-        if self.kind == "Wf" and self.framing_offset != -1:
-            raise ValueError(
-                "a framing-step cobordism uses the normal circle framed f_S-1"
-            )
-
-    def is_reverse_of(self, other: "CobordismRecord") -> bool:
-        return (
-            self.kind == "Zcap"
-            and other.kind == "Xkn"
-            and self.source == other.target
-            and self.target == other.source
-        )
 
 
 @dataclass(frozen=True)
@@ -112,113 +71,93 @@ class LedgerSubject:
         return None
 
 
+def _offset(framing: Framing | int | None) -> int | None:
+    return framing.offset if isinstance(framing, Framing) else framing
+
+
 @dataclass(frozen=True)
 class LedgerState:
-    """An immutable fact set; the monotone closure is derived on demand."""
+    """An immutable fact set and its closure.
 
-    subject: LedgerSubject | None = None
+    The closure is three facts that assert_fact carries forward: the first
+    Zero fact that covers every framing, the Zero fact at the largest
+    offset (the zero ceiling) and the NonZero fact at the smallest offset
+    (the nonzero floor), the first asserted among facts at one offset.
+    Start from LedgerState() and add facts with assert_fact.
+    """
+
     facts: tuple[Fact, ...] = ()
-
-    def zero_ceiling(self) -> int | None:
-        """Largest framing offset known Zero (None if no Zero facts)."""
-        offsets = [
-            f.offset
-            for f in self.facts
-            if f.status is InvariantStatus.ZERO and f.offset is not None
-        ]
-        return max(offsets) if offsets else None
-
-    def zero_everywhere(self) -> bool:
-        return any(
-            f.status is InvariantStatus.ZERO and f.offset is None for f in self.facts
-        )
-
-    def nonzero_floor(self) -> int | None:
-        """Smallest framing offset known NonZero (None if no NonZero facts)."""
-        offsets = [
-            f.offset for f in self.facts if f.status is InvariantStatus.NONZERO
-        ]
-        if any(o is None for o in offsets):
-            raise ValueError("NonZero facts need a concrete framing")
-        return min(offsets) if offsets else None
+    everywhere: Fact | None = None
+    ceiling: Fact | None = None
+    floor: Fact | None = None
 
     def check_consistent(self) -> None:
-        floor = self.nonzero_floor()
+        """Raise Contradiction when some framing is both Zero and NonZero."""
+        floor = self.floor
         if floor is None:
             return
-        if self.zero_everywhere():
-            rule_zero = next(
+        if self.everywhere is not None:
+            raise Contradiction(None, self.everywhere.rule, floor.rule)
+        if self.ceiling is not None and floor.offset <= self.ceiling.offset:
+            zero_rule = next(
                 f.rule
                 for f in self.facts
-                if f.status is InvariantStatus.ZERO and f.offset is None
+                if f.status is ZERO and f.offset is not None and f.offset >= floor.offset
             )
-            rule_nonzero = self._nonzero_rule_at(floor)
-            raise Contradiction(None, rule_zero, rule_nonzero)
-        ceiling = self.zero_ceiling()
-        if ceiling is not None and floor <= ceiling:
-            rule_zero = next(
-                f.rule
-                for f in self.facts
-                if f.status is InvariantStatus.ZERO
-                and f.offset is not None
-                and f.offset >= floor
-            )
-            raise Contradiction(floor, rule_zero, self._nonzero_rule_at(floor))
-
-    def _nonzero_rule_at(self, offset: int) -> str:
-        return next(
-            f.rule
-            for f in self.facts
-            if f.status is InvariantStatus.NONZERO and f.offset == offset
-        )
+            raise Contradiction(floor.offset, zero_rule, floor.rule)
 
     def status_at(self, framing: Framing | int) -> InvariantStatus:
-        offset = framing.offset if isinstance(framing, Framing) else framing
-        if self.zero_everywhere():
-            return InvariantStatus.ZERO
-        ceiling = self.zero_ceiling()
-        if ceiling is not None and offset <= ceiling:
-            return InvariantStatus.ZERO
-        floor = self.nonzero_floor()
-        if floor is not None and offset >= floor:
-            return InvariantStatus.NONZERO
+        offset = _offset(framing)
+        if self.everywhere is not None or (
+            self.ceiling is not None and offset <= self.ceiling.offset
+        ):
+            return ZERO
+        if self.floor is not None and offset >= self.floor.offset:
+            return NONZERO
         return InvariantStatus.UNKNOWN
 
     def provenance_at(self, framing: Framing | int) -> str | None:
-        offset = framing.offset if isinstance(framing, Framing) else framing
-        status = self.status_at(offset)
-        if status is InvariantStatus.UNKNOWN:
-            return None
-        if status is InvariantStatus.ZERO:
-            everywhere = [
-                f.rule
-                for f in self.facts
-                if f.status is InvariantStatus.ZERO and f.offset is None
-            ]
-            if everywhere:
-                return everywhere[0]
-            justifying = [
-                f
-                for f in self.facts
-                if f.status is InvariantStatus.ZERO
-                and f.offset is not None
-                and f.offset >= offset
-            ]
-        else:
-            justifying = [
-                f
-                for f in self.facts
-                if f.status is InvariantStatus.NONZERO and f.offset <= offset
-            ]
-        tightest = min(
-            justifying, key=lambda f: abs(f.offset - offset)
-        )
-        return tightest.rule
+        offset = _offset(framing)
+        return next(self._rows(offset, offset))[2]
 
     def window(self, lo: int, hi: int) -> list[tuple[int, InvariantStatus, str | None]]:
-        return [
-            (k, self.status_at(k), self.provenance_at(k)) for k in range(lo, hi + 1)
-        ]
+        return list(self._rows(lo, hi))
+
+    @cached_property
+    def _by_offset(self) -> dict[InvariantStatus, tuple[list[int], dict[int, str]]]:
+        """Per status, the distinct concrete offsets in increasing order and
+        the rule first asserted at each."""
+        first: dict[InvariantStatus, dict[int, str]] = {ZERO: {}, NONZERO: {}}
+        for fact in self.facts:
+            if fact.offset is not None:
+                first[fact.status].setdefault(fact.offset, fact.rule)
+        return {status: (sorted(rules), rules) for status, rules in first.items()}
+
+    def _rows(self, lo: int, hi: int):
+        """(framing, status, provenance) for lo..hi.  A Zero framing is
+        justified by the Zero fact at the nearest offset at or above it, a
+        NonZero framing by the NonZero fact at the nearest offset at or
+        below it."""
+        zeros, zero_rules = self._by_offset[ZERO]
+        nonzeros, nonzero_rules = self._by_offset[NONZERO]
+        z = bisect_left(zeros, lo)  # zeros[z]: the first Zero offset >= k
+        n = bisect_right(nonzeros, lo) - 1  # nonzeros[n]: the last NonZero offset <= k
+        for k in range(lo, hi + 1):
+            # Offsets are distinct integers, so one step keeps each pointer.
+            if z < len(zeros) and zeros[z] < k:
+                z += 1
+            if n + 1 < len(nonzeros) and nonzeros[n + 1] == k:
+                n += 1
+            status = self.status_at(k)
+            if status is InvariantStatus.UNKNOWN:
+                rule = None
+            elif status is NONZERO:
+                rule = nonzero_rules[nonzeros[n]]
+            elif self.everywhere is not None:
+                rule = self.everywhere.rule
+            else:
+                rule = zero_rules[zeros[z]]
+            yield k, status, rule
 
 
 def assert_fact(
@@ -227,62 +166,112 @@ def assert_fact(
     status: InvariantStatus,
     rule: str,
 ) -> LedgerState:
-    """Record a fact and recompute the closure; raises Contradiction when
+    """Record a fact and carry the closure forward; raises Contradiction when
     the closure would assign both statuses to some framing."""
-    if status not in (InvariantStatus.ZERO, InvariantStatus.NONZERO):
+    if status not in (ZERO, NONZERO):
         raise ValueError("only Zero and NonZero facts can be asserted")
-    offset = framing.offset if isinstance(framing, Framing) else framing
-    if offset is None and status is not InvariantStatus.ZERO:
+    offset = _offset(framing)
+    if offset is None and status is not ZERO:
         raise ValueError("only Zero facts may cover all framings")
-    updated = LedgerState(state.subject, state.facts + (Fact(offset, status, rule),))
+    fact = Fact(offset, status, rule)
+    everywhere, ceiling, floor = state.everywhere, state.ceiling, state.floor
+    if offset is None:
+        everywhere = everywhere or fact
+    elif status is ZERO:
+        if ceiling is None or offset > ceiling.offset:
+            ceiling = fact
+    elif floor is None or offset < floor.offset:
+        floor = fact
+    updated = LedgerState(state.facts + (fact,), everywhere, ceiling, floor)
     updated.check_consistent()
     return updated
+
+
+class Rule(NamedTuple):
+    """A built-in rule: a subject that meets `holds` carries `status` at the
+    framing offset `offset(subject)`, or at every framing when `offset` is
+    None."""
+
+    id: str
+    holds: Callable[[LedgerSubject], bool]
+    status: InvariantStatus
+    offset: Callable[[LedgerSubject], int] | None = None
+
+
+def _standard_s3_knot_type(subject: LedgerSubject) -> KnotType | None:
+    """The subject's knot type, when it is known and the subject lies in the
+    standard tight 3-sphere."""
+    if subject.manifold != STANDARD_TIGHT_S3:
+        return None
+    return subject.knot_type()
+
+
+def _max_self_linking_binding(s: LedgerSubject) -> bool:
+    knot_type = _standard_s3_knot_type(s)
+    return (
+        s.transverse is not None
+        and s.binding
+        and knot_type is not None
+        and knot_type.genus >= 1
+        and s.transverse.sl == 2 * knot_type.genus - 1
+    )
+
+
+def _max_tb_legendrian(s: LedgerSubject) -> bool:
+    knot_type = _standard_s3_knot_type(s)
+    return (
+        s.legendrian is not None
+        and knot_type is not None
+        and s.legendrian.tb == 2 * knot_type.slice_genus - 1
+        and s.legendrian.tb > 0
+    )
+
+
+def _max_unknot(s: LedgerSubject) -> bool:
+    knot_type = _standard_s3_knot_type(s)
+    return (
+        s.legendrian is not None
+        and knot_type is not None
+        and knot_type.genus == 0
+        and s.legendrian.tb == -1
+    )
+
+
+RULES = (
+    # Zero at every framing f <= tb of a Legendrian subject.
+    Rule("R1", lambda s: s.legendrian is not None, ZERO, lambda s: s.legendrian.tb),
+    # Zero everywhere for a positive stabilization.
+    Rule("R2", lambda s: s.positively_stabilized, ZERO),
+    # Zero everywhere when the complement is overtwisted or has positive
+    # Giroux torsion.
+    Rule("R3", lambda s: s.complement_overtwisted_or_torsion, ZERO),
+    # Zero everywhere for a binding of an open book supporting a structure
+    # with vanishing invariant on a rational homology sphere.
+    Rule(
+        "R4",
+        lambda s: s.binding
+        and binding_vanishing_rule(s.ambient_invariant, s.ambient_b1)
+        is BindingVerdict.FORCES_ZERO,
+        ZERO,
+    ),
+    # NonZero at f_S + 2g for a binding with sl = 2g - 1, g >= 1.
+    Rule("R5", _max_self_linking_binding, NONZERO, lambda s: 2 * s.knot_type().genus),
+    # NonZero at tb + 1 for a Legendrian with tb = 2*slice_genus - 1 > 0.
+    Rule("R6", _max_tb_legendrian, NONZERO, lambda s: s.legendrian.tb + 1),
+    # NonZero at tb + 1 for the maximal Legendrian unknot (tb = -1).
+    Rule("E1", _max_unknot, NONZERO, lambda s: s.legendrian.tb + 1),
+)
+RULES_BY_ID = {rule.id: rule for rule in RULES}
 
 
 def apply_rules(subject: LedgerSubject, state: LedgerState | None = None) -> LedgerState:
     """Assert every built-in rule whose preconditions the subject meets."""
     if state is None:
-        state = LedgerState(subject=subject)
-    knot_type = subject.knot_type()
-    legendrian = subject.legendrian
-
-    if legendrian is not None:
-        state = assert_fact(state, legendrian.tb, InvariantStatus.ZERO, "R1")
-    if subject.positively_stabilized:
-        state = assert_fact(state, None, InvariantStatus.ZERO, "R2")
-    if subject.complement_overtwisted_or_torsion:
-        state = assert_fact(state, None, InvariantStatus.ZERO, "R3")
-    if subject.binding:
-        verdict = binding_vanishing_rule(subject.ambient_invariant, subject.ambient_b1)
-        if verdict is BindingVerdict.FORCES_ZERO:
-            state = assert_fact(state, None, InvariantStatus.ZERO, "R4")
-    if (
-        subject.transverse is not None
-        and subject.binding
-        and subject.manifold == STANDARD_TIGHT_S3
-        and knot_type is not None
-        and subject.transverse.sl == 2 * knot_type.genus - 1
-        and knot_type.genus >= 1
-    ):
-        state = assert_fact(
-            state, 2 * knot_type.genus, InvariantStatus.NONZERO, "R5"
-        )
-    if (
-        legendrian is not None
-        and subject.manifold == STANDARD_TIGHT_S3
-        and knot_type is not None
-        and legendrian.tb == 2 * knot_type.slice_genus - 1
-        and legendrian.tb > 0
-    ):
-        state = assert_fact(state, legendrian.tb + 1, InvariantStatus.NONZERO, "R6")
-    if (
-        legendrian is not None
-        and subject.manifold == STANDARD_TIGHT_S3
-        and knot_type is not None
-        and knot_type.genus == 0
-        and legendrian.tb == -1
-    ):
-        state = assert_fact(state, legendrian.tb + 1, InvariantStatus.NONZERO, "E1")
+        state = LedgerState()
+    for rule in RULES:
+        if rule.holds(subject):
+            offset = None if rule.offset is None else rule.offset(subject)
+            state = assert_fact(state, offset, rule.status, rule.id)
     return state
 
 
@@ -295,15 +284,22 @@ def inverse_limit_status(state: LedgerState) -> LedgerVerdict:
     so no stronger verdict is ever claimed.
     """
     state.check_consistent()
-    if state.zero_everywhere():
+    if state.everywhere is not None:
         return LedgerVerdict.ZERO
-    if state.nonzero_floor() is not None:
+    if state.floor is not None:
         return LedgerVerdict.NOT_ALL_ZERO
     return LedgerVerdict.UNKNOWN
 
 
 RULE_MAX_SELF_LINKING = "max-self-linking"
 RULE_MAX_THURSTON_BENNEQUIN = "max-thurston-bennequin"
+
+# The classifier's ranges in report order: the label of each and the rule
+# that certifies it.  E1 stays ledger-only.
+_TIGHT_RANGE_RULES = (
+    (RULE_MAX_SELF_LINKING, RULES_BY_ID["R5"]),
+    (RULE_MAX_THURSTON_BENNEQUIN, RULES_BY_ID["R6"]),
+)
 
 
 class TightRange(NamedTuple):
@@ -333,30 +329,29 @@ class TightnessReport:
 def tight_surgery_ranges(knot: KnotType) -> TightnessReport:
     """Certified-tight rational surgery coefficients for a knot type.
 
-    A self-linking-maximizing knot type (max_sl = 2*genus - 1, genus >= 1)
-    certifies every r >= 2*genus; a Legendrian with tb = 2*slice_genus - 1 > 0
-    certifies every r >= max_tb + 1.  Integer anchors extend to rational
-    coefficients by subsequent negative-coefficient surgeries, which
-    preserve nonvanishing of the invariant.
+    Rules R5 and R6, evaluated on a binding with sl = max_sl and a
+    Legendrian with tb = max_tb in the standard tight 3-sphere, certify
+    every r at or above the framing offset they assert NonZero at.
+    Integer anchors extend to rational coefficients by subsequent
+    negative-coefficient surgeries, which preserve nonvanishing of the
+    invariant.
     """
     if knot.max_sl is None and knot.max_tb is None:
         raise IncompleteData(
             f"{knot.name}: neither max_sl nor max_tb is recorded"
         )
-    ranges = []
-    if (
-        knot.max_sl is not None
-        and knot.genus >= 1
-        and knot.max_sl == 2 * knot.genus - 1
-    ):
-        ranges.append(TightRange(2 * knot.genus, RULE_MAX_SELF_LINKING))
-    if (
-        knot.max_tb is not None
-        and knot.max_tb == 2 * knot.slice_genus - 1
-        and knot.max_tb > 0
-    ):
-        ranges.append(TightRange(knot.max_tb + 1, RULE_MAX_THURSTON_BENNEQUIN))
+    subject = LedgerSubject(
+        # R6 reads tb only, so the rotation number is immaterial.
+        legendrian=None if knot.max_tb is None else LegendrianKnot(knot.max_tb, 0, knot),
+        transverse=None if knot.max_sl is None else TransverseKnot(knot.max_sl, knot),
+        binding=True,
+    )
+    ranges = tuple(
+        TightRange(rule.offset(subject), label)
+        for label, rule in _TIGHT_RANGE_RULES
+        if rule.holds(subject)
+    )
     gap = None
     if knot.max_sl is not None and knot.max_tb is not None:
         gap = knot.max_sl - knot.max_tb
-    return TightnessReport(knot=knot, ranges=tuple(ranges), sl_tb_gap=gap)
+    return TightnessReport(knot=knot, ranges=ranges, sl_tb_gap=gap)

@@ -5,8 +5,8 @@ Legendrian knot equals its Thurston-Bennequin number tb.  The sign
 convention is fixed so that a negative stabilization lowers rot by one,
 which makes sl = tb - rot invariant under negative stabilization.
 
-Bennequin-bound violations are lints on stored records but hard errors
-when a knot is explicitly constructed through legendrian_approximation.
+A Bennequin-bound violation is a hard error when a knot is constructed
+through legendrian_approximation.
 """
 
 from __future__ import annotations
@@ -97,23 +97,3 @@ def legendrian_approximation(knot: TransverseKnot, tb_cap: int) -> LegendrianKno
                 f"bound tb + |rot| <= {bound} for {kt.name}"
             )
     return LegendrianKnot(tb_cap, rot, kt)
-
-
-def bennequin_violations(knot: LegendrianKnot) -> list[str]:
-    """Lint-level checks of stored data against catalog bounds."""
-    kt = knot.knot_type
-    if kt is None:
-        return []
-    notes = []
-    if kt.max_tb is not None and knot.tb > kt.max_tb:
-        notes.append(f"tb {knot.tb} exceeds max_tb {kt.max_tb} of {kt.name}")
-    if kt.max_sl is not None and knot.tb - knot.rot > kt.max_sl:
-        notes.append(
-            f"pushoff sl {knot.tb - knot.rot} exceeds max_sl {kt.max_sl} of {kt.name}"
-        )
-    if knot.tb + abs(knot.rot) > 2 * kt.genus - 1:
-        notes.append(
-            f"tb + |rot| = {knot.tb + abs(knot.rot)} violates the Bennequin "
-            f"bound {2 * kt.genus - 1} for {kt.name}"
-        )
-    return notes

@@ -14,6 +14,7 @@ from contactsurgery.catalog import (
     torus_knot,
 )
 from contactsurgery.errors import (
+    DiagramFormatError,
     IncompleteData,
     InvalidCableParameters,
     NotInCatalog,
@@ -122,6 +123,16 @@ def test_invariant_violations_rejected():
     with pytest.raises(ValueError):
         KnotType("bad", genus=2, slice_genus=2, max_sl=2,
                  flags=frozenset({FLAG_SQP_FIBERED}))
+
+
+def test_even_max_sl_rejected(tmp_path):
+    # Self-linking numbers of knots in the 3-sphere are odd.
+    with pytest.raises(ValueError, match="must be odd"):
+        KnotType("bad", genus=2, slice_genus=2, max_sl=2)
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([{"name": "bad", "genus": 2, "slice_genus": 2, "max_sl": 2}]))
+    with pytest.raises(DiagramFormatError, match=r"catalog record \[0\]: bad: .* must be odd"):
+        Catalog.from_json(str(path))
 
 
 def test_max_sl_below_max_tb_is_lint_not_error():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from contactsurgery import cli, errors
 from contactsurgery.cli import main
 from contactsurgery.diagramio import (
     open_book_from_dict,
@@ -318,3 +319,88 @@ def test_cli_selftest(capsys):
     out = capsys.readouterr().out
     for code in ("A1", "A5", "A10"):
         assert f"{code} PASS" in out
+
+
+def _facts_file(tmp_path, records):
+    path = tmp_path / "facts.json"
+    path.write_text(json.dumps(records))
+    return str(path)
+
+
+@pytest.mark.parametrize("record, field", [
+    ({"offset": None, "status": "NonZero"}, "[0].offset"),
+    ({"offset": True, "status": "Zero"}, "[0].offset"),
+    ({"offset": 1, "status": "Zero", "rule": ["x"]}, "[0].rule"),
+])
+def test_cli_ledger_rejects_bad_fact_records(tmp_path, capsys, record, field):
+    path = _facts_file(tmp_path, [record])
+    assert main(["ledger", "--facts", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {path}{field}:")
+
+
+def test_cli_ledger_accepts_null_offset_for_zero(tmp_path, capsys):
+    path = _facts_file(tmp_path, [{"offset": None, "status": "Zero", "rule": "all"}])
+    assert main(["ledger", "--facts", path, "--window", "0", "0"]) == 0
+    assert capsys.readouterr().out == "f_S+0  Zero  [all]\ninverse limit: Zero\n"
+
+
+@pytest.mark.parametrize("value", ["2", "0", "x"])
+def test_cli_ledger_rejects_an_even_self_linking_number(capsys, value):
+    with pytest.raises(SystemExit) as info:
+        main(["ledger", "--knot", "T(2,3)", "--sl", value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --sl:" in captured.err and "Traceback" not in captured.err
+
+
+def _catalog_file(tmp_path, **fields):
+    record = {"name": "k", "genus": 1, "slice_genus": 1, "max_tb": 1, "max_sl": 1,
+              "flags": [], "provenance": ""}
+    record.update(fields)
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([record]))
+    return str(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("name", ["x"]),
+    ("genus", True),
+    ("genus", "1"),
+    ("slice_genus", 1.0),
+    ("max_tb", "x"),
+    ("max_sl", False),
+    ("flags", "torus"),
+    ("flags", [1]),
+    ("provenance", None),
+])
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--list"],
+    ["catalog", "--knot", "k"],
+    ["classify", "--knot", "k"],
+])
+def test_cli_rejects_catalog_fields_of_the_wrong_type(tmp_path, capsys, field, value, argv):
+    path = _catalog_file(tmp_path, **{field: value})
+    assert main(argv + ["--catalog", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: catalog record [0].{field}: must be ")
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (errors.ContactSurgeryError("x"), 1, "error"),
+    (errors.IncompleteData("x"), 1, "error"),
+    (errors.NotInCatalog("x"), 2, "input error"),
+    (errors.DiagramFormatError("x"), 2, "input error"),
+    (errors.Contradiction(None, "z", "n"), 3, "contradiction"),
+])
+def test_cli_maps_each_error_to_its_exit_code(monkeypatch, capsys, error, code, prefix):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_selftest", fail)
+    assert error.exit_code == code
+    assert main(["selftest"]) == code
+    assert capsys.readouterr().err == f"{prefix}: {error}\n"

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from contactsurgery.catalog import UNKNOT, cable_of_trefoil, torus_knot
-from contactsurgery.errors import IncompleteData, NotRationalHomologySphere
+from contactsurgery.errors import NotRationalHomologySphere
 from contactsurgery.expansion import (
     ContactSurgeryPresentation,
     all_negative_presentation,
@@ -17,10 +17,10 @@ from contactsurgery.homology import (
     d3_invariant,
     homology_data,
     linking_matrix,
-    nonvanishing_criterion,
     spin_c_evaluation,
 )
-from contactsurgery.legendrian import LegendrianKnot
+from contactsurgery.ledger import RULES_BY_ID, LedgerSubject
+from contactsurgery.legendrian import LegendrianKnot, transverse_pushoff
 from contactsurgery.linalg import det_int, signature_exact, solve_exact
 
 
@@ -311,24 +311,34 @@ def test_adjunction_congruence_examples():
     assert min(abs(v) for v in (-11, -3, 5, 13)) == 3
 
 
+def _r5_certifies(knot, n, binding=True):
+    """Whether the rule table's R5 entry, read on the transverse pushoff of
+    `knot`, asserts NonZero at the surgery framing tb + n."""
+    subject = LedgerSubject(transverse=transverse_pushoff(knot), binding=binding)
+    r5 = RULES_BY_ID["R5"]
+    return r5.holds(subject) and r5.offset(subject) == knot.tb + n
+
+
 def test_nonvanishing_criterion_instances():
     cable = cable_of_trefoil(2, 3)
-    assert nonvanishing_criterion(LegendrianKnot(6, -1, cable), 2)
+    assert _r5_certifies(LegendrianKnot(6, -1, cable), 2)
     trefoil = torus_knot(2, 3)
-    assert nonvanishing_criterion(LegendrianKnot(1, 0, trefoil), 1)
-    assert not nonvanishing_criterion(LegendrianKnot(-1, 0, UNKNOT), 1)
-    assert not nonvanishing_criterion(LegendrianKnot(6, -1, cable), 2, binding=False)
-    with pytest.raises(IncompleteData):
-        nonvanishing_criterion(LegendrianKnot(6, -1), 2)
+    assert _r5_certifies(LegendrianKnot(1, 0, trefoil), 1)
+    assert not _r5_certifies(LegendrianKnot(-1, 0, UNKNOT), 1)
+    assert not _r5_certifies(LegendrianKnot(6, -1, cable), 2, binding=False)
+    # Without a knot type there is no genus for R5 to read.
+    assert not _r5_certifies(LegendrianKnot(6, -1), 2)
 
 
 def test_criterion_matches_cap_evaluation():
     cable = cable_of_trefoil(2, 3)
+    certified = 0
     for tb in range(2, 7):
         for rot in range(-3, 4):
-            knot = LegendrianKnot(tb, rot, cable)
+            if (tb - rot) % 2 == 0:
+                continue  # sl = tb - rot is odd for a knot in the 3-sphere
             n = 2 * cable.genus - tb
-            if n < 1:
-                continue
-            if nonvanishing_criterion(knot, n):
+            if n >= 1 and _r5_certifies(LegendrianKnot(tb, rot, cable), n):
+                certified += 1
                 assert cap_class_evaluation(rot, n) == 0
+    assert certified == 3  # sl = 7: (tb, rot) = (4, -3), (5, -2), (6, -1)

@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contactsurgery.catalog import (
     KnotType,
@@ -13,7 +16,7 @@ from contactsurgery.catalog import (
 )
 from contactsurgery.errors import Contradiction, IncompleteData
 from contactsurgery.ledger import (
-    CobordismRecord,
+    Fact,
     LedgerState,
     LedgerSubject,
     LedgerVerdict,
@@ -232,15 +235,117 @@ def test_tight_surgeries_incomplete_data():
         tight_surgery_ranges(KnotType("mystery", genus=2, slice_genus=1))
 
 
-def test_cobordism_records():
-    step = CobordismRecord("Wf", "Y_f-1", "Y_f", framing_offset=-1)
-    assert step.kind == "Wf"
-    with pytest.raises(ValueError):
-        CobordismRecord("Wf", "Y_f-1", "Y_f", framing_offset=0)
-    with pytest.raises(ValueError):
-        CobordismRecord("mystery", "a", "b")
-    handle = CobordismRecord("Xkn", "Y", "Y_surgered")
-    cap = CobordismRecord("Zcap", "Y_surgered", "Y")
-    assert cap.is_reverse_of(handle)
-    assert not handle.is_reverse_of(cap)
-    assert not CobordismRecord("Zcap", "Y", "Y_surgered").is_reverse_of(handle)
+# ---------------------------------------------------------------------------
+# The stored closure against a brute-force rescan of every fact.
+
+
+def _rescan(facts, k):
+    """Status and provenance of framing k, read from every fact: the first
+    Zero-everywhere fact; else the Zero fact at the nearest offset at or
+    above k; else the NonZero fact at the nearest offset at or below k;
+    the first asserted among facts at one offset."""
+    everywhere = [f for f in facts if f.status is Status.ZERO and f.offset is None]
+    if everywhere:
+        return Status.ZERO, everywhere[0].rule
+    above = [f for f in facts if f.status is Status.ZERO and f.offset is not None
+             and f.offset >= k]
+    if above:
+        return Status.ZERO, min(above, key=lambda f: f.offset).rule
+    below = [f for f in facts if f.status is Status.NONZERO and f.offset <= k]
+    if below:
+        return Status.NONZERO, max(below, key=lambda f: f.offset).rule
+    return Status.UNKNOWN, None
+
+
+def _rescan_clash(facts):
+    """(offset, zero rule, nonzero rule) of the clash in a fact list, or None:
+    at every framing when a Zero-everywhere fact meets any NonZero fact,
+    else at the smallest NonZero offset when a Zero fact lies at or above
+    it, named by the first asserted such facts."""
+    nonzeros = [f for f in facts if f.status is Status.NONZERO]
+    if not nonzeros:
+        return None
+    floor = min(f.offset for f in nonzeros)
+    nonzero_rule = next(f.rule for f in nonzeros if f.offset == floor)
+    zeros = [f for f in facts if f.status is Status.ZERO]
+    everywhere = [f for f in zeros if f.offset is None]
+    if everywhere:
+        return None, everywhere[0].rule, nonzero_rule
+    above = [f for f in zeros if f.offset >= floor]
+    if above:
+        return floor, above[0].rule, nonzero_rule
+    return None
+
+
+@st.composite
+def fact_lists(draw):
+    """Zero facts at or below a split and NonZero facts above it, with
+    duplicate offsets, Zero-everywhere facts and sometimes a planted clash,
+    in a random order.  Each fact has its own rule, so every tie-break
+    shows in the provenance."""
+    split = draw(st.integers(-4, 4))
+    facts = [(o, Status.ZERO) for o in draw(st.lists(st.integers(-6, split), max_size=6))]
+    facts += [(o, Status.NONZERO) for o in draw(st.lists(st.integers(split + 1, 6), max_size=6))]
+    facts += [(None, Status.ZERO)] * draw(st.integers(0, 2))
+    planted = draw(st.sampled_from(["none", "zero", "nonzero"]))
+    if planted == "zero":
+        facts.append((draw(st.integers(split + 1, 7)), Status.ZERO))
+    elif planted == "nonzero":
+        facts.append((draw(st.integers(-7, split)), Status.NONZERO))
+    order = draw(st.permutations(facts))
+    return [Fact(offset, status, f"r{i}") for i, (offset, status) in enumerate(order)]
+
+
+def _facts(*pairs):
+    return [Fact(offset, status, f"r{i}") for i, (offset, status) in enumerate(pairs)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@example(_facts((None, Status.ZERO), (2, Status.NONZERO)))
+@example(_facts((2, Status.NONZERO), (None, Status.ZERO), (None, Status.ZERO)))
+@example(_facts((1, Status.ZERO), (3, Status.ZERO), (3, Status.ZERO), (0, Status.NONZERO)))
+@example(_facts((1, Status.NONZERO), (1, Status.NONZERO), (-2, Status.ZERO), (-2, Status.ZERO)))
+@given(fact_lists())
+def test_closure_matches_a_rescan(facts):
+    state = LedgerState()
+    for i, fact in enumerate(facts):
+        clash = _rescan_clash(facts[: i + 1])
+        try:
+            state = assert_fact(state, fact.offset, fact.status, fact.rule)
+        except Contradiction as exc:
+            assert (exc.offset, exc.zero_rule, exc.nonzero_rule) == clash
+            return
+        assert clash is None
+    expected = [(k, *_rescan(facts, k)) for k in range(-9, 10)]
+    assert state.window(-9, 9) == expected
+    assert [(k, state.status_at(k), state.provenance_at(k)) for k in range(-9, 10)] == expected
+    assert state.window(3, 2) == []
+
+
+class _CountingFacts(tuple):
+    """A fact tuple that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_a_window_does_not_rescan_the_facts_per_framing():
+    state = LedgerState()
+    for i in range(100):
+        state = assert_fact(state, -i, Status.ZERO, f"z{i}")
+        state = assert_fact(state, i + 1, Status.NONZERO, f"n{i}")
+    counted = dataclasses.replace(state, facts=_CountingFacts(state.facts))
+    rows = counted.window(-150, 150)
+    assert counted.facts.passes <= 1
+    assert rows == state.window(-150, 150)
+    assert rows[0] == (-150, Status.ZERO, "z99")
+    assert rows[150] == (0, Status.ZERO, "z0")
+    assert rows[-1] == (150, Status.NONZERO, "n99")
+    for k in range(-150, 151):
+        counted.status_at(k)
+        counted.provenance_at(k)
+    # One pass builds the offset index; nothing else reads the facts.
+    assert counted.facts.passes <= 1

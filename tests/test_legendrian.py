@@ -6,7 +6,6 @@ from contactsurgery.legendrian import (
     Framing,
     LegendrianKnot,
     TransverseKnot,
-    bennequin_violations,
     legendrian_approximation,
     reverse_orientation,
     stabilize,
@@ -92,14 +91,6 @@ def test_deep_negative_stabilizations_stay_realizable():
     trefoil = torus_knot(2, 3)
     approx = legendrian_approximation(TransverseKnot(1, trefoil), -3)
     assert (approx.tb, approx.rot) == (-3, -4)
-
-
-def test_bennequin_lints():
-    trefoil = torus_knot(2, 3)
-    assert bennequin_violations(LegendrianKnot(1, 0, trefoil)) == []
-    assert bennequin_violations(LegendrianKnot(2, 0, trefoil))
-    assert bennequin_violations(LegendrianKnot(1, 2, trefoil))
-    assert bennequin_violations(LegendrianKnot(5, 0)) == []  # no catalog data
 
 
 def test_framing_ordering():
