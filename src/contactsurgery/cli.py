@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import acceptance, diagramio
 from .catalog import Catalog, lint_knot
-from .errors import ContactSurgeryError, InvalidCoefficient
+from .errors import ContactSurgeryError, DiagramFormatError, InvalidCoefficient, NotRealizable
 from .expansion import expand
 from .homology import d3_invariant, homology_data, linking_matrix
 from .ledger import (
@@ -57,6 +57,16 @@ def _self_linking(text: str) -> int:
     return value
 
 
+def _legendrian(args, knot_type) -> LegendrianKnot:
+    """The knot given by --tb and --rot."""
+    if (args.tb + args.rot) % 2 == 0:
+        raise NotRealizable(
+            f"--tb {args.tb} --rot {args.rot}: tb + rot is even; a Legendrian "
+            "knot in the 3-sphere has tb + rot odd"
+        )
+    return LegendrianKnot(args.tb, args.rot, knot_type)
+
+
 def _knot_record(knot) -> dict:
     return {
         "name": knot.name,
@@ -94,7 +104,7 @@ def _cmd_expand(args) -> int:
     knot_type = None
     if args.knot:
         knot_type = _load_catalog(args).lookup(args.knot)
-    knot = LegendrianKnot(args.tb, args.rot, knot_type)
+    knot = _legendrian(args, knot_type)
     presentations = expand(knot, _parse_fraction(args.coeff))
     if args.json:
         print(
@@ -181,7 +191,7 @@ def _cmd_ledger(args) -> int:
         knot_type = _load_catalog(args).lookup(args.knot)
     legendrian = None
     if args.tb is not None:
-        legendrian = LegendrianKnot(args.tb, args.rot or 0, knot_type)
+        legendrian = _legendrian(args, knot_type)
     transverse = None
     if args.sl is not None:
         transverse = TransverseKnot(args.sl, knot_type)
@@ -227,7 +237,10 @@ def _cmd_ledger(args) -> int:
 def _cmd_openbook(args) -> int:
     surface, letters = diagramio.parse_open_book_file(args.file)
     if args.cap is not None:
-        surface, letters = cap_off(surface, letters, args.cap)
+        try:
+            surface, letters = cap_off(surface, letters, args.cap)
+        except DiagramFormatError as exc:
+            raise DiagramFormatError(f"--cap {args.cap}: {args.file}.surface.{exc}") from exc
     if args.json:
         payload = diagramio.open_book_to_dict(surface, letters)
         if args.action:

@@ -48,6 +48,17 @@ def _require(mapping: dict, key: str, kind, path: str):
     return value
 
 
+def _integers(raw, path: str, depth: int):
+    """Lists nested `depth` deep with integers (not bools) inside, as tuples."""
+    if depth == 0:
+        if isinstance(raw, bool) or not isinstance(raw, int):
+            raise DiagramFormatError(f"{path}: expected an integer, got {raw!r}")
+        return raw
+    if not isinstance(raw, list):
+        raise DiagramFormatError(f"{path}: expected a list")
+    return tuple(_integers(x, f"{path}[{k}]", depth - 1) for k, x in enumerate(raw))
+
+
 def parse_coefficient(raw, path: str) -> int:
     if raw == "+1" or raw == 1:
         return 1
@@ -137,10 +148,13 @@ def open_book_from_dict(data: Any, source: str = "openbook") -> tuple[SurfaceMod
         surface = SurfaceModel(
             genus=genus,
             boundary_count=boundary,
-            pairing=tuple(tuple(row) for row in pairing),
-            curves=tuple((name, tuple(cls)) for name, cls in alphabet.items()),
-            boundary_classes=tuple(
-                tuple(cls) for cls in surf.get("boundary_classes", [])
+            pairing=_integers(pairing, f"{source}.surface.pairing", 2),
+            curves=tuple(
+                (name, _integers(cls, f"{source}.alphabet.{name}", 1))
+                for name, cls in alphabet.items()
+            ),
+            boundary_classes=_integers(
+                surf.get("boundary_classes", []), f"{source}.surface.boundary_classes", 2
             ),
         )
     except (TypeError, ValueError) as exc:

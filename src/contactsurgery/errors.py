@@ -31,7 +31,10 @@ class IncompleteData(ContactSurgeryError):
 
 
 class NotRealizable(ContactSurgeryError):
-    """Requested classical invariants violate the Bennequin bound."""
+    """Requested classical invariants (tb + rot even, or tb beyond the
+    Bennequin bound) belong to no Legendrian knot in the 3-sphere."""
+
+    exit_code = 2
 
 
 class OutOfRange(ContactSurgeryError):

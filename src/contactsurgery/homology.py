@@ -17,9 +17,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
+from . import linalg
 from .errors import NotRationalHomologySphere
 from .expansion import ContactSurgeryPresentation
-from .linalg import PushoffChain, det_int, pushoff_chain, signature_exact, solve_exact
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,12 @@ class LinkingMatrix:
         return len(self.entries)
 
     def determinant(self) -> int:
-        return det_int(self.entries)
+        return linalg.det_int(self.entries)
 
     @cached_property
-    def chain(self) -> PushoffChain | None:
-        """The O(n) pushoff-chain kernel's factorization, computed once;
-        None sends callers to the generic kernels."""
-        return pushoff_chain(self.entries)
+    def factorization(self) -> linalg.PushoffChain | linalg.Elimination:
+        """The kernel `linalg.factorize` chooses for this matrix, run once."""
+        return linalg.factorize(self.entries)
 
 
 def linking_matrix(presentation: ContactSurgeryPresentation) -> LinkingMatrix:
@@ -69,15 +68,12 @@ class HomologyData:
 
 def homology_data(matrix: LinkingMatrix) -> HomologyData:
     """|H1| (None when infinite), signature, and euler = 1 + size."""
-    chain = matrix.chain
-    if chain is None:
-        det, signature = det_int(matrix.entries), signature_exact(matrix.entries)
-    else:
-        det, signature = chain.determinant, chain.signature
+    kernel = matrix.factorization
+    det = kernel.determinant
     return HomologyData(
         determinant=det,
         order_h1=abs(det) if det != 0 else None,
-        signature=signature,
+        signature=kernel.signature,
         euler_characteristic=1 + matrix.size,
     )
 
@@ -91,11 +87,6 @@ class SpinCEvaluation:
     solution: tuple[Fraction, ...]
     c_squared: Fraction
 
-    def __post_init__(self) -> None:
-        check = sum(x * r for x, r in zip(self.solution, self.rot_vector))
-        if check != self.c_squared:
-            raise ValueError("c_squared does not match solution . rot")
-
 
 def spin_c_evaluation(
     presentation: ContactSurgeryPresentation, matrix: LinkingMatrix | None = None
@@ -103,17 +94,10 @@ def spin_c_evaluation(
     if matrix is None:
         matrix = linking_matrix(presentation)
     rot = tuple(c.legendrian.rot for c in presentation.components)
-    if not rot:
-        return SpinCEvaluation((), (), Fraction(0))
-    chain = matrix.chain
-    det = det_int(matrix.entries) if chain is None else chain.determinant
-    if det == 0:
+    kernel = matrix.factorization
+    if kernel.determinant == 0:
         raise NotRationalHomologySphere("linking matrix is singular")
-    if chain is not None:
-        return SpinCEvaluation(rot, *chain.solve(rot))
-    solution = solve_exact(matrix.entries, rot)
-    c_sq = sum((x * r for x, r in zip(solution, rot)), Fraction(0))
-    return SpinCEvaluation(rot, solution, c_sq)
+    return SpinCEvaluation(rot, *kernel.solve(rot))
 
 
 def d3_invariant(presentation: ContactSurgeryPresentation) -> Fraction:

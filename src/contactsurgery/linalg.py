@@ -1,10 +1,10 @@
 """Exact integer and rational matrix kernels.
 
-Everything here is deterministic and float-free: determinants via the
-fraction-free Bareiss scheme, linear solves and symmetric signature via
-rational elimination.  Pushoff-chain matrices, the linking matrices of
-every surgery presentation, have an O(n) kernel (`pushoff_chain`); the
-generic kernels are its fallback and its test oracle.
+Everything here is deterministic and float-free.  Pushoff-chain
+matrices, the linking matrices of every surgery presentation, have an
+O(n) kernel (`pushoff_chain`); every other square integer matrix goes
+through one fraction-free elimination, `_eliminate`, which `factorize`
+falls back to and `det_int`, `signature_exact` and `solve_exact` expose.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from fractions import Fraction
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
+def _signature(minors) -> int:
+    """Jacobi's rule: the sum of sign(d * e) over neighbours d, e in a
+    nested chain of principal minors of a congruent matrix, 1 at one end."""
+    return sum((d * e > 0) - (d * e < 0) for d, e in zip(minors, minors[1:]))
 
 
 @dataclass(frozen=True)
@@ -38,8 +40,7 @@ class PushoffChain:
 
     @property
     def signature(self) -> int:
-        p = self.continuants
-        return sum(_sign(x) * _sign(y) for x, y in zip(p, p[1:]))
+        return _signature(self.continuants)
 
     def solve(self, rhs) -> tuple[tuple[Fraction, ...], Fraction]:
         """The solution x of M x = rhs and x . rhs, exactly.
@@ -108,98 +109,107 @@ def mat_mul_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
+@dataclass(frozen=True)
+class Elimination:
+    """The generic kernel's answers for a square integer matrix."""
+
+    matrix: IntMatrix
+    determinant: int
+    signature: int  # meaningful for a symmetric matrix only
+
+    def solve(self, rhs) -> tuple[tuple[Fraction, ...], Fraction]:
+        """The solution x of M x = rhs and x . rhs, exactly."""
+        _, det, numerators = _eliminate(self.matrix, rhs)
+        if det == 0:
+            raise ZeroDivisionError("matrix is singular")
+        dot = sum(x * r for x, r in zip(numerators, rhs))
+        return tuple(Fraction(x, det) for x in numerators), Fraction(dot, det)
+
+
+def eliminate(matrix) -> Elimination:
+    """The generic kernel on a square integer matrix."""
+    pivots, det, _ = _eliminate(matrix)
+    return Elimination(matrix, det, _signature(pivots))
+
+
+def factorize(matrix) -> PushoffChain | Elimination:
+    """The O(n) pushoff chain when it applies, else the generic elimination;
+    each gives determinant, signature and solve(rhs) -> (x, x . rhs)."""
+    chain = pushoff_chain(matrix)
+    return eliminate(matrix) if chain is None else chain
+
+
 def det_int(matrix) -> int:
-    """Determinant of an integer matrix (Bareiss, exact)."""
+    """Determinant of a square integer matrix, exact."""
+    return _eliminate(matrix)[1]
+
+
+def signature_exact(matrix) -> int:
+    """Signature of a symmetric integer matrix; null directions count zero."""
     n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    if any(matrix[i][j] != matrix[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("signature needs a symmetric matrix")
+    return eliminate(matrix).signature
 
 
 def solve_exact(matrix, rhs) -> tuple[Fraction, ...]:
     """Solve M x = rhs over the rationals; M must be square and invertible."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
+    return eliminate(matrix).solve(rhs)[0]
 
 
-def signature_exact(matrix) -> int:
-    """Signature of a symmetric matrix by rational congruence diagonalization.
+def _eliminate(matrix, rhs=None):
+    """One fraction-free (Bareiss 1968) pass: (pivots, det, det * x or None).
 
-    Degenerate directions contribute zero; no tolerances are involved.
+    A zero pivot gives way to a symmetric swap with a later nonzero diagonal
+    entry, else to e_k += e_j for a j with M[k][j] + M[j][k] != 0, else (for
+    non-symmetric input) to a row swap; a zero column, a null direction of
+    symmetric input, is skipped and makes det 0.  So for symmetric input
+    the pivots are leading minors of a congruent matrix.  The rhs rides
+    along as a column and the basis change C as rows: det * y is integral,
+    so back-substitution divides exactly, and x = C y.
     """
     n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    for i in range(n):
-        for j in range(i):
-            if a[i][j] != a[j][i]:
-                raise ValueError("signature needs a symmetric matrix")
-    sig = 0
-    i = 0
-    while i < n:
-        if a[i][i] == 0:
-            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-            if swap is not None:
-                _swap_symmetric(a, i, swap)
+    m = [list(row) for row in matrix]
+    width = n
+    if rhs is not None:
+        for row, r in zip(m, rhs):
+            row.append(r)
+        m += [[int(i == j) for j in range(n)] for i in range(n)]
+        width += 1
+    pivots = [1]
+    sign = prev = 1
+    for k in range(n):
+        row_k = m[k]
+        p = row_k[k]
+        if p == 0:
+            later = range(k + 1, n)
+            if (j := next((j for j in later if m[j][j]), None)) is not None:
+                m[k], m[j] = m[j], m[k]
+                for row in m:
+                    row[k], row[j] = row[j], row[k]
+            elif (j := next((j for j in later if m[k][j] + m[j][k]), None)) is not None:
+                m[k] = [x + y for x, y in zip(m[k], m[j])]
+                for row in m:
+                    row[k] += row[j]
+            elif (i := next((i for i in later if m[i][k]), None)) is not None:
+                m[k], m[i] = m[i], m[k]
+                sign = -sign
             else:
-                partner = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-                if partner is None:
-                    i += 1  # zero row: rank-degenerate direction
-                    continue
-                _add_symmetric(a, i, partner)
-        pivot = a[i][i]
-        sig += 1 if pivot > 0 else -1
-        factors = [a[j][i] / pivot for j in range(i + 1, n)]
-        for j in range(i + 1, n):
-            if factors[j - i - 1]:
-                f = factors[j - i - 1]
-                for k in range(n):
-                    a[j][k] -= f * a[i][k]
-        for j in range(i + 1, n):
-            if factors[j - i - 1]:
-                f = factors[j - i - 1]
-                for k in range(n):
-                    a[k][j] -= f * a[k][i]
-        i += 1
-    return sig
-
-
-def _swap_symmetric(a, i, j):
-    a[i], a[j] = a[j], a[i]
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_symmetric(a, i, j):
-    for k in range(len(a)):
-        a[i][k] += a[j][k]
-    for row in a:
-        row[i] += row[j]
+                sign = 0
+                continue
+            row_k = m[k]
+            p = row_k[k]
+        for row in m[k + 1:n]:
+            f = row[k]
+            for j in range(k + 1, width):
+                row[j] = (row[j] * p - f * row_k[j]) // prev
+        pivots.append(p)
+        prev = p
+    det = sign * prev
+    if rhs is None or det == 0:
+        return pivots, det, None
+    y = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = m[k]
+        y[k] = (det * row[n] - sum(row[j] * y[j] for j in range(k + 1, n))) // row[k]
+    return pivots, det, [sum(c * v for c, v in zip(row, y)) for row in m[n:]]

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 from .errors import (
     CannotCapLastBoundary,
+    DiagramFormatError,
     InvalidStabilization,
     PatternMismatch,
     UnknownCurve,
@@ -452,13 +453,14 @@ def cap_off(surface: SurfaceModel, letters, boundary_index: int):
     letters = tuple(letters)
     if surface.boundary_count <= 1:
         raise CannotCapLastBoundary("a page needs at least one binding component")
+    field = f"boundary_classes[{boundary_index}]"
     if not 0 <= boundary_index < len(surface.boundary_classes):
-        raise ValueError(f"no boundary class at index {boundary_index}")
+        raise DiagramFormatError(f"{field}: no such boundary class")
     capped = surface.boundary_classes[boundary_index]
     rank = surface.h1_rank
     for j in range(rank):
         if sum(capped[i] * surface.pairing[i][j] for i in range(rank)) != 0:
-            raise ValueError("capped boundary class must pair to zero with H1")
+            raise DiagramFormatError(f"{field}: a capped class must pair to zero with H1")
 
     def matches(vec):
         return vec == capped or vec == tuple(-x for x in capped)
@@ -466,13 +468,11 @@ def cap_off(surface: SurfaceModel, letters, boundary_index: int):
     survivors = tuple(
         letter for letter in letters if not matches(surface.curve_class(letter[0]))
     )
-    if all(x == 0 for x in capped):
-        # Null-homologous boundary: the lattice does not shrink, but the
-        # surface loses the component (a genus handle absorbs the rank).
-        raise ValueError("capping a null-homologous boundary is not modeled")
     drop = next((i for i in range(rank - 1, -1, -1) if abs(capped[i]) == 1), None)
     if drop is None:
-        raise ValueError("capped boundary class must be unimodular somewhere")
+        # A null-homologous boundary is not modeled: the lattice would not
+        # shrink, but the surface would lose the component.
+        raise DiagramFormatError(f"{field}: a capped class must have an entry of +1 or -1")
 
     def reduce(vec):
         factor = vec[drop] * capped[drop]

@@ -1,8 +1,10 @@
 """The O(n) pushoff-chain kernel against the generic kernels it replaces.
 
-`det_int`, `signature_exact` and `solve_exact` are the oracle: on every
-chain the kernel's det, signature, solution and c^2 must equal theirs,
-and every matrix the kernel declines must still get the generic answer.
+`det_int`, `signature_exact` and `solve_exact`, the one-call entry points
+of the generic elimination, are the oracle: on every chain the kernel's
+det, signature, solution and c^2 must equal theirs, and every matrix the
+kernel declines must still get the generic answer.  On both kernels c^2
+must equal x . rot, the check `SpinCEvaluation` no longer makes itself.
 """
 
 from fractions import Fraction
@@ -27,7 +29,15 @@ from contactsurgery.homology import (
     spin_c_evaluation,
 )
 from contactsurgery.legendrian import Framing, LegendrianKnot
-from contactsurgery.linalg import det_int, pushoff_chain, signature_exact, solve_exact
+from contactsurgery.linalg import (
+    Elimination,
+    PushoffChain,
+    det_int,
+    eliminate,
+    pushoff_chain,
+    signature_exact,
+    solve_exact,
+)
 
 SETTINGS = settings(
     max_examples=50, deadline=None, database=None,
@@ -63,15 +73,25 @@ def presentations(draw):
     return choices[draw(st.integers(0, len(choices) - 1))]
 
 
+def assert_solves(kernel, entries, rot):
+    """M x = rot by substitution, and c^2 = x . rot."""
+    solution, c_squared = kernel.solve(rot)
+    assert all(
+        sum(a * x for a, x in zip(row, solution)) == r for row, r in zip(entries, rot)
+    )
+    assert c_squared == sum(x * r for x, r in zip(solution, rot))
+    return solution, c_squared
+
+
 def assert_matches_generic(entries, rot):
     chain = pushoff_chain(entries)
     assert chain is not None
     assert chain.determinant == det_int(entries)
     assert chain.signature == signature_exact(entries)
     if chain.determinant:
-        solution, c_squared = chain.solve(rot)
+        solution, c_squared = assert_solves(chain, entries, rot)
         assert solution == solve_exact(entries, rot)
-        assert c_squared == sum(x * r for x, r in zip(solution, rot))
+        assert assert_solves(eliminate(entries), entries, rot) == (solution, c_squared)
 
 
 @SETTINGS
@@ -80,6 +100,9 @@ def test_kernel_matches_generic_on_presentations(presentation):
     entries = linking_matrix(presentation).entries
     rot = tuple(c.legendrian.rot for c in presentation.components)
     assert_matches_generic(entries, rot)
+    if det_int(entries):
+        spin = spin_c_evaluation(presentation)
+        assert spin.c_squared == sum(x * r for x, r in zip(spin.solution, rot))
 
 
 @st.composite
@@ -99,9 +122,13 @@ def test_kernel_matches_generic_on_any_chain(entries, rhs):
     rot = tuple(rhs[: len(entries)])
     if pushoff_chain(entries) is None:
         # A zero continuant below P_0: only the generic path answers.
-        data = homology_data(LinkingMatrix(entries))
+        matrix = LinkingMatrix(entries)
+        assert isinstance(matrix.factorization, Elimination)
+        data = homology_data(matrix)
         assert data.determinant == det_int(entries)
         assert data.signature == signature_exact(entries)
+        if data.determinant:
+            assert_solves(matrix.factorization, entries, rot)
     else:
         assert_matches_generic(entries, rot)
 
@@ -136,19 +163,25 @@ def test_asymmetric_matrices_are_not_chains():
     assert pushoff_chain(((1,), (2, 3))) is None
 
 
-def test_zero_tail_continuant_takes_the_generic_path():
+@SETTINGS
+@given(knots())
+@example(LegendrianKnot(-1, 0))
+def test_zero_tail_continuant_takes_the_generic_path(knot):
     # An unstabilized pushoff of the +1 component: T[1][1] = 0, so P_1 = 0.
-    knot = LegendrianKnot(-1, 0)
+    # The -1 surgery on the pushoff cancels the +1 surgery, so d3 is that
+    # of the standard S^3 for every knot.
     presentation = ContactSurgeryPresentation((
         Component(ROLE_PLUS_ONE, knot, 1),
         Component(ROLE_CHAIN, knot, -1),
     ))
     matrix = linking_matrix(presentation)
-    assert matrix.entries == ((0, -1), (-1, -2))
-    assert matrix.chain is None
+    tb, rot = knot.tb, knot.rot
+    assert matrix.entries == ((tb + 1, tb), (tb, tb - 1))
+    assert isinstance(matrix.factorization, Elimination)
     assert homology_data(matrix).determinant == -1
     spin = spin_c_evaluation(presentation, matrix)
-    assert spin.solution == solve_exact(matrix.entries, (0, 0))
+    assert spin.solution == solve_exact(matrix.entries, (rot, rot))
+    assert spin.c_squared == sum(x * r for x, r in zip(spin.solution, (rot, rot)))
     assert d3_invariant(presentation) == Fraction(-1, 2)
 
 
@@ -172,7 +205,8 @@ def test_d3_invariant_under_negative_stabilization(knot, n):
     assume(knot.tb + n != 0)
     stabilized = LegendrianKnot(knot.tb - 1, knot.rot - 1)
     framing = Framing(knot.tb + n)
-    assert linking_matrix(all_negative_presentation(knot, n)).chain is not None
+    matrix = linking_matrix(all_negative_presentation(knot, n))
+    assert isinstance(matrix.factorization, PushoffChain)
     assert d3_invariant(all_negative_presentation(knot, n)) == d3_invariant(
         presentation_for_framing(stabilized, framing)
     )

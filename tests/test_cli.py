@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -404,3 +405,93 @@ def test_cli_maps_each_error_to_its_exit_code(monkeypatch, capsys, error, code, 
     assert error.exit_code == code
     assert main(["selftest"]) == code
     assert capsys.readouterr().err == f"{prefix}: {error}\n"
+
+
+def test_cli_golden_output_through_the_generic_kernel(tmp_path, capsys):
+    # +1 on the unknot, then -1 on its unstabilized pushoff: the chain
+    # kernel declines the matrix (P_1 = 0) and the generic elimination
+    # answers.
+    path = tmp_path / "cancel.json"
+    path.write_text(json.dumps({"components": [
+        {"tb": -1, "rot": 0, "coeff": "+1"},
+        {"tb": -1, "rot": 0, "coeff": "-1"},
+    ]}))
+    expected = {
+        ("homology",): "|H1| = 1\nsignature = 0\neuler characteristic = 3\ndeterminant = -1\n",
+        ("homology", "--json"): '{\n  "determinant": -1,\n  "euler_characteristic": 3,\n'
+                                '  "order_h1": 1,\n  "signature": 0\n}\n',
+        ("d3",): "-1/2\n",
+    }
+    for verb, out in expected.items():
+        assert main([verb[0], "--file", str(path), *verb[1:]]) == 0
+        assert capsys.readouterr().out == out
+
+
+FIXTURE_BOOK = str(pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "torus-book.json")
+
+
+def _assert_input_error(argv, capsys, *fragments):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    for fragment in fragments:
+        assert fragment in captured.err
+
+
+@pytest.mark.parametrize("index", ["5", "2", "-1"])
+def test_cli_openbook_cap_out_of_range(capsys, index):
+    _assert_input_error(
+        ["openbook", "--file", FIXTURE_BOOK, "--cap", index], capsys,
+        f"--cap {index}: {FIXTURE_BOOK}.surface.boundary_classes[{index}]: ",
+    )
+
+
+@pytest.mark.parametrize("boundary_classes, reason", [
+    ([[1, 0, 0], [0, 0, -1]], "pair to zero with H1"),  # outside the radical
+    ([[0, 0, 0], [0, 0, -1]], "+1 or -1"),  # null-homologous
+    ([[0, 0, 2], [0, 0, -2]], "+1 or -1"),  # not unimodular
+])
+def test_cli_openbook_cap_rejects_unusable_boundary_classes(
+    tmp_path, capsys, boundary_classes, reason
+):
+    book = json.loads(pathlib.Path(FIXTURE_BOOK).read_text())
+    book["surface"]["boundary_classes"] = boundary_classes
+    path = tmp_path / "book.json"
+    path.write_text(json.dumps(book))
+    _assert_input_error(
+        ["openbook", "--file", str(path), "--cap", "0"], capsys,
+        f"{path}.surface.boundary_classes[0]: ", reason,
+    )
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("alphabet.a[0]", lambda b: b["alphabet"].__setitem__("a", ["1", 0, 0])),
+    ("alphabet.a[0]", lambda b: b["alphabet"].__setitem__("a", [0.75, 0, 0])),
+    ("alphabet.a[0]", lambda b: b["alphabet"].__setitem__("a", [True, 0, 0])),
+    ("alphabet.a", lambda b: b["alphabet"].__setitem__("a", 1)),
+    ("surface.pairing[0][1]", lambda b: b["surface"]["pairing"][0].__setitem__(1, 1.0)),
+    ("surface.pairing[2]", lambda b: b["surface"]["pairing"].__setitem__(2, "000")),
+    ("surface.boundary_classes[0][2]",
+     lambda b: b["surface"]["boundary_classes"][0].__setitem__(2, "1")),
+    ("surface.boundary_classes", lambda b: b["surface"].__setitem__("boundary_classes", 7)),
+])
+@pytest.mark.parametrize("flags", [["--action"], ["--cap", "0"], ["--json", "--action"]])
+def test_cli_openbook_rejects_entries_that_are_not_integers(
+    tmp_path, capsys, field, edit, flags
+):
+    book = json.loads(pathlib.Path(FIXTURE_BOOK).read_text())
+    edit(book)
+    path = tmp_path / "book.json"
+    path.write_text(json.dumps(book))
+    _assert_input_error(["openbook", "--file", str(path), *flags], capsys, f"{path}.{field}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--tb", "0", "--rot", "0", "--coeff=-3"],
+    ["expand", "--tb", "-2", "--rot", "2", "--coeff", "2"],
+    ["ledger", "--tb", "0", "--rot", "0"],
+    ["ledger", "--tb", "-2"],
+])
+def test_cli_rejects_an_even_tb_plus_rot(capsys, argv):
+    _assert_input_error(argv, capsys, "--tb ", "--rot ", "tb + rot is even")

@@ -1,7 +1,11 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contactsurgery.catalog import UNKNOT, cable_of_trefoil, torus_knot
 from contactsurgery.errors import NotRationalHomologySphere
@@ -221,6 +225,66 @@ def test_solve_exact_is_exact():
     assert all(
         sum(Fraction(m[i][j]) * x[j] for j in range(3)) == rhs[i] for i in range(3)
     )
+
+
+def det_leibniz(m) -> int:
+    """Determinant as the signed sum over permutations (independent oracle)."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+@st.composite
+def square_matrices(draw):
+    """General, symmetric, antisymmetric, zero-diagonal or singular: between
+    them they reach every pivot rule of the elimination."""
+    n = draw(st.integers(0, 5))
+    m = [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)) for _ in range(n)]
+    kind = draw(st.sampled_from(["general", "symmetric", "antisymmetric", "zero diagonal"]))
+    for i in range(n):
+        for j in range(i):
+            if kind == "antisymmetric":
+                m[i][j] = -m[j][i]
+            elif kind != "general":
+                m[i][j] = m[j][i]
+        if kind in ("antisymmetric", "zero diagonal"):
+            m[i][i] = 0
+    if n >= 2 and draw(st.booleans()):  # singular: one row or line a multiple of another
+        a, b = draw(st.permutations(range(n)))[:2]
+        f = draw(st.integers(-2, 2))
+        m[b] = [f * x for x in m[a]]
+        if kind != "general":
+            for i in range(n):
+                m[i][b] = f * m[i][a]
+            m[b][b] = f * f * m[a][a]
+    return tuple(tuple(row) for row in m)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(square_matrices(), st.lists(st.integers(-6, 6), min_size=5, max_size=5))
+@example(((0, 0), (0, 5)), [1, 2, 0, 0, 0])  # symmetric swap
+@example(((0, 1), (1, 0)), [1, 2, 0, 0, 0])  # congruence e_k += e_j
+@example(((0, 1), (-1, 0)), [1, 2, 0, 0, 0])  # row swap
+@example(((0, 0, 1), (0, 0, 0), (1, 0, 0)), [1, 2, 3, 0, 0])  # a null direction
+def test_elimination_against_independent_oracles(m, rhs):
+    n = len(m)
+    rhs = tuple(rhs[:n])
+    det = det_int(m)
+    assert det == det_leibniz(m)
+    if all(m[i][j] == m[j][i] for i in range(n) for j in range(i)):
+        assert signature_exact(m) == signature_sturm(m)
+    else:
+        with pytest.raises(ValueError):
+            signature_exact(m)
+    if det == 0:
+        with pytest.raises(ZeroDivisionError):
+            solve_exact(m, rhs)
+    else:
+        x = solve_exact(m, rhs)
+        assert all(sum(a * xj for a, xj in zip(row, x)) == r for row, r in zip(m, rhs))
 
 
 # ---------------------------------------------------------------------------
