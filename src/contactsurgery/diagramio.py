@@ -159,14 +159,19 @@ def open_book_from_dict(data: Any, source: str = "openbook") -> tuple[SurfaceMod
         )
     except (TypeError, ValueError) as exc:
         raise DiagramFormatError(f"{source}.surface: {exc}") from exc
-    try:
-        letters = make_word(*(tuple(letter) for letter in raw_word))
-    except (TypeError, ValueError) as exc:
-        raise DiagramFormatError(f"{source}.word: {exc}") from exc
-    for name, _ in letters:
-        if not surface.has_curve(name):
-            raise DiagramFormatError(f"{source}.word: unknown curve {name!r}")
-    return surface, letters
+    letters = []
+    for i, letter in enumerate(raw_word):
+        path = f"{source}.word[{i}]"
+        if not (isinstance(letter, list) and len(letter) == 2
+                and all(isinstance(x, str) for x in letter)):
+            raise DiagramFormatError(f"{path}: expected [name, sign], two strings, got {letter!r}")
+        try:
+            letters += make_word(tuple(letter))
+        except ValueError as exc:
+            raise DiagramFormatError(f"{path}: {exc}") from exc
+        if not surface.has_curve(letter[0]):
+            raise DiagramFormatError(f"{path}: unknown curve {letter[0]!r}")
+    return surface, tuple(letters)
 
 
 def parse_open_book_file(path: str) -> tuple[SurfaceModel, tuple]:

@@ -71,15 +71,15 @@ class InvalidStabilization(ContactSurgeryError):
     """Stabilization or destabilization data is inconsistent."""
 
 
-class CannotCapLastBoundary(ContactSurgeryError):
-    """A surface must keep at least one boundary component."""
-
-
 class DiagramFormatError(ContactSurgeryError):
     """A diagram, open book or catalog file failed syntactic or semantic
     validation; the message carries the offending field path."""
 
     exit_code = 2
+
+
+class CannotCapLastBoundary(DiagramFormatError):
+    """A surface must keep at least one boundary component."""
 
 
 class Contradiction(ContactSurgeryError):

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import (
     InvalidCoefficient,
+    NotRealizable,
     OutOfRange,
     UnsupportedCoefficient,
 )
@@ -102,6 +103,16 @@ class ContactSurgeryPresentation:
         return tuple((c.legendrian.tb, c.legendrian.rot) for c in self.components)
 
 
+def _require_realizable(knot: LegendrianKnot) -> None:
+    # Not in LegendrianKnot itself: placeholders such as the ledger's
+    # (max_tb, 0) carry only tb.
+    if (knot.tb + knot.rot) % 2 == 0:
+        raise NotRealizable(
+            f"(tb, rot) = ({knot.tb}, {knot.rot}): tb + rot is even; a Legendrian "
+            "knot in the 3-sphere has tb + rot odd"
+        )
+
+
 def _chain_presentations(
     base: LegendrianKnot,
     one_minus_r: Fraction,
@@ -139,6 +150,7 @@ def expand(knot: LegendrianKnot, r) -> tuple[ContactSurgeryPresentation, ...]:
     '-' < '+', so the all-negative presentation comes first; its length
     is the product of (a_i - 1) over the continued fraction terms.
     """
+    _require_realizable(knot)
     r = Fraction(r)
     if r == 0:
         raise InvalidCoefficient("surgery coefficient 0 is not allowed")
@@ -164,6 +176,7 @@ def all_negative_presentation(
     One (+1)-surgery on the knot plus (n - 1) copies of its negative
     stabilization; for n = 1 there is no chain.
     """
+    _require_realizable(knot)
     if n < 1:
         raise InvalidCoefficient(f"integer coefficient must be >= 1, got {n}")
     components = [Component(ROLE_PLUS_ONE, knot, 1)]
@@ -188,6 +201,7 @@ def presentation_for_framing(
     For framings f <= tb the result is known to be overtwisted and is
     flagged as such; the knot is first stabilized down to tb = f - 1.
     """
+    _require_realizable(knot)
     f = framing.offset
     if f > knot.tb:
         return all_negative_presentation(knot, f - knot.tb)

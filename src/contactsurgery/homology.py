@@ -24,21 +24,35 @@ from .expansion import ContactSurgeryPresentation
 
 @dataclass(frozen=True)
 class LinkingMatrix:
-    """Symmetric linking matrix with smooth framings on the diagonal."""
+    """Symmetric linking matrix with smooth framings on the diagonal.
 
-    entries: tuple[tuple[int, ...], ...]
+    Each component is a pushoff of the one before it, so
+    M[i][j] = linking[min(i, j)] off the diagonal: the matrix is stored in
+    O(n), and the n x n `entries` are built only on request.
+    """
+
+    diagonal: tuple[int, ...]
+    linking: tuple[int, ...]  # one shorter than diagonal
+
+    def __post_init__(self) -> None:
+        if len(self.linking) != max(len(self.diagonal) - 1, 0):
+            raise ValueError("linking needs one entry fewer than diagonal")
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.diagonal)
+
+    @cached_property
+    def entries(self) -> linalg.IntMatrix:
+        return linalg.chain_entries(self.diagonal, self.linking)
 
     def determinant(self) -> int:
-        return linalg.det_int(self.entries)
+        return linalg.chain_determinant(self.diagonal, self.linking)
 
     @cached_property
     def factorization(self) -> linalg.PushoffChain | linalg.Elimination:
         """The kernel `linalg.factorize` chooses for this matrix, run once."""
-        return linalg.factorize(self.entries)
+        return linalg.factorize(self.diagonal, self.linking)
 
 
 def linking_matrix(presentation: ContactSurgeryPresentation) -> LinkingMatrix:
@@ -50,12 +64,10 @@ def linking_matrix(presentation: ContactSurgeryPresentation) -> LinkingMatrix:
     (tb_0, ..., tb_{i-1}, tb_i + coefficient_i, tb_i, ..., tb_i).
     """
     comps = presentation.components
-    tbs = tuple(c.legendrian.tb for c in comps)
-    n = len(tbs)
-    return LinkingMatrix(tuple(
-        tbs[:i] + (tb + comp.coefficient,) + (tb,) * (n - i - 1)
-        for i, (tb, comp) in enumerate(zip(tbs, comps))
-    ))
+    tbs = [c.legendrian.tb for c in comps]
+    return LinkingMatrix(
+        tuple([tb + c.coefficient for tb, c in zip(tbs, comps)]), tuple(tbs[:-1])
+    )
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Exact integer and rational matrix kernels.
 
 Everything here is deterministic and float-free.  Pushoff-chain
-matrices, the linking matrices of every surgery presentation, have an
-O(n) kernel (`pushoff_chain`); every other square integer matrix goes
-through one fraction-free elimination, `_eliminate`, which `factorize`
-falls back to and `det_int`, `signature_exact` and `solve_exact` expose.
+matrices, the linking matrices of every surgery presentation, are given
+by their diagonal and linking tuples and have an O(n) kernel
+(`pushoff_chain`, `chain_determinant`) that never builds the n x n
+matrix; every other square integer matrix goes through one
+fraction-free elimination, `_eliminate`, which `factorize` falls back
+to and `det_int`, `signature_exact` and `solve_exact` expose.
 """
 
 from __future__ import annotations
@@ -65,35 +67,56 @@ class PushoffChain:
         return solution, Fraction(sum(wk * rk for wk, rk in zip(w, r)), det)
 
 
-def pushoff_chain(matrix) -> PushoffChain | None:
+def _tail(diagonal, linking):
+    """(a_k, b_k) for k = n - 1, ..., 0: the tridiagonal form of the chain.
+
+    a_0 = d_0, a_k = d_k - 2 t_{k-1} + d_{k-1} and b_k = t_k - d_k, with
+    b_{n-1} = 0, for d = diagonal and t = linking.
+    """
+    b = 0
+    for k in range(len(diagonal) - 1, 0, -1):
+        yield diagonal[k] - 2 * linking[k - 1] + diagonal[k - 1], b
+        b = linking[k - 1] - diagonal[k - 1]
+    if diagonal:
+        yield diagonal[0], b
+
+
+def chain_determinant(diagonal, linking) -> int:
+    """det M = P_0 of the pushoff chain, by the continuant recurrence
+    P_k = a_k P_{k+1} - b_k^2 P_{k+2} in O(n) steps and O(1) memory."""
+    p, q = 1, 0  # P_{k+1}, P_{k+2}
+    for a, b in _tail(diagonal, linking):
+        p, q = a * p - b * b * q, p
+    return p
+
+
+def pushoff_chain(diagonal, linking) -> PushoffChain | None:
     """Tridiagonal form of a pushoff-chain matrix, eliminated from the tail.
 
-    A pushoff chain is symmetric with each row constant to the right of
-    the diagonal: M[i][j] = t_min(i, j) off the diagonal.  In the basis
-    e_j = x_j - x_{j-1} it is tridiagonal, with diagonal
-    M_jj - 2 M_{j,j-1} + M_{j-1,j-1} and off-diagonal M_{j-1,j} - M_{j-1,j-1};
-    the continuants P_k = a_k P_{k+1} - b_k^2 P_{k+2} give det and signature
-    in O(n) integer steps.  Returns None when `matrix` is not a pushoff
-    chain, or when a continuant other than P_0 is zero: the generic
-    kernels apply then.
+    A pushoff chain M has `diagonal` on its diagonal and
+    M[i][j] = linking[min(i, j)] off it.  In the basis e_j = x_j - x_{j-1}
+    it is tridiagonal (see `_tail`), and the continuants give det and
+    signature in O(n) integer steps.  Returns None when a continuant other
+    than P_0 is zero: the generic elimination applies then.
     """
-    n = len(matrix)
-    rows = [tuple(row) for row in matrix]
-    if any(len(row) != n for row in rows):
-        return None
-    t = tuple(rows[i][i + 1] for i in range(n - 1))
-    for j, row in enumerate(rows):
-        if row[:j] != t[:j] or row[j + 1:] != t[j:j + 1] * (n - j - 1):
-            return None
-    d = [rows[j][j] for j in range(n)]
-    a = tuple(d[j] - 2 * t[j - 1] + d[j - 1] if j else d[0] for j in range(n))
-    b = tuple(t[j] - d[j] for j in range(n - 1))
-    p = [0] * n + [1]
-    for k in range(n - 1, -1, -1):
-        p[k] = a[k] * p[k + 1] - (b[k] * b[k] * p[k + 2] if k + 1 < n else 0)
+    a, b, p = [], [], [0, 1]  # p: P_{n+1} = 0, P_n = 1, then P_{n-1}, ...
+    for ak, bk in _tail(diagonal, linking):
+        a.append(ak)
+        b.append(bk)
+        p.append(ak * p[-1] - bk * bk * p[-2])
+    p = p[:0:-1]
     if 0 in p[1:]:
         return None
-    return PushoffChain(a, b, tuple(p))
+    return PushoffChain(tuple(a[::-1]), tuple(b[:0:-1]), tuple(p))
+
+
+def chain_entries(diagonal, linking) -> IntMatrix:
+    """The n x n pushoff-chain matrix itself, in O(n^2)."""
+    n = len(diagonal)
+    return tuple(
+        linking[:i] + (d,) + linking[i:i + 1] * (n - i - 1)
+        for i, d in enumerate(diagonal)
+    )
 
 
 def identity_int(n: int) -> IntMatrix:
@@ -132,11 +155,13 @@ def eliminate(matrix) -> Elimination:
     return Elimination(matrix, det, _signature(pivots))
 
 
-def factorize(matrix) -> PushoffChain | Elimination:
-    """The O(n) pushoff chain when it applies, else the generic elimination;
-    each gives determinant, signature and solve(rhs) -> (x, x . rhs)."""
-    chain = pushoff_chain(matrix)
-    return eliminate(matrix) if chain is None else chain
+def factorize(diagonal, linking) -> PushoffChain | Elimination:
+    """The kernel for the pushoff chain with this diagonal and linking: the
+    O(n) `PushoffChain`, or the generic elimination of its entries when a
+    continuant below P_0 is zero.  Each gives determinant, signature and
+    solve(rhs) -> (x, x . rhs)."""
+    chain = pushoff_chain(diagonal, linking)
+    return eliminate(chain_entries(diagonal, linking)) if chain is None else chain
 
 
 def det_int(matrix) -> int:

@@ -452,7 +452,7 @@ def cap_off(surface: SurfaceModel, letters, boundary_index: int):
     """
     letters = tuple(letters)
     if surface.boundary_count <= 1:
-        raise CannotCapLastBoundary("a page needs at least one binding component")
+        raise CannotCapLastBoundary("boundary: a page needs at least one binding component")
     field = f"boundary_classes[{boundary_index}]"
     if not 0 <= boundary_index < len(surface.boundary_classes):
         raise DiagramFormatError(f"{field}: no such boundary class")

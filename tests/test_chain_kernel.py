@@ -1,14 +1,17 @@
 """The O(n) pushoff-chain kernel against the generic kernels it replaces.
 
 `det_int`, `signature_exact` and `solve_exact`, the one-call entry points
-of the generic elimination, are the oracle: on every chain the kernel's
-det, signature, solution and c^2 must equal theirs, and every matrix the
-kernel declines must still get the generic answer.  On both kernels c^2
-must equal x . rot, the check `SpinCEvaluation` no longer makes itself.
+of the generic elimination, run on the materialized n x n entries, are
+the oracle: on every chain the kernel's det, signature, solution and c^2
+must equal theirs, and every chain the kernel declines must still get the
+generic answer.  On both kernels c^2 must equal x . rot, the check
+`SpinCEvaluation` no longer makes itself.
 """
 
+import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +35,7 @@ from contactsurgery.legendrian import Framing, LegendrianKnot
 from contactsurgery.linalg import (
     Elimination,
     PushoffChain,
+    chain_entries,
     det_int,
     eliminate,
     pushoff_chain,
@@ -60,10 +64,22 @@ coefficients = st.one_of(
 )
 
 
+def zero_tail_presentation(knot):
+    """+1 on the knot, then -1 on its unstabilized pushoff: T[1][1] = 0, so
+    P_1 = 0 and the chain kernel declines the matrix."""
+    return ContactSurgeryPresentation((
+        Component(ROLE_PLUS_ONE, knot, 1),
+        Component(ROLE_CHAIN, knot, -1),
+    ))
+
+
 @st.composite
 def presentations(draw):
     knot = draw(knots())
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["coefficient", "infinite H1", "zero tail"]))
+    if kind == "zero tail":
+        return zero_tail_presentation(knot)
+    if kind == "infinite H1":
         # tb + n = 0: the surgered manifold has infinite H1.
         knot = draw(knots(tb_max=-1))
         r = Fraction(-knot.tb)
@@ -71,6 +87,16 @@ def presentations(draw):
         r = draw(coefficients)
     choices = expand(knot, r)
     return choices[draw(st.integers(0, len(choices) - 1))]
+
+
+def row_formula(presentation):
+    """Row i is (tb_0, ..., tb_{i-1}, tb_i + coefficient_i, tb_i, ..., tb_i)."""
+    comps = presentation.components
+    tbs = [c.legendrian.tb for c in comps]
+    return tuple(
+        tuple(tbs[min(i, j)] + (c.coefficient if i == j else 0) for j in range(len(comps)))
+        for i, c in enumerate(comps)
+    )
 
 
 def assert_solves(kernel, entries, rot):
@@ -83,8 +109,9 @@ def assert_solves(kernel, entries, rot):
     return solution, c_squared
 
 
-def assert_matches_generic(entries, rot):
-    chain = pushoff_chain(entries)
+def assert_matches_generic(diagonal, linking, rot):
+    chain = pushoff_chain(diagonal, linking)
+    entries = chain_entries(diagonal, linking)
     assert chain is not None
     assert chain.determinant == det_int(entries)
     assert chain.signature == signature_exact(entries)
@@ -97,32 +124,46 @@ def assert_matches_generic(entries, rot):
 @SETTINGS
 @given(presentations())
 def test_kernel_matches_generic_on_presentations(presentation):
-    entries = linking_matrix(presentation).entries
+    # The O(n) path (determinant, factorization, spin_c_evaluation) never
+    # builds the entries; here they are built, checked against the rows of
+    # the linking matrix, and handed to the generic kernels.
+    matrix = linking_matrix(presentation)
+    entries = matrix.entries
+    assert entries == row_formula(presentation)
     rot = tuple(c.legendrian.rot for c in presentation.components)
-    assert_matches_generic(entries, rot)
-    if det_int(entries):
-        spin = spin_c_evaluation(presentation)
+    det = det_int(entries)
+    assert matrix.determinant() == det
+    data = homology_data(matrix)
+    assert (data.determinant, data.signature) == (det, signature_exact(entries))
+    if det:
+        spin = spin_c_evaluation(presentation, matrix)
+        assert spin.solution == solve_exact(entries, rot)
         assert spin.c_squared == sum(x * r for x, r in zip(spin.solution, rot))
 
 
 @st.composite
-def chain_matrices(draw):
-    """Any integer pushoff chain: M[i][j] = t_min(i, j) off the diagonal."""
+def chains(draw):
+    """Any integer pushoff chain: its diagonal, and M[i][j] = t_min(i, j) off it."""
     n = draw(st.integers(1, 8))
-    t = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    t = draw(st.lists(st.integers(-5, 5), min_size=n - 1, max_size=n - 1))
     d = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))
-    return tuple(
-        tuple(d[i] if i == j else t[min(i, j)] for j in range(n)) for i in range(n)
-    )
+    return tuple(d), tuple(t)
 
 
 @SETTINGS
-@given(chain_matrices(), st.lists(st.integers(-6, 6), min_size=8, max_size=8))
-def test_kernel_matches_generic_on_any_chain(entries, rhs):
+@given(chains(), st.lists(st.integers(-6, 6), min_size=8, max_size=8))
+def test_kernel_matches_generic_on_any_chain(chain, rhs):
+    diagonal, linking = chain
+    entries = chain_entries(diagonal, linking)
+    assert entries == tuple(
+        tuple(diagonal[i] if i == j else linking[min(i, j)] for j in range(len(diagonal)))
+        for i in range(len(diagonal))
+    )
     rot = tuple(rhs[: len(entries)])
-    if pushoff_chain(entries) is None:
+    matrix = LinkingMatrix(diagonal, linking)
+    assert matrix.determinant() == det_int(entries)
+    if pushoff_chain(diagonal, linking) is None:
         # A zero continuant below P_0: only the generic path answers.
-        matrix = LinkingMatrix(entries)
         assert isinstance(matrix.factorization, Elimination)
         data = homology_data(matrix)
         assert data.determinant == det_int(entries)
@@ -130,37 +171,15 @@ def test_kernel_matches_generic_on_any_chain(entries, rhs):
         if data.determinant:
             assert_solves(matrix.factorization, entries, rot)
     else:
-        assert_matches_generic(entries, rot)
+        assert_matches_generic(diagonal, linking, rot)
 
 
-def is_chain(m):
-    n = len(m)
-    return all(
-        m[i][j] == m[j][i] == m[i][i + 1] for i in range(n) for j in range(i + 1, n)
-    )
-
-
-@SETTINGS
-@given(st.integers(2, 6).flatmap(
-    lambda n: st.lists(st.integers(-4, 4), min_size=n * n, max_size=n * n).map(
-        lambda xs: tuple(
-            tuple(xs[min(i, j) * n + max(i, j)] for j in range(n)) for i in range(n)
-        )
-    )
-))
-def test_non_chains_take_the_generic_path(entries):
-    assume(not is_chain(entries))
-    assert pushoff_chain(entries) is None
-    matrix = LinkingMatrix(entries)
-    data = homology_data(matrix)
-    assert data.determinant == det_int(entries)
-    assert data.signature == signature_exact(entries)
-
-
-def test_asymmetric_matrices_are_not_chains():
-    assert pushoff_chain(((1, 2), (3, 4))) is None
-    assert pushoff_chain(((1, 2, 2), (2, 4, 5), (2, 6, 4))) is None
-    assert pushoff_chain(((1,), (2, 3))) is None
+def test_linking_needs_one_entry_fewer_than_diagonal():
+    LinkingMatrix((), ())
+    LinkingMatrix((3,), ())
+    for diagonal, linking in [((3,), (1,)), ((3, 4), ()), ((), (1,))]:
+        with pytest.raises(ValueError):
+            LinkingMatrix(diagonal, linking)
 
 
 @SETTINGS
@@ -170,10 +189,7 @@ def test_zero_tail_continuant_takes_the_generic_path(knot):
     # An unstabilized pushoff of the +1 component: T[1][1] = 0, so P_1 = 0.
     # The -1 surgery on the pushoff cancels the +1 surgery, so d3 is that
     # of the standard S^3 for every knot.
-    presentation = ContactSurgeryPresentation((
-        Component(ROLE_PLUS_ONE, knot, 1),
-        Component(ROLE_CHAIN, knot, -1),
-    ))
+    presentation = zero_tail_presentation(knot)
     matrix = linking_matrix(presentation)
     tb, rot = knot.tb, knot.rot
     assert matrix.entries == ((tb + 1, tb), (tb, tb - 1))
@@ -186,12 +202,13 @@ def test_zero_tail_continuant_takes_the_generic_path(knot):
 
 
 def test_kernel_on_the_hand_checked_matrix():
-    chain = pushoff_chain(((-1, -2, -2), (-2, -4, -3), (-2, -3, -4)))
+    # ((-1, -2, -2), (-2, -4, -3), (-2, -3, -4))
+    chain = pushoff_chain((-1, -4, -4), (-2, -3))
     assert chain.diagonal == (-1, -1, -2)
     assert chain.off_diagonal == (-1, 1)
     assert (chain.determinant, chain.signature) == (1, -1)
     assert chain.solve((-1, -2, -2)) == ((1, 0, 0), -1)
-    assert pushoff_chain(()).determinant == 1
+    assert pushoff_chain((), ()).determinant == 1
 
 
 @SETTINGS
@@ -210,3 +227,18 @@ def test_d3_invariant_under_negative_stabilization(knot, n):
     assert d3_invariant(all_negative_presentation(knot, n)) == d3_invariant(
         presentation_for_framing(stabilized, framing)
     )
+
+
+def test_d3_memory_is_linear_in_the_chain_length():
+    # The n x n linking matrix of this chain alone would hold 16 million
+    # references (a tracemalloc peak of about 120 MB); the O(n) path holds
+    # a few n-tuples (about 1 MB).
+    knot = LegendrianKnot(-1, 0)
+    tracemalloc.start()
+    try:
+        d3 = d3_invariant(all_negative_presentation(knot, 4000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d3 == d3_invariant(presentation_for_framing(LegendrianKnot(-2, -1), Framing(3999)))
+    assert peak < 4 * 2**20

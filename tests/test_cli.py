@@ -495,3 +495,39 @@ def test_cli_openbook_rejects_entries_that_are_not_integers(
 ])
 def test_cli_rejects_an_even_tb_plus_rot(capsys, argv):
     _assert_input_error(argv, capsys, "--tb ", "--rot ", "tb + rot is even")
+
+
+def test_cli_openbook_cap_of_the_last_boundary(tmp_path, capsys):
+    path = tmp_path / "book.json"
+    path.write_text(json.dumps({
+        "surface": {"genus": 1, "boundary": 1, "pairing": [[0, 1], [-1, 0]]},
+        "alphabet": {"a": [1, 0], "b": [0, 1]},
+        "word": [["a", "+"]],
+    }))
+    _assert_input_error(
+        ["openbook", "--file", str(path), "--cap", "0"], capsys,
+        f"--cap 0: {path}.surface.boundary: ",
+    )
+
+
+@pytest.mark.parametrize("word, index", [
+    (["a+", "b+"], 0),
+    ([["a", "+"], "b-"], 1),
+    ([["a"]], 0),
+    ([["a", "+", "b"]], 0),
+    ([["a", 1]], 0),
+    ([[["a"], "+"]], 0),
+    ([["a", "+"], {"b": "+"}], 1),
+    ([["a", "x"]], 0),
+    ([["a", "+"], ["zz", "-"]], 1),
+])
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--cap", "0"]])
+def test_cli_openbook_rejects_a_letter_that_is_not_a_name_and_sign(
+    tmp_path, capsys, word, index, flags
+):
+    book = json.loads(pathlib.Path(FIXTURE_BOOK).read_text())
+    book["word"] = word
+    path = tmp_path / "book.json"
+    path.write_text(json.dumps(book))
+    _assert_input_error(["openbook", "--file", str(path), *flags], capsys,
+                        f"{path}.word[{index}]: ")

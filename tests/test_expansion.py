@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from contactsurgery.errors import (
     InvalidCoefficient,
+    NotRealizable,
     OutOfRange,
     UnsupportedCoefficient,
 )
@@ -292,3 +293,17 @@ def test_order_of_h1_of_every_presentation(knot, r):
     for presentation in expand(knot, r):
         det = linking_matrix(presentation).determinant()
         assert abs(det) == abs(knot.tb * r.denominator + r.numerator)
+
+
+@pytest.mark.parametrize("build", [
+    lambda knot: expand(knot, -3),
+    lambda knot: expand(knot, Fraction(7, 2)),
+    lambda knot: all_negative_presentation(knot, 3),
+    lambda knot: presentation_for_framing(knot, Framing(4)),
+    lambda knot: presentation_for_framing(knot, Framing(-4)),
+])
+@pytest.mark.parametrize("tb, rot", [(0, 0), (-2, 2), (-1, 1)])
+def test_even_tb_plus_rot_is_not_realizable(build, tb, rot):
+    with pytest.raises(NotRealizable, match="tb \\+ rot is even") as info:
+        build(LegendrianKnot(tb, rot))
+    assert info.value.exit_code == 2
