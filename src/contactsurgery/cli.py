@@ -12,10 +12,17 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import acceptance, diagramio
 from .catalog import Catalog, lint_knot
-from .errors import ContactSurgeryError, DiagramFormatError, InvalidCoefficient, NotRealizable
+from .errors import (
+    ContactSurgeryError,
+    DiagramFormatError,
+    InvalidCoefficient,
+    NotRealizable,
+    OutOfRange,
+)
 from .expansion import expand
 from .homology import d3_invariant, homology_data, linking_matrix
 from .ledger import (
@@ -30,6 +37,9 @@ from .openbook import InvariantStatus, cap_off, homology_action
 
 # The stderr prefix for each exit code of a ContactSurgeryError.
 _PREFIXES = {1: "error", 2: "input error", 3: "contradiction"}
+
+# The most framings `ledger --window` renders; the window is built in memory.
+WINDOW_CAP = 10**6
 
 
 def _load_catalog(args) -> Catalog:
@@ -186,6 +196,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_ledger(args) -> int:
+    lo, hi = args.window
+    if lo > hi:
+        raise OutOfRange(f"--window {lo} {hi}: LO must not exceed HI")
+    if hi - lo + 1 > WINDOW_CAP:
+        raise OutOfRange(
+            f"--window {lo} {hi}: a window spans at most {WINDOW_CAP} framings, "
+            f"got {hi - lo + 1}"
+        )
     knot_type = None
     if args.knot:
         knot_type = _load_catalog(args).lookup(args.knot)
@@ -210,22 +228,21 @@ def _cmd_ledger(args) -> int:
                 InvariantStatus(record["status"]),
                 record["rule"],
             )
-    lo, hi = args.window
     rows = state.window(lo, hi)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "window": [
-                        {"framing": f"f_S{k:+d}", "status": status.value, "rule": rule}
-                        for k, status, rule in rows
-                    ],
-                    "inverse_limit": inverse_limit_status(state).value,
-                },
-                indent=2,
-                sort_keys=True,
-            )
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(
+            {
+                "window": [
+                    {"framing": f"f_S{k:+d}", "status": status.value, "rule": rule}
+                    for k, status, rule in rows
+                ],
+                "inverse_limit": inverse_limit_status(state).value,
+            }
         )
+        # Written in batches of chunks, so a wide window is never one string.
+        while batch := "".join(islice(chunks, 4096)):
+            sys.stdout.write(batch)
+        print()
         return 0
     for k, status, rule in rows:
         provenance = f"  [{rule}]" if rule else ""
@@ -312,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     led.add_argument("--positively-stabilized", action="store_true")
     led.add_argument("--facts", help="JSON file of extra (offset, status, rule) facts")
     led.add_argument("--window", type=int, nargs=2, default=(-3, 12),
-                     metavar=("LO", "HI"))
+                     metavar=("LO", "HI"),
+                     help=f"framings to render, LO <= HI, at most {WINDOW_CAP}")
     led.add_argument("--json", action="store_true")
     led.set_defaults(run=_cmd_ledger)
 

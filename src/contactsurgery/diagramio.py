@@ -4,9 +4,11 @@ Diagram schema: a top-level object with "components", each component an
 object {"tb": int, "rot": int, "coeff": "+1"|"-1", "role": str,
 "stab_signs": [str, ...]}; stab_signs is optional on input.  Every
 component has tb + rot odd, and each one after the first is a pushoff of
-its predecessor stabilized by its stab_signs.  Open book
-schema: {"surface": {genus, boundary, pairing, boundary_classes},
-"alphabet": {name: class vector}, "word": [[name, sign], ...]}.
+its predecessor stabilized by its stab_signs.  Stabilizations commute, so
+stab_signs is read as a multiset (a component stores the two counts) and
+is written negatives first.  Open book schema: {"surface": {genus,
+boundary, pairing, boundary_classes}, "alphabet": {name: class vector},
+"word": [[name, sign], ...]}.
 """
 
 from __future__ import annotations

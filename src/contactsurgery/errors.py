@@ -38,7 +38,8 @@ class NotRealizable(ContactSurgeryError):
 
 
 class OutOfRange(ContactSurgeryError):
-    """Argument outside the domain of the continued fraction expansion."""
+    """Argument outside its domain: the continued fraction expansion's, or
+    a ledger window that is reversed or wider than the CLI's cap."""
 
     exit_code = 2
 

@@ -60,20 +60,55 @@ def evaluate_continued_fraction(terms) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Component:
-    """One link component of a surgery presentation."""
+    """One link component of a surgery presentation.
+
+    Stabilizations commute, so a component stores how many of each sign it
+    carries.  The constructor also takes them as a sign sequence,
+    `stab_signs`, whose order is forgotten.
+    """
 
     role: str
     legendrian: LegendrianKnot
     coefficient: int
-    stab_signs: tuple[str, ...] = ()
+    negative_stabs: int = 0
+    positive_stabs: int = 0
 
-    def __post_init__(self) -> None:
-        if self.role not in (ROLE_PLUS_ONE, ROLE_CHAIN):
-            raise ValueError(f"unknown component role {self.role!r}")
-        if self.coefficient not in (1, -1):
+    def __init__(
+        self,
+        role: str,
+        legendrian: LegendrianKnot,
+        coefficient: int,
+        stab_signs=(),
+        *,
+        negative_stabs: int = 0,
+        positive_stabs: int = 0,
+    ) -> None:
+        if role not in (ROLE_PLUS_ONE, ROLE_CHAIN):
+            raise ValueError(f"unknown component role {role!r}")
+        if coefficient not in (1, -1):
             raise ValueError("contact coefficient must be +1 or -1")
+        if stab_signs:
+            if negative_stabs or positive_stabs:
+                raise ValueError("give stab_signs or the stabilization counts, not both")
+            negative_stabs = stab_signs.count(NEGATIVE)
+            positive_stabs = stab_signs.count(POSITIVE)
+            if negative_stabs + positive_stabs != len(stab_signs):
+                raise ValueError(f"stabilization signs must be '+' or '-', got {stab_signs!r}")
+        if negative_stabs < 0 or positive_stabs < 0:
+            raise ValueError("stabilization counts must be non-negative")
+        setter = object.__setattr__
+        setter(self, "role", role)
+        setter(self, "legendrian", legendrian)
+        setter(self, "coefficient", coefficient)
+        setter(self, "negative_stabs", negative_stabs)
+        setter(self, "positive_stabs", positive_stabs)
+
+    @property
+    def stab_signs(self) -> tuple[str, ...]:
+        """The stabilization signs, negatives first."""
+        return (NEGATIVE,) * self.negative_stabs + (POSITIVE,) * self.positive_stabs
 
 
 @dataclass(frozen=True)
@@ -121,22 +156,23 @@ def _chain_presentations(
     # Link by link over the continued fraction terms.  A link depends on its
     # prefix only through the previous knot: k stabilizations, plus of them
     # positive, so tb - k and rot + plus - (k - plus) as in stabilize, in O(1).
-    # Stabilizations commute, so a level's choices are the k + 1 sign runs
-    # with negatives first, built once and shared by every prefix.  Each
-    # prefix is extended by its choices in turn: lexicographic order, '-' < '+'.
+    # Stabilizations commute, so a level's choices are the counts
+    # plus = 0..k, and a link stores (k - plus, plus) in O(1).  Each prefix
+    # is extended by its choices in turn: lexicographic order, '-' < '+'.
     chains = [(list(prefix), base)]
     for a in negative_continued_fraction(one_minus_r):
         k = a - 2
-        runs = [(NEGATIVE,) * (k - plus) + (POSITIVE,) * plus for plus in range(k + 1)]
         grown = []
         for links, last in chains:
-            for plus, signs in enumerate(runs):
+            for plus in range(k + 1):
                 knot = LegendrianKnot(last.tb - k, last.rot + 2 * plus - k, last.knot_type)
                 # Other choices copy the prefix list, the last takes it over:
                 # no list is shared, and a level with one choice (a = 2)
                 # copies nothing, so a long chain such as r = -1/N stays O(links).
                 extended = links if plus == k else links.copy()
-                extended.append(Component(ROLE_CHAIN, knot, -1, stab_signs=signs))
+                extended.append(Component(
+                    ROLE_CHAIN, knot, -1, negative_stabs=k - plus, positive_stabs=plus
+                ))
                 grown.append((extended, knot))
         chains = grown
     return tuple(ContactSurgeryPresentation(tuple(links)) for links, _ in chains)
@@ -184,9 +220,7 @@ def all_negative_presentation(
         # One stabilized pushoff, then unstabilized parallel copies of it,
         # matching the chain produced by expand(knot, n).
         stabilized = stabilize_many(knot, (NEGATIVE,))
-        components.append(
-            Component(ROLE_CHAIN, stabilized, -1, stab_signs=(NEGATIVE,))
-        )
+        components.append(Component(ROLE_CHAIN, stabilized, -1, negative_stabs=1))
         for _ in range(n - 2):
             components.append(Component(ROLE_CHAIN, stabilized, -1))
     return ContactSurgeryPresentation(tuple(components))

@@ -142,9 +142,11 @@ def cyclic_words_equal(first, second) -> bool:
     a, b = _cyclically_reduce(first), _cyclically_reduce(second)
     if len(a) != len(b):
         return False
-    if not a:
-        return True
-    return any(a[i:] + a[:i] == b for i in range(len(a)))
+    # One character per distinct letter; b is a rotation of a exactly when
+    # its string occurs in a + a, which a substring search finds in linear time.
+    codes = {letter: chr(i) for i, letter in enumerate(set(a) | set(b))}
+    text = "".join(codes[letter] for letter in a)
+    return "".join(codes[letter] for letter in b) in text + text
 
 
 def _transvection(surface: SurfaceModel, cls, sign: str):

@@ -531,3 +531,62 @@ def test_cli_openbook_rejects_a_letter_that_is_not_a_name_and_sign(
     path.write_text(json.dumps(book))
     _assert_input_error(["openbook", "--file", str(path), *flags], capsys,
                         f"{path}.word[{index}]: ")
+
+
+def test_diagram_stab_signs_are_a_multiset(tmp_path, capsys):
+    def diagram(signs):
+        return {"components": [
+            {"tb": -1, "rot": 0, "coeff": "+1"},
+            {"tb": -3, "rot": 0, "coeff": "-1", "stab_signs": signs},
+        ]}
+
+    from contactsurgery.homology import d3_invariant
+
+    mixed = presentation_from_dict(diagram(["+", "-"]))
+    ordered = presentation_from_dict(diagram(["-", "+"]))
+    assert mixed == ordered
+    assert d3_invariant(mixed) == d3_invariant(ordered)
+    assert presentation_to_dict(mixed)["components"][1]["stab_signs"] == ["-", "+"]
+    outputs = []
+    for signs in (["+", "-"], ["-", "+"]):
+        path = tmp_path / f"{''.join(signs)}.json"
+        path.write_text(json.dumps(diagram(signs)))
+        assert main(["d3", "--file", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == f"{d3_invariant(ordered)}\n"
+
+
+@pytest.mark.parametrize("window, message", [
+    (["5", "-3"], "--window 5 -3: LO must not exceed HI"),
+    (["0", "30000000"], "--window 0 30000000: a window spans at most 1000000 framings"),
+    (["-1000000", "0"], "--window -1000000 0: a window spans at most 1000000 framings"),
+])
+def test_cli_ledger_rejects_a_bad_window(capsys, window, message):
+    assert main(["ledger", "--window", *window]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {message}")
+
+
+def test_cli_ledger_window_cap_is_inclusive(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "WINDOW_CAP", 10)
+    assert main(["ledger", "--window", "3", "12"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 11
+    assert main(["ledger", "--window", "3", "13"]) == 2
+    assert main(["ledger", "--window", "7", "7"]) == 0
+
+
+def test_cli_ledger_json_window_is_written_whole(capsys):
+    # Thousands of rows give many batches of encoder chunks; the bytes must
+    # be those of one json.dumps.
+    assert main(["ledger", "--json", "--knot", "C(2,3;T(2,3))", "--tb", "6",
+                 "--rot", "-1", "--sl", "7", "--binding",
+                 "--window", "-1500", "1500"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert len(list(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))) > 4096
+    rows = payload["window"]
+    assert [row["framing"] for row in (rows[0], rows[-1])] == ["f_S-1500", "f_S+1500"]
+    assert len(rows) == 3001 and rows[1508]["rule"] == "R5"
+    assert payload["inverse_limit"] == "NotAllZero"

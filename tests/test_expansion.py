@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -307,3 +308,41 @@ def test_even_tb_plus_rot_is_not_realizable(build, tb, rot):
     with pytest.raises(NotRealizable, match="tb \\+ rot is even") as info:
         build(LegendrianKnot(tb, rot))
     assert info.value.exit_code == 2
+
+
+def test_expand_stores_stabilizations_as_counts():
+    # r = -8000 is one link with 7999 stabilizations and 8000 choices: sign
+    # tuples would hold about 3.2e7 entries (about 500 MB of Python objects).
+    tracemalloc.start()
+    try:
+        presentations = expand(LegendrianKnot(-3, 0), -8000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(presentations) == 8000
+    assert peak < 16 * 2**20
+    link = presentations[5].components[0]
+    assert (link.negative_stabs, link.positive_stabs) == (7994, 5)
+
+
+def test_stabilization_signs_are_a_multiset():
+    knot = LegendrianKnot(-5, 0)
+    mixed = Component(ROLE_CHAIN, knot, -1, stab_signs=("+", "-"))
+    ordered = Component(ROLE_CHAIN, knot, -1, stab_signs=("-", "+"))
+    counted = Component(ROLE_CHAIN, knot, -1, negative_stabs=1, positive_stabs=1)
+    assert mixed == ordered == counted
+    assert hash(mixed) == hash(ordered) == hash(counted)
+    assert mixed.stab_signs == ordered.stab_signs == ("-", "+")
+    assert Component(ROLE_CHAIN, knot, -1).stab_signs == ()
+    assert mixed != Component(ROLE_CHAIN, knot, -1, stab_signs=("-", "-"))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"stab_signs": ("-", "x")},
+    {"stab_signs": ("-",), "negative_stabs": 1},
+    {"negative_stabs": -1},
+    {"positive_stabs": -2},
+])
+def test_component_rejects_bad_stabilizations(kwargs):
+    with pytest.raises(ValueError):
+        Component(ROLE_CHAIN, LegendrianKnot(-5, 0), -1, **kwargs)

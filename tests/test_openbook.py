@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contactsurgery.acceptance import chain_reduction_fixture, lantern_ambient_model
 from contactsurgery.errors import (
@@ -319,3 +321,55 @@ def test_binding_vanishing_rule():
         binding_vanishing_rule(InvariantStatus.ZERO, 1)
         is BindingVerdict.NO_CONCLUSION
     )
+
+
+def _rotation_oracle(first, second) -> bool:
+    """Cancel inverse neighbours, the last and first letters included, one
+    pair at a time until none is left, then try every rotation."""
+
+    def reduce(word):
+        word = list(word)
+        while len(word) >= 2:
+            for i in range(len(word)):
+                j = (i + 1) % len(word)
+                if word[i][0] == word[j][0] and word[i][1] != word[j][1]:
+                    word = [x for k, x in enumerate(word) if k not in (i, j)]
+                    break
+            else:
+                break
+        return tuple(word)
+
+    a, b = reduce(first), reduce(second)
+    return len(a) == len(b) and (not a or any(a[i:] + a[:i] == b for i in range(len(a))))
+
+
+LETTERS = st.tuples(st.sampled_from("xyz"), st.sampled_from("+-"))
+WORDS = st.lists(LETTERS, max_size=12).map(tuple)
+
+
+@st.composite
+def conjugate_pairs(draw):
+    """A word, and a rotation of it with inverse pairs put in: mostly
+    conjugate, sometimes with a letter changed so they may not be."""
+    first = draw(WORDS)
+    k = draw(st.integers(0, len(first)))
+    second = list(first[k:] + first[:k])
+    for _ in range(draw(st.integers(0, 3))):
+        name, sign = draw(LETTERS)
+        i = draw(st.integers(0, len(second)))
+        second[i:i] = [(name, sign), (name, "-" if sign == "+" else "+")]
+    if second and draw(st.booleans()):
+        i = draw(st.integers(0, len(second) - 1))
+        second[i] = draw(LETTERS)
+    return first, tuple(second)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.one_of(conjugate_pairs(), st.tuples(WORDS, WORDS)))
+@example(((("x", "+"), ("y", "+"), ("x", "-")), (("y", "+"),)))
+@example(((("x", "+"), ("x", "-")), ()))
+@example(((("x", "+"), ("y", "-")), (("y", "-"), ("x", "+"))))
+def test_cyclic_equality_matches_a_rotation_oracle(pair):
+    first, second = pair
+    assert cyclic_words_equal(first, second) == _rotation_oracle(first, second)
+    assert cyclic_words_equal(second, first) == _rotation_oracle(first, second)
