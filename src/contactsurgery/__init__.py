@@ -53,10 +53,7 @@ from .legendrian import (
     Framing,
     LegendrianKnot,
     TransverseKnot,
-    legendrian_approximation,
-    reverse_orientation,
     stabilize,
-    transverse_pushoff,
 )
 from .openbook import (
     BindingVerdict,

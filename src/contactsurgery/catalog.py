@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Iterator
 
 from .errors import (
@@ -262,10 +262,9 @@ class Catalog:
     @classmethod
     def builtin(cls) -> "Catalog":
         """The seed catalog shipped with the package."""
-        text = resources.files("contactsurgery").joinpath(
-            "data/seed_catalog.json"
-        ).read_text(encoding="utf-8")
-        return cls.from_records(json.loads(text))
+        return cls.from_json(
+            os.path.join(os.path.dirname(__file__), "data", "seed_catalog.json")
+        )
 
 
 def build_seed_entries() -> list[KnotType]:

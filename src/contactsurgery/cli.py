@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from . import acceptance, diagramio
+from . import diagramio
 from .catalog import Catalog, lint_knot
 from .errors import (
     ContactSurgeryError,
@@ -37,6 +37,9 @@ from .openbook import InvariantStatus, cap_off, homology_action
 
 # The stderr prefix for each exit code of a ContactSurgeryError.
 _PREFIXES = {1: "error", 2: "input error", 3: "contradiction"}
+
+# The one JSON format of every --json output.
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
 
 # The most framings `ledger --window` renders; the window is built in memory.
 WINDOW_CAP = 10**6
@@ -97,7 +100,7 @@ def _cmd_catalog(args) -> int:
         return 0
     knot = catalog.lookup(args.knot)
     if args.json:
-        print(json.dumps(_knot_record(knot), indent=2, sort_keys=True))
+        print(_JSON.encode(_knot_record(knot)))
     else:
         print(f"name: {knot.name}")
         print(f"genus: {knot.genus}")
@@ -117,13 +120,9 @@ def _cmd_expand(args) -> int:
     knot = _legendrian(args, knot_type)
     presentations = expand(knot, _parse_fraction(args.coeff))
     if args.json:
-        print(
-            json.dumps(
-                {"presentations": [diagramio.presentation_to_dict(p) for p in presentations]},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        print(_JSON.encode(
+            {"presentations": [diagramio.presentation_to_dict(p) for p in presentations]}
+        ))
         return 0
     print(f"{len(presentations)} presentation(s)")
     for i, presentation in enumerate(presentations):
@@ -141,18 +140,12 @@ def _cmd_homology(args) -> int:
     presentation = diagramio.parse_diagram_file(args.file)
     data = homology_data(linking_matrix(presentation))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "determinant": data.determinant,
-                    "order_h1": data.order_h1,
-                    "signature": data.signature,
-                    "euler_characteristic": data.euler_characteristic,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        print(_JSON.encode({
+            "determinant": data.determinant,
+            "order_h1": data.order_h1,
+            "signature": data.signature,
+            "euler_characteristic": data.euler_characteristic,
+        }))
         return 0
     order = "infinite" if data.order_h1 is None else str(data.order_h1)
     print(f"|H1| = {order}")
@@ -172,19 +165,11 @@ def _cmd_classify(args) -> int:
     knot = _load_catalog(args).lookup(args.knot)
     report = tight_surgery_ranges(knot)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "knot": knot.name,
-                    "ranges": [
-                        {"anchor": rng.anchor, "rule": rng.rule} for rng in report.ranges
-                    ],
-                    "sl_tb_gap": report.sl_tb_gap,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        print(_JSON.encode({
+            "knot": knot.name,
+            "ranges": [{"anchor": rng.anchor, "rule": rng.rule} for rng in report.ranges],
+            "sl_tb_gap": report.sl_tb_gap,
+        }))
         return 0
     if not report.ranges:
         print(f"{knot.name}: no tight range certified by the built-in rules")
@@ -230,7 +215,7 @@ def _cmd_ledger(args) -> int:
             )
     rows = state.window(lo, hi)
     if args.json:
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(
+        chunks = _JSON.iterencode(
             {
                 "window": [
                     {"framing": f"f_S{k:+d}", "status": status.value, "rule": rule}
@@ -262,7 +247,7 @@ def _cmd_openbook(args) -> int:
         payload = diagramio.open_book_to_dict(surface, letters)
         if args.action:
             payload["action"] = [list(row) for row in homology_action(letters, surface)]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_JSON.encode(payload))
         return 0
     print(f"genus {surface.genus}, boundary components {surface.boundary_count}, "
           f"H1 rank {surface.h1_rank}")
@@ -274,6 +259,9 @@ def _cmd_openbook(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    # Imported here, so that the other verbs do not load it and `random`.
+    from . import acceptance
+
     return 0 if acceptance.run_all(print) else 1
 
 
@@ -286,8 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     cat = sub.add_parser("catalog", help="look up knot-type records")
-    cat.add_argument("--knot", help="knot name, e.g. T(2,3)")
-    cat.add_argument("--list", action="store_true", help="list all names")
+    which = cat.add_mutually_exclusive_group(required=True)
+    which.add_argument("--knot", help="knot name, e.g. T(2,3)")
+    which.add_argument("--list", action="store_true", help="list all names")
     cat.add_argument("--catalog", help="path to a catalog JSON file")
     cat.add_argument("--json", action="store_true")
     cat.set_defaults(run=_cmd_catalog)

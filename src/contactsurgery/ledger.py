@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -115,10 +114,6 @@ class LedgerState:
         if self.floor is not None and offset >= self.floor.offset:
             return NONZERO
         return InvariantStatus.UNKNOWN
-
-    def provenance_at(self, framing: Framing | int) -> str | None:
-        offset = _offset(framing)
-        return next(self._rows(offset, offset))[2]
 
     def window(self, lo: int, hi: int) -> list[tuple[int, InvariantStatus, str | None]]:
         return list(self._rows(lo, hi))
@@ -317,10 +312,6 @@ class TightnessReport:
     knot: KnotType
     ranges: tuple[TightRange, ...]
     sl_tb_gap: int | None = None
-
-    def covers(self, r) -> bool:
-        r = Fraction(r)
-        return any(r >= rng.anchor for rng in self.ranges)
 
     def anchor(self) -> int | None:
         return min((rng.anchor for rng in self.ranges), default=None)

@@ -4,9 +4,6 @@ All records use Seifert-framing coordinates: the contact framing of a
 Legendrian knot equals its Thurston-Bennequin number tb.  The sign
 convention is fixed so that a negative stabilization lowers rot by one,
 which makes sl = tb - rot invariant under negative stabilization.
-
-A Bennequin-bound violation is a hard error when a knot is constructed
-through legendrian_approximation.
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import KnotType
-from .errors import NotRealizable
 
 NEGATIVE = "-"
 POSITIVE = "+"
@@ -65,35 +61,3 @@ def stabilize_many(knot: LegendrianKnot, signs) -> LegendrianKnot:
         knot = stabilize(knot, sign)
     return knot
 
-
-def reverse_orientation(knot: LegendrianKnot) -> LegendrianKnot:
-    """Orientation reversal keeps tb and negates rot."""
-    return LegendrianKnot(knot.tb, -knot.rot, knot.knot_type)
-
-
-def transverse_pushoff(knot: LegendrianKnot) -> TransverseKnot:
-    """Positive transverse pushoff, sl = tb - rot."""
-    return TransverseKnot(knot.tb - knot.rot, knot.knot_type)
-
-
-def legendrian_approximation(knot: TransverseKnot, tb_cap: int) -> LegendrianKnot:
-    """The Legendrian approximation with tb = tb_cap and rot = tb_cap - sl.
-
-    Raises NotRealizable when the requested tb exceeds the recorded
-    maximum or when (tb, rot) violates the Bennequin bound
-    tb + |rot| <= 2*genus - 1.
-    """
-    kt = knot.knot_type
-    if kt is not None and kt.max_tb is not None and tb_cap > kt.max_tb:
-        raise NotRealizable(
-            f"tb {tb_cap} exceeds max_tb {kt.max_tb} of {kt.name}"
-        )
-    rot = tb_cap - knot.sl
-    if kt is not None:
-        bound = 2 * kt.genus - 1
-        if tb_cap + abs(rot) > bound:
-            raise NotRealizable(
-                f"(tb, rot) = ({tb_cap}, {rot}) violates the Bennequin "
-                f"bound tb + |rot| <= {bound} for {kt.name}"
-            )
-    return LegendrianKnot(tb_cap, rot, kt)

@@ -14,7 +14,7 @@ windows may wrap around the end of the word.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (
     CannotCapLastBoundary,
@@ -99,11 +99,6 @@ class SurfaceModel:
 
     def has_curve(self, name: str) -> bool:
         return any(curve == name for curve, _ in self.curves)
-
-    def with_curve(self, name: str, cls) -> "SurfaceModel":
-        if self.has_curve(name):
-            raise ValueError(f"curve {name!r} already declared")
-        return replace(self, curves=self.curves + ((name, tuple(cls)),))
 
 
 def word(*letters) -> tuple[Letter, ...]:
@@ -288,92 +283,63 @@ def lantern_rewrite(
     return target + survivors
 
 
-def giroux_stabilize(
-    surface: SurfaceModel,
-    letters,
-    new_curve: str,
-    new_class,
-    *,
-    mode: str = "boundary",
-    side: str = "right",
-    pairing_row=None,
-    boundary_class=None,
-    extra_curves=(),
-):
-    """Plumb a positive Hopf band: rank grows by one and the word gains a
-    positive twist along the new curve on the declared side.
+def giroux_stabilize(surface: SurfaceModel, letters, new_curve: str, new_class):
+    """Plumb a positive Hopf band: the page keeps its genus and gains a
+    boundary component, H1 gains a direction, and the word gains a positive
+    twist along the new curve, appended at the end.
 
-    mode 'boundary' keeps the genus and adds a boundary component whose
-    class the caller may declare; mode 'genus' adds genus and merges the
-    two most recently listed boundary components.  The new curve class
-    lives in the extended lattice and must cross the new handle once
-    (last coordinate +1 or -1).  extra_curves lets the caller realize
-    further named curves on the stabilized page in the same step.
+    The new direction pairs to zero with every class and the new boundary
+    class is zero.  The new curve class lives in the extended lattice and
+    must cross the new handle once (last coordinate +1 or -1).
     """
-    letters = tuple(letters)
-    old_rank = surface.h1_rank
+    rank = surface.h1_rank + 1
     new_class = tuple(new_class)
-    if len(new_class) != old_rank + 1:
-        raise InvalidStabilization(
-            f"new curve class must have length {old_rank + 1}"
-        )
+    if len(new_class) != rank:
+        raise InvalidStabilization(f"new curve class must have length {rank}")
     if abs(new_class[-1]) != 1:
         raise InvalidStabilization(
             "the stabilizing curve must cross the new handle exactly once"
         )
-    if pairing_row is None:
-        pairing_row = (0,) * (old_rank + 1)
-    pairing_row = tuple(pairing_row)
-    if len(pairing_row) != old_rank + 1 or pairing_row[-1] != 0:
-        raise InvalidStabilization("pairing row must extend the old lattice")
-    new_pairing = tuple(
-        tuple(list(row) + [-pairing_row[i]]) for i, row in enumerate(surface.pairing)
-    ) + (pairing_row,)
-
-    def extend(vec):
-        return tuple(vec) + (0,)
-
-    curves = tuple((name, extend(cls)) for name, cls in surface.curves)
-    curves += ((new_curve, new_class),)
-    for name, cls in extra_curves:
-        cls = tuple(cls)
-        if len(cls) != old_rank + 1:
-            raise InvalidStabilization(f"extra curve {name!r} class has wrong length")
-        curves += ((name, cls),)
-
-    boundaries = tuple(extend(b) for b in surface.boundary_classes)
-    if mode == "boundary":
-        genus = surface.genus
-        boundary_count = surface.boundary_count + 1
-        added = tuple(boundary_class) if boundary_class is not None else (0,) * (
-            old_rank + 1
-        )
-        if len(added) != old_rank + 1:
-            raise InvalidStabilization("boundary class has wrong length")
-        boundaries += (added,)
-    elif mode == "genus":
-        if surface.boundary_count < 2:
-            raise InvalidStabilization("genus mode needs two boundaries to merge")
-        genus = surface.genus + 1
-        boundary_count = surface.boundary_count - 1
-        if len(boundaries) >= 2:
-            merged = tuple(a + b for a, b in zip(boundaries[-2], boundaries[-1]))
-            boundaries = boundaries[:-2] + (merged,)
-    else:
-        raise InvalidStabilization(f"unknown stabilization mode {mode!r}")
-
-    if side not in ("left", "right"):
-        raise InvalidStabilization(f"side must be 'left' or 'right', got {side!r}")
+    zero = (0,) * rank
     stabilized = SurfaceModel(
-        genus=genus,
-        boundary_count=boundary_count,
-        pairing=new_pairing,
-        curves=curves,
-        boundary_classes=boundaries,
+        genus=surface.genus,
+        boundary_count=surface.boundary_count + 1,
+        pairing=tuple(tuple(row) + (0,) for row in surface.pairing) + (zero,),
+        curves=tuple((name, tuple(cls) + (0,)) for name, cls in surface.curves)
+        + ((new_curve, new_class),),
+        boundary_classes=tuple(tuple(b) + (0,) for b in surface.boundary_classes)
+        + (zero,),
     )
-    twist = (new_curve, PLUS)
-    new_word = letters + (twist,) if side == "right" else (twist,) + letters
-    return stabilized, new_word
+    return stabilized, tuple(letters) + ((new_curve, PLUS),)
+
+
+def _last_unit(vec) -> int | None:
+    """The last index at which vec has an entry of +1 or -1, if any."""
+    return next((i for i in range(len(vec) - 1, -1, -1) if abs(vec[i]) == 1), None)
+
+
+def _quotient(surface: SurfaceModel, cls, drop: int, curves, boundary: int):
+    """The page with boundary component `boundary` gone and H1 reduced
+    modulo cls, which has an entry of +1 or -1 at index `drop`.
+
+    Each of the given curves and each remaining boundary class is reduced
+    along cls, which zeroes coordinate `drop`, and then loses it.
+    """
+
+    def reduce(vec):
+        factor = vec[drop] * cls[drop]
+        return tuple(v - factor * c for i, (v, c) in enumerate(zip(vec, cls)) if i != drop)
+
+    keep = [i for i in range(len(cls)) if i != drop]
+    return SurfaceModel(
+        genus=surface.genus,
+        boundary_count=surface.boundary_count - 1,
+        pairing=tuple(tuple(surface.pairing[i][j] for j in keep) for i in keep),
+        curves=tuple((name, reduce(vec)) for name, vec in curves),
+        boundary_classes=tuple(
+            reduce(b) for i, b in enumerate(surface.boundary_classes) if i != boundary
+        ),
+    )
 
 
 def giroux_destabilize(
@@ -402,9 +368,7 @@ def giroux_destabilize(
     if surface.boundary_count < 2:
         raise InvalidStabilization("cannot destabilize past one boundary component")
     if drop_index is None:
-        drop_index = next(
-            (i for i in range(len(cls) - 1, -1, -1) if abs(cls[i]) == 1), None
-        )
+        drop_index = _last_unit(cls)
         if drop_index is None:
             raise InvalidStabilization(
                 f"class of {curve!r} has no unimodular coordinate to drop"
@@ -413,35 +377,13 @@ def giroux_destabilize(
         raise InvalidStabilization(
             f"class of {curve!r} is not unimodular at index {drop_index}"
         )
-
-    def reduce(vec):
-        factor = vec[drop_index] * cls[drop_index]
-        reduced = [v - factor * c for v, c in zip(vec, cls)]
-        del reduced[drop_index]
-        return tuple(reduced)
-
-    curves = tuple(
-        (name, reduce(vec)) for name, vec in surface.curves if name != curve
-    )
-    boundaries = list(surface.boundary_classes)
     if drop_boundary is None:
-        drop_boundary = len(boundaries) - 1
-    if not 0 <= drop_boundary < len(boundaries):
+        drop_boundary = len(surface.boundary_classes) - 1
+    if not 0 <= drop_boundary < len(surface.boundary_classes):
         raise InvalidStabilization("no such boundary component")
-    del boundaries[drop_boundary]
-    keep = [i for i in range(len(cls)) if i != drop_index]
-    pairing = tuple(
-        tuple(surface.pairing[i][j] for j in keep) for i in keep
-    )
-    destabilized = SurfaceModel(
-        genus=surface.genus,
-        boundary_count=surface.boundary_count - 1,
-        pairing=pairing,
-        curves=curves,
-        boundary_classes=tuple(reduce(b) for b in boundaries),
-    )
-    new_word = letters[: hits[0]] + letters[hits[0] + 1:]
-    return destabilized, new_word
+    curves = tuple((name, vec) for name, vec in surface.curves if name != curve)
+    destabilized = _quotient(surface, cls, drop_index, curves, drop_boundary)
+    return destabilized, letters[: hits[0]] + letters[hits[0] + 1:]
 
 
 def cap_off(surface: SurfaceModel, letters, boundary_index: int):
@@ -470,36 +412,13 @@ def cap_off(surface: SurfaceModel, letters, boundary_index: int):
     survivors = tuple(
         letter for letter in letters if not matches(surface.curve_class(letter[0]))
     )
-    drop = next((i for i in range(rank - 1, -1, -1) if abs(capped[i]) == 1), None)
+    drop = _last_unit(capped)
     if drop is None:
         # A null-homologous boundary is not modeled: the lattice would not
         # shrink, but the surface would lose the component.
         raise DiagramFormatError(f"{field}: a capped class must have an entry of +1 or -1")
-
-    def reduce(vec):
-        factor = vec[drop] * capped[drop]
-        reduced = [v - factor * c for v, c in zip(vec, capped)]
-        del reduced[drop]
-        return tuple(reduced)
-
-    keep = [i for i in range(rank) if i != drop]
-    boundaries = tuple(
-        reduce(b)
-        for i, b in enumerate(surface.boundary_classes)
-        if i != boundary_index
-    )
-    capped_surface = SurfaceModel(
-        genus=surface.genus,
-        boundary_count=surface.boundary_count - 1,
-        pairing=tuple(tuple(surface.pairing[i][j] for j in keep) for i in keep),
-        curves=tuple(
-            (name, reduce(vec))
-            for name, vec in surface.curves
-            if not matches(vec)
-        ),
-        boundary_classes=boundaries,
-    )
-    return capped_surface, survivors
+    curves = tuple((name, vec) for name, vec in surface.curves if not matches(vec))
+    return _quotient(surface, capped, drop, curves, boundary_index), survivors
 
 
 def attach_surgery_twists(

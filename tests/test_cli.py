@@ -1,9 +1,13 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from contactsurgery import cli, errors
+from contactsurgery.catalog import Catalog, build_seed_entries
 from contactsurgery.cli import main
 from contactsurgery.diagramio import (
     open_book_from_dict,
@@ -253,6 +257,39 @@ def test_cli_catalog(capsys):
     out = capsys.readouterr().out
     assert "genus: 1" in out
     assert "max tb: 1" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["catalog"], "one of the arguments --knot --list is required"),
+    (["catalog", "--knot", "T(2,3)", "--list"], "not allowed with argument"),
+])
+def test_cli_catalog_takes_exactly_one_of_knot_and_list(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_cli_import_loads_neither_acceptance_nor_importlib_resources():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys, contactsurgery.cli; "
+        "print([m for m in ('contactsurgery.acceptance', 'random', 'importlib.resources') "
+        "if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "[]\n"
+
+
+def test_builtin_catalog_does_not_depend_on_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert list(Catalog.builtin()) == build_seed_entries()
 
 
 def test_cli_catalog_override(tmp_path, capsys):

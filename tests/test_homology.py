@@ -24,7 +24,7 @@ from contactsurgery.homology import (
     spin_c_evaluation,
 )
 from contactsurgery.ledger import RULES_BY_ID, LedgerSubject
-from contactsurgery.legendrian import LegendrianKnot, transverse_pushoff
+from contactsurgery.legendrian import LegendrianKnot, TransverseKnot
 from contactsurgery.linalg import det_int, signature_exact, solve_exact
 
 
@@ -378,7 +378,8 @@ def test_adjunction_congruence_examples():
 def _r5_certifies(knot, n, binding=True):
     """Whether the rule table's R5 entry, read on the transverse pushoff of
     `knot`, asserts NonZero at the surgery framing tb + n."""
-    subject = LedgerSubject(transverse=transverse_pushoff(knot), binding=binding)
+    pushoff = TransverseKnot(knot.tb - knot.rot, knot.knot_type)
+    subject = LedgerSubject(transverse=pushoff, binding=binding)
     r5 = RULES_BY_ID["R5"]
     return r5.holds(subject) and r5.offset(subject) == knot.tb + n
 

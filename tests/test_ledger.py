@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -105,10 +104,10 @@ def test_rule_r1_and_r5_on_cable():
         )
     )
     assert state.status_at(6) is Status.ZERO
-    assert state.provenance_at(6) == "R1"
+    assert state.window(6, 6)[0][2] == "R1"
     assert state.status_at(7) is Status.UNKNOWN
     assert state.status_at(8) is Status.NONZERO
-    assert state.provenance_at(8) == "R5"
+    assert state.window(8, 8)[0][2] == "R5"
     assert inverse_limit_status(state) is LedgerVerdict.NOT_ALL_ZERO
 
 
@@ -152,7 +151,7 @@ def test_rule_r4_binding_of_vanishing_structure():
         )
     )
     assert inverse_limit_status(state) is LedgerVerdict.ZERO
-    assert state.provenance_at(0) == "R4"
+    assert state.window(0, 0)[0][2] == "R4"
 
 
 def test_rule_r4_skipped_when_b1_positive():
@@ -171,14 +170,14 @@ def test_rule_r6_trefoil():
     trefoil = torus_knot(2, 3)
     state = apply_rules(LedgerSubject(legendrian=LegendrianKnot(1, 0, trefoil)))
     assert state.status_at(2) is Status.NONZERO
-    assert state.provenance_at(2) == "R6"
+    assert state.window(2, 2)[0][2] == "R6"
     assert state.status_at(1) is Status.ZERO  # R1 at tb
 
 
 def test_rule_e1_unknot():
     state = apply_rules(LedgerSubject(legendrian=LegendrianKnot(-1, 0, UNKNOT)))
     assert state.status_at(0) is Status.NONZERO
-    assert state.provenance_at(0) == "E1"
+    assert state.window(0, 0)[0][2] == "E1"
     assert state.status_at(-1) is Status.ZERO
 
 
@@ -199,9 +198,6 @@ def test_tight_surgeries_cable():
     report = tight_surgery_ranges(cable_of_trefoil(2, 3))
     assert report.anchor() == 8
     assert [rng.rule for rng in report.ranges] == [RULE_MAX_SELF_LINKING]
-    assert report.covers(8)
-    assert report.covers(Fraction(17, 2))
-    assert not report.covers(Fraction(15, 2))
 
 
 def test_tight_surgeries_trefoil_both_routes():
@@ -216,10 +212,18 @@ def test_tight_surgeries_unknot_empty():
 
 
 def test_tight_surgeries_upward_closed():
-    report = tight_surgery_ranges(cable_of_trefoil(3, 4))
+    # Each anchor is where the ledger of the maximal binding turns NonZero,
+    # and the ledger stays NonZero at every framing above it.
+    cable = cable_of_trefoil(3, 4)
+    report = tight_surgery_ranges(cable)
     anchor = report.anchor()
-    for step in range(0, 12):
-        assert report.covers(anchor + Fraction(step, 3))
+    state = apply_rules(
+        LedgerSubject(transverse=TransverseKnot(cable.max_sl, cable), binding=True)
+    )
+    assert state.status_at(anchor - 1) is not Status.NONZERO
+    rows = state.window(anchor, anchor + 11)
+    assert [status for _, status, _ in rows] == [Status.NONZERO] * 12
+    assert {rule for _, _, rule in rows} == {"R5"}
 
 
 def test_tight_surgeries_gap_tracks_summands():
@@ -318,7 +322,7 @@ def test_closure_matches_a_rescan(facts):
         assert clash is None
     expected = [(k, *_rescan(facts, k)) for k in range(-9, 10)]
     assert state.window(-9, 9) == expected
-    assert [(k, state.status_at(k), state.provenance_at(k)) for k in range(-9, 10)] == expected
+    assert [(k, state.status_at(k), state.window(k, k)[0][2]) for k in range(-9, 10)] == expected
     assert state.window(3, 2) == []
 
 
@@ -346,6 +350,6 @@ def test_a_window_does_not_rescan_the_facts_per_framing():
     assert rows[-1] == (150, Status.NONZERO, "n99")
     for k in range(-150, 151):
         counted.status_at(k)
-        counted.provenance_at(k)
+        counted.window(k, k)
     # One pass builds the offset index; nothing else reads the facts.
     assert counted.facts.passes <= 1

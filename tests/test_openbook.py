@@ -155,9 +155,9 @@ def test_lantern_rewrite_mismatch():
 
 def test_lantern_configuration_validation_rejects_bad_classes():
     surface, config = lantern_ambient_model()
-    broken = surface.with_curve("fake", (9, 0, 0, 0, 0, 0, 0))
     from dataclasses import replace
 
+    broken = replace(surface, curves=surface.curves + (("fake", (9, 0, 0, 0, 0, 0, 0)),))
     bad = replace(config, one_two="fake")
     with pytest.raises(ValueError):
         bad.validate(broken)
@@ -175,9 +175,9 @@ def test_giroux_stabilize_disk_to_annulus():
 def test_giroux_stabilize_orders_commute_in_rank():
     disk = SurfaceModel(genus=0, boundary_count=1, pairing=())
     one, w1 = giroux_stabilize(disk, (), "x", (1,))
-    two, w2 = giroux_stabilize(one, w1, "y", (0, 1), side="left")
+    two, w2 = giroux_stabilize(one, w1, "y", (0, 1))
     assert two.h1_rank == 2
-    assert w2 == (("y", "+"), ("x", "+"))
+    assert w2 == (("x", "+"), ("y", "+"))
     other, _ = giroux_stabilize(
         *giroux_stabilize(disk, (), "y", (1,)), "x", (0, 1)
     )
@@ -193,25 +193,19 @@ def test_giroux_stabilize_accommodates_extra_curves():
         curves=(("kappa", (1,)),),
         boundary_classes=((1,), (-1,)),
     )
-    stabilized, word = giroux_stabilize(
-        annulus,
-        (),
-        "sigma1",
-        (0, 1),
-        extra_curves=(("kappa_minus", (1, 1)),),
-    )
+    stabilized, word = giroux_stabilize(annulus, (), "sigma1", (0, 1))
     assert stabilized.curve_class("kappa") == (1, 0)
-    assert stabilized.curve_class("kappa_minus") == (1, 1)
-    again, _ = giroux_stabilize(
-        stabilized,
-        word,
-        "sigma2",
-        (0, 0, 1),
-        extra_curves=(("double_stabilized", (1, 1, 1)),),
+    assert stabilized.curve_class("sigma1") == (0, 1)
+    from dataclasses import replace
+
+    stabilized = replace(
+        stabilized, curves=stabilized.curves + (("kappa_minus", (1, 1)),)
     )
-    for name in ("kappa", "kappa_minus", "double_stabilized"):
+    again, _ = giroux_stabilize(stabilized, word, "sigma2", (0, 0, 1))
+    for name in ("kappa", "kappa_minus", "sigma1", "sigma2"):
         assert again.has_curve(name)
-    assert again.curve_class("double_stabilized") == (1, 1, 1)
+    assert again.curve_class("kappa") == (1, 0, 0)
+    assert again.curve_class("kappa_minus") == (1, 1, 0)
 
 
 def test_giroux_stabilize_rejects_bad_class():
@@ -222,15 +216,56 @@ def test_giroux_stabilize_rejects_bad_class():
         giroux_stabilize(disk, (), "core", (1, 1))
 
 
-def test_giroux_destabilize_inverts_stabilize():
-    surface = torus_like_surface()
-    word = (("a", "+"),)
-    bigger, longer = giroux_stabilize(surface, word, "core", (0, 0, 0, 1))
-    restored, shorter = giroux_destabilize(bigger, longer, "core")
-    assert shorter == word
-    assert restored.h1_rank == surface.h1_rank
-    assert restored.boundary_count == surface.boundary_count
-    assert restored.curve_class("a") == surface.curve_class("a")
+@st.composite
+def stabilizations(draw):
+    """A page, a word over its alphabet, and the class of a curve that
+    crosses the handle a stabilization adds."""
+    genus = draw(st.integers(0, 2))
+    boundary_count = draw(st.integers(1, 3))
+    rank = 2 * genus + boundary_count - 1
+    entries = st.integers(-2, 2)
+    above = {(i, j): draw(entries) for i in range(rank) for j in range(i + 1, rank)}
+    pairing = tuple(
+        tuple(above[i, j] if i < j else -above[j, i] if i > j else 0 for j in range(rank))
+        for i in range(rank)
+    )
+    vectors = st.tuples(*[entries] * rank)
+    names = [f"c{i}" for i in range(draw(st.integers(1, 3)))]
+    curves = tuple((name, draw(vectors)) for name in names)
+    # Multiples of one class pair to zero with each other.
+    base = draw(vectors)
+    multiples = draw(st.lists(st.integers(-2, 2), max_size=boundary_count))
+    boundary_classes = tuple(tuple(m * x for x in base) for m in multiples)
+    surface = SurfaceModel(genus, boundary_count, pairing, curves, boundary_classes)
+    letters = st.tuples(st.sampled_from(names), st.sampled_from("+-"))
+    word = tuple(draw(st.lists(letters, max_size=8)))
+    new_class = draw(vectors) + (draw(st.sampled_from((1, -1))),)
+    return surface, word, new_class
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@example((torus_like_surface(), (("a", "+"),), (0, 0, 0, 1)))
+@given(stabilizations())
+def test_giroux_destabilize_inverts_stabilize(case):
+    surface, word, new_class = case
+    stabilized = giroux_stabilize(surface, word, "h", new_class)
+    assert stabilized[1] == word + (("h", "+"),)
+    assert giroux_destabilize(*stabilized, "h") == (surface, word)
+
+
+def test_giroux_destabilize_reduces_modulo_the_curve():
+    # x = e1 - e2 bounds after destabilizing, so e2 = e1 and y = 2e1 + 3e2 = 5e1.
+    surface = SurfaceModel(
+        genus=0,
+        boundary_count=3,
+        pairing=((0, 0), (0, 0)),
+        curves=(("x", (1, -1)), ("y", (2, 3))),
+        boundary_classes=((0, 1), (1, 1)),
+    )
+    smaller, word = giroux_destabilize(surface, (("y", "-"), ("x", "+")), "x")
+    assert smaller.curves == (("y", (5,)),)
+    assert smaller.boundary_classes == ((1,),)
+    assert word == (("y", "-"),)
 
 
 def test_giroux_destabilize_requires_unique_positive_twist():
