@@ -118,7 +118,10 @@ def _cmd_expand(args) -> int:
     if args.knot:
         knot_type = _load_catalog(args).lookup(args.knot)
     knot = _legendrian(args, knot_type)
-    presentations = expand(knot, _parse_fraction(args.coeff))
+    try:
+        presentations = expand(knot, _parse_fraction(args.coeff))
+    except OutOfRange as exc:
+        raise OutOfRange(f"--coeff {args.coeff}: {exc}") from None
     if args.json:
         print(_JSON.encode(
             {"presentations": [diagramio.presentation_to_dict(p) for p in presentations]}

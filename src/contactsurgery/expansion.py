@@ -32,22 +32,42 @@ ROLE_PLUS_ONE = "originalPlusOne"
 ROLE_CHAIN = "chainLink"
 
 
+# The most terms a negative continued fraction may have.  Contact r-surgery
+# for r = 10**400 or r = -10**-30 would expand along about 10**400 or 10**30.
+TERMS_CAP = 10**6
+
+
 def negative_continued_fraction(x) -> tuple[int, ...]:
     """Terms a_0, ..., a_m >= 2 with x = a_0 - 1/(a_1 - 1/(... - 1/a_m)).
 
     The expansion with all terms >= 2 exists and is unique exactly for
-    rational x > 1; the leading term is ceil(x).
+    rational x > 1; the leading term is ceil(x).  An expansion longer
+    than TERMS_CAP terms raises OutOfRange before it is built.
     """
     x = Fraction(x)
     if x <= 1:
         raise OutOfRange(f"negative continued fraction needs x > 1, got {x}")
+    # x = p / q.  After the term a = ceil(x) comes 1 / (a - x) = 1 + 1/y with
+    # y = r / d, r = a q - p, d = q - r; it starts with floor(y) terms 2, and
+    # after them x = 1 + d / (r mod d).  The expansion ends where r mod d = 0
+    # (r = 0 when x = a).  So a step costs one division, and each run of twos
+    # is counted before it is written out.
+    p, q = x.numerator, x.denominator
     terms = []
     while True:
-        a = math.ceil(x)
-        terms.append(a)
-        if x == a:
+        a = -(-p // q)
+        r = a * q - p
+        d = q - r
+        twos, rest = divmod(r, d)
+        if len(terms) + 1 + twos > TERMS_CAP:
+            # x is not printed: its digits may exceed int-to-str's limit.
+            raise OutOfRange(
+                f"the negative continued fraction has more than {TERMS_CAP} terms"
+            )
+        terms += [a] + [2] * twos
+        if rest == 0:
             return tuple(terms)
-        x = 1 / (a - x)
+        p, q = rest + d, rest
 
 
 def evaluate_continued_fraction(terms) -> Fraction:

@@ -124,12 +124,19 @@ def identity_int(n: int) -> IntMatrix:
 
 
 def mat_mul_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a . b.  Row i is the sum of a[i][k] * b[k] over the k
+    with a[i][k] != 0, so a sparse left factor costs one pass over b's
+    row per nonzero entry."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix dimension mismatch")
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
+    product = []
+    for a_row in a:
+        row = [0] * len(b[0])
+        for x, b_row in zip(a_row, b):
+            if x:
+                row = [r + x * y for r, y in zip(row, b_row)]
+        product.append(tuple(row))
+    return tuple(product)
 
 
 @dataclass(frozen=True)

@@ -66,9 +66,11 @@ class SurfaceModel:
             for j in range(rank):
                 if self.pairing[i][j] != -self.pairing[j][i]:
                     raise ValueError("pairing must be skew-symmetric")
-        names = [name for name, _ in self.curves]
-        if len(names) != len(set(names)):
+        # Not a field: equality and hash stay over the alphabet itself.
+        classes = dict(self.curves)
+        if len(classes) != len(self.curves):
             raise ValueError("duplicate curve names in the alphabet")
+        object.__setattr__(self, "_classes", classes)
         for name, cls in self.curves:
             if len(cls) != rank:
                 raise ValueError(f"curve {name!r} class has wrong length")
@@ -92,13 +94,13 @@ class SurfaceModel:
         )
 
     def curve_class(self, name: str) -> tuple[int, ...]:
-        for curve, cls in self.curves:
-            if curve == name:
-                return cls
-        raise UnknownCurve(f"curve {name!r} is not in the alphabet")
+        try:
+            return self._classes[name]
+        except KeyError:
+            raise UnknownCurve(f"curve {name!r} is not in the alphabet") from None
 
     def has_curve(self, name: str) -> bool:
-        return any(curve == name for curve, _ in self.curves)
+        return name in self._classes
 
 
 def word(*letters) -> tuple[Letter, ...]:
@@ -160,14 +162,23 @@ def homology_action(letters, surface: SurfaceModel):
     """Matrix of the word acting on H1, rightmost letter acting first.
 
     The action is a monoid homomorphism for concatenation in this order:
-    action(w1 + w2) = action(w1) . action(w2).
+    action(w1 + w2) = action(w1) . action(w2).  It is composed in acting
+    order, result = T . result from the rightmost letter on.  A
+    transvection T = I + s c (Omega c)^T is a unit row wherever c is zero,
+    and mat_mul_int skips zero entries of its left factor, so a letter
+    costs O(r^2) plus r per off-diagonal nonzero of T, not r^3.  Each
+    distinct letter's matrix is built once.
     """
     from .linalg import identity_int, mat_mul_int
 
+    letters = tuple(letters)
+    transvections = {
+        (name, sign): _transvection(surface, surface.curve_class(name), sign)
+        for name, sign in dict.fromkeys(letters)
+    }
     result = identity_int(surface.h1_rank)
-    for name, sign in letters:
-        cls = surface.curve_class(name)
-        result = mat_mul_int(result, _transvection(surface, cls, sign))
+    for letter in reversed(letters):
+        result = mat_mul_int(transvections[letter], result)
     return result
 
 
@@ -373,7 +384,7 @@ def giroux_destabilize(
             raise InvalidStabilization(
                 f"class of {curve!r} has no unimodular coordinate to drop"
             )
-    if abs(cls[drop_index]) != 1:
+    if not 0 <= drop_index < len(cls) or abs(cls[drop_index]) != 1:
         raise InvalidStabilization(
             f"class of {curve!r} is not unimodular at index {drop_index}"
         )

@@ -352,6 +352,51 @@ def test_cli_openbook(tmp_path, capsys):
     assert payload["surface"]["boundary"] == 1
 
 
+TORUS_BOOK_ACTION_TEXT = """\
+genus 1, boundary components 2, H1 rank 3
+word: a+ b+ a+
+   0   -1    0
+   1    0    0
+   0    0    1
+"""
+
+TORUS_BOOK_ACTION = {
+    "action": [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+    "alphabet": {"a": [1, 0, 0], "b": [0, 1, 0], "binding": [0, 0, 1]},
+    "surface": {
+        "boundary": 2,
+        "boundary_classes": [[0, 0, 1], [0, 0, -1]],
+        "genus": 1,
+        "pairing": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+    },
+    "word": [["a", "+"], ["b", "+"], ["a", "+"]],
+}
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (["--action"], TORUS_BOOK_ACTION_TEXT),
+    (["--json", "--action"], json.dumps(TORUS_BOOK_ACTION, indent=2, sort_keys=True) + "\n"),
+])
+def test_cli_openbook_action_golden_output(capsys, flags, expected):
+    assert main(["openbook", "--file", FIXTURE_BOOK, *flags]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("coeff", ["1e400", "-1e-30"])
+def test_cli_expand_rejects_a_continued_fraction_past_the_cap(coeff):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "contactsurgery.cli", "expand", "--tb", "-1", "--rot", "0",
+         f"--coeff={coeff}"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"input error: --coeff {coeff}: ")
+    assert "more than 1000000 terms" in result.stderr
+
+
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -15,6 +15,7 @@ from contactsurgery.errors import (
 )
 from contactsurgery.expansion import (
     ROLE_CHAIN,
+    TERMS_CAP,
     ROLE_PLUS_ONE,
     Component,
     ContactSurgeryPresentation,
@@ -77,6 +78,39 @@ def test_continued_fraction_domain():
         negative_continued_fraction(1)
     with pytest.raises(OutOfRange):
         negative_continued_fraction(Fraction(1, 2))
+
+
+def _fraction_expansion(x: Fraction):
+    """The expansion one term at a time in Fraction arithmetic (test oracle)."""
+    terms = []
+    while True:
+        a = math.ceil(x)
+        terms.append(a)
+        if x == a:
+            return tuple(terms)
+        x = 1 / (a - x)
+
+
+@SETTINGS
+@given(st.integers(1, 10**4), st.integers(1, 10**4))
+@example(1, 20000)
+@example(10**6 - 1, 1)
+def test_continued_fraction_matches_the_one_term_oracle(excess, q):
+    x = 1 + Fraction(excess, q)
+    assert negative_continued_fraction(x) == _fraction_expansion(x)
+
+
+def test_continued_fraction_cap_is_inclusive():
+    assert negative_continued_fraction(1 + Fraction(1, TERMS_CAP)) == (2,) * TERMS_CAP
+    with pytest.raises(OutOfRange, match=f"more than {TERMS_CAP} terms"):
+        negative_continued_fraction(1 + Fraction(1, TERMS_CAP + 1))
+
+
+@pytest.mark.parametrize("r", [Fraction(10**400), Fraction(-1, 10**30), -Fraction(1, 10**5000)])
+def test_expand_rejects_an_expansion_past_the_cap(r):
+    # About 10**400, 10**30 and 10**5000 terms: each is counted, not built.
+    with pytest.raises(OutOfRange, match="more than"):
+        expand(LegendrianKnot(-1, 0), r)
 
 
 def test_expand_rejects_bad_coefficients():

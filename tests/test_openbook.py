@@ -93,16 +93,130 @@ def test_inverse_twists_cancel():
     assert homology_action(word, surface) == identity_int(3)
 
 
-def test_action_is_monoid_homomorphism():
-    surface = torus_like_surface()
-    rng = random.Random(11)
-    names = ["a", "b", "m", "bdry"]
-    for _ in range(20):
-        w1 = tuple((rng.choice(names), rng.choice("+-")) for _ in range(3))
-        w2 = tuple((rng.choice(names), rng.choice("+-")) for _ in range(3))
-        assert homology_action(w1 + w2, surface) == mat_mul_int(
-            homology_action(w1, surface), homology_action(w2, surface)
+def _product(a, b):
+    """a . b by the triple loop (test oracle)."""
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+@st.composite
+def pages(draw):
+    """A page with a small alphabet, and a word over it."""
+    genus = draw(st.integers(0, 2))
+    boundary_count = draw(st.integers(1, 3))
+    rank = 2 * genus + boundary_count - 1
+    entries = st.integers(-2, 2)
+    above = {(i, j): draw(entries) for i in range(rank) for j in range(i + 1, rank)}
+    pairing = tuple(
+        tuple(above[i, j] if i < j else -above[j, i] if i > j else 0 for j in range(rank))
+        for i in range(rank)
+    )
+    vectors = st.tuples(*[entries] * rank)
+    names = [f"c{i}" for i in range(draw(st.integers(1, 3)))]
+    curves = tuple((name, draw(vectors)) for name in names)
+    # Multiples of one class pair to zero with each other.
+    base = draw(vectors)
+    multiples = draw(st.lists(st.integers(-2, 2), max_size=boundary_count))
+    boundary_classes = tuple(tuple(m * x for x in base) for m in multiples)
+    surface = SurfaceModel(genus, boundary_count, pairing, curves, boundary_classes)
+    letters = st.tuples(st.sampled_from(names), st.sampled_from("+-"))
+    return surface, tuple(draw(st.lists(letters, max_size=8)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(pages(), st.integers(0, 8))
+def test_action_is_monoid_homomorphism(page, cut):
+    surface, word = page
+    w1, w2 = word[:cut], word[cut:]
+    assert homology_action(word, surface) == _product(
+        homology_action(w1, surface), homology_action(w2, surface)
+    )
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(pages(), st.sampled_from("+-"))
+def test_one_letter_acts_by_its_transvection(page, sign):
+    # T = I + s c (Omega c)^T, written out entry by entry.
+    surface, _ = page
+    omega, s = surface.pairing, 1 if sign == "+" else -1
+    rank = surface.h1_rank
+    for name, c in surface.curves:
+        omega_c = [sum(omega[j][k] * c[k] for k in range(rank)) for j in range(rank)]
+        expected = tuple(
+            tuple((i == j) + s * c[i] * omega_c[j] for j in range(rank))
+            for i in range(rank)
         )
+        assert homology_action(((name, sign),), surface) == expected
+
+
+LANTERN_NAMES = ("b1", "b2", "b3", "b4", "c12", "c13", "c23", "p1", "p2", "p3", "spare")
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.sampled_from(("LtoR", "RtoL")),
+    st.lists(st.tuples(st.sampled_from(LANTERN_NAMES), st.sampled_from("+-")), max_size=6),
+    st.integers(0, 10),
+)
+def test_lantern_round_trip_keeps_word_and_action(direction, rest, shift):
+    surface, config = lantern_ambient_model()
+    source = config.source(direction)
+    # Rotate source + rest so that the source window may wrap the end.
+    cyclic = source + tuple(rest)
+    shift %= len(cyclic)
+    word = cyclic[shift:] + cyclic[:shift]
+    at = (len(cyclic) - shift) % len(cyclic)
+    wrapped = at + len(source) > len(word)
+    rewritten = lantern_rewrite(word, config, at, direction, surface)
+    # A wrapped window is written at the start of the result: the round
+    # trip gives back the word rotated to begin at the window.
+    start = 0 if wrapped else at
+    reverse = "RtoL" if direction == "LtoR" else "LtoR"
+    back = lantern_rewrite(rewritten, config, start, reverse, surface)
+    expected = word[at:] + word[:at] if wrapped else word
+    assert back == expected
+    assert cyclic_words_equal(back, word)
+    assert homology_action(rewritten, surface) == homology_action(expected, surface)
+
+
+def _matrices(rows, cols, entries):
+    return st.lists(
+        st.lists(entries, min_size=cols, max_size=cols).map(tuple),
+        min_size=rows, max_size=rows,
+    ).map(tuple)
+
+
+@st.composite
+def products(draw):
+    """Factors a (n x k) and b (k x m), dense, sparse or zero; n or m may be 0."""
+    n, k, m = draw(st.integers(0, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    entries = draw(st.sampled_from((
+        st.integers(-10**6, 10**6),  # dense
+        st.sampled_from((0, 0, 0, 0, 1, -3)),  # sparse
+        st.just(0),
+    )))
+    return draw(_matrices(n, k, entries)), draw(_matrices(k, m, entries))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(products())
+@example((((1, 2), (3, 4)), ((0, 0), (0, 0))))
+@example(((), ((1, 2),)))
+def test_mat_mul_int_matches_the_triple_loop(factors):
+    a, b = factors
+    assert mat_mul_int(a, b) == _product(a, b)
+
+
+@pytest.mark.parametrize("a, b", [
+    (((1, 2),), ((1,),)),
+    (((1,), (2,)), ((1, 2), (3, 4))),
+    (((0, 0, 0),), ((0,), (0,))),
+])
+def test_mat_mul_int_rejects_a_dimension_mismatch(a, b):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mat_mul_int(a, b)
 
 
 def test_transvections_are_unimodular():
@@ -220,25 +334,8 @@ def test_giroux_stabilize_rejects_bad_class():
 def stabilizations(draw):
     """A page, a word over its alphabet, and the class of a curve that
     crosses the handle a stabilization adds."""
-    genus = draw(st.integers(0, 2))
-    boundary_count = draw(st.integers(1, 3))
-    rank = 2 * genus + boundary_count - 1
-    entries = st.integers(-2, 2)
-    above = {(i, j): draw(entries) for i in range(rank) for j in range(i + 1, rank)}
-    pairing = tuple(
-        tuple(above[i, j] if i < j else -above[j, i] if i > j else 0 for j in range(rank))
-        for i in range(rank)
-    )
-    vectors = st.tuples(*[entries] * rank)
-    names = [f"c{i}" for i in range(draw(st.integers(1, 3)))]
-    curves = tuple((name, draw(vectors)) for name in names)
-    # Multiples of one class pair to zero with each other.
-    base = draw(vectors)
-    multiples = draw(st.lists(st.integers(-2, 2), max_size=boundary_count))
-    boundary_classes = tuple(tuple(m * x for x in base) for m in multiples)
-    surface = SurfaceModel(genus, boundary_count, pairing, curves, boundary_classes)
-    letters = st.tuples(st.sampled_from(names), st.sampled_from("+-"))
-    word = tuple(draw(st.lists(letters, max_size=8)))
+    surface, word = draw(pages())
+    vectors = st.tuples(*[st.integers(-2, 2)] * surface.h1_rank)
     new_class = draw(vectors) + (draw(st.sampled_from((1, -1))),)
     return surface, word, new_class
 
@@ -275,6 +372,18 @@ def test_giroux_destabilize_requires_unique_positive_twist():
         giroux_destabilize(bigger, longer + (("core", "+"),), "core")
     with pytest.raises(InvalidStabilization):
         giroux_destabilize(bigger, (), "core")
+
+
+@pytest.mark.parametrize("drop_index", [5, -1])
+def test_giroux_destabilize_rejects_an_index_outside_the_class(drop_index):
+    annulus = SurfaceModel(
+        genus=0, boundary_count=2, pairing=((0,),),
+        curves=(("kappa", (1,)),), boundary_classes=((1,), (-1,)),
+    )
+    page, word = giroux_stabilize(annulus, (), "h", (0, 1))
+    assert page.h1_rank == 2
+    with pytest.raises(InvalidStabilization, match=f"at index {drop_index}"):
+        giroux_destabilize(page, word, "h", drop_index=drop_index)
 
 
 def test_cap_off_deletes_matching_twists():
