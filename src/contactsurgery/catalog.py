@@ -220,9 +220,6 @@ class Catalog:
     def names(self) -> list[str]:
         return sorted(self._entries)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 

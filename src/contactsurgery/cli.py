@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -22,6 +23,7 @@ from .errors import (
     InvalidCoefficient,
     NotRealizable,
     OutOfRange,
+    UnsupportedCoefficient,
 )
 from .expansion import expand
 from .homology import d3_invariant, homology_data, linking_matrix
@@ -44,6 +46,18 @@ _JSON = json.JSONEncoder(indent=2, sort_keys=True)
 # The most framings `ledger --window` renders; the window is built in memory.
 WINDOW_CAP = 10**6
 
+# The largest decimal exponent magnitude --coeff takes.  Past it every
+# coefficient would stop at the continued fraction's term cap, or run
+# unbounded building and expanding a number of more than a million digits.
+EXPONENT_CAP = 10**6
+
+# A decimal with an exponent, as Fraction reads it; group 1 is the exponent's
+# magnitude.  Other text goes to Fraction and its parse error.
+_DECIMAL_EXPONENT = re.compile(
+    r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?e[-+]?(\d+(?:_\d+)*)\s*",
+    re.IGNORECASE,
+)
+
 
 def _load_catalog(args) -> Catalog:
     if getattr(args, "catalog", None):
@@ -52,6 +66,11 @@ def _load_catalog(args) -> Catalog:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    match = _DECIMAL_EXPONENT.fullmatch(text)
+    digits = match[1].replace("_", "").lstrip("0") if match else ""
+    # Eight or more digits exceed the cap; they are not converted to an int.
+    if len(digits) > 7 or int(digits or 0) > EXPONENT_CAP:
+        raise OutOfRange(f"the decimal exponent's magnitude exceeds {EXPONENT_CAP}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -120,8 +139,8 @@ def _cmd_expand(args) -> int:
     knot = _legendrian(args, knot_type)
     try:
         presentations = expand(knot, _parse_fraction(args.coeff))
-    except OutOfRange as exc:
-        raise OutOfRange(f"--coeff {args.coeff}: {exc}") from None
+    except (OutOfRange, UnsupportedCoefficient) as exc:
+        raise type(exc)(f"--coeff {args.coeff}: {exc}") from None
     if args.json:
         print(_JSON.encode(
             {"presentations": [diagramio.presentation_to_dict(p) for p in presentations]}

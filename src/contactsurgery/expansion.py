@@ -211,9 +211,8 @@ def expand(knot: LegendrianKnot, r) -> tuple[ContactSurgeryPresentation, ...]:
     if r == 0:
         raise InvalidCoefficient("surgery coefficient 0 is not allowed")
     if 0 < r < 1:
-        raise UnsupportedCoefficient(
-            f"coefficients in (0, 1) are not supported, got {r}"
-        )
+        # r is not printed: its digits may exceed int-to-str's limit.
+        raise UnsupportedCoefficient("coefficients in (0, 1) are not supported")
     if r < 0:
         # The chain starts at a pushoff of the knot, which copies (tb, rot).
         return _chain_presentations(knot, 1 - r, prefix=())
@@ -284,9 +283,6 @@ class Slope:
     @property
     def is_infinite(self) -> bool:
         return self.denominator == 0
-
-    def value(self) -> Fraction | None:
-        return None if self.is_infinite else Fraction(self.numerator, self.denominator)
 
     def __str__(self) -> str:
         if self.is_infinite:

@@ -50,9 +50,9 @@ class LinkingMatrix:
         return linalg.chain_determinant(self.diagonal, self.linking)
 
     @cached_property
-    def factorization(self) -> linalg.PushoffChain | linalg.Elimination:
-        """The kernel `linalg.factorize` chooses for this matrix, run once."""
-        return linalg.factorize(self.diagonal, self.linking)
+    def factorization(self) -> linalg.PushoffChain:
+        """The O(n) chain kernel for this matrix, run once."""
+        return linalg.pushoff_chain(self.diagonal, self.linking)
 
 
 def linking_matrix(presentation: ContactSurgeryPresentation) -> LinkingMatrix:

@@ -5,8 +5,8 @@ matrices, the linking matrices of every surgery presentation, are given
 by their diagonal and linking tuples and have an O(n) kernel
 (`pushoff_chain`, `chain_determinant`) that never builds the n x n
 matrix; every other square integer matrix goes through one
-fraction-free elimination, `_eliminate`, which `factorize` falls back
-to and `det_int`, `signature_exact` and `solve_exact` expose.
+fraction-free elimination, `_eliminate`, which `det_int`,
+`signature_exact` and `solve_exact` expose.
 """
 
 from __future__ import annotations
@@ -17,53 +17,52 @@ from fractions import Fraction
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def _signature(minors) -> int:
-    """Jacobi's rule: the sum of sign(d * e) over neighbours d, e in a
-    nested chain of principal minors of a congruent matrix, 1 at one end."""
-    return sum((d * e > 0) - (d * e < 0) for d, e in zip(minors, minors[1:]))
-
-
 @dataclass(frozen=True)
 class PushoffChain:
     """A pushoff-chain matrix M in its tridiagonal form T = P^T M P.
 
     P is the unimodular basis change e_0 = x_0, e_j = x_j - x_{j-1}.
     `continuants[k]` is det T[k:, k:], so `continuants[0]` = det M and
-    `continuants[n]` = 1; the tail pivots of T are their ratios.
+    `continuants[n]` = 1.
     """
 
     diagonal: tuple[int, ...]
     off_diagonal: tuple[int, ...]  # T[k][k + 1]
     continuants: tuple[int, ...]
+    signature: int
 
     @property
     def determinant(self) -> int:
         return self.continuants[0]
 
-    @property
-    def signature(self) -> int:
-        return _signature(self.continuants)
-
     def solve(self, rhs) -> tuple[tuple[Fraction, ...], Fraction]:
         """The solution x of M x = rhs and x . rhs, exactly.
 
-        Runs the tail-first substitution on T w = P^T rhs with integer
-        numerators: z[k] is P_{k+1} times the substituted value and w[k] is
-        det T times w_k, an integer by Cramer's rule, so every division is
-        exact.  Then x_j = w_j - w_{j+1}.
+        Solves T w = P^T rhs = r by the adjugate of T, whose entry (k, j),
+        k <= j, is (-1)^(j-k) b_k ... b_{j-1} h_k P_{j+1} for the head
+        continuants h_k = det T[:k, :k].  So det * w_k = h_k s_k + P_{k+1} u_k
+        with s_k = P_{k+1} r_k - b_k s_{k+1} (backward) and
+        u_{k+1} = -b_k (h_k r_k + u_k) (forward, building h): integers, with
+        det the only divisor.  Then x_j = w_j - w_{j+1} and x . rhs = w . r.
         """
-        p, b = self.continuants, self.off_diagonal
-        det, n = p[0], len(self.diagonal)
+        a, p = self.diagonal, self.continuants
+        b = self.off_diagonal + (0,)
+        det = p[0]
         if det == 0:
             raise ZeroDivisionError("matrix is singular")
-        r = [rhs[j] - (rhs[j - 1] if j else 0) for j in range(n)]
-        z = [0] * n
-        for k in range(n - 1, -1, -1):
-            z[k] = p[k + 1] * r[k] - (b[k] * z[k + 1] if k + 1 < n else 0)
-        w = [0] * (n + 1)
-        for k in range(n):
-            w[k] = (det * z[k] - (b[k - 1] * p[k + 1] * w[k - 1] if k else 0)) // p[k]
-        solution = tuple(Fraction(w[j] - w[j + 1], det) for j in range(n))
+        r = [y - x for x, y in zip((0, *rhs), rhs)]
+        s, sk = [], 0
+        for pk, rk, bk in zip(p[:0:-1], reversed(r), reversed(b)):
+            sk = pk * rk - bk * sk
+            s.append(sk)
+        w = []
+        h, h_prev, u, b_prev = 1, 0, 0, 0  # h_k, h_{k-1}, u_k, b_{k-1}
+        for ak, bk, rk, sk, pk in zip(a, b, r, reversed(s), p[1:]):
+            w.append(h * sk + pk * u)
+            u = -bk * (h * rk + u)
+            h, h_prev, b_prev = ak * h - b_prev * b_prev * h_prev, h, bk
+        w.append(0)
+        solution = tuple(Fraction(x - y, det) for x, y in zip(w, w[1:]))
         return solution, Fraction(sum(wk * rk for wk, rk in zip(w, r)), det)
 
 
@@ -90,24 +89,32 @@ def chain_determinant(diagonal, linking) -> int:
     return p
 
 
-def pushoff_chain(diagonal, linking) -> PushoffChain | None:
+def pushoff_chain(diagonal, linking) -> PushoffChain:
     """Tridiagonal form of a pushoff-chain matrix, eliminated from the tail.
 
     A pushoff chain M has `diagonal` on its diagonal and
     M[i][j] = linking[min(i, j)] off it.  In the basis e_j = x_j - x_{j-1}
-    it is tridiagonal (see `_tail`), and the continuants give det and
-    signature in O(n) integer steps.  Returns None when a continuant other
-    than P_0 is zero: the generic elimination applies then.
+    it is tridiagonal (see `_tail`), and one pass of continuants gives det
+    and signature in O(n) integer steps.
+
+    The signature is Jacobi's rule, the sum of sign(Q_k Q_{k+1}), on the
+    continuants Q of T's irreducible blocks: the rule restarts with
+    Q_{k+1} = 1 at each b_k = 0.  Inside a block a zero Q_k has neighbours
+    of opposite sign, so its two zero terms add up to the right count; on
+    the global continuants a singular block would zero every term before it.
     """
     a, b, p = [], [], [0, 1]  # p: P_{n+1} = 0, P_n = 1, then P_{n-1}, ...
+    signature, q, q1 = 0, 1, 0  # q, q1: Q_{k+1}, Q_{k+2}
     for ak, bk in _tail(diagonal, linking):
         a.append(ak)
         b.append(bk)
-        p.append(ak * p[-1] - bk * bk * p[-2])
-    p = p[:0:-1]
-    if 0 in p[1:]:
-        return None
-    return PushoffChain(tuple(a[::-1]), tuple(b[:0:-1]), tuple(p))
+        bb = bk * bk
+        p.append(ak * p[-1] - bb * p[-2])
+        if not bk:
+            q = 1
+        q, q1 = ak * q - bb * q1, q
+        signature += (q * q1 > 0) - (q * q1 < 0)
+    return PushoffChain(tuple(a[::-1]), tuple(b[:0:-1]), tuple(p[:0:-1]), signature)
 
 
 def chain_entries(diagonal, linking) -> IntMatrix:
@@ -139,38 +146,6 @@ def mat_mul_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(product)
 
 
-@dataclass(frozen=True)
-class Elimination:
-    """The generic kernel's answers for a square integer matrix."""
-
-    matrix: IntMatrix
-    determinant: int
-    signature: int  # meaningful for a symmetric matrix only
-
-    def solve(self, rhs) -> tuple[tuple[Fraction, ...], Fraction]:
-        """The solution x of M x = rhs and x . rhs, exactly."""
-        _, det, numerators = _eliminate(self.matrix, rhs)
-        if det == 0:
-            raise ZeroDivisionError("matrix is singular")
-        dot = sum(x * r for x, r in zip(numerators, rhs))
-        return tuple(Fraction(x, det) for x in numerators), Fraction(dot, det)
-
-
-def eliminate(matrix) -> Elimination:
-    """The generic kernel on a square integer matrix."""
-    pivots, det, _ = _eliminate(matrix)
-    return Elimination(matrix, det, _signature(pivots))
-
-
-def factorize(diagonal, linking) -> PushoffChain | Elimination:
-    """The kernel for the pushoff chain with this diagonal and linking: the
-    O(n) `PushoffChain`, or the generic elimination of its entries when a
-    continuant below P_0 is zero.  Each gives determinant, signature and
-    solve(rhs) -> (x, x . rhs)."""
-    chain = pushoff_chain(diagonal, linking)
-    return eliminate(chain_entries(diagonal, linking)) if chain is None else chain
-
-
 def det_int(matrix) -> int:
     """Determinant of a square integer matrix, exact."""
     return _eliminate(matrix)[1]
@@ -181,12 +156,17 @@ def signature_exact(matrix) -> int:
     n = len(matrix)
     if any(matrix[i][j] != matrix[j][i] for i in range(n) for j in range(i)):
         raise ValueError("signature needs a symmetric matrix")
-    return eliminate(matrix).signature
+    pivots = _eliminate(matrix)[0]
+    # Jacobi's rule on the pivots, leading minors of a congruent matrix.
+    return sum((d * e > 0) - (d * e < 0) for d, e in zip(pivots, pivots[1:]))
 
 
 def solve_exact(matrix, rhs) -> tuple[Fraction, ...]:
     """Solve M x = rhs over the rationals; M must be square and invertible."""
-    return eliminate(matrix).solve(rhs)[0]
+    _, det, numerators = _eliminate(matrix, rhs)
+    if det == 0:
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(Fraction(x, det) for x in numerators)
 
 
 def _eliminate(matrix, rhs=None):

@@ -1,11 +1,11 @@
-"""The O(n) pushoff-chain kernel against the generic kernels it replaces.
+"""The O(n) pushoff-chain kernel against the generic elimination.
 
 `det_int`, `signature_exact` and `solve_exact`, the one-call entry points
 of the generic elimination, run on the materialized n x n entries, are
-the oracle: on every chain the kernel's det, signature, solution and c^2
-must equal theirs, and every chain the kernel declines must still get the
-generic answer.  On both kernels c^2 must equal x . rot, the check
-`SpinCEvaluation` no longer makes itself.
+the oracle: on every chain, zero continuants and zero off-diagonal
+entries included, the kernel's det, signature, solution and c^2 must
+equal theirs.  c^2 must equal x . rot, the check `SpinCEvaluation` does
+not make itself.
 """
 
 import tracemalloc
@@ -33,11 +33,9 @@ from contactsurgery.homology import (
 )
 from contactsurgery.legendrian import Framing, LegendrianKnot
 from contactsurgery.linalg import (
-    Elimination,
     PushoffChain,
     chain_entries,
     det_int,
-    eliminate,
     pushoff_chain,
     signature_exact,
     solve_exact,
@@ -66,7 +64,7 @@ coefficients = st.one_of(
 
 def zero_tail_presentation(knot):
     """+1 on the knot, then -1 on its unstabilized pushoff: T[1][1] = 0, so
-    P_1 = 0 and the chain kernel declines the matrix."""
+    P_1 = 0, the continuant the tail-first substitution would divide by."""
     return ContactSurgeryPresentation((
         Component(ROLE_PLUS_ONE, knot, 1),
         Component(ROLE_CHAIN, knot, -1),
@@ -112,13 +110,11 @@ def assert_solves(kernel, entries, rot):
 def assert_matches_generic(diagonal, linking, rot):
     chain = pushoff_chain(diagonal, linking)
     entries = chain_entries(diagonal, linking)
-    assert chain is not None
     assert chain.determinant == det_int(entries)
     assert chain.signature == signature_exact(entries)
     if chain.determinant:
-        solution, c_squared = assert_solves(chain, entries, rot)
+        solution, _ = assert_solves(chain, entries, rot)
         assert solution == solve_exact(entries, rot)
-        assert assert_solves(eliminate(entries), entries, rot) == (solution, c_squared)
 
 
 @SETTINGS
@@ -143,15 +139,24 @@ def test_kernel_matches_generic_on_presentations(presentation):
 
 @st.composite
 def chains(draw):
-    """Any integer pushoff chain: its diagonal, and M[i][j] = t_min(i, j) off it."""
+    """Any integer pushoff chain: its diagonal, and M[i][j] = t_min(i, j) off it.
+
+    Each t_k is drawn near d_k half the time, so that b_k = t_k - d_k = 0
+    and zero continuants are common.
+    """
     n = draw(st.integers(1, 8))
-    t = draw(st.lists(st.integers(-5, 5), min_size=n - 1, max_size=n - 1))
     d = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))
+    t = [draw(st.one_of(st.integers(-5, 5), st.integers(dk - 1, dk + 1))) for dk in d[:-1]]
     return tuple(d), tuple(t)
 
 
 @SETTINGS
 @given(chains(), st.lists(st.integers(-6, 6), min_size=8, max_size=8))
+# T = diag(3, 0): b_0 = 0 and P_1 = 0, so Jacobi's rule on the global
+# continuants (0, 0, 1) gives 0, not the signature 1.
+@example(((3, 3), (3,)), [0] * 8)
+# An interior zero continuant, P_1 = 0, with det = 1.
+@example(((-1, 0, 1), (0, 1)), [1, -2, 3, 0, 0, 0, 0, 0])
 def test_kernel_matches_generic_on_any_chain(chain, rhs):
     diagonal, linking = chain
     entries = chain_entries(diagonal, linking)
@@ -162,16 +167,9 @@ def test_kernel_matches_generic_on_any_chain(chain, rhs):
     rot = tuple(rhs[: len(entries)])
     matrix = LinkingMatrix(diagonal, linking)
     assert matrix.determinant() == det_int(entries)
-    if pushoff_chain(diagonal, linking) is None:
-        # A zero continuant below P_0: only the generic path answers.
-        assert isinstance(matrix.factorization, Elimination)
-        data = homology_data(matrix)
-        assert data.determinant == det_int(entries)
-        assert data.signature == signature_exact(entries)
-        if data.determinant:
-            assert_solves(matrix.factorization, entries, rot)
-    else:
-        assert_matches_generic(diagonal, linking, rot)
+    data = homology_data(matrix)
+    assert (data.determinant, data.signature) == (det_int(entries), signature_exact(entries))
+    assert_matches_generic(diagonal, linking, rot)
 
 
 def test_linking_needs_one_entry_fewer_than_diagonal():
@@ -185,7 +183,7 @@ def test_linking_needs_one_entry_fewer_than_diagonal():
 @SETTINGS
 @given(knots())
 @example(LegendrianKnot(-1, 0))
-def test_zero_tail_continuant_takes_the_generic_path(knot):
+def test_zero_tail_continuant_through_the_chain_kernel(knot):
     # An unstabilized pushoff of the +1 component: T[1][1] = 0, so P_1 = 0.
     # The -1 surgery on the pushoff cancels the +1 surgery, so d3 is that
     # of the standard S^3 for every knot.
@@ -193,7 +191,8 @@ def test_zero_tail_continuant_takes_the_generic_path(knot):
     matrix = linking_matrix(presentation)
     tb, rot = knot.tb, knot.rot
     assert matrix.entries == ((tb + 1, tb), (tb, tb - 1))
-    assert isinstance(matrix.factorization, Elimination)
+    assert isinstance(matrix.factorization, PushoffChain)
+    assert matrix.factorization.continuants[1] == 0
     assert homology_data(matrix).determinant == -1
     spin = spin_c_evaluation(presentation, matrix)
     assert spin.solution == solve_exact(matrix.entries, (rot, rot))
@@ -217,13 +216,11 @@ def test_kernel_on_the_hand_checked_matrix():
 @example(LegendrianKnot(-6, 5), 200)
 def test_d3_invariant_under_negative_stabilization(knot, n):
     # A3: surgery at one framing on K and on its negative stabilization
-    # present the same contact manifold.  The generic path would take
-    # about a minute per d3 at n = 200.
+    # present the same contact manifold.  The generic elimination would
+    # take about a minute per d3 at n = 200.
     assume(knot.tb + n != 0)
     stabilized = LegendrianKnot(knot.tb - 1, knot.rot - 1)
     framing = Framing(knot.tb + n)
-    matrix = linking_matrix(all_negative_presentation(knot, n))
-    assert isinstance(matrix.factorization, PushoffChain)
     assert d3_invariant(all_negative_presentation(knot, n)) == d3_invariant(
         presentation_for_framing(stabilized, framing)
     )

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -382,8 +383,18 @@ def test_cli_openbook_action_golden_output(capsys, flags, expected):
     assert capsys.readouterr().out == expected
 
 
-@pytest.mark.parametrize("coeff", ["1e400", "-1e-30"])
-def test_cli_expand_rejects_a_continued_fraction_past_the_cap(coeff):
+_TERMS_CAPPED = "the negative continued fraction has more than 1000000 terms"
+_EXPONENT_CAPPED = "the decimal exponent's magnitude exceeds 1000000"
+_CAPPED_COEFFICIENTS = {
+    "1e400": _TERMS_CAPPED,
+    "-1e-30": _TERMS_CAPPED,
+    "1e999999999": _EXPONENT_CAPPED,
+    "-1e-99999999": _EXPONENT_CAPPED,
+}
+
+
+@pytest.mark.parametrize("coeff", list(_CAPPED_COEFFICIENTS))
+def test_cli_expand_rejects_a_coefficient_past_a_cap(coeff):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     result = subprocess.run(
         [sys.executable, "-m", "contactsurgery.cli", "expand", "--tb", "-1", "--rot", "0",
@@ -393,8 +404,30 @@ def test_cli_expand_rejects_a_continued_fraction_past_the_cap(coeff):
     )
     assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr.startswith(f"input error: --coeff {coeff}: ")
-    assert "more than 1000000 terms" in result.stderr
+    assert result.stderr == f"input error: --coeff {coeff}: {_CAPPED_COEFFICIENTS[coeff]}\n"
+
+
+@pytest.mark.parametrize("coeff", ["1/2", "1e-5000", "1e-100000"])
+def test_cli_expand_names_an_unsupported_coefficient_by_its_text(capsys, coeff):
+    # 1e-5000 has a denominator past int-to-str's 4300-digit limit.
+    assert main(["expand", "--tb", "-1", "--rot", "0", f"--coeff={coeff}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: --coeff {coeff}: coefficients in (0, 1) are not supported\n"
+    )
+
+
+def test_decimal_exponent_cap_is_inclusive():
+    assert cli._parse_fraction("1e-1000000") == Fraction(1, 10**cli.EXPONENT_CAP)
+    assert cli._parse_fraction("2E+0000000000000003") == 2000
+    for text in ["1e1000001", "1e-1_000_001", " 3.5E99999999999999999 ", ".5e99999999"]:
+        with pytest.raises(errors.OutOfRange):
+            cli._parse_fraction(text)
+    # Text that is not a decimal keeps Fraction's parse error.
+    for text in ["1/3e99999999", "xe12345678", "1e_99999999", "1.e"]:
+        with pytest.raises(errors.InvalidCoefficient):
+            cli._parse_fraction(text)
 
 
 def test_cli_selftest(capsys):
@@ -489,10 +522,9 @@ def test_cli_maps_each_error_to_its_exit_code(monkeypatch, capsys, error, code, 
     assert capsys.readouterr().err == f"{prefix}: {error}\n"
 
 
-def test_cli_golden_output_through_the_generic_kernel(tmp_path, capsys):
-    # +1 on the unknot, then -1 on its unstabilized pushoff: the chain
-    # kernel declines the matrix (P_1 = 0) and the generic elimination
-    # answers.
+def test_cli_golden_output_of_a_zero_tail_chain(tmp_path, capsys):
+    # +1 on the unknot, then -1 on its unstabilized pushoff: the continuant
+    # P_1 is zero, and the chain kernel answers without dividing by it.
     path = tmp_path / "cancel.json"
     path.write_text(json.dumps({"components": [
         {"tb": -1, "rot": 0, "coeff": "+1"},

@@ -225,8 +225,8 @@ def test_normalize_slope_values():
     assert str(normalize_slope(1)) == "-inf"
     for n in range(2, 11):
         slope = normalize_slope(n)
-        assert slope.value() == Fraction(-n, n - 1)
-        assert slope.value() <= -1
+        assert Fraction(slope.numerator, slope.denominator) == Fraction(-n, n - 1)
+        assert Fraction(slope.numerator, slope.denominator) <= -1
 
 
 def test_gluing_pullback():
