@@ -35,13 +35,23 @@ _KNOWN_FLAGS = frozenset(
 )
 
 
-def read_text(path: str) -> str:
-    """The UTF-8 text of a file; an unreadable file is a format error."""
+def read_json(path: str):
+    """The JSON value in a UTF-8 file.  An unreadable file, malformed JSON, an
+    integer past Python's int-to-str digit limit and nesting past the
+    recursion limit are format errors naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DiagramFormatError(
+            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise DiagramFormatError(f"{path}: cannot read the file: {exc}") from exc
+    except ValueError as exc:
+        raise DiagramFormatError(f"{path}: an integer has too many digits") from exc
+    except RecursionError as exc:
+        raise DiagramFormatError(f"{path}: the JSON nests too deeply") from exc
 
 
 @dataclass(frozen=True)
@@ -248,10 +258,7 @@ class Catalog:
 
     @classmethod
     def from_json(cls, path: str) -> "Catalog":
-        try:
-            records = json.loads(read_text(path))
-        except json.JSONDecodeError as exc:
-            raise DiagramFormatError(f"catalog {path}: {exc}") from exc
+        records = read_json(path)
         if not isinstance(records, list):
             raise DiagramFormatError(f"catalog {path}: top level must be a list")
         return cls.from_records(records)

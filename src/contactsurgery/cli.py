@@ -51,6 +51,16 @@ WINDOW_CAP = 10**6
 # unbounded building and expanding a number of more than a million digits.
 EXPONENT_CAP = 10**6
 
+# The most decimal digits --coeff text may carry, under Python's 4,300-digit
+# int-to-str limit, so no digit string reaches Fraction's own error.  The cap
+# is on the text, not on the reduced fraction.  In lowest terms, 2,000 digits
+# in the numerator or denominator already mean more than 10**6 continued
+# fraction terms or more than 2**300 presentations.
+DIGITS_CAP = 4000
+
+# How much of an unparsed --coeff text a message quotes.
+_QUOTE_CAP = 40
+
 # A decimal with an exponent, as Fraction reads it; group 1 is the exponent's
 # magnitude.  Other text goes to Fraction and its parse error.
 _DECIMAL_EXPONENT = re.compile(
@@ -65,7 +75,14 @@ def _load_catalog(args) -> Catalog:
     return Catalog.builtin()
 
 
+def _quote(text: str) -> str:
+    """The start of an argument, for a message."""
+    return text if len(text) <= _QUOTE_CAP else text[:_QUOTE_CAP] + "..."
+
+
 def _parse_fraction(text: str) -> Fraction:
+    if sum(map(str.isdecimal, text)) > DIGITS_CAP:
+        raise OutOfRange(f"the coefficient has more than {DIGITS_CAP} digits")
     match = _DECIMAL_EXPONENT.fullmatch(text)
     digits = match[1].replace("_", "").lstrip("0") if match else ""
     # Eight or more digits exceed the cap; they are not converted to an int.
@@ -74,7 +91,7 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidCoefficient(f"cannot parse coefficient {text!r}") from exc
+        raise InvalidCoefficient(f"cannot parse coefficient {_quote(text)!r}") from exc
 
 
 def _self_linking(text: str) -> int:
@@ -140,7 +157,7 @@ def _cmd_expand(args) -> int:
     try:
         presentations = expand(knot, _parse_fraction(args.coeff))
     except (OutOfRange, UnsupportedCoefficient) as exc:
-        raise type(exc)(f"--coeff {args.coeff}: {exc}") from None
+        raise type(exc)(f"--coeff {_quote(args.coeff)}: {exc}") from None
     if args.json:
         print(_JSON.encode(
             {"presentations": [diagramio.presentation_to_dict(p) for p in presentations]}

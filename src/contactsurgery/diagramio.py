@@ -2,7 +2,9 @@
 
 Diagram schema: a top-level object with "components", each component an
 object {"tb": int, "rot": int, "coeff": "+1"|"-1", "role": str,
-"stab_signs": [str, ...]}; stab_signs is optional on input.  Every
+"stab_signs": [str, ...]}; role and stab_signs are optional on input, and
+a role must be the one its coeff gives: "originalPlusOne" for +1,
+"chainLink" for -1.  Every
 component has tb + rot odd, and each one after the first is a pushoff of
 its predecessor stabilized by its stab_signs.  Stabilizations commute, so
 stab_signs is read as a multiset (a component stores the two counts) and
@@ -13,32 +15,13 @@ boundary, pairing, boundary_classes}, "alphabet": {name: class vector},
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
-from .catalog import read_text
+from .catalog import read_json
 from .errors import DiagramFormatError, InvalidCoefficient
-from .expansion import (
-    Component,
-    ContactSurgeryPresentation,
-    ROLE_CHAIN,
-    ROLE_PLUS_ONE,
-)
+from .expansion import Component, ContactSurgeryPresentation
 from .legendrian import LegendrianKnot, stabilize_many
 from .openbook import SurfaceModel, word as make_word
-
-
-def _load_json(text: str, source: str) -> Any:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DiagramFormatError(
-            f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-
-
-def _read_json_file(path: str) -> Any:
-    return _load_json(read_text(path), path)
 
 
 def _require(mapping: dict, key: str, kind, path: str):
@@ -81,11 +64,9 @@ def presentation_from_dict(data: Any, source: str = "diagram") -> ContactSurgery
         tb = _require(raw, "tb", int, path)
         rot = _require(raw, "rot", int, path)
         coeff = parse_coefficient(raw.get("coeff"), f"{path}.coeff")
-        role = raw.get("role", ROLE_PLUS_ONE if coeff == 1 else ROLE_CHAIN)
         signs = raw.get("stab_signs", [])
         if not isinstance(signs, list) or any(s not in ("+", "-") for s in signs):
             raise DiagramFormatError(f"{path}.stab_signs: entries must be '+' or '-'")
-        signs = tuple(signs)
         if (tb + rot) % 2 == 0:
             raise DiagramFormatError(
                 f"{path}: tb + rot = {tb + rot} is even; a Legendrian knot in "
@@ -98,15 +79,15 @@ def presentation_from_dict(data: Any, source: str = "diagram") -> ContactSurgery
                 raise DiagramFormatError(
                     f"{path}: (tb, rot) = ({tb}, {rot}) is not the previous "
                     f"component ({prev.tb}, {prev.rot}) stabilized by "
-                    f"stab_signs {list(signs)}, which gives "
+                    f"stab_signs {signs}, which gives "
                     f"({expected.tb}, {expected.rot})"
                 )
-        try:
-            components.append(
-                Component(role, LegendrianKnot(tb, rot), coeff, stab_signs=signs)
+        component = Component(LegendrianKnot(tb, rot), coeff, signs.count("-"), signs.count("+"))
+        if raw.get("role", component.role) != component.role:
+            raise DiagramFormatError(
+                f"{path}.role: a {coeff:+d} component has role {component.role!r}"
             )
-        except ValueError as exc:
-            raise DiagramFormatError(f"{path}: {exc}") from exc
+        components.append(component)
     try:
         return ContactSurgeryPresentation(
             tuple(components), overtwisted=bool(data.get("overtwisted", False))
@@ -116,7 +97,7 @@ def presentation_from_dict(data: Any, source: str = "diagram") -> ContactSurgery
 
 
 def parse_diagram_file(path: str) -> ContactSurgeryPresentation:
-    return presentation_from_dict(_read_json_file(path), path)
+    return presentation_from_dict(read_json(path), path)
 
 
 def presentation_to_dict(presentation: ContactSurgeryPresentation) -> dict:
@@ -177,7 +158,7 @@ def open_book_from_dict(data: Any, source: str = "openbook") -> tuple[SurfaceMod
 
 
 def parse_open_book_file(path: str) -> tuple[SurfaceModel, tuple]:
-    return open_book_from_dict(_read_json_file(path), path)
+    return open_book_from_dict(read_json(path), path)
 
 
 def open_book_to_dict(surface: SurfaceModel, letters) -> dict:
@@ -195,7 +176,7 @@ def open_book_to_dict(surface: SurfaceModel, letters) -> dict:
 
 def facts_from_file(path: str) -> list[dict]:
     """Ledger fact records: a list of {offset, status, rule} objects."""
-    data = _read_json_file(path)
+    data = read_json(path)
     if not isinstance(data, list):
         raise DiagramFormatError(f"{path}: top level must be a list")
     records = []

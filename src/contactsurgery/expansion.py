@@ -80,50 +80,30 @@ def evaluate_continued_fraction(terms) -> Fraction:
     return value
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Component:
     """One link component of a surgery presentation.
 
     Stabilizations commute, so a component stores how many of each sign it
-    carries.  The constructor also takes them as a sign sequence,
-    `stab_signs`, whose order is forgotten.
+    carries.  Its role follows from the coefficient: the one +1 is on the
+    original knot, and every -1 is a chain link.
     """
 
-    role: str
     legendrian: LegendrianKnot
     coefficient: int
     negative_stabs: int = 0
     positive_stabs: int = 0
 
-    def __init__(
-        self,
-        role: str,
-        legendrian: LegendrianKnot,
-        coefficient: int,
-        stab_signs=(),
-        *,
-        negative_stabs: int = 0,
-        positive_stabs: int = 0,
-    ) -> None:
-        if role not in (ROLE_PLUS_ONE, ROLE_CHAIN):
-            raise ValueError(f"unknown component role {role!r}")
-        if coefficient not in (1, -1):
+    def __post_init__(self) -> None:
+        if self.coefficient not in (1, -1):
             raise ValueError("contact coefficient must be +1 or -1")
-        if stab_signs:
-            if negative_stabs or positive_stabs:
-                raise ValueError("give stab_signs or the stabilization counts, not both")
-            negative_stabs = stab_signs.count(NEGATIVE)
-            positive_stabs = stab_signs.count(POSITIVE)
-            if negative_stabs + positive_stabs != len(stab_signs):
-                raise ValueError(f"stabilization signs must be '+' or '-', got {stab_signs!r}")
-        if negative_stabs < 0 or positive_stabs < 0:
+        if self.negative_stabs < 0 or self.positive_stabs < 0:
             raise ValueError("stabilization counts must be non-negative")
-        setter = object.__setattr__
-        setter(self, "role", role)
-        setter(self, "legendrian", legendrian)
-        setter(self, "coefficient", coefficient)
-        setter(self, "negative_stabs", negative_stabs)
-        setter(self, "positive_stabs", positive_stabs)
+
+    @property
+    def role(self) -> str:
+        """ROLE_PLUS_ONE for the +1 coefficient, ROLE_CHAIN for -1."""
+        return ROLE_PLUS_ONE if self.coefficient == 1 else ROLE_CHAIN
 
     @property
     def stab_signs(self) -> tuple[str, ...]:
@@ -148,11 +128,6 @@ class ContactSurgeryPresentation:
             raise ValueError("at most one +1 component is allowed")
         if plus_ones and plus_ones[0] != 0:
             raise ValueError("the +1 component must precede the chain")
-        for i, comp in enumerate(self.components):
-            if comp.coefficient == 1 and comp.role != ROLE_PLUS_ONE:
-                raise ValueError(f"components[{i}]: +1 coefficient on a chain link")
-            if comp.coefficient == -1 and comp.role != ROLE_CHAIN:
-                raise ValueError(f"components[{i}]: chain links carry -1")
 
     def tb_rot_profile(self) -> tuple[tuple[int, int], ...]:
         return tuple((c.legendrian.tb, c.legendrian.rot) for c in self.components)
@@ -190,9 +165,7 @@ def _chain_presentations(
                 # no list is shared, and a level with one choice (a = 2)
                 # copies nothing, so a long chain such as r = -1/N stays O(links).
                 extended = links if plus == k else links.copy()
-                extended.append(Component(
-                    ROLE_CHAIN, knot, -1, negative_stabs=k - plus, positive_stabs=plus
-                ))
+                extended.append(Component(knot, -1, k - plus, plus))
                 grown.append((extended, knot))
         chains = grown
     return tuple(ContactSurgeryPresentation(tuple(links)) for links, _ in chains)
@@ -216,7 +189,7 @@ def expand(knot: LegendrianKnot, r) -> tuple[ContactSurgeryPresentation, ...]:
     if r < 0:
         # The chain starts at a pushoff of the knot, which copies (tb, rot).
         return _chain_presentations(knot, 1 - r, prefix=())
-    plus_one = Component(ROLE_PLUS_ONE, knot, 1)
+    plus_one = Component(knot, 1)
     if r == 1:
         return (ContactSurgeryPresentation((plus_one,)),)
     residual = Fraction(r.numerator, r.denominator - r.numerator)
@@ -234,14 +207,14 @@ def all_negative_presentation(
     _require_realizable(knot)
     if n < 1:
         raise InvalidCoefficient(f"integer coefficient must be >= 1, got {n}")
-    components = [Component(ROLE_PLUS_ONE, knot, 1)]
+    components = [Component(knot, 1)]
     if n > 1:
         # One stabilized pushoff, then unstabilized parallel copies of it,
         # matching the chain produced by expand(knot, n).
         stabilized = stabilize_many(knot, (NEGATIVE,))
-        components.append(Component(ROLE_CHAIN, stabilized, -1, negative_stabs=1))
+        components.append(Component(stabilized, -1, 1))
         for _ in range(n - 2):
-            components.append(Component(ROLE_CHAIN, stabilized, -1))
+            components.append(Component(stabilized, -1))
     return ContactSurgeryPresentation(tuple(components))
 
 

@@ -259,19 +259,18 @@ def lantern_rewrite(
     config: LanternConfiguration,
     at: int,
     direction: str,
-    surface: SurfaceModel | None = None,
+    surface: SurfaceModel,
 ):
     """Replace one side of the lantern relation by the other at a position.
 
     The source pattern must match the word letterwise starting at index
     `at`; since monodromy words are cyclic, the window may wrap past the
-    end, in which case the result is anchored at the window start.  When
-    a surface is supplied the configuration is validated against it, so
-    the rewrite preserves the homology action.
+    end, in which case the result is anchored at the window start.  The
+    configuration is validated against the surface, so the rewrite
+    preserves the homology action.
     """
     letters = tuple(letters)
-    if surface is not None:
-        config.validate(surface)
+    config.validate(surface)
     pattern = config.source(direction)
     n = len(letters)
     if not 0 <= at < n or len(pattern) > n:

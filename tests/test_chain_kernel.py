@@ -18,8 +18,6 @@ from hypothesis import strategies as st
 from contactsurgery.expansion import (
     ContactSurgeryPresentation,
     Component,
-    ROLE_CHAIN,
-    ROLE_PLUS_ONE,
     all_negative_presentation,
     expand,
     presentation_for_framing,
@@ -66,8 +64,8 @@ def zero_tail_presentation(knot):
     """+1 on the knot, then -1 on its unstabilized pushoff: T[1][1] = 0, so
     P_1 = 0, the continuant the tail-first substitution would divide by."""
     return ContactSurgeryPresentation((
-        Component(ROLE_PLUS_ONE, knot, 1),
-        Component(ROLE_CHAIN, knot, -1),
+        Component(knot, 1),
+        Component(knot, -1),
     ))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -265,7 +266,7 @@ def coefficients(draw, max_count=500):
 def reference_expansion(knot: LegendrianKnot, r: Fraction):
     """expand by brute force: itertools.product over the stabilization
     choices, each sign folded through stabilize one at a time."""
-    head = () if r < 0 else (Component(ROLE_PLUS_ONE, knot, 1),)
+    head = () if r < 0 else (Component(knot, 1),)
     if r == 1:
         return (ContactSurgeryPresentation(head),)
     counts = [a - 2 for a in chain_terms(r)]
@@ -276,7 +277,7 @@ def reference_expansion(knot: LegendrianKnot, r: Fraction):
             signs = ("-",) * (k - plus) + ("+",) * plus
             for sign in signs:
                 current = stabilize(current, sign)
-            chain.append(Component(ROLE_CHAIN, current, -1, stab_signs=signs))
+            chain.append(Component(current, -1, k - plus, plus))
         presentations.append(ContactSurgeryPresentation(head + tuple(chain)))
     return tuple(presentations)
 
@@ -314,9 +315,7 @@ def test_expand_is_linear_in_its_output(monkeypatch):
     assert len(presentations) == 2000
     for p, presentation in enumerate(presentations):
         assert presentation.tb_rot_profile() == ((-2002, -1999 + 2 * p),)
-    all_negative = Component(
-        ROLE_CHAIN, fold_stabilize(knot, "-" * 1999), -1, stab_signs=("-",) * 1999
-    )
+    all_negative = Component(fold_stabilize(knot, "-" * 1999), -1, 1999)
     assert presentations[0] == ContactSurgeryPresentation((all_negative,))
 
 
@@ -361,22 +360,38 @@ def test_expand_stores_stabilizations_as_counts():
 
 def test_stabilization_signs_are_a_multiset():
     knot = LegendrianKnot(-5, 0)
-    mixed = Component(ROLE_CHAIN, knot, -1, stab_signs=("+", "-"))
-    ordered = Component(ROLE_CHAIN, knot, -1, stab_signs=("-", "+"))
-    counted = Component(ROLE_CHAIN, knot, -1, negative_stabs=1, positive_stabs=1)
-    assert mixed == ordered == counted
-    assert hash(mixed) == hash(ordered) == hash(counted)
-    assert mixed.stab_signs == ordered.stab_signs == ("-", "+")
-    assert Component(ROLE_CHAIN, knot, -1).stab_signs == ()
-    assert mixed != Component(ROLE_CHAIN, knot, -1, stab_signs=("-", "-"))
+    counted = Component(knot, -1, negative_stabs=1, positive_stabs=1)
+    assert counted == Component(knot, -1, 1, 1)
+    assert hash(counted) == hash(Component(knot, -1, 1, 1))
+    assert counted.stab_signs == ("-", "+")
+    assert Component(knot, -1).stab_signs == ()
+    assert counted != Component(knot, -1, 2)
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"stab_signs": ("-", "x")},
-    {"stab_signs": ("-",), "negative_stabs": 1},
     {"negative_stabs": -1},
     {"positive_stabs": -2},
 ])
 def test_component_rejects_bad_stabilizations(kwargs):
     with pytest.raises(ValueError):
-        Component(ROLE_CHAIN, LegendrianKnot(-5, 0), -1, **kwargs)
+        Component(LegendrianKnot(-5, 0), -1, **kwargs)
+
+
+def test_component_role_follows_its_coefficient():
+    knot = LegendrianKnot(-5, 0)
+    assert [f.name for f in dataclasses.fields(Component)] == [
+        "legendrian", "coefficient", "negative_stabs", "positive_stabs"]
+    assert Component(knot, 1).role == ROLE_PLUS_ONE
+    assert Component(knot, -1).role == ROLE_CHAIN
+    with pytest.raises(ValueError, match="must be \\+1 or -1"):
+        Component(knot, 0)
+
+
+@pytest.mark.parametrize("coefficients, message", [
+    ((1, 1), "at most one \\+1 component is allowed"),
+    ((-1, 1), "the \\+1 component must precede the chain"),
+])
+def test_presentation_rejects_a_misplaced_plus_one(coefficients, message):
+    knot = LegendrianKnot(-5, 0)
+    with pytest.raises(ValueError, match=message):
+        ContactSurgeryPresentation(tuple(Component(knot, c) for c in coefficients))

@@ -275,6 +275,10 @@ def test_lantern_configuration_validation_rejects_bad_classes():
     bad = replace(config, one_two="fake")
     with pytest.raises(ValueError):
         bad.validate(broken)
+    # The rewrite validates too, though the word matches the pattern.
+    word = (("fake", "-"), ("b1", "+"), ("b2", "+"), ("b3", "+"))
+    with pytest.raises(ValueError, match="lantern homology relation 12 = 1 \\+ 2 fails"):
+        lantern_rewrite(word, bad, 0, "LtoR", broken)
 
 
 def test_giroux_stabilize_disk_to_annulus():
