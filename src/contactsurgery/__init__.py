@@ -19,21 +19,16 @@ from .errors import ContactSurgeryError
 from .expansion import (
     Component,
     ContactSurgeryPresentation,
-    Slope,
     all_negative_presentation,
     evaluate_continued_fraction,
     expand,
     negative_continued_fraction,
-    normalize_slope,
     presentation_for_framing,
 )
 from .homology import (
     HomologyData,
     LinkingMatrix,
     SpinCEvaluation,
-    adjunction_congruence,
-    basis_change_check,
-    cap_class_evaluation,
     d3_invariant,
     homology_data,
     linking_matrix,
@@ -56,12 +51,10 @@ from .legendrian import (
     stabilize,
 )
 from .openbook import (
-    BindingVerdict,
     InvariantStatus,
     LanternConfiguration,
     SurfaceModel,
     attach_surgery_twists,
-    binding_vanishing_rule,
     cap_off,
     cyclic_words_equal,
     free_reduce,

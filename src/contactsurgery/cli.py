@@ -94,6 +94,20 @@ def _parse_fraction(text: str) -> Fraction:
         raise InvalidCoefficient(f"cannot parse coefficient {_quote(text)!r}") from exc
 
 
+def _check_printable(values) -> None:
+    """Refuse a result with an integer that str() cannot render under
+    Python's int-to-str limit, before the verb writes anything.  Python
+    3.10.0 - 3.10.6 have no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        bound = 10**limit
+        if any(abs(value) >= bound for value in values):
+            raise ContactSurgeryError(
+                f"the result has an integer of more than {limit} digits, past "
+                "Python's int-to-str limit (sys.set_int_max_str_digits)"
+            )
+
+
 def _self_linking(text: str) -> int:
     """The argparse type of --sl: an odd integer, as self-linking numbers of
     knots in the 3-sphere are."""
@@ -158,6 +172,12 @@ def _cmd_expand(args) -> int:
         presentations = expand(knot, _parse_fraction(args.coeff))
     except (OutOfRange, UnsupportedCoefficient) as exc:
         raise type(exc)(f"--coeff {_quote(args.coeff)}: {exc}") from None
+    _check_printable(
+        value
+        for presentation in presentations
+        for comp in presentation.components
+        for value in (comp.legendrian.tb, comp.legendrian.rot)
+    )
     if args.json:
         print(_JSON.encode(
             {"presentations": [diagramio.presentation_to_dict(p) for p in presentations]}
@@ -178,6 +198,7 @@ def _cmd_expand(args) -> int:
 def _cmd_homology(args) -> int:
     presentation = diagramio.parse_diagram_file(args.file)
     data = homology_data(linking_matrix(presentation))
+    _check_printable((data.determinant, data.signature, data.euler_characteristic))
     if args.json:
         print(_JSON.encode({
             "determinant": data.determinant,
@@ -195,14 +216,16 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_d3(args) -> int:
-    presentation = diagramio.parse_diagram_file(args.file)
-    print(d3_invariant(presentation))
+    d3 = d3_invariant(diagramio.parse_diagram_file(args.file))
+    _check_printable((d3.numerator, d3.denominator))
+    print(d3)
     return 0
 
 
 def _cmd_classify(args) -> int:
     knot = _load_catalog(args).lookup(args.knot)
     report = tight_surgery_ranges(knot)
+    _check_printable([rng.anchor for rng in report.ranges] + [report.sl_tb_gap or 0])
     if args.json:
         print(_JSON.encode({
             "knot": knot.name,
@@ -282,18 +305,21 @@ def _cmd_openbook(args) -> int:
             surface, letters = cap_off(surface, letters, args.cap)
         except DiagramFormatError as exc:
             raise DiagramFormatError(f"--cap {args.cap}: {args.file}.surface.{exc}") from exc
+    action = homology_action(letters, surface) if args.action else ()
+    # A capped page's classes are computed too, and --json prints them.
+    classes = (*surface.boundary_classes, *(c for _, c in surface.curves)) if args.json else ()
+    _check_printable(x for rows in (action, classes) for row in rows for x in row)
     if args.json:
         payload = diagramio.open_book_to_dict(surface, letters)
         if args.action:
-            payload["action"] = [list(row) for row in homology_action(letters, surface)]
+            payload["action"] = [list(row) for row in action]
         print(_JSON.encode(payload))
         return 0
     print(f"genus {surface.genus}, boundary components {surface.boundary_count}, "
           f"H1 rank {surface.h1_rank}")
     print("word: " + (" ".join(f"{name}{sign}" for name, sign in letters) or "identity"))
-    if args.action:
-        for row in homology_action(letters, surface):
-            print(" ".join(f"{x:4d}" for x in row))
+    for row in action:
+        print(" ".join(f"{x:4d}" for x in row))
     return 0
 
 

@@ -10,7 +10,6 @@ whole set of presentations, all-negative choice first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -235,72 +234,3 @@ def presentation_for_framing(
     stabilized = stabilize_many(knot, (NEGATIVE,) * drop)
     base = all_negative_presentation(stabilized, 1)
     return ContactSurgeryPresentation(base.components, overtwisted=True)
-
-
-@dataclass(frozen=True)
-class Slope:
-    """Boundary slope of a convex torus, reduced, with -infinity allowed."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self) -> None:
-        if self.denominator < 0:
-            raise ValueError("denominator must be non-negative")
-        if self.denominator == 0:
-            if abs(self.numerator) != 1:
-                raise ValueError("infinite slope stores numerator +1 or -1")
-        elif math.gcd(abs(self.numerator), self.denominator) != 1:
-            raise ValueError("slope must be in lowest terms")
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.denominator == 0
-
-    def __str__(self) -> str:
-        if self.is_infinite:
-            return "-inf" if self.numerator < 0 else "+inf"
-        return f"{self.numerator}/{self.denominator}"
-
-
-def _twist(num: int, den: int, h: int) -> tuple[int, int]:
-    # Slope change under h meridional twists of the solid torus.
-    new_num, new_den = num, den + num * h
-    if new_den < 0:
-        new_num, new_den = -new_num, -new_den
-    g = math.gcd(abs(new_num), abs(new_den))
-    if g:
-        new_num //= g
-        new_den //= g
-    return new_num, new_den
-
-
-def normalize_slope(n: int) -> Slope:
-    """Normalize the integer slope n into (-infinity, -1], giving -n/(n-1).
-
-    For n = 1 the normalized slope is -infinity, encoded as -1/0.
-    """
-    if n < 1:
-        raise ValueError(f"slope normalization expects n >= 1, got {n}")
-    for h in range(0, -4, -1):
-        num, den = _twist(n, 1, h)
-        if den == 0:
-            # The -infinity end of the normalization range (n = 1 case).
-            return Slope(-1, 0)
-        if Fraction(num, den) <= -1:
-            return Slope(num, den)
-    raise AssertionError("slope normalization did not terminate")
-
-
-def gluing_pullback(n: int) -> tuple[int, int]:
-    """Pull the meridional direction (0, 1) back through the surgery gluing.
-
-    The gluing matrix is ((n, -1), (1, 0)); the pullback of (0, 1) is
-    (1, n), the dividing-set direction on the solid torus boundary.
-    """
-    a, b, c, d = n, -1, 1, 0
-    det = a * d - b * c
-    if det != 1:
-        raise AssertionError("gluing matrix must have determinant 1")
-    # Inverse of ((a, b), (c, d)) applied to the column (0, 1).
-    return (-b, a)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 from . import linalg
 from .errors import NotRationalHomologySphere
@@ -130,78 +129,3 @@ def d3_invariant(presentation: ContactSurgeryPresentation) -> Fraction:
         Fraction(spin.c_squared - 3 * data.signature - 2 * data.euler_characteristic, 4)
         + q
     )
-
-
-def cap_class_evaluation(rot: int, n: int) -> int:
-    """Chern-class value on the capped surface class: rot + n - 1."""
-    if n < 1:
-        raise ValueError(f"surgery parameter n must be >= 1, got {n}")
-    return rot + n - 1
-
-
-def cap_class_evaluations(
-    n: int, c1_beta: int, c1_x
-) -> tuple[list[int], int]:
-    """Evaluate c1 on the basis-change classes e_i and on the capped class.
-
-    Works in the rank-n lattice with basis (beta, x_1, ..., x_{n-1});
-    e_1 = beta - x_1 and e_{i+1} = e_i + x_i - x_{i+1}.  Returns the list
-    of values on the e_i together with the value on beta + sum(e_i).
-    Evaluations are computed from explicit coordinate vectors, not from
-    the closed form.
-    """
-    if n < 2:
-        raise ValueError("the basis change needs n >= 2")
-    c1_x = list(c1_x)
-    if len(c1_x) != n - 1:
-        raise ValueError(f"expected {n - 1} values on the x classes")
-
-    def basis_vector(i):
-        vec = [0] * n
-        vec[i] = 1
-        return vec
-
-    beta = basis_vector(0)
-    xs = [basis_vector(i) for i in range(1, n)]
-    e_classes = [[b - x for b, x in zip(beta, xs[0])]]
-    for i in range(1, n - 1):
-        step = [xi - xj for xi, xj in zip(xs[i - 1], xs[i])]
-        e_classes.append([e + s for e, s in zip(e_classes[-1], step)])
-    values = [c1_beta] + c1_x
-
-    def evaluate(vec):
-        return sum(v * c for v, c in zip(vec, values))
-
-    capped = list(beta)
-    for e in e_classes:
-        capped = [a + b for a, b in zip(capped, e)]
-    return [evaluate(e) for e in e_classes], evaluate(capped)
-
-
-def basis_change_check(n: int, rot: int) -> bool:
-    """Check that c1 evaluates to 1 on every e_i and to rot + n - 1 on the
-    capped class, with the standard values rot on beta and rot - 1 on x_i."""
-    e_values, total = cap_class_evaluations(n, rot, [rot - 1] * (n - 1))
-    return all(v == 1 for v in e_values) and total == cap_class_evaluation(rot, n)
-
-
-class AdjunctionReport(NamedTuple):
-    residue: int
-    min_abs: int
-    vanishes: bool
-
-
-def adjunction_congruence(genus: int, cap_value: int) -> AdjunctionReport:
-    """Congruence constraint mod 4*genus forced by the capped class.
-
-    The Chern numbers on the zero-surgery generator lie in the residue
-    class of cap_value + 2*genus mod 4*genus; when every representative
-    has absolute value >= 2*genus the adjunction bound kills the group
-    and the comparison map is an isomorphism (vanishes = True).
-    """
-    if genus < 1:
-        raise ValueError(f"genus must be >= 1, got {genus}")
-    modulus = 4 * genus
-    residue = (cap_value + 2 * genus) % modulus
-    min_abs = min(abs(residue), abs(residue - modulus))
-    return AdjunctionReport(residue, min_abs, min_abs >= 2 * genus)

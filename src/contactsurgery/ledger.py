@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 from .catalog import KnotType
 from .errors import Contradiction, IncompleteData
 from .legendrian import Framing, LegendrianKnot, TransverseKnot
-from .openbook import BindingVerdict, InvariantStatus, binding_vanishing_rule
+from .openbook import InvariantStatus
 
 STANDARD_TIGHT_S3 = "S3-standard"
 
@@ -244,9 +244,7 @@ RULES = (
     # with vanishing invariant on a rational homology sphere.
     Rule(
         "R4",
-        lambda s: s.binding
-        and binding_vanishing_rule(s.ambient_invariant, s.ambient_b1)
-        is BindingVerdict.FORCES_ZERO,
+        lambda s: s.binding and s.ambient_invariant is ZERO and s.ambient_b1 == 0,
         ZERO,
     ),
     # NonZero at f_S + 2g for a binding with sl = 2g - 1, g >= 1.

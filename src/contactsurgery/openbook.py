@@ -35,11 +35,6 @@ class InvariantStatus(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-class BindingVerdict(enum.Enum):
-    FORCES_ZERO = "ForcesZero"
-    NO_CONCLUSION = "NoConclusion"
-
-
 @dataclass(frozen=True)
 class SurfaceModel:
     """A surface with boundary, its H1 pairing, and a named curve alphabet.
@@ -447,14 +442,3 @@ def attach_surgery_twists(
         if not surface.has_curve(name):
             raise UnknownCurve(f"curve {name!r} is not in the alphabet")
     return tuple(letters) + ((knot_curve, MINUS),) + ((pushoff_curve, PLUS),) * (n - 1)
-
-
-def binding_vanishing_rule(
-    ambient_invariant: InvariantStatus, b1: int
-) -> BindingVerdict:
-    """A binding of an open book for a structure with vanishing invariant on
-    a rational homology sphere has vanishing framed invariants at every
-    framing."""
-    if ambient_invariant is InvariantStatus.ZERO and b1 == 0:
-        return BindingVerdict.FORCES_ZERO
-    return BindingVerdict.NO_CONCLUSION

@@ -749,3 +749,69 @@ def test_cli_ledger_json_window_is_written_whole(capsys):
     assert [row["framing"] for row in (rows[0], rows[-1])] == ["f_S-1500", "f_S+1500"]
     assert len(rows) == 3001 and rows[1508]["rule"] == "R5"
     assert payload["inverse_limit"] == "NotAllZero"
+
+
+def _long_word_book(tmp_path):
+    """The torus book with a 22,000-letter word, whose action has entries
+    of more than 4,300 digits; every entry of the file is small."""
+    book = json.loads(pathlib.Path(FIXTURE_BOOK).read_text())
+    book["word"] = [["a", "+"], ["b", "-"]] * 11000
+    path = tmp_path / "long-word.json"
+    path.write_text(json.dumps(book))
+    return ["openbook", "--file", str(path), "--action"]
+
+
+def _huge_rot_diagram(tmp_path):
+    """Three unstabilized pushoffs with rot 10**4200 + 1: each entry is
+    under the reader's limit, but d3 has about twice as many digits."""
+    component = {"tb": -2, "rot": 10**4200 + 1, "coeff": "-1"}
+    path = tmp_path / "huge-rot.json"
+    path.write_text(json.dumps({"components": [component] * 3}))
+    return ["d3", "--file", str(path)]
+
+
+def _capped_page_of_huge_classes(tmp_path):
+    """A planar page whose capped class (10**4200, 1) reduces the curve
+    (1, 10**4200) to 1 - 10**8400, which --json prints."""
+    big = 10**4200
+    book = {
+        "surface": {"genus": 0, "boundary": 3, "pairing": [[0, 0], [0, 0]],
+                    "boundary_classes": [[big, 1], [-big, -1], [0, 0]]},
+        "alphabet": {"a": [1, big]},
+        "word": [["a", "+"]],
+    }
+    path = tmp_path / "huge-classes.json"
+    path.write_text(json.dumps(book))
+    return ["openbook", "--file", str(path), "--cap", "0", "--json"]
+
+
+def _huge_genus_catalog(tmp_path):
+    """A knot of genus 5 * 10**4299, whose certified anchor 2g = 10**4300
+    has 4,301 digits."""
+    genus = 5 * 10**4299
+    record = {"name": "K", "genus": genus, "slice_genus": genus, "max_tb": 2 * genus - 3,
+              "max_sl": 2 * genus - 1, "flags": [], "provenance": "test"}
+    path = tmp_path / "huge-genus.json"
+    path.write_text(json.dumps([record]))
+    return ["classify", "--catalog", str(path), "--knot", "K"]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="Python without an int-to-str limit"
+)
+@pytest.mark.parametrize("argv", [
+    _long_word_book,
+    lambda tmp_path: _long_word_book(tmp_path) + ["--json"],
+    _capped_page_of_huge_classes,
+    _huge_rot_diagram,
+    _huge_genus_catalog,
+    # One negative stabilization takes tb from -(10**4300 - 1) to -10**4300.
+    lambda tmp_path: ["expand", "--tb=-" + "9" * 4300, "--rot", "0", "--coeff=-2"],
+], ids=["openbook-action", "openbook-action-json", "openbook-cap-json", "d3", "classify",
+       "expand"])
+def test_cli_refuses_a_result_past_the_int_to_str_limit(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.encode()) < 200

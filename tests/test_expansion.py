@@ -20,13 +20,10 @@ from contactsurgery.expansion import (
     ROLE_PLUS_ONE,
     Component,
     ContactSurgeryPresentation,
-    Slope,
     all_negative_presentation,
     evaluate_continued_fraction,
     expand,
-    gluing_pullback,
     negative_continued_fraction,
-    normalize_slope,
     presentation_for_framing,
 )
 from contactsurgery.homology import linking_matrix
@@ -217,22 +214,6 @@ def test_presentation_well_defined_under_pre_stabilization():
             stabilized = stabilize(stabilized, "-")
         other = presentation_for_framing(stabilized, Framing(2))
         assert len(other.components) == len(target.components) + extra
-
-
-def test_normalize_slope_values():
-    assert normalize_slope(2) == Slope(-2, 1)
-    assert normalize_slope(3) == Slope(-3, 2)
-    assert normalize_slope(1).is_infinite
-    assert str(normalize_slope(1)) == "-inf"
-    for n in range(2, 11):
-        slope = normalize_slope(n)
-        assert Fraction(slope.numerator, slope.denominator) == Fraction(-n, n - 1)
-        assert Fraction(slope.numerator, slope.denominator) <= -1
-
-
-def test_gluing_pullback():
-    for n in range(1, 8):
-        assert gluing_pullback(n) == (1, n)
 
 
 @st.composite

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contactsurgery.acceptance import cap_class_evaluations
 from contactsurgery.catalog import UNKNOT, cable_of_trefoil, torus_knot
 from contactsurgery.errors import NotRationalHomologySphere
 from contactsurgery.expansion import (
@@ -14,10 +15,6 @@ from contactsurgery.expansion import (
     all_negative_presentation,
 )
 from contactsurgery.homology import (
-    adjunction_congruence,
-    basis_change_check,
-    cap_class_evaluation,
-    cap_class_evaluations,
     d3_invariant,
     homology_data,
     linking_matrix,
@@ -346,35 +343,6 @@ def test_d3_denominator_and_integer_sphere_lint():
 # Chern evaluations and the nonvanishing criterion
 
 
-def test_cap_class_evaluation_values():
-    assert cap_class_evaluation(-1, 2) == 0
-    assert cap_class_evaluation(0, 1) == 0
-    assert cap_class_evaluation(-2, 5) == 2
-
-
-def test_basis_change_check_instances():
-    assert basis_change_check(2, 0)
-    assert basis_change_check(5, -3)
-
-
-def test_basis_change_mutation_detected():
-    rot = 4
-    values = [rot - 1] * 4
-    values[1] = rot  # perturb the value on the second x class
-    e_values, total = cap_class_evaluations(5, rot, values)
-    assert not (all(v == 1 for v in e_values) and total == rot + 5 - 1)
-
-
-def test_adjunction_congruence_examples():
-    assert adjunction_congruence(4, 0) == (8, 8, True)
-    report = adjunction_congruence(1, 0)
-    assert report.min_abs == 2 and report.vanishes
-    report = adjunction_congruence(2, 1)
-    assert (report.residue, report.min_abs, report.vanishes) == (5, 3, False)
-    # enumerate representatives -11, -3, 5, 13 by hand
-    assert min(abs(v) for v in (-11, -3, 5, 13)) == 3
-
-
 def _r5_certifies(knot, n, binding=True):
     """Whether the rule table's R5 entry, read on the transverse pushoff of
     `knot`, asserts NonZero at the surgery framing tb + n."""
@@ -405,5 +373,5 @@ def test_criterion_matches_cap_evaluation():
             n = 2 * cable.genus - tb
             if n >= 1 and _r5_certifies(LegendrianKnot(tb, rot, cable), n):
                 certified += 1
-                assert cap_class_evaluation(rot, n) == 0
+                assert cap_class_evaluations(n, rot, [rot - 1] * (n - 1))[1] == 0
     assert certified == 3  # sl = 7: (tb, rot) = (4, -3), (5, -2), (6, -1)

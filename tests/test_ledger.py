@@ -154,13 +154,14 @@ def test_rule_r4_binding_of_vanishing_structure():
     assert state.window(0, 0)[0][2] == "R4"
 
 
-def test_rule_r4_skipped_when_b1_positive():
+@pytest.mark.parametrize("ambient,b1", [(Status.NONZERO, 0), (Status.ZERO, 1)])
+def test_rule_r4_skipped_unless_zero_invariant_and_b1_zero(ambient, b1):
     state = apply_rules(
         LedgerSubject(
             transverse=TransverseKnot(-1, UNKNOT),
             binding=True,
-            ambient_invariant=Status.ZERO,
-            ambient_b1=1,
+            ambient_invariant=ambient,
+            ambient_b1=b1,
         )
     )
     assert inverse_limit_status(state) is LedgerVerdict.UNKNOWN

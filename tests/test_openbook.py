@@ -13,11 +13,8 @@ from contactsurgery.errors import (
 )
 from contactsurgery.linalg import det_int, identity_int, mat_mul_int
 from contactsurgery.openbook import (
-    BindingVerdict,
-    InvariantStatus,
     SurfaceModel,
     attach_surgery_twists,
-    binding_vanishing_rule,
     cap_off,
     cyclic_words_equal,
     free_reduce,
@@ -454,21 +451,6 @@ def test_attach_surgery_twists_shapes():
     assert det_int(homology_action(three, surface)) == 1
     with pytest.raises(UnknownCurve):
         attach_surgery_twists(surface, base, "kappa_minus", "ghost", 2)
-
-
-def test_binding_vanishing_rule():
-    assert (
-        binding_vanishing_rule(InvariantStatus.ZERO, 0)
-        is BindingVerdict.FORCES_ZERO
-    )
-    assert (
-        binding_vanishing_rule(InvariantStatus.NONZERO, 0)
-        is BindingVerdict.NO_CONCLUSION
-    )
-    assert (
-        binding_vanishing_rule(InvariantStatus.ZERO, 1)
-        is BindingVerdict.NO_CONCLUSION
-    )
 
 
 def _rotation_oracle(first, second) -> bool:
