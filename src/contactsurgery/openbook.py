@@ -14,6 +14,7 @@ windows may wrap around the end of the word.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -141,16 +142,16 @@ def cyclic_words_equal(first, second) -> bool:
     return "".join(codes[letter] for letter in b) in text + text
 
 
-def _transvection(surface: SurfaceModel, cls, sign: str):
-    rank = surface.h1_rank
-    image = [
-        sum(surface.pairing[j][k] * cls[k] for k in range(rank)) for j in range(rank)
-    ]
+def _row_update(surface: SurfaceModel, name: str, sign: str):
+    """The letter's transvection T = I + s c (Omega c)^T as a rank-one
+    update: the row ((Omega c),) and the pairs (i, s c_i) with c_i != 0,
+    or None when T is the identity (Omega c = 0, as for c = 0)."""
+    cls = surface.curve_class(name)
+    image = tuple(sum(p * x for p, x in zip(row, cls)) for row in surface.pairing)
+    if not any(image):
+        return None
     s = 1 if sign == PLUS else -1
-    return tuple(
-        tuple((1 if i == k else 0) + s * cls[i] * image[k] for k in range(rank))
-        for i in range(rank)
-    )
+    return (image,), tuple((i, s * x) for i, x in enumerate(cls) if x)
 
 
 def homology_action(letters, surface: SurfaceModel):
@@ -159,22 +160,28 @@ def homology_action(letters, surface: SurfaceModel):
     The action is a monoid homomorphism for concatenation in this order:
     action(w1 + w2) = action(w1) . action(w2).  It is composed in acting
     order, result = T . result from the rightmost letter on.  A
-    transvection T = I + s c (Omega c)^T is a unit row wherever c is zero,
-    and mat_mul_int skips zero entries of its left factor, so a letter
-    costs O(r^2) plus r per off-diagonal nonzero of T, not r^3.  Each
-    distinct letter's matrix is built once.
+    transvection T = I + s c (Omega c)^T gives T . R = R + s c (x) v with
+    the row v = (Omega c)^T R, so a letter computes v by mat_mul_int and
+    rewrites only the rows i with c_i != 0: it costs
+    (nnz(Omega c) + nnz(c)) r, and every other row is kept as it is.
+    Each distinct letter's update is built once; identity letters are
+    skipped.
     """
     from .linalg import identity_int, mat_mul_int
 
     letters = tuple(letters)
-    transvections = {
-        (name, sign): _transvection(surface, surface.curve_class(name), sign)
-        for name, sign in dict.fromkeys(letters)
-    }
-    result = identity_int(surface.h1_rank)
+    distinct = word(*dict.fromkeys(letters))  # checks each distinct letter's sign
+    updates = {letter: _row_update(surface, *letter) for letter in distinct}
+    result = list(identity_int(surface.h1_rank))
     for letter in reversed(letters):
-        result = mat_mul_int(transvections[letter], result)
-    return result
+        update = updates[letter]
+        if update is None:
+            continue
+        image, column = update
+        v = mat_mul_int(image, result)[0]
+        for i, x in column:
+            result[i] = tuple(r + x * y for r, y in zip(result[i], v))
+    return tuple(result)
 
 
 @dataclass(frozen=True)
@@ -249,6 +256,13 @@ class LanternConfiguration:
         return self.source("RtoL" if direction == "LtoR" else "LtoR")
 
 
+@functools.cache
+def _validated(config: LanternConfiguration, surface: SurfaceModel) -> None:
+    """config.validate(surface), once per equal (configuration, surface)
+    pair: both are frozen, and a failing check raises, so it is not cached."""
+    config.validate(surface)
+
+
 def lantern_rewrite(
     letters,
     config: LanternConfiguration,
@@ -265,7 +279,7 @@ def lantern_rewrite(
     preserves the homology action.
     """
     letters = tuple(letters)
-    config.validate(surface)
+    _validated(config, surface)
     pattern = config.source(direction)
     n = len(letters)
     if not 0 <= at < n or len(pattern) > n:
@@ -295,8 +309,11 @@ def giroux_stabilize(surface: SurfaceModel, letters, new_curve: str, new_class):
 
     The new direction pairs to zero with every class and the new boundary
     class is zero.  The new curve class lives in the extended lattice and
-    must cross the new handle once (last coordinate +1 or -1).
+    must cross the new handle once (last coordinate +1 or -1); its name
+    must be new to the alphabet.
     """
+    if surface.has_curve(new_curve):
+        raise InvalidStabilization(f"curve {new_curve!r} is already in the alphabet")
     rank = surface.h1_rank + 1
     new_class = tuple(new_class)
     if len(new_class) != rank:

@@ -100,12 +100,19 @@ def _product(a, b):
 
 @st.composite
 def pages(draw):
-    """A page with a small alphabet, and a word over it."""
+    """A page with a small alphabet, and a word over it.  Rank 0 is drawn
+    (genus 0, one boundary), and the alphabet may hold the zero class and
+    a class in the radical of the pairing (Omega c = 0)."""
     genus = draw(st.integers(0, 2))
     boundary_count = draw(st.integers(1, 3))
     rank = 2 * genus + boundary_count - 1
     entries = st.integers(-2, 2)
-    above = {(i, j): draw(entries) for i in range(rank) for j in range(i + 1, rank)}
+    # A pairing that is zero in the last direction puts e_last in its radical.
+    radical = rank > 0 and draw(st.booleans())
+    above = {
+        (i, j): 0 if radical and j == rank - 1 else draw(entries)
+        for i in range(rank) for j in range(i + 1, rank)
+    }
     pairing = tuple(
         tuple(above[i, j] if i < j else -above[j, i] if i > j else 0 for j in range(rank))
         for i in range(rank)
@@ -113,17 +120,34 @@ def pages(draw):
     vectors = st.tuples(*[entries] * rank)
     names = [f"c{i}" for i in range(draw(st.integers(1, 3)))]
     curves = tuple((name, draw(vectors)) for name in names)
+    if draw(st.booleans()):
+        names.append("zero")
+        curves += (("zero", (0,) * rank),)
+    if radical:
+        names.append("rad")
+        curves += (("rad", (0,) * (rank - 1) + (draw(st.sampled_from((1, -1, 2))),)),)
     # Multiples of one class pair to zero with each other.
     base = draw(vectors)
     multiples = draw(st.lists(st.integers(-2, 2), max_size=boundary_count))
     boundary_classes = tuple(tuple(m * x for x in base) for m in multiples)
     surface = SurfaceModel(genus, boundary_count, pairing, curves, boundary_classes)
     letters = st.tuples(st.sampled_from(names), st.sampled_from("+-"))
-    return surface, tuple(draw(st.lists(letters, max_size=8)))
+    return surface, tuple(draw(st.lists(letters, max_size=12)))
+
+
+def _transvection(surface, name, sign):
+    """T = I + s c (Omega c)^T, written out entry by entry."""
+    omega, c = surface.pairing, surface.curve_class(name)
+    s, rank = 1 if sign == "+" else -1, surface.h1_rank
+    omega_c = [sum(omega[j][k] * c[k] for k in range(rank)) for j in range(rank)]
+    return tuple(
+        tuple((i == j) + s * c[i] * omega_c[j] for j in range(rank))
+        for i in range(rank)
+    )
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(pages(), st.integers(0, 8))
+@given(pages(), st.integers(0, 12))
 def test_action_is_monoid_homomorphism(page, cut):
     surface, word = page
     w1, w2 = word[:cut], word[cut:]
@@ -135,17 +159,26 @@ def test_action_is_monoid_homomorphism(page, cut):
 @settings(max_examples=200, deadline=None, database=None)
 @given(pages(), st.sampled_from("+-"))
 def test_one_letter_acts_by_its_transvection(page, sign):
-    # T = I + s c (Omega c)^T, written out entry by entry.
     surface, _ = page
-    omega, s = surface.pairing, 1 if sign == "+" else -1
-    rank = surface.h1_rank
-    for name, c in surface.curves:
-        omega_c = [sum(omega[j][k] * c[k] for k in range(rank)) for j in range(rank)]
-        expected = tuple(
-            tuple((i == j) + s * c[i] * omega_c[j] for j in range(rank))
-            for i in range(rank)
-        )
-        assert homology_action(((name, sign),), surface) == expected
+    for name, _ in surface.curves:
+        assert homology_action(((name, sign),), surface) == _transvection(surface, name, sign)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(pages())
+def test_action_is_the_product_of_its_transvections(page):
+    # The whole word against the triple-loop fold, in word order.
+    surface, word = page
+    expected = identity_int(surface.h1_rank)
+    for name, sign in word:
+        expected = _product(expected, _transvection(surface, name, sign))
+    assert homology_action(word, surface) == expected
+
+
+def test_action_rejects_an_unknown_sign():
+    surface, _ = lantern_ambient_model()
+    with pytest.raises(ValueError, match="twist sign must be '\\+' or '-', got 'x'"):
+        homology_action((("b1", "x"),), surface)
 
 
 LANTERN_NAMES = ("b1", "b2", "b3", "b4", "c12", "c13", "c23", "p1", "p2", "p3", "spare")
@@ -274,8 +307,10 @@ def test_lantern_configuration_validation_rejects_bad_classes():
         bad.validate(broken)
     # The rewrite validates too, though the word matches the pattern.
     word = (("fake", "-"), ("b1", "+"), ("b2", "+"), ("b3", "+"))
-    with pytest.raises(ValueError, match="lantern homology relation 12 = 1 \\+ 2 fails"):
-        lantern_rewrite(word, bad, 0, "LtoR", broken)
+    # A failed check is not remembered: the second call raises too.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="lantern homology relation 12 = 1 \\+ 2 fails"):
+            lantern_rewrite(word, bad, 0, "LtoR", broken)
 
 
 def test_giroux_stabilize_disk_to_annulus():
@@ -329,6 +364,13 @@ def test_giroux_stabilize_rejects_bad_class():
         giroux_stabilize(disk, (), "core", (2,))
     with pytest.raises(InvalidStabilization):
         giroux_stabilize(disk, (), "core", (1, 1))
+
+
+def test_giroux_stabilize_rejects_a_name_in_the_alphabet():
+    surface, _ = lantern_ambient_model()
+    new_class = (0,) * surface.h1_rank + (1,)
+    with pytest.raises(InvalidStabilization, match="'b1' is already in the alphabet"):
+        giroux_stabilize(surface, (), "b1", new_class)
 
 
 @st.composite
