@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .errors import (
     DiagramFormatError,

@@ -12,11 +12,8 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
-from itertools import islice
 
-from . import diagramio
-from .catalog import Catalog, lint_knot
+# Each verb imports the library modules it uses, so a call loads only those.
 from .errors import (
     ContactSurgeryError,
     DiagramFormatError,
@@ -25,17 +22,6 @@ from .errors import (
     OutOfRange,
     UnsupportedCoefficient,
 )
-from .expansion import expand
-from .homology import d3_invariant, homology_data, linking_matrix
-from .ledger import (
-    LedgerSubject,
-    apply_rules,
-    assert_fact,
-    inverse_limit_status,
-    tight_surgery_ranges,
-)
-from .legendrian import LegendrianKnot, TransverseKnot
-from .openbook import InvariantStatus, cap_off, homology_action
 
 # The stderr prefix for each exit code of a ContactSurgeryError.
 _PREFIXES = {1: "error", 2: "input error", 3: "contradiction"}
@@ -69,7 +55,9 @@ _DECIMAL_EXPONENT = re.compile(
 )
 
 
-def _load_catalog(args) -> Catalog:
+def _load_catalog(args):
+    from .catalog import Catalog
+
     if getattr(args, "catalog", None):
         return Catalog.from_json(args.catalog)
     return Catalog.builtin()
@@ -80,7 +68,9 @@ def _quote(text: str) -> str:
     return text if len(text) <= _QUOTE_CAP else text[:_QUOTE_CAP] + "..."
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str):
+    from fractions import Fraction
+
     if sum(map(str.isdecimal, text)) > DIGITS_CAP:
         raise OutOfRange(f"the coefficient has more than {DIGITS_CAP} digits")
     match = _DECIMAL_EXPONENT.fullmatch(text)
@@ -108,20 +98,24 @@ def _check_printable(values) -> None:
             )
 
 
-def _self_linking(text: str) -> int:
-    """The argparse type of --sl: an odd integer, as self-linking numbers of
-    knots in the 3-sphere are."""
+def _integer(text: str, odd: bool = False) -> int:
+    """The argparse type of the integer flags: an int, odd if `odd`, as
+    self-linking numbers of knots in the 3-sphere are.  Its messages quote
+    at most _QUOTE_CAP characters of the argument."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value % 2 != 1:
-        raise argparse.ArgumentTypeError(f"self-linking number must be odd, got {value}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)!r}") from None
+    if odd and value % 2 != 1:
+        raise argparse.ArgumentTypeError(
+            f"self-linking number must be odd, got {_quote(str(value))}")
     return value
 
 
-def _legendrian(args, knot_type) -> LegendrianKnot:
+def _legendrian(args, knot_type):
     """The knot given by --tb and --rot."""
+    from .legendrian import LegendrianKnot
+
     if (args.tb + args.rot) % 2 == 0:
         raise NotRealizable(
             f"--tb {args.tb} --rot {args.rot}: tb + rot is even; a Legendrian "
@@ -143,6 +137,8 @@ def _knot_record(knot) -> dict:
 
 
 def _cmd_catalog(args) -> int:
+    from .catalog import lint_knot
+
     catalog = _load_catalog(args)
     if args.list:
         for name in catalog.names():
@@ -164,6 +160,9 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from . import diagramio
+    from .expansion import expand
+
     knot_type = None
     if args.knot:
         knot_type = _load_catalog(args).lookup(args.knot)
@@ -196,6 +195,9 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_homology(args) -> int:
+    from . import diagramio
+    from .homology import homology_data, linking_matrix
+
     presentation = diagramio.parse_diagram_file(args.file)
     data = homology_data(linking_matrix(presentation))
     _check_printable((data.determinant, data.signature, data.euler_characteristic))
@@ -216,6 +218,9 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_d3(args) -> int:
+    from . import diagramio
+    from .homology import d3_invariant
+
     d3 = d3_invariant(diagramio.parse_diagram_file(args.file))
     _check_printable((d3.numerator, d3.denominator))
     print(d3)
@@ -223,6 +228,8 @@ def _cmd_d3(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .ledger import tight_surgery_ranges
+
     knot = _load_catalog(args).lookup(args.knot)
     report = tight_surgery_ranges(knot)
     _check_printable([rng.anchor for rng in report.ranges] + [report.sl_tb_gap or 0])
@@ -243,6 +250,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_ledger(args) -> int:
+    from itertools import islice
+
+    from .ledger import LedgerSubject, apply_rules, assert_fact, inverse_limit_status
+    from .legendrian import TransverseKnot
+    from .openbook import InvariantStatus
+
     lo, hi = args.window
     if lo > hi:
         raise OutOfRange(f"--window {lo} {hi}: LO must not exceed HI")
@@ -268,6 +281,8 @@ def _cmd_ledger(args) -> int:
     )
     state = apply_rules(subject)
     if args.facts:
+        from . import diagramio
+
         for record in diagramio.facts_from_file(args.facts):
             state = assert_fact(
                 state,
@@ -299,6 +314,9 @@ def _cmd_ledger(args) -> int:
 
 
 def _cmd_openbook(args) -> int:
+    from . import diagramio
+    from .openbook import cap_off, homology_action
+
     surface, letters = diagramio.parse_open_book_file(args.file)
     if args.cap is not None:
         try:
@@ -324,7 +342,6 @@ def _cmd_openbook(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    # Imported here, so that the other verbs do not load it and `random`.
     from . import acceptance
 
     return 0 if acceptance.run_all(print) else 1
@@ -347,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     cat.set_defaults(run=_cmd_catalog)
 
     exp = sub.add_parser("expand", help="expand a rational contact surgery")
-    exp.add_argument("--tb", type=int, required=True)
-    exp.add_argument("--rot", type=int, required=True)
+    exp.add_argument("--tb", type=_integer, required=True)
+    exp.add_argument("--rot", type=_integer, required=True)
     exp.add_argument("--coeff", required=True,
                      help="rational coefficient, e.g. 3 or -2; write negative "
                           "fractions in the = form: --coeff=-7/2")
@@ -375,14 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
     led = sub.add_parser("ledger", help="framed invariant statuses")
     led.add_argument("--knot", help="catalog name supplying genus data")
     led.add_argument("--catalog", help="path to a catalog JSON file")
-    led.add_argument("--tb", type=int, help="Legendrian tb (enables rule R1)")
-    led.add_argument("--rot", type=int, default=0)
-    led.add_argument("--sl", type=_self_linking, help="transverse self-linking number")
+    led.add_argument("--tb", type=_integer, help="Legendrian tb (enables rule R1)")
+    led.add_argument("--rot", type=_integer, default=0)
+    led.add_argument("--sl", type=lambda text: _integer(text, odd=True),
+                     help="transverse self-linking number")
     led.add_argument("--binding", action="store_true",
                      help="assert the subject is an open book binding")
     led.add_argument("--positively-stabilized", action="store_true")
     led.add_argument("--facts", help="JSON file of extra (offset, status, rule) facts")
-    led.add_argument("--window", type=int, nargs=2, default=(-3, 12),
+    led.add_argument("--window", type=_integer, nargs=2, default=(-3, 12),
                      metavar=("LO", "HI"),
                      help=f"framings to render, LO <= HI, at most {WINDOW_CAP}")
     led.add_argument("--json", action="store_true")
@@ -392,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     book.add_argument("--file", required=True)
     book.add_argument("--action", action="store_true",
                       help="print the induced matrix on H1")
-    book.add_argument("--cap", type=int, help="cap off the given boundary index")
+    book.add_argument("--cap", type=_integer, help="cap off the given boundary index")
     book.add_argument("--json", action="store_true")
     book.set_defaults(run=_cmd_openbook)
 

@@ -15,13 +15,10 @@ boundary, pairing, boundary_classes}, "alphabet": {name: class vector},
 
 from __future__ import annotations
 
-from typing import Any
-
 from .catalog import read_json
 from .errors import DiagramFormatError, InvalidCoefficient
 from .expansion import Component, ContactSurgeryPresentation
 from .legendrian import LegendrianKnot, stabilize_many
-from .openbook import SurfaceModel, word as make_word
 
 
 def _require(mapping: dict, key: str, kind, path: str):
@@ -52,7 +49,7 @@ def parse_coefficient(raw, path: str) -> int:
     raise InvalidCoefficient(f"{path}: contact coefficient must be +1 or -1, got {raw!r}")
 
 
-def presentation_from_dict(data: Any, source: str = "diagram") -> ContactSurgeryPresentation:
+def presentation_from_dict(data: object, source: str = "diagram") -> ContactSurgeryPresentation:
     if not isinstance(data, dict):
         raise DiagramFormatError(f"{source}: top level must be an object")
     raw_components = _require(data, "components", list, source)
@@ -101,7 +98,7 @@ def parse_diagram_file(path: str) -> ContactSurgeryPresentation:
 
 
 def presentation_to_dict(presentation: ContactSurgeryPresentation) -> dict:
-    data: dict[str, Any] = {
+    data: dict = {
         "components": [
             {
                 "tb": c.legendrian.tb,
@@ -118,7 +115,11 @@ def presentation_to_dict(presentation: ContactSurgeryPresentation) -> dict:
     return data
 
 
-def open_book_from_dict(data: Any, source: str = "openbook") -> tuple[SurfaceModel, tuple]:
+def open_book_from_dict(data: object, source: str = "openbook") -> tuple:
+    """The (SurfaceModel, letters) pair of an open-book object."""
+    # Imported here, so that the diagram verbs do not load openbook.
+    from .openbook import SurfaceModel, word as make_word
+
     if not isinstance(data, dict):
         raise DiagramFormatError(f"{source}: top level must be an object")
     surf = _require(data, "surface", dict, source)
@@ -157,11 +158,11 @@ def open_book_from_dict(data: Any, source: str = "openbook") -> tuple[SurfaceMod
     return surface, tuple(letters)
 
 
-def parse_open_book_file(path: str) -> tuple[SurfaceModel, tuple]:
+def parse_open_book_file(path: str) -> tuple:
     return open_book_from_dict(read_json(path), path)
 
 
-def open_book_to_dict(surface: SurfaceModel, letters) -> dict:
+def open_book_to_dict(surface, letters) -> dict:
     return {
         "surface": {
             "genus": surface.genus,

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
 
 from .catalog import KnotType
 from .errors import Contradiction, IncompleteData
@@ -42,12 +42,9 @@ class LedgerVerdict(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-class Fact(NamedTuple):
-    """One recorded status; offset None means 'at every framing'."""
-
-    offset: int | None
-    status: InvariantStatus
-    rule: str
+# offset: int | None, status: InvariantStatus, rule: str.
+Fact = namedtuple("Fact", "offset status rule")
+Fact.__doc__ = """One recorded status; offset None means 'at every framing'."""
 
 
 @dataclass(frozen=True)
@@ -182,15 +179,12 @@ def assert_fact(
     return updated
 
 
-class Rule(NamedTuple):
-    """A built-in rule: a subject that meets `holds` carries `status` at the
-    framing offset `offset(subject)`, or at every framing when `offset` is
-    None."""
-
-    id: str
-    holds: Callable[[LedgerSubject], bool]
-    status: InvariantStatus
-    offset: Callable[[LedgerSubject], int] | None = None
+# id: str, holds: LedgerSubject -> bool, status: InvariantStatus,
+# offset: LedgerSubject -> int, or None.
+Rule = namedtuple("Rule", "id holds status offset", defaults=(None,))
+Rule.__doc__ = """A built-in rule: a subject that meets `holds` carries `status` at the
+framing offset `offset(subject)`, or at every framing when `offset` is
+None."""
 
 
 def _standard_s3_knot_type(subject: LedgerSubject) -> KnotType | None:
@@ -295,11 +289,9 @@ _TIGHT_RANGE_RULES = (
 )
 
 
-class TightRange(NamedTuple):
-    """All rational coefficients r >= anchor, with the certifying rule."""
-
-    anchor: int
-    rule: str
+# anchor: int, rule: str.
+TightRange = namedtuple("TightRange", "anchor rule")
+TightRange.__doc__ = """All rational coefficients r >= anchor, with the certifying rule."""
 
 
 @dataclass(frozen=True)

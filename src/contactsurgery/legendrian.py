@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import KnotType
+# knot_type fields hold a catalog.KnotType; the annotations are never
+# evaluated, so this module does not import catalog.
 
 NEGATIVE = "-"
 POSITIVE = "+"

@@ -311,19 +311,63 @@ def test_cli_catalog_takes_exactly_one_of_knot_and_list(capsys, argv, message):
     assert message in captured.err
 
 
-def test_cli_import_loads_neither_acceptance_nor_importlib_resources():
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    probe = (
-        "import sys, contactsurgery.cli; "
-        "print([m for m in ('contactsurgery.acceptance', 'random', 'importlib.resources') "
-        "if m in sys.modules])"
-    )
+def _modules_loaded_by(*args) -> set[str]:
+    """The modules a fresh `python -S -X importtime` process imports to run
+    `args`, read from the importtime report on stderr."""
+    root = pathlib.Path(__file__).resolve().parent.parent
     result = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-S", "-X", "importtime", *args],
+        cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=60,
     )
-    assert result.stdout == "[]\n"
+    assert result.returncode == 0, result.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in result.stderr.splitlines() if line.startswith("import time:")
+    }
+
+
+def test_cli_import_loads_neither_acceptance_nor_importlib_resources():
+    loaded = _modules_loaded_by("-c", "import contactsurgery.cli")
+    assert {m for m in loaded if m.startswith("contactsurgery")} == {
+        "contactsurgery", "contactsurgery.cli", "contactsurgery.errors"}
+    assert not loaded & {"random", "importlib.resources", "typing"}
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["d3", "--file", "fixtures/unknot-n2.json"], ("ledger", "openbook", "acceptance")),
+    (["homology", "--file", "fixtures/unknot-n2.json"], ("ledger", "openbook", "acceptance")),
+    (["catalog", "--list"],
+     ("expansion", "homology", "linalg", "diagramio", "openbook", "ledger")),
+    (["openbook", "--file", "fixtures/torus-book.json"], ("ledger",)),
+], ids=["d3", "homology", "catalog", "openbook"])
+def test_cli_verb_loads_only_the_modules_it_uses(argv, unloaded):
+    loaded = _modules_loaded_by("-m", "contactsurgery.cli", *argv)
+    assert "contactsurgery.errors" in loaded
+    assert not loaded & {f"contactsurgery.{m}" for m in unloaded}
+
+
+# Values past Python's 4,300-digit int-to-str limit, and an even one under it.
+_LONG_INTEGER = "9" * 5000
+_LONG_EVEN = "8" * 4000
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["expand", "--tb", _LONG_INTEGER, "--rot", "0", "--coeff", "2"], _LONG_INTEGER),
+    (["expand", "--tb", "-1", "--rot", _LONG_INTEGER, "--coeff", "2"], _LONG_INTEGER),
+    (["ledger", "--window", "0", _LONG_INTEGER], _LONG_INTEGER),
+    (["openbook", "--file", "fixtures/torus-book.json", "--cap", _LONG_INTEGER], _LONG_INTEGER),
+    (["ledger", f"--sl={_LONG_INTEGER}"], _LONG_INTEGER),
+    (["ledger", "--sl", _LONG_EVEN], _LONG_EVEN),
+], ids=["tb", "rot", "window", "cap", "sl", "sl-even"])
+def test_cli_integer_flags_quote_a_long_argument(capsys, argv, value):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert value[:cli._QUOTE_CAP] + "..." in captured.err
+    assert len(captured.err.encode()) < 600
 
 
 def test_builtin_catalog_does_not_depend_on_the_working_directory(tmp_path, monkeypatch):
