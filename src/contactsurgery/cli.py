@@ -118,8 +118,8 @@ def _legendrian(args, knot_type):
 
     if (args.tb + args.rot) % 2 == 0:
         raise NotRealizable(
-            f"--tb {args.tb} --rot {args.rot}: tb + rot is even; a Legendrian "
-            "knot in the 3-sphere has tb + rot odd"
+            f"--tb {_quote(str(args.tb))} --rot {_quote(str(args.rot))}: tb + rot is "
+            "even; a Legendrian knot in the 3-sphere has tb + rot odd"
         )
     return LegendrianKnot(args.tb, args.rot, knot_type)
 
@@ -161,29 +161,50 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_expand(args) -> int:
     from . import diagramio
-    from .expansion import expand
+    from .expansion import TERMS_CAP, expand
 
     knot_type = None
     if args.knot:
         knot_type = _load_catalog(args).lookup(args.knot)
     knot = _legendrian(args, knot_type)
+    if args.limit is not None and args.limit < 0:
+        raise OutOfRange(f"--limit {_quote(str(args.limit))}: must not be negative")
     try:
-        presentations = expand(knot, _parse_fraction(args.coeff))
+        expansion = expand(knot, _parse_fraction(args.coeff))
     except (OutOfRange, UnsupportedCoefficient) as exc:
         raise type(exc)(f"--coeff {_quote(args.coeff)}: {exc}") from None
-    _check_printable(
-        value
-        for presentation in presentations
-        for comp in presentation.components
-        for value in (comp.legendrian.tb, comp.legendrian.rot)
-    )
-    if args.json:
-        print(_JSON.encode(
-            {"presentations": [diagramio.presentation_to_dict(p) for p in presentations]}
-        ))
+    if args.count:
+        _check_printable((expansion.count,))
+        print(expansion.count)
         return 0
-    print(f"{len(presentations)} presentation(s)")
-    for i, presentation in enumerate(presentations):
+    # Every presentation has the same tbs, and a rot of at most
+    # |rot_0| + (all the stabilizations): checked once, not per presentation.
+    stabilizations = expansion.stabilizations
+    if any(k > TERMS_CAP for k in stabilizations):
+        raise OutOfRange(
+            f"--coeff {_quote(args.coeff)}: a chain link has more than {TERMS_CAP} "
+            "stabilizations to print; --count prints the number of presentations"
+        )
+    printed = [*expansion.tbs, abs(knot.rot) + sum(stabilizations)]
+    if not args.json:
+        printed.append(expansion.count)  # the text form's first line
+    _check_printable(printed)
+    shown = expansion
+    if args.limit is not None:
+        shown = (p for _, p in zip(range(args.limit), expansion))
+    if args.json:
+        # Presentation by presentation, in the bytes of one _JSON.encode.
+        sys.stdout.write('{\n  "presentations": [')
+        separator = "\n    "
+        for presentation in shown:
+            item = _JSON.encode(diagramio.presentation_to_dict(presentation))
+            sys.stdout.write(separator + item.replace("\n", "\n    "))
+            separator = ",\n    "
+        # json.dumps writes an empty list as "[]".
+        print("\n  ]\n}" if separator == ",\n    " else "]\n}")
+        return 0
+    print(f"{expansion.count} presentation(s)")
+    for i, presentation in enumerate(shown):
         print(f"presentation {i}:")
         for comp in presentation.components:
             signs = "".join(comp.stab_signs) or "none"
@@ -257,12 +278,13 @@ def _cmd_ledger(args) -> int:
     from .openbook import InvariantStatus
 
     lo, hi = args.window
+    window = f"--window {_quote(str(lo))} {_quote(str(hi))}"
     if lo > hi:
-        raise OutOfRange(f"--window {lo} {hi}: LO must not exceed HI")
+        raise OutOfRange(f"{window}: LO must not exceed HI")
     if hi - lo + 1 > WINDOW_CAP:
         raise OutOfRange(
-            f"--window {lo} {hi}: a window spans at most {WINDOW_CAP} framings, "
-            f"got {hi - lo + 1}"
+            f"{window}: a window spans at most {WINDOW_CAP} framings, "
+            f"got {_quote(str(hi - lo + 1))}"
         )
     knot_type = None
     if args.knot:
@@ -372,6 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--knot", help="optional catalog name for lint context")
     exp.add_argument("--catalog", help="path to a catalog JSON file")
     exp.add_argument("--json", action="store_true")
+    exp.add_argument("--count", action="store_true",
+                     help="print only the number of presentations")
+    exp.add_argument("--limit", type=_integer, metavar="N",
+                     help="print only the first N presentations")
     exp.set_defaults(run=_cmd_expand)
 
     hom = sub.add_parser("homology", help="homological data of a diagram file")

@@ -10,8 +10,11 @@ whole set of presentations, all-negative choice first.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     InvalidCoefficient,
@@ -121,6 +124,11 @@ class ContactSurgeryPresentation:
     components: tuple[Component, ...] = ()
     overtwisted: bool = False
 
+    # The `Expansion` that built this presentation, whose linking matrix
+    # it shares.  Not a field: equality, hash and repr ignore it, and
+    # dataclasses.replace makes a presentation without it.
+    _expansion = None
+
     def __post_init__(self) -> None:
         plus_ones = [i for i, c in enumerate(self.components) if c.coefficient == 1]
         if len(plus_ones) > 1:
@@ -142,43 +150,109 @@ def _require_realizable(knot: LegendrianKnot) -> None:
         )
 
 
-def _chain_presentations(
-    base: LegendrianKnot,
-    one_minus_r: Fraction,
-    prefix: tuple[Component, ...],
-) -> tuple[ContactSurgeryPresentation, ...]:
-    # Link by link over the continued fraction terms.  A link depends on its
-    # prefix only through the previous knot: k stabilizations, plus of them
-    # positive, so tb - k and rot + plus - (k - plus) as in stabilize, in O(1).
-    # Stabilizations commute, so a level's choices are the counts
-    # plus = 0..k, and a link stores (k - plus, plus) in O(1).  Each prefix
-    # is extended by its choices in turn: lexicographic order, '-' < '+'.
-    chains = [(list(prefix), base)]
-    for a in negative_continued_fraction(one_minus_r):
-        k = a - 2
-        grown = []
-        for links, last in chains:
-            for plus in range(k + 1):
-                knot = LegendrianKnot(last.tb - k, last.rot + 2 * plus - k, last.knot_type)
-                # Other choices copy the prefix list, the last takes it over:
-                # no list is shared, and a level with one choice (a = 2)
-                # copies nothing, so a long chain such as r = -1/N stays O(links).
-                extended = links if plus == k else links.copy()
-                extended.append(Component(knot, -1, k - plus, plus))
-                grown.append((extended, knot))
-        chains = grown
-    return tuple(ContactSurgeryPresentation(tuple(links)) for links, _ in chains)
+class Expansion:
+    """The presentations of contact r-surgery on a knot, as a lazy,
+    read-only sequence.
 
+    Chain link j is a pushoff of its predecessor (of the knot, for the
+    first) with k_j = a_j - 2 stabilizations, p_j of them positive, so its
+    tb is fixed and its rot is the predecessor's plus 2 p_j - k_j.  A
+    presentation is one choice of p_0, ..., p_m, read as a mixed-radix
+    number with p_0 most significant: the order is lexicographic over
+    stabilization sign sequences with '-' < '+', and the all-negative
+    presentation comes first.
 
-def expand(knot: LegendrianKnot, r) -> tuple[ContactSurgeryPresentation, ...]:
-    """All (+1)/(-1) presentations of contact r-surgery on the given knot.
-
-    r must be a nonzero rational with r < 0 or r >= 1.  The result is
-    ordered lexicographically over stabilization sign sequences with
-    '-' < '+', so the all-negative presentation comes first; its length
-    is the product of (a_i - 1) over the continued fraction terms.
+    Every presentation has the same tbs and coefficients, so all of them
+    share one `LinkingMatrix`, `matrix`, built on first use, and its
+    factorization is run at most once.  `count` = prod(a_j - 1) is an
+    int; `len` raises OverflowError past sys.maxsize, as for a range.
+    Iteration extends each prefix of choices in turn, so the next
+    presentation rebuilds only the links after the last choice that
+    changed; an int index builds its presentation in O(links), and a
+    slice returns a tuple.
     """
-    _require_realizable(knot)
+
+    def __init__(self, knot: LegendrianKnot, terms: tuple[int, ...], plus_one: bool):
+        self.knot = knot
+        self.terms = terms
+        self.head = (Component(knot, 1),) if plus_one else ()
+        # Per chain link: its tb and its number of stabilizations.
+        links, tb = [], knot.tb
+        for a in terms:
+            tb -= a - 2
+            links.append((tb, a - 2))
+        self._links = tuple(links)
+        self.count = math.prod(a - 1 for a in terms)
+        self.tbs = tuple([c.legendrian.tb for c in self.head] + [tb for tb, _ in links])
+
+    @cached_property
+    def matrix(self) -> LinkingMatrix:
+        """The linking matrix of every presentation."""
+        # Imported here, so that listing presentations does not load linalg.
+        from .linalg import LinkingMatrix
+
+        coefficients = [c.coefficient for c in self.head] + [-1] * len(self._links)
+        return LinkingMatrix.of_pushoffs(self.tbs, coefficients)
+
+    @property
+    def stabilizations(self) -> tuple[int, ...]:
+        """k_j, the stabilizations of chain link j in every presentation."""
+        return tuple(k for _, k in self._links)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        links = self._links
+        plus = [0] * len(links)
+        rots = [self.knot.rot] * (len(links) + 1)
+        chain = [None] * len(links)
+        movable = [j for j, (_, k) in enumerate(links) if k]
+        start = 0
+        while True:
+            yield self._build(chain, rots, plus, start)
+            # The next mixed-radix number: the last link that has a further
+            # choice takes it, and the links after it start over.
+            for start in reversed(movable):
+                if plus[start] < links[start][1]:
+                    plus[start] += 1
+                    break
+                plus[start] = 0
+            else:
+                return
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(*index.indices(self.count))))
+        i = operator.index(index)
+        if i < 0:
+            i += self.count
+        if not 0 <= i < self.count:
+            raise IndexError("Expansion index out of range")
+        links = self._links
+        plus = [0] * len(links)
+        for j in reversed(range(len(links))):
+            if links[j][1]:
+                i, plus[j] = divmod(i, links[j][1] + 1)
+        return self._build([None] * len(links), [self.knot.rot] * (len(links) + 1), plus, 0)
+
+    def _build(self, chain, rots, plus, start) -> ContactSurgeryPresentation:
+        # Links before `start` are those of the previous presentation; link j
+        # starts from its predecessor's rot, rots[j], in O(1).
+        links, knot_type = self._links, self.knot.knot_type
+        for j in range(start, len(chain)):
+            tb, k = links[j]
+            p = plus[j]
+            rots[j + 1] = rot = rots[j] + 2 * p - k
+            chain[j] = Component(LegendrianKnot(tb, rot, knot_type), -1, k - p, p)
+        presentation = ContactSurgeryPresentation(self.head + tuple(chain))
+        object.__setattr__(presentation, "_expansion", self)
+        return presentation
+
+
+def _chain_terms(r) -> tuple[bool, tuple[int, ...]]:
+    """Whether contact r-surgery has a +1 head, and the continued fraction
+    terms of its chain."""
     r = Fraction(r)
     if r == 0:
         raise InvalidCoefficient("surgery coefficient 0 is not allowed")
@@ -187,12 +261,31 @@ def expand(knot: LegendrianKnot, r) -> tuple[ContactSurgeryPresentation, ...]:
         raise UnsupportedCoefficient("coefficients in (0, 1) are not supported")
     if r < 0:
         # The chain starts at a pushoff of the knot, which copies (tb, rot).
-        return _chain_presentations(knot, 1 - r, prefix=())
-    plus_one = Component(knot, 1)
+        return False, negative_continued_fraction(1 - r)
     if r == 1:
-        return (ContactSurgeryPresentation((plus_one,)),)
+        return True, ()
     residual = Fraction(r.numerator, r.denominator - r.numerator)
-    return _chain_presentations(knot, 1 - residual, prefix=(plus_one,))
+    return True, negative_continued_fraction(1 - residual)
+
+
+def count_presentations(r) -> int:
+    """The number of presentations of contact r-surgery, prod(a_i - 1) over
+    its chain's continued fraction terms, without building any."""
+    return math.prod(a - 1 for a in _chain_terms(r)[1])
+
+
+def expand(knot: LegendrianKnot, r) -> Expansion:
+    """All (+1)/(-1) presentations of contact r-surgery on the given knot.
+
+    r must be a nonzero rational with r < 0 or r >= 1.  The result is a
+    lazy `Expansion`, ordered lexicographically over stabilization sign
+    sequences with '-' < '+', so the all-negative presentation comes
+    first; its `count` is the product of (a_i - 1) over the continued
+    fraction terms.
+    """
+    _require_realizable(knot)
+    plus_one, terms = _chain_terms(r)
+    return Expansion(knot, terms, plus_one)
 
 
 def all_negative_presentation(

@@ -14,44 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from . import linalg
 from .errors import NotRationalHomologySphere
 from .expansion import ContactSurgeryPresentation
-
-
-@dataclass(frozen=True)
-class LinkingMatrix:
-    """Symmetric linking matrix with smooth framings on the diagonal.
-
-    Each component is a pushoff of the one before it, so
-    M[i][j] = linking[min(i, j)] off the diagonal: the matrix is stored in
-    O(n), and the n x n `entries` are built only on request.
-    """
-
-    diagonal: tuple[int, ...]
-    linking: tuple[int, ...]  # one shorter than diagonal
-
-    def __post_init__(self) -> None:
-        if len(self.linking) != max(len(self.diagonal) - 1, 0):
-            raise ValueError("linking needs one entry fewer than diagonal")
-
-    @property
-    def size(self) -> int:
-        return len(self.diagonal)
-
-    @cached_property
-    def entries(self) -> linalg.IntMatrix:
-        return linalg.chain_entries(self.diagonal, self.linking)
-
-    def determinant(self) -> int:
-        return linalg.chain_determinant(self.diagonal, self.linking)
-
-    @cached_property
-    def factorization(self) -> linalg.PushoffChain:
-        """The O(n) chain kernel for this matrix, run once."""
-        return linalg.pushoff_chain(self.diagonal, self.linking)
+from .linalg import LinkingMatrix
 
 
 def linking_matrix(presentation: ContactSurgeryPresentation) -> LinkingMatrix:
@@ -61,11 +27,15 @@ def linking_matrix(presentation: ContactSurgeryPresentation) -> LinkingMatrix:
     predecessor in the predecessor's contact framing (its tb) and copies
     the predecessor's linking with every earlier component: row i is
     (tb_0, ..., tb_{i-1}, tb_i + coefficient_i, tb_i, ..., tb_i).
+
+    A presentation taken from an `Expansion` returns the one matrix that
+    all of that expansion's presentations share.
     """
+    if presentation._expansion is not None:
+        return presentation._expansion.matrix
     comps = presentation.components
-    tbs = [c.legendrian.tb for c in comps]
-    return LinkingMatrix(
-        tuple([tb + c.coefficient for tb, c in zip(tbs, comps)]), tuple(tbs[:-1])
+    return LinkingMatrix.of_pushoffs(
+        [c.legendrian.tb for c in comps], [c.coefficient for c in comps]
     )
 
 

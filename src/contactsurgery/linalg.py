@@ -2,17 +2,18 @@
 
 Everything here is deterministic and float-free.  Pushoff-chain
 matrices, the linking matrices of every surgery presentation, are given
-by their diagonal and linking tuples and have an O(n) kernel
-(`pushoff_chain`, `chain_determinant`) that never builds the n x n
-matrix; every other square integer matrix goes through one
-fraction-free elimination, `_eliminate`, which `det_int`,
-`signature_exact` and `solve_exact` expose.
+by their diagonal and linking tuples (`LinkingMatrix`) and have an O(n)
+kernel (`pushoff_chain`) that never builds the n x n matrix; every
+other square integer matrix goes through one fraction-free
+elimination, `_eliminate`, which `det_int`, `signature_exact` and
+`solve_exact` expose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -80,15 +81,6 @@ def _tail(diagonal, linking):
         yield diagonal[0], b
 
 
-def chain_determinant(diagonal, linking) -> int:
-    """det M = P_0 of the pushoff chain, by the continuant recurrence
-    P_k = a_k P_{k+1} - b_k^2 P_{k+2} in O(n) steps and O(1) memory."""
-    p, q = 1, 0  # P_{k+1}, P_{k+2}
-    for a, b in _tail(diagonal, linking):
-        p, q = a * p - b * b * q, p
-    return p
-
-
 def pushoff_chain(diagonal, linking) -> PushoffChain:
     """Tridiagonal form of a pushoff-chain matrix, eliminated from the tail.
 
@@ -124,6 +116,47 @@ def chain_entries(diagonal, linking) -> IntMatrix:
         linking[:i] + (d,) + linking[i:i + 1] * (n - i - 1)
         for i, d in enumerate(diagonal)
     )
+
+
+@dataclass(frozen=True)
+class LinkingMatrix:
+    """Symmetric linking matrix with smooth framings on the diagonal.
+
+    Each component is a pushoff of the one before it, so
+    M[i][j] = linking[min(i, j)] off the diagonal: the matrix is stored in
+    O(n), and the n x n `entries` are built only on request.
+    """
+
+    diagonal: tuple[int, ...]
+    linking: tuple[int, ...]  # one shorter than diagonal
+
+    def __post_init__(self) -> None:
+        if len(self.linking) != max(len(self.diagonal) - 1, 0):
+            raise ValueError("linking needs one entry fewer than diagonal")
+
+    @classmethod
+    def of_pushoffs(cls, tbs, coefficients) -> LinkingMatrix:
+        """The matrix of a chain of components, each a pushoff of the one
+        before it, with these tbs and contact coefficients: component j
+        links every earlier component i in tb_i, and its smooth framing is
+        tb_j + coefficient_j."""
+        return cls(tuple([t + c for t, c in zip(tbs, coefficients)]), tuple(tbs[:-1]))
+
+    @property
+    def size(self) -> int:
+        return len(self.diagonal)
+
+    @cached_property
+    def entries(self) -> IntMatrix:
+        return chain_entries(self.diagonal, self.linking)
+
+    def determinant(self) -> int:
+        return self.factorization.determinant
+
+    @cached_property
+    def factorization(self) -> PushoffChain:
+        """The O(n) chain kernel for this matrix, run once."""
+        return pushoff_chain(self.diagonal, self.linking)
 
 
 def identity_int(n: int) -> IntMatrix:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from contactsurgery.diagramio import presentation_from_dict, presentation_to_dict
 from contactsurgery.expansion import (
     ContactSurgeryPresentation,
     Component,
@@ -133,6 +134,18 @@ def test_kernel_matches_generic_on_presentations(presentation):
         spin = spin_c_evaluation(presentation, matrix)
         assert spin.solution == solve_exact(entries, rot)
         assert spin.c_squared == sum(x * r for x, r in zip(spin.solution, rot))
+
+
+@SETTINGS
+@given(presentations())
+def test_determinant_is_bareiss_on_shared_and_parsed_matrices(presentation):
+    # A presentation from expand reads its expansion's shared matrix; the
+    # same diagram read back from its dict gets a matrix of its own.
+    parsed = presentation_from_dict(presentation_to_dict(presentation))
+    assert parsed == presentation
+    shared, own = linking_matrix(presentation), linking_matrix(parsed)
+    assert own == shared
+    assert shared.determinant() == own.determinant() == det_int(own.entries)
 
 
 @st.composite

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from contactsurgery import cli, errors
+from contactsurgery import cli, errors, expansion
 from contactsurgery.catalog import Catalog, build_seed_entries
 from contactsurgery.cli import main
 from contactsurgery.diagramio import (
@@ -142,6 +142,91 @@ def test_cli_expand_json_round_trips(capsys):
     assert len(payload["presentations"]) == 2
     for data in payload["presentations"]:
         presentation_from_dict(data)
+
+
+@pytest.mark.parametrize("coeff", ["1", "3", "-2", "-7/2", "-9/7", "7/2", "-1000/7"])
+def test_cli_expand_json_is_written_as_one_encoding(capsys, coeff):
+    # Written presentation by presentation, in the bytes of one json.dumps.
+    knot = LegendrianKnot(-3, 2)
+    assert main(["expand", "--tb", "-3", "--rot", "2", f"--coeff={coeff}", "--json"]) == 0
+    presentations = [presentation_to_dict(p) for p in expand(knot, Fraction(coeff))]
+    assert capsys.readouterr().out == json.dumps(
+        {"presentations": presentations}, indent=2, sort_keys=True) + "\n"
+    assert main(["expand", "--tb", "-3", "--rot", "2", f"--coeff={coeff}", "--json",
+                 "--limit", "2"]) == 0
+    assert capsys.readouterr().out == json.dumps(
+        {"presentations": presentations[:2]}, indent=2, sort_keys=True) + "\n"
+
+
+def test_cli_expand_limit(capsys):
+    argv = ["expand", "--tb", "-1", "--rot", "0", "--coeff=-7/2"]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    assert main([*argv, "--limit", "2"]) == 0
+    limited = capsys.readouterr().out
+    # The count line, then the first two presentations of two links each.
+    assert limited.startswith("4 presentation(s)\npresentation 0:")
+    assert limited == "".join(whole.splitlines(keepends=True)[:7])
+    assert main([*argv, "--limit", "10"]) == 0
+    assert capsys.readouterr().out == whole
+    assert main([*argv, "--limit", "0", "--json"]) == 0
+    assert capsys.readouterr().out == '{\n  "presentations": []\n}\n'
+    assert main([*argv, "--limit", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: --limit -1: must not be negative\n"
+
+
+@pytest.mark.parametrize("coeff, count", [
+    ("1", 1), ("-7/2", 4), ("-1000/7", 858), ("-1e-6", 1), ("-1e400", 10**400)])
+def test_cli_expand_count(capsys, coeff, count):
+    assert main(["expand", "--count", "--tb", "-1", "--rot", "0", f"--coeff={coeff}"]) == 0
+    assert capsys.readouterr().out == f"{count}\n"
+
+
+def test_cli_expand_count_of_a_huge_expansion_is_fast():
+    # One link with 10**400 - 1 stabilizations: counted, never built.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "contactsurgery.cli", "expand", "--count", "--tb", "-1",
+         "--rot", "0", "--coeff=-1e400"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=10,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{10**400}\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--limit", "1"], ["--json", "--limit", "0"]])
+def test_cli_expand_refuses_to_print_a_link_past_the_stabilization_cap(
+        monkeypatch, capsys, flags):
+    monkeypatch.setattr(expansion, "TERMS_CAP", 10)
+    # -11: one link with 10 stabilizations, at the cap.
+    assert main(["expand", "--tb", "-1", "--rot", "0", "--coeff=-11", *flags]) == 0
+    capsys.readouterr()
+    assert main(["expand", "--tb", "-1", "--rot", "0", "--coeff=-12", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: --coeff -12: a chain link has more than 10 stabilizations to print; "
+        "--count prints the number of presentations\n")
+    assert main(["expand", "--tb", "-1", "--rot", "0", "--coeff=-12", "--count", *flags]) == 0
+    assert capsys.readouterr().out == "12\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ledger", "--window", "0", "9" * 4000],
+    ["ledger", "--window", "9" * 4000, "0"],
+    ["ledger", "--tb", "8" * 4000, "--rot", "0"],
+    ["expand", "--tb", "8" * 4000, "--rot", "0", "--coeff", "2"],
+], ids=["window-width", "window-order", "ledger-even", "expand-even"])
+def test_cli_messages_quote_long_integers(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert "9" * 4000 not in captured.err and "8" * 4000 not in captured.err
+    assert len(captured.err.encode()) < 300
 
 
 def test_cli_expand_negative_fraction_equals_form(capsys):
@@ -859,3 +944,21 @@ def test_cli_refuses_a_result_past_the_int_to_str_limit(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert len(captured.err.encode()) < 200
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="Python without an int-to-str limit"
+)
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_cli_expand_checks_the_extreme_rot_exactly(capsys, sign, json_flag):
+    # |rot| = 10**4300 - 2.  One stabilization takes the link's rot to at most
+    # 10**4300 - 1 in magnitude, which prints; two reach 10**4300, which does not.
+    argv = ["expand", "--tb", "-1", f"--rot={sign}{'9' * 4299}8", *json_flag]
+    assert main([*argv, "--coeff=-2"]) == 0
+    assert f"{sign}{'9' * 4300}" in capsys.readouterr().out
+    assert main([*argv, "--coeff=-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the result has an integer of more than 4300 digits")
+

@@ -21,6 +21,7 @@ from contactsurgery.expansion import (
     Component,
     ContactSurgeryPresentation,
     all_negative_presentation,
+    count_presentations,
     evaluate_continued_fraction,
     expand,
     negative_continued_fraction,
@@ -268,7 +269,76 @@ def reference_expansion(knot: LegendrianKnot, r: Fraction):
 @example(LegendrianKnot(-1, 0), Fraction(-500))
 @example(LegendrianKnot(-2, 1), Fraction(500, 499))
 def test_expand_matches_brute_force(knot, r):
-    assert expand(knot, r) == reference_expansion(knot, r)
+    assert tuple(expand(knot, r)) == reference_expansion(knot, r)
+
+
+@SETTINGS
+@given(knots(), coefficients(max_count=120))
+@example(LegendrianKnot(-1, 0), Fraction(1))
+@example(LegendrianKnot(-2, 1), Fraction(7, 2))
+@example(LegendrianKnot(-1, 0), Fraction(-9, 7))
+def test_every_index_matches_iteration_and_brute_force(knot, r):
+    expansion = expand(knot, r)
+    iterated = tuple(expansion)
+    reference = reference_expansion(knot, r)
+    assert expansion.count == len(expansion) == len(iterated) == len(reference)
+    for i, presentation in enumerate(reference):
+        assert expansion[i] == iterated[i] == presentation
+        assert expansion[i - len(reference)] == presentation
+
+
+def test_indices_slices_and_index_error():
+    expansion = expand(LegendrianKnot(-1, 0), Fraction(-9, 4))
+    whole = tuple(expansion)
+    assert len(whole) == 3
+    assert expansion[-1] == whole[-1] and expansion[-3] == whole[0]
+    assert expansion[1:] == whole[1:]
+    assert expansion[::-1] == whole[::-1]
+    assert expansion[5:] == () and expansion[:] == whole
+    assert tuple(reversed(expansion)) == whole[::-1]
+    for index in (3, -4, 10**400):
+        with pytest.raises(IndexError):
+            expansion[index]
+    with pytest.raises(TypeError):
+        expansion["0"]
+
+
+def test_a_huge_expansion_is_counted_and_indexed_without_being_built():
+    # 1 - r = 10**400 + 1: one link with 10**400 - 1 stabilizations.
+    expansion = expand(LegendrianKnot(-1, 0), -Fraction(10**400))
+    assert expansion.count == 10**400 == count_presentations(-Fraction(10**400))
+    with pytest.raises(OverflowError):
+        len(expansion)
+    (link,) = expansion[-1].components
+    assert (link.negative_stabs, link.positive_stabs) == (0, 10**400 - 1)
+    assert link.legendrian == LegendrianKnot(-(10**400), 10**400 - 1)
+    assert expansion.stabilizations == (10**400 - 1,)
+    assert next(iter(expansion)) == expansion[0]
+
+
+@SETTINGS
+@given(knots(), coefficients(max_count=60))
+@example(LegendrianKnot(-1, 0), Fraction(1))
+def test_every_presentation_shares_one_linking_matrix(knot, r):
+    expansion = expand(knot, r)
+    shared = linking_matrix(expansion[0])
+    assert shared is expansion.matrix
+    assert all(linking_matrix(p) is shared for p in expansion)
+    # An equal presentation built elsewhere gets an equal matrix of its own.
+    rebuilt = ContactSurgeryPresentation(expansion[-1].components)
+    assert rebuilt == expansion[-1] and hash(rebuilt) == hash(expansion[-1])
+    assert repr(rebuilt) == repr(expansion[-1])
+    assert linking_matrix(rebuilt) == shared and linking_matrix(rebuilt) is not shared
+    assert linking_matrix(dataclasses.replace(expansion[0])) is not shared
+
+
+@SETTINGS
+@given(coefficients(max_count=10**6))
+@example(Fraction(1))
+@example(Fraction(-8000))
+def test_count_presentations_does_not_expand(r):
+    assert count_presentations(r) == expand(LegendrianKnot(-1, 0), r).count
+    assert count_presentations(r) == presentation_count(r)
 
 
 def fold_stabilize(knot, signs):
