@@ -22,6 +22,7 @@ from .errors import (
     IncompleteData,
     InvalidCableParameters,
     NotInCatalog,
+    quote,
 )
 
 FLAG_SQP_FIBERED = "strongly-quasipositive-fibered"
@@ -218,14 +219,14 @@ class Catalog:
         self._entries: dict[str, KnotType] = {}
         for entry in entries:
             if entry.name in self._entries:
-                raise DiagramFormatError(f"duplicate catalog entry {entry.name!r}")
+                raise DiagramFormatError(f"duplicate catalog entry {quote(entry.name)!r}")
             self._entries[entry.name] = entry
 
     def lookup(self, name: str) -> KnotType:
         try:
             return self._entries[name]
         except KeyError:
-            raise NotInCatalog(f"no catalog entry named {name!r}") from None
+            raise NotInCatalog(f"no catalog entry named {quote(name)!r}") from None
 
     def names(self) -> list[str]:
         return sorted(self._entries)

@@ -3,15 +3,20 @@
 Verbs: catalog, expand, homology, d3, classify, ledger, openbook,
 selftest.  All numeric output is exact (rationals printed as p/q) and
 byte-identical across runs.  Exit codes: 0 success, 1 computational
-error, 2 input error, 3 ledger contradiction.
+error or a reader that closed stdout, 2 input error, 3 ledger
+contradiction.  Output of combinatorial size (expand's presentations,
+ledger's window) is written as it is computed, never held whole.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import re
 import sys
+from itertools import chain, islice
 
 # Each verb imports the library modules it uses, so a call loads only those.
 from .errors import (
@@ -21,15 +26,37 @@ from .errors import (
     NotRealizable,
     OutOfRange,
     UnsupportedCoefficient,
+    quote,
 )
 
 # The stderr prefix for each exit code of a ContactSurgeryError.
 _PREFIXES = {1: "error", 2: "input error", 3: "contradiction"}
 
-# The one JSON format of every --json output.
-_JSON = json.JSONEncoder(indent=2, sort_keys=True)
 
-# The most framings `ledger --window` renders; the window is built in memory.
+class _Streamed(list):
+    """An iterator as a list for `_write_json`.  The pure-Python encoder tests
+    a list once for emptiness, then iterates it, so each item is read once,
+    as it is written.  (`JSONEncoder.encode` may run the C encoder, which
+    would read the empty list underneath.)"""
+
+    def __init__(self, items):
+        super().__init__()
+        self._items = iter(items)
+        self._head = list(islice(self._items, 1))
+
+    def __bool__(self) -> bool:
+        return bool(self._head)
+
+    def __iter__(self):
+        return chain(self._head, self._items)
+
+
+# The one JSON format of every --json output.  An iterator in a payload is
+# encoded as a list, item by item.
+_JSON = json.JSONEncoder(indent=2, sort_keys=True, default=_Streamed)
+
+# The most framings `ledger --window` renders.  Rows are streamed, so the
+# cap bounds the time a call takes, not its memory.
 WINDOW_CAP = 10**6
 
 # The largest decimal exponent magnitude --coeff takes.  Past it every
@@ -43,9 +70,6 @@ EXPONENT_CAP = 10**6
 # in the numerator or denominator already mean more than 10**6 continued
 # fraction terms or more than 2**300 presentations.
 DIGITS_CAP = 4000
-
-# How much of an unparsed --coeff text a message quotes.
-_QUOTE_CAP = 40
 
 # A decimal with an exponent, as Fraction reads it; group 1 is the exponent's
 # magnitude.  Other text goes to Fraction and its parse error.
@@ -63,9 +87,13 @@ def _load_catalog(args):
     return Catalog.builtin()
 
 
-def _quote(text: str) -> str:
-    """The start of an argument, for a message."""
-    return text if len(text) <= _QUOTE_CAP else text[:_QUOTE_CAP] + "..."
+def _write_json(payload) -> None:
+    """Write `payload` as one _JSON document and a newline, in batches of
+    encoder chunks, so that a list given as an iterator is never held whole."""
+    chunks = _JSON.iterencode(payload)
+    while batch := "".join(islice(chunks, 4096)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _parse_fraction(text: str):
@@ -81,7 +109,7 @@ def _parse_fraction(text: str):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidCoefficient(f"cannot parse coefficient {_quote(text)!r}") from exc
+        raise InvalidCoefficient(f"cannot parse coefficient {quote(text)!r}") from exc
 
 
 def _check_printable(values) -> None:
@@ -101,14 +129,14 @@ def _check_printable(values) -> None:
 def _integer(text: str, odd: bool = False) -> int:
     """The argparse type of the integer flags: an int, odd if `odd`, as
     self-linking numbers of knots in the 3-sphere are.  Its messages quote
-    at most _QUOTE_CAP characters of the argument."""
+    at most errors.QUOTE_CAP characters of the argument."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {quote(text)!r}") from None
     if odd and value % 2 != 1:
         raise argparse.ArgumentTypeError(
-            f"self-linking number must be odd, got {_quote(str(value))}")
+            f"self-linking number must be odd, got {quote(value)}")
     return value
 
 
@@ -118,7 +146,7 @@ def _legendrian(args, knot_type):
 
     if (args.tb + args.rot) % 2 == 0:
         raise NotRealizable(
-            f"--tb {_quote(str(args.tb))} --rot {_quote(str(args.rot))}: tb + rot is "
+            f"--tb {quote(args.tb)} --rot {quote(args.rot)}: tb + rot is "
             "even; a Legendrian knot in the 3-sphere has tb + rot odd"
         )
     return LegendrianKnot(args.tb, args.rot, knot_type)
@@ -146,7 +174,7 @@ def _cmd_catalog(args) -> int:
         return 0
     knot = catalog.lookup(args.knot)
     if args.json:
-        print(_JSON.encode(_knot_record(knot)))
+        _write_json(_knot_record(knot))
     else:
         print(f"name: {knot.name}")
         print(f"genus: {knot.genus}")
@@ -168,11 +196,11 @@ def _cmd_expand(args) -> int:
         knot_type = _load_catalog(args).lookup(args.knot)
     knot = _legendrian(args, knot_type)
     if args.limit is not None and args.limit < 0:
-        raise OutOfRange(f"--limit {_quote(str(args.limit))}: must not be negative")
+        raise OutOfRange(f"--limit {quote(args.limit)}: must not be negative")
     try:
         expansion = expand(knot, _parse_fraction(args.coeff))
     except (OutOfRange, UnsupportedCoefficient) as exc:
-        raise type(exc)(f"--coeff {_quote(args.coeff)}: {exc}") from None
+        raise type(exc)(f"--coeff {quote(args.coeff)}: {exc}") from None
     if args.count:
         _check_printable((expansion.count,))
         print(expansion.count)
@@ -182,7 +210,7 @@ def _cmd_expand(args) -> int:
     stabilizations = expansion.stabilizations
     if any(k > TERMS_CAP for k in stabilizations):
         raise OutOfRange(
-            f"--coeff {_quote(args.coeff)}: a chain link has more than {TERMS_CAP} "
+            f"--coeff {quote(args.coeff)}: a chain link has more than {TERMS_CAP} "
             "stabilizations to print; --count prints the number of presentations"
         )
     printed = [*expansion.tbs, abs(knot.rot) + sum(stabilizations)]
@@ -193,15 +221,7 @@ def _cmd_expand(args) -> int:
     if args.limit is not None:
         shown = (p for _, p in zip(range(args.limit), expansion))
     if args.json:
-        # Presentation by presentation, in the bytes of one _JSON.encode.
-        sys.stdout.write('{\n  "presentations": [')
-        separator = "\n    "
-        for presentation in shown:
-            item = _JSON.encode(diagramio.presentation_to_dict(presentation))
-            sys.stdout.write(separator + item.replace("\n", "\n    "))
-            separator = ",\n    "
-        # json.dumps writes an empty list as "[]".
-        print("\n  ]\n}" if separator == ",\n    " else "]\n}")
+        _write_json({"presentations": map(diagramio.presentation_to_dict, shown)})
         return 0
     print(f"{expansion.count} presentation(s)")
     for i, presentation in enumerate(shown):
@@ -223,12 +243,12 @@ def _cmd_homology(args) -> int:
     data = homology_data(linking_matrix(presentation))
     _check_printable((data.determinant, data.signature, data.euler_characteristic))
     if args.json:
-        print(_JSON.encode({
+        _write_json({
             "determinant": data.determinant,
             "order_h1": data.order_h1,
             "signature": data.signature,
             "euler_characteristic": data.euler_characteristic,
-        }))
+        })
         return 0
     order = "infinite" if data.order_h1 is None else str(data.order_h1)
     print(f"|H1| = {order}")
@@ -255,11 +275,11 @@ def _cmd_classify(args) -> int:
     report = tight_surgery_ranges(knot)
     _check_printable([rng.anchor for rng in report.ranges] + [report.sl_tb_gap or 0])
     if args.json:
-        print(_JSON.encode({
+        _write_json({
             "knot": knot.name,
             "ranges": [{"anchor": rng.anchor, "rule": rng.rule} for rng in report.ranges],
             "sl_tb_gap": report.sl_tb_gap,
-        }))
+        })
         return 0
     if not report.ranges:
         print(f"{knot.name}: no tight range certified by the built-in rules")
@@ -271,20 +291,18 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_ledger(args) -> int:
-    from itertools import islice
-
     from .ledger import LedgerSubject, apply_rules, assert_fact, inverse_limit_status
     from .legendrian import TransverseKnot
     from .openbook import InvariantStatus
 
     lo, hi = args.window
-    window = f"--window {_quote(str(lo))} {_quote(str(hi))}"
+    window = f"--window {quote(lo)} {quote(hi)}"
     if lo > hi:
         raise OutOfRange(f"{window}: LO must not exceed HI")
     if hi - lo + 1 > WINDOW_CAP:
         raise OutOfRange(
             f"{window}: a window spans at most {WINDOW_CAP} framings, "
-            f"got {_quote(str(hi - lo + 1))}"
+            f"got {quote(hi - lo + 1)}"
         )
     knot_type = None
     if args.knot:
@@ -312,21 +330,15 @@ def _cmd_ledger(args) -> int:
                 InvariantStatus(record["status"]),
                 record["rule"],
             )
-    rows = state.window(lo, hi)
+    rows = state.rows(lo, hi)
     if args.json:
-        chunks = _JSON.iterencode(
-            {
-                "window": [
-                    {"framing": f"f_S{k:+d}", "status": status.value, "rule": rule}
-                    for k, status, rule in rows
-                ],
-                "inverse_limit": inverse_limit_status(state).value,
-            }
-        )
-        # Written in batches of chunks, so a wide window is never one string.
-        while batch := "".join(islice(chunks, 4096)):
-            sys.stdout.write(batch)
-        print()
+        _write_json({
+            "window": (
+                {"framing": f"f_S{k:+d}", "status": status.value, "rule": rule}
+                for k, status, rule in rows
+            ),
+            "inverse_limit": inverse_limit_status(state).value,
+        })
         return 0
     for k, status, rule in rows:
         provenance = f"  [{rule}]" if rule else ""
@@ -353,7 +365,7 @@ def _cmd_openbook(args) -> int:
         payload = diagramio.open_book_to_dict(surface, letters)
         if args.action:
             payload["action"] = [list(row) for row in action]
-        print(_JSON.encode(payload))
+        _write_json(payload)
         return 0
     print(f"genus {surface.genus}, boundary components {surface.boundary_count}, "
           f"H1 rank {surface.h1_rank}")
@@ -449,10 +461,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
     except ContactSurgeryError as exc:
         print(f"{_PREFIXES[exc.exit_code]}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # The reader closed stdout.  Python flushes stdout again at exit, so
+        # a real file descriptor is pointed at the null device, as the Python
+        # docs advise for SIGPIPE; an in-memory stdout has none.
+        try:
+            fd = sys.stdout.fileno()
+        except io.UnsupportedOperation:
+            return 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 1
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ boundary, pairing, boundary_classes}, "alphabet": {name: class vector},
 from __future__ import annotations
 
 from .catalog import read_json
-from .errors import DiagramFormatError, InvalidCoefficient
+from .errors import DiagramFormatError, InvalidCoefficient, quote
 from .expansion import Component, ContactSurgeryPresentation
 from .legendrian import LegendrianKnot, stabilize_many
 
@@ -34,7 +34,7 @@ def _integers(raw, path: str, depth: int):
     """Lists nested `depth` deep with integers (not bools) inside, as tuples."""
     if depth == 0:
         if isinstance(raw, bool) or not isinstance(raw, int):
-            raise DiagramFormatError(f"{path}: expected an integer, got {raw!r}")
+            raise DiagramFormatError(f"{path}: expected an integer, got {quote(repr(raw))}")
         return raw
     if not isinstance(raw, list):
         raise DiagramFormatError(f"{path}: expected a list")
@@ -46,7 +46,8 @@ def parse_coefficient(raw, path: str) -> int:
         return 1
     if raw == "-1" or raw == -1:
         return -1
-    raise InvalidCoefficient(f"{path}: contact coefficient must be +1 or -1, got {raw!r}")
+    raise InvalidCoefficient(
+        f"{path}: contact coefficient must be +1 or -1, got {quote(repr(raw))}")
 
 
 def presentation_from_dict(data: object, source: str = "diagram") -> ContactSurgeryPresentation:
@@ -66,7 +67,7 @@ def presentation_from_dict(data: object, source: str = "diagram") -> ContactSurg
             raise DiagramFormatError(f"{path}.stab_signs: entries must be '+' or '-'")
         if (tb + rot) % 2 == 0:
             raise DiagramFormatError(
-                f"{path}: tb + rot = {tb + rot} is even; a Legendrian knot in "
+                f"{path}: tb + rot = {quote(tb + rot)} is even; a Legendrian knot in "
                 "the 3-sphere has tb + rot odd"
             )
         if components:
@@ -74,10 +75,10 @@ def presentation_from_dict(data: object, source: str = "diagram") -> ContactSurg
             expected = stabilize_many(prev, signs)
             if (tb, rot) != (expected.tb, expected.rot):
                 raise DiagramFormatError(
-                    f"{path}: (tb, rot) = ({tb}, {rot}) is not the previous "
-                    f"component ({prev.tb}, {prev.rot}) stabilized by "
-                    f"stab_signs {signs}, which gives "
-                    f"({expected.tb}, {expected.rot})"
+                    f"{path}: (tb, rot) = ({quote(tb)}, {quote(rot)}) is not "
+                    f"the previous component ({quote(prev.tb)}, {quote(prev.rot)}) "
+                    f"stabilized by stab_signs {quote(signs)}, which gives "
+                    f"({quote(expected.tb)}, {quote(expected.rot)})"
                 )
         component = Component(LegendrianKnot(tb, rot), coeff, signs.count("-"), signs.count("+"))
         if raw.get("role", component.role) != component.role:
@@ -148,13 +149,14 @@ def open_book_from_dict(data: object, source: str = "openbook") -> tuple:
         path = f"{source}.word[{i}]"
         if not (isinstance(letter, list) and len(letter) == 2
                 and all(isinstance(x, str) for x in letter)):
-            raise DiagramFormatError(f"{path}: expected [name, sign], two strings, got {letter!r}")
+            raise DiagramFormatError(
+                f"{path}: expected [name, sign], two strings, got {quote(repr(letter))}")
         try:
             letters += make_word(tuple(letter))
         except ValueError as exc:
             raise DiagramFormatError(f"{path}: {exc}") from exc
         if not surface.has_curve(letter[0]):
-            raise DiagramFormatError(f"{path}: unknown curve {letter[0]!r}")
+            raise DiagramFormatError(f"{path}: unknown curve {quote(letter[0])!r}")
     return surface, tuple(letters)
 
 

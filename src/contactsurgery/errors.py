@@ -2,10 +2,23 @@
 
 Every domain failure raises a subclass of ContactSurgeryError.  Its
 exit_code tells input problems (2) and ledger contradictions (3) from
-computational failures (1); the CLI exits with it.
+computational failures (1); the CLI exits with it.  A message that
+echoes input passes it through `quote`, so its length stays bounded.
 """
 
 from __future__ import annotations
+
+# How many characters of an echoed input a message quotes.
+QUOTE_CAP = 40
+
+
+def quote(value) -> str:
+    """The start of an input's text, str(value), for a message."""
+    try:
+        text = str(value)
+    except ValueError:  # an integer past Python's int-to-str limit
+        return "<an integer too long to print>"
+    return text if len(text) <= QUOTE_CAP else text[:QUOTE_CAP] + "..."
 
 
 class ContactSurgeryError(Exception):

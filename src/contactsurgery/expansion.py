@@ -21,6 +21,7 @@ from .errors import (
     NotRealizable,
     OutOfRange,
     UnsupportedCoefficient,
+    quote,
 )
 from .legendrian import (
     NEGATIVE,
@@ -145,8 +146,8 @@ def _require_realizable(knot: LegendrianKnot) -> None:
     # (max_tb, 0) carry only tb.
     if (knot.tb + knot.rot) % 2 == 0:
         raise NotRealizable(
-            f"(tb, rot) = ({knot.tb}, {knot.rot}): tb + rot is even; a Legendrian "
-            "knot in the 3-sphere has tb + rot odd"
+            f"(tb, rot) = ({quote(knot.tb)}, {quote(knot.rot)}): tb + rot "
+            "is even; a Legendrian knot in the 3-sphere has tb + rot odd"
         )
 
 
@@ -266,12 +267,6 @@ def _chain_terms(r) -> tuple[bool, tuple[int, ...]]:
         return True, ()
     residual = Fraction(r.numerator, r.denominator - r.numerator)
     return True, negative_continued_fraction(1 - residual)
-
-
-def count_presentations(r) -> int:
-    """The number of presentations of contact r-surgery, prod(a_i - 1) over
-    its chain's continued fraction terms, without building any."""
-    return math.prod(a - 1 for a in _chain_terms(r)[1])
 
 
 def expand(knot: LegendrianKnot, r) -> Expansion:

@@ -113,7 +113,7 @@ class LedgerState:
         return InvariantStatus.UNKNOWN
 
     def window(self, lo: int, hi: int) -> list[tuple[int, InvariantStatus, str | None]]:
-        return list(self._rows(lo, hi))
+        return list(self.rows(lo, hi))
 
     @cached_property
     def _by_offset(self) -> dict[InvariantStatus, tuple[list[int], dict[int, str]]]:
@@ -125,11 +125,11 @@ class LedgerState:
                 first[fact.status].setdefault(fact.offset, fact.rule)
         return {status: (sorted(rules), rules) for status, rules in first.items()}
 
-    def _rows(self, lo: int, hi: int):
-        """(framing, status, provenance) for lo..hi.  A Zero framing is
-        justified by the Zero fact at the nearest offset at or above it, a
-        NonZero framing by the NonZero fact at the nearest offset at or
-        below it."""
+    def rows(self, lo: int, hi: int):
+        """(framing, status, provenance) for lo..hi, one at a time; `window`
+        is their list.  A Zero framing is justified by the Zero fact at the
+        nearest offset at or above it, a NonZero framing by the NonZero fact
+        at the nearest offset at or below it."""
         zeros, zero_rules = self._by_offset[ZERO]
         nonzeros, nonzero_rules = self._by_offset[NONZERO]
         z = bisect_left(zeros, lo)  # zeros[z]: the first Zero offset >= k
@@ -251,10 +251,9 @@ RULES = (
 RULES_BY_ID = {rule.id: rule for rule in RULES}
 
 
-def apply_rules(subject: LedgerSubject, state: LedgerState | None = None) -> LedgerState:
+def apply_rules(subject: LedgerSubject) -> LedgerState:
     """Assert every built-in rule whose preconditions the subject meets."""
-    if state is None:
-        state = LedgerState()
+    state = LedgerState()
     for rule in RULES:
         if rule.holds(subject):
             offset = None if rule.offset is None else rule.offset(subject)

@@ -23,6 +23,7 @@ from .errors import (
     InvalidStabilization,
     PatternMismatch,
     UnknownCurve,
+    quote,
 )
 
 Letter = tuple[str, str]
@@ -69,7 +70,7 @@ class SurfaceModel:
         object.__setattr__(self, "_classes", classes)
         for name, cls in self.curves:
             if len(cls) != rank:
-                raise ValueError(f"curve {name!r} class has wrong length")
+                raise ValueError(f"curve {quote(name)!r} class has wrong length")
         for cls in self.boundary_classes:
             if len(cls) != rank:
                 raise ValueError("boundary class has wrong length")
@@ -104,7 +105,7 @@ def word(*letters) -> tuple[Letter, ...]:
     out = []
     for name, sign in letters:
         if sign not in (PLUS, MINUS):
-            raise ValueError(f"twist sign must be '+' or '-', got {sign!r}")
+            raise ValueError(f"twist sign must be '+' or '-', got {quote(sign)!r}")
         out.append((name, sign))
     return tuple(out)
 

@@ -451,8 +451,62 @@ def test_cli_integer_flags_quote_a_long_argument(capsys, argv, value):
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert value[:cli._QUOTE_CAP] + "..." in captured.err
+    assert value[:errors.QUOTE_CAP] + "..." in captured.err
     assert len(captured.err.encode()) < 600
+
+
+def _component(tb, rot, coeff="-1", **fields):
+    return {"tb": tb, "rot": rot, "coeff": coeff, **fields}
+
+
+_BOOK = json.loads((pathlib.Path(__file__).resolve().parent.parent
+                    / "fixtures" / "torus-book.json").read_text())
+_LONG_TEXT = "x" * 100_000
+
+
+def _file_input(verb, data):
+    """argv of `verb --file` on a file holding `data`."""
+    def argv(tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        return [verb, "--file", str(path)]
+    return argv
+
+
+def _duplicate_catalog(tmp_path):
+    record = {"name": _LONG_TEXT, "genus": 1, "slice_genus": 1, "max_tb": 1, "max_sl": 1,
+              "flags": [], "provenance": "test"}
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([record, record]))
+    return ["catalog", "--list", "--catalog", str(path)]
+
+
+@pytest.mark.parametrize("argv", [
+    _file_input("d3", {"components": [
+        _component(-1, 0), _component(-1, 0, stab_signs=["-"] * 100_000)]}),
+    _file_input("d3", {"components": [_component(-1, 0), _component(int("9" * 4001), 0)]}),
+    # A sum and a stabilized tb of 4,301 digits, past Python's int-to-str limit.
+    _file_input("d3", {"components": [_component(int("9" * 4300), 1)]}),
+    _file_input("d3", {"components": [_component(-int("9" * 4300), 0),
+                                      _component(-int("9" * 4300), 0, stab_signs=["-"])]}),
+    _file_input("d3", {"components": [_component(-1, 0, coeff=_LONG_TEXT)]}),
+    _file_input("openbook", dict(
+        _BOOK, surface=dict(_BOOK["surface"], pairing=[[_LONG_TEXT, 0], [0, 0]]))),
+    _file_input("openbook", dict(_BOOK, alphabet={_LONG_TEXT: [1]})),
+    _file_input("openbook", dict(_BOOK, word=[[_LONG_TEXT, 5]])),
+    _file_input("openbook", dict(_BOOK, word=[["a", _LONG_TEXT]])),
+    _file_input("openbook", dict(_BOOK, word=[[_LONG_TEXT, "+"]])),
+    lambda tmp_path: ["catalog", "--knot", _LONG_TEXT],
+    _duplicate_catalog,
+], ids=["stab-signs", "tb-4001-digits", "even-sum-past-limit", "pushoff-past-limit", "coeff",
+       "pairing-entry", "alphabet-name", "letter", "letter-sign", "letter-name", "knot-name",
+       "duplicate-knot-name"])
+def test_messages_quote_a_long_input(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert len(captured.err.encode()) < 1024
 
 
 def test_builtin_catalog_does_not_depend_on_the_working_directory(tmp_path, monkeypatch):
