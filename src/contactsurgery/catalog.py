@@ -11,7 +11,6 @@ records its provenance as free text in the catalog file.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections.abc import Iterator
@@ -23,6 +22,7 @@ from .errors import (
     InvalidCableParameters,
     NotInCatalog,
     quote,
+    read_json,
 )
 
 FLAG_SQP_FIBERED = "strongly-quasipositive-fibered"
@@ -34,25 +34,6 @@ FLAG_CONNECTED_SUM = "connected-sum"
 _KNOWN_FLAGS = frozenset(
     {FLAG_SQP_FIBERED, FLAG_ALGEBRAIC, FLAG_TORUS, FLAG_CABLE, FLAG_CONNECTED_SUM}
 )
-
-
-def read_json(path: str):
-    """The JSON value in a UTF-8 file.  An unreadable file, malformed JSON, an
-    integer past Python's int-to-str digit limit and nesting past the
-    recursion limit are format errors naming the path."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DiagramFormatError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DiagramFormatError(f"{path}: cannot read the file: {exc}") from exc
-    except ValueError as exc:
-        raise DiagramFormatError(f"{path}: an integer has too many digits") from exc
-    except RecursionError as exc:
-        raise DiagramFormatError(f"{path}: the JSON nests too deeply") from exc
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,7 @@ boundary, pairing, boundary_classes}, "alphabet": {name: class vector},
 
 from __future__ import annotations
 
-from .catalog import read_json
-from .errors import DiagramFormatError, InvalidCoefficient, quote
+from .errors import DiagramFormatError, InvalidCoefficient, quote, read_json
 from .expansion import Component, ContactSurgeryPresentation
 from .legendrian import LegendrianKnot, stabilize_many
 

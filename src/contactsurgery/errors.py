@@ -4,9 +4,13 @@ Every domain failure raises a subclass of ContactSurgeryError.  Its
 exit_code tells input problems (2) and ledger contradictions (3) from
 computational failures (1); the CLI exits with it.  A message that
 echoes input passes it through `quote`, so its length stays bounded.
+`read_json`, the one JSON file reader of every input format, maps each
+way a file can fail to a `DiagramFormatError` naming the path.
 """
 
 from __future__ import annotations
+
+import json
 
 # How many characters of an echoed input a message quotes.
 QUOTE_CAP = 40
@@ -109,3 +113,22 @@ class Contradiction(ContactSurgeryError):
         super().__init__(
             f"status clash at {where}: Zero by {zero_rule}, NonZero by {nonzero_rule}"
         )
+
+
+def read_json(path: str):
+    """The JSON value in a UTF-8 file.  An unreadable file, malformed JSON, an
+    integer past Python's int-to-str digit limit and nesting past the
+    recursion limit are format errors naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DiagramFormatError(
+            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DiagramFormatError(f"{path}: cannot read the file: {exc}") from exc
+    except ValueError as exc:
+        raise DiagramFormatError(f"{path}: an integer has too many digits") from exc
+    except RecursionError as exc:
+        raise DiagramFormatError(f"{path}: the JSON nests too deeply") from exc

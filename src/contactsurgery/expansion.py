@@ -126,9 +126,11 @@ class ContactSurgeryPresentation:
     overtwisted: bool = False
 
     # The `Expansion` that built this presentation, whose linking matrix
-    # it shares.  Not a field: equality, hash and repr ignore it, and
-    # dataclasses.replace makes a presentation without it.
+    # it shares, and the linking matrix `homology.linking_matrix` built for
+    # a presentation that has none.  Not fields: equality, hash and repr
+    # ignore them, and dataclasses.replace makes a presentation without them.
     _expansion = None
+    _matrix = None
 
     def __post_init__(self) -> None:
         plus_ones = [i for i, c in enumerate(self.components) if c.coefficient == 1]

@@ -8,6 +8,12 @@ rotation numbers, and assemble the d3 invariant
     d3 = (c^2 - 3*signature - 2*euler) / 4 + (number of +1 coefficients),
 
 normalized so the empty diagram yields -1/2.  All arithmetic is exact.
+
+`d3_invariant` reads det * c^2 as one integer (`PushoffChain.adjugate_form`)
+and divides once, by 4 * det; only `spin_c_evaluation` builds the
+solution's `Fraction`s.  Every presentation factors its linking matrix
+once: an expansion's presentations share one matrix, and any other
+presentation keeps the matrix `linking_matrix` built for it.
 """
 
 from __future__ import annotations
@@ -29,14 +35,19 @@ def linking_matrix(presentation: ContactSurgeryPresentation) -> LinkingMatrix:
     (tb_0, ..., tb_{i-1}, tb_i + coefficient_i, tb_i, ..., tb_i).
 
     A presentation taken from an `Expansion` returns the one matrix that
-    all of that expansion's presentations share.
+    all of that expansion's presentations share; any other presentation
+    builds its matrix on first use and keeps it, so it is factored once.
     """
     if presentation._expansion is not None:
         return presentation._expansion.matrix
-    comps = presentation.components
-    return LinkingMatrix.of_pushoffs(
-        [c.legendrian.tb for c in comps], [c.coefficient for c in comps]
-    )
+    matrix = presentation._matrix
+    if matrix is None:
+        comps = presentation.components
+        matrix = LinkingMatrix.of_pushoffs(
+            [c.legendrian.tb for c in comps], [c.coefficient for c in comps]
+        )
+        object.__setattr__(presentation, "_matrix", matrix)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -85,17 +96,20 @@ def d3_invariant(presentation: ContactSurgeryPresentation) -> Fraction:
     """The d3 invariant of the contact structure the presentation defines.
 
     Defined when the surgered manifold is a rational homology sphere
-    (nonzero determinant); the empty presentation gives -1/2.
+    (nonzero determinant); the empty presentation gives -1/2.  With
+    det * c^2 = N, the integer `adjugate_form` of the rot vector,
+    d3 = (N - det * (3 * signature + 2 * euler - 4 * q)) / (4 * det).
     """
     matrix = linking_matrix(presentation)
-    data = homology_data(matrix)
-    if data.order_h1 is None:
+    kernel = matrix.factorization
+    det = kernel.determinant
+    if det == 0:
         raise NotRationalHomologySphere(
             "d3 is undefined: the surgered manifold has infinite H1"
         )
-    spin = spin_c_evaluation(presentation, matrix)
-    q = sum(1 for c in presentation.components if c.coefficient == 1)
-    return (
-        Fraction(spin.c_squared - 3 * data.signature - 2 * data.euler_characteristic, 4)
-        + q
+    comps = presentation.components
+    form = kernel.adjugate_form([c.legendrian.rot for c in comps])
+    q = sum(1 for c in comps if c.coefficient == 1)
+    return Fraction(
+        form - det * (3 * kernel.signature + 2 * (1 + matrix.size) - 4 * q), 4 * det
     )

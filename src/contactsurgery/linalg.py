@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -37,20 +38,36 @@ class PushoffChain:
         return self.continuants[0]
 
     def solve(self, rhs) -> tuple[tuple[Fraction, ...], Fraction]:
-        """The solution x of M x = rhs and x . rhs, exactly.
+        """The solution x of M x = rhs and x . rhs, exactly: x_j =
+        (w_j - w_{j+1}) / det and x . rhs = (w . r) / det (see `_adjugate`)."""
+        det = self.continuants[0]
+        if det == 0:
+            raise ZeroDivisionError("matrix is singular")
+        r, w = self._adjugate(rhs)
+        w.append(0)
+        solution = tuple(Fraction(x - y, det) for x, y in zip(w, w[1:]))
+        return solution, Fraction(sum(map(mul, w, r)), det)
 
-        Solves T w = P^T rhs = r by the adjugate of T, whose entry (k, j),
-        k <= j, is (-1)^(j-k) b_k ... b_{j-1} h_k P_{j+1} for the head
-        continuants h_k = det T[:k, :k].  So det * w_k = h_k s_k + P_{k+1} u_k
-        with s_k = P_{k+1} r_k - b_k s_{k+1} (backward) and
-        u_{k+1} = -b_k (h_k r_k + u_k) (forward, building h): integers, with
-        det the only divisor.  Then x_j = w_j - w_{j+1} and x . rhs = w . r.
+    def adjugate_form(self, rhs) -> int:
+        """rhs^T adj(M) rhs = w . r, an integer; det * rhs^T M^-1 rhs when M
+        is invertible, so det * c^2 without building a solution."""
+        r, w = self._adjugate(rhs)
+        return sum(map(mul, w, r))
+
+    def _adjugate(self, rhs) -> tuple[list[int], list[int]]:
+        """r = P^T rhs and w = adj(T) r, in integers.
+
+        The adjugate of T has entry (k, j), k <= j, equal to
+        (-1)^(j-k) b_k ... b_{j-1} h_k P_{j+1} for the head continuants
+        h_k = det T[:k, :k].  So w_k = h_k s_k + P_{k+1} u_k with
+        s_k = P_{k+1} r_k - b_k s_{k+1} (backward) and
+        u_{k+1} = -b_k (h_k r_k + u_k) (forward, building h).  As P is
+        unimodular, adj(M) = P adj(T) P^T: the solution of M x = rhs is
+        x = P w / det, that is x_j = (w_j - w_{j+1}) / det, and
+        rhs^T adj(M) rhs = w . r.
         """
         a, p = self.diagonal, self.continuants
         b = self.off_diagonal + (0,)
-        det = p[0]
-        if det == 0:
-            raise ZeroDivisionError("matrix is singular")
         r = [y - x for x, y in zip((0, *rhs), rhs)]
         s, sk = [], 0
         for pk, rk, bk in zip(p[:0:-1], reversed(r), reversed(b)):
@@ -62,9 +79,7 @@ class PushoffChain:
             w.append(h * sk + pk * u)
             u = -bk * (h * rk + u)
             h, h_prev, b_prev = ak * h - b_prev * b_prev * h_prev, h, bk
-        w.append(0)
-        solution = tuple(Fraction(x - y, det) for x, y in zip(w, w[1:]))
-        return solution, Fraction(sum(wk * rk for wk, rk in zip(w, r)), det)
+        return r, w
 
 
 def _tail(diagonal, linking):

@@ -5,9 +5,11 @@ of the generic elimination, run on the materialized n x n entries, are
 the oracle: on every chain, zero continuants and zero off-diagonal
 entries included, the kernel's det, signature, solution and c^2 must
 equal theirs.  c^2 must equal x . rot, the check `SpinCEvaluation` does
-not make itself.
+not make itself.  d3, which reads det * c^2 as one integer
+(`adjugate_form`), must equal the DGS formula assembled from them.
 """
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -15,7 +17,9 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from contactsurgery import linalg
 from contactsurgery.diagramio import presentation_from_dict, presentation_to_dict
+from contactsurgery.errors import NotRationalHomologySphere
 from contactsurgery.expansion import (
     ContactSurgeryPresentation,
     Component,
@@ -250,3 +254,97 @@ def test_d3_memory_is_linear_in_the_chain_length():
         tracemalloc.stop()
     assert d3 == d3_invariant(presentation_for_framing(LegendrianKnot(-2, -1), Framing(3999)))
     assert peak < 4 * 2**20
+
+
+def bordered(entries, rhs):
+    """[[M, rhs], [rhs^T, 0]], whose determinant is -rhs^T adj(M) rhs."""
+    return tuple(row + (r,) for row, r in zip(entries, rhs)) + (tuple(rhs) + (0,),)
+
+
+@SETTINGS
+@given(chains(), st.lists(st.integers(-6, 6), min_size=8, max_size=8))
+@example(((3, 3), (3,)), [0] * 8)
+@example(((-1, 0, 1), (0, 1)), [1, -2, 3, 0, 0, 0, 0, 0])
+def test_adjugate_form_is_det_times_c_squared(chain, rhs):
+    # rhs^T adj(M) rhs by the bordered determinant on every chain, singular
+    # ones included, and det * c^2 from `solve` where det != 0.
+    diagonal, linking = chain
+    rot = tuple(rhs[: len(diagonal)])
+    kernel = pushoff_chain(diagonal, linking)
+    form = kernel.adjugate_form(rot)
+    assert isinstance(form, int)
+    assert form == -det_int(bordered(chain_entries(diagonal, linking), rot))
+    if kernel.determinant:
+        _, c_squared = kernel.solve(rot)
+        assert form == c_squared * kernel.determinant
+
+
+@st.composite
+def standalone_presentations(draw):
+    """A presentation from `expand`, from `all_negative_presentation`
+    (tb + n = 0 included), or read back from its dict."""
+    kind = draw(st.sampled_from(["expansion", "all negative", "parsed"]))
+    if kind == "all negative":
+        return all_negative_presentation(draw(knots()), draw(st.integers(1, 24)))
+    presentation = draw(presentations())
+    if kind == "parsed":
+        return presentation_from_dict(presentation_to_dict(presentation))
+    return presentation
+
+
+def generic_d3(presentation):
+    """(x . rot - 3 signature - 2 (n + 1)) / 4 + q, by the generic kernels
+    on the n x n entries; None where the matrix is singular."""
+    entries = linking_matrix(presentation).entries
+    assert entries == row_formula(presentation)
+    if det_int(entries) == 0:
+        return None
+    comps = presentation.components
+    rot = tuple(c.legendrian.rot for c in comps)
+    x = solve_exact(entries, rot)
+    q = sum(1 for c in comps if c.coefficient == 1)
+    c_squared = sum(xi * r for xi, r in zip(x, rot))
+    return (c_squared - 3 * signature_exact(entries) - 2 * (len(comps) + 1)) / 4 + q
+
+
+@settings(SETTINGS, derandomize=True)
+@given(standalone_presentations())
+def test_d3_invariant_matches_the_generic_formula(presentation):
+    expected = generic_d3(presentation)
+    if expected is None:
+        with pytest.raises(NotRationalHomologySphere, match="infinite H1"):
+            d3_invariant(presentation)
+        return
+    d3 = d3_invariant(presentation)
+    assert d3 == expected
+    assert d3_invariant(presentation) == d3  # from the kept matrix
+
+
+@pytest.mark.parametrize("make", [
+    lambda: all_negative_presentation(LegendrianKnot(-2, 1), 9),
+    lambda: presentation_from_dict(
+        presentation_to_dict(expand(LegendrianKnot(-1, 0), Fraction(-9, 4))[1])),
+], ids=["all negative", "parsed"])
+def test_a_standalone_presentation_factors_its_matrix_once(make, monkeypatch):
+    presentation, fresh = make(), make()
+    before = (repr(presentation), hash(presentation))
+    calls = []
+
+    def counted(diagonal, linking):
+        calls.append(len(diagonal))
+        return pushoff_chain(diagonal, linking)
+
+    monkeypatch.setattr(linalg, "pushoff_chain", counted)
+    matrix = linking_matrix(presentation)
+    assert linking_matrix(presentation) is matrix
+    homology_data(linking_matrix(presentation))
+    d3_invariant(presentation)
+    assert calls == [matrix.size]
+    # The kept matrix is not a field.
+    assert (repr(presentation), hash(presentation)) == before
+    assert presentation == fresh and hash(fresh) == hash(presentation)
+    assert repr(fresh) == repr(presentation)
+    copy = dataclasses.replace(presentation)
+    assert linking_matrix(copy) is not matrix
+    assert linking_matrix(copy) == matrix
+    assert linking_matrix(fresh) is not matrix

@@ -420,8 +420,10 @@ def test_cli_import_loads_neither_acceptance_nor_importlib_resources():
 
 
 @pytest.mark.parametrize("argv, unloaded", [
-    (["d3", "--file", "fixtures/unknot-n2.json"], ("ledger", "openbook", "acceptance")),
-    (["homology", "--file", "fixtures/unknot-n2.json"], ("ledger", "openbook", "acceptance")),
+    (["d3", "--file", "fixtures/unknot-n2.json"],
+     ("ledger", "openbook", "acceptance", "catalog")),
+    (["homology", "--file", "fixtures/unknot-n2.json"],
+     ("ledger", "openbook", "acceptance", "catalog")),
     (["catalog", "--list"],
      ("expansion", "homology", "linalg", "diagramio", "openbook", "ledger")),
     (["openbook", "--file", "fixtures/torus-book.json"], ("ledger",)),
