@@ -168,7 +168,7 @@ def check_a3() -> tuple[bool, str]:
         details.append(f"hand-checked 3x3 matrix differs: {three.entries}")
     if signature_exact(three.entries) != -1:
         details.append("3x3 signature is not -1")
-    if spin_c_evaluation(pre, three).c_squared != -1:
+    if spin_c_evaluation(pre).c_squared != -1:
         details.append("3x3 c^2 is not -1")
     if d3_invariant(pre) != Fraction(-1, 2):
         details.append("pre-stabilized 3x3 d3 is not -1/2")

@@ -22,6 +22,7 @@ from .errors import (
     InvalidCableParameters,
     NotInCatalog,
     quote,
+    read_field,
     read_json,
 )
 
@@ -167,32 +168,6 @@ UNKNOT = KnotType(
 )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_int_or_null(value) -> bool:
-    return value is None or _is_int(value)
-
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-# Each catalog record field with its check and the type it must have.
-_RECORD_FIELDS = {
-    "name": (_is_str, "a string"),
-    "genus": (_is_int, "an integer"),
-    "slice_genus": (_is_int, "an integer"),
-    "max_tb": (_is_int_or_null, "an integer or null"),
-    "max_sl": (_is_int_or_null, "an integer or null"),
-    "flags": (lambda v: isinstance(v, list) and all(map(_is_str, v)), "a list of strings"),
-    "provenance": (_is_str, "a string"),
-}
-# The value of an optional field that a record omits.
-_RECORD_DEFAULTS = {"max_tb": None, "max_sl": None, "flags": [], "provenance": ""}
-
-
 class Catalog:
     """Immutable name-indexed collection of KnotType records."""
 
@@ -222,20 +197,21 @@ class Catalog:
     def from_records(cls, records: list[dict]) -> "Catalog":
         entries = []
         for i, rec in enumerate(records):
+            path = f"catalog record [{i}]"
+            name = read_field(rec, "name", str, path)
+            genus = read_field(rec, "genus", int, path)
+            slice_genus = read_field(rec, "slice_genus", int, path)
+            max_tb = read_field(rec, "max_tb", int, path, None)
+            max_sl = read_field(rec, "max_sl", int, path, None)
+            flags = read_field(rec, "flags", list, path, [])
+            if not all(isinstance(flag, str) for flag in flags):
+                raise DiagramFormatError(f"{path}.flags: must be a list of strings")
+            provenance = read_field(rec, "provenance", str, path, "")
             try:
-                fields = {}
-                for key, (ok, kind) in _RECORD_FIELDS.items():
-                    if key in _RECORD_DEFAULTS:
-                        value = rec.get(key, _RECORD_DEFAULTS[key])
-                    else:
-                        value = rec[key]
-                    if not ok(value):
-                        raise DiagramFormatError(f"catalog record [{i}].{key}: must be {kind}")
-                    fields[key] = value
-                fields["flags"] = frozenset(fields["flags"])
-                entries.append(KnotType(**fields))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DiagramFormatError(f"catalog record [{i}]: {exc}") from exc
+                entries.append(KnotType(name, genus, slice_genus, max_tb, max_sl,
+                                        frozenset(flags), provenance))
+            except ValueError as exc:
+                raise DiagramFormatError(f"{path}: {exc}") from exc
         return cls(entries)
 
     @classmethod

@@ -1,32 +1,25 @@
 """JSON serialization of surgery diagrams, open books and ledger facts.
 
-Diagram schema: a top-level object with "components", each component an
-object {"tb": int, "rot": int, "coeff": "+1"|"-1", "role": str,
+Diagram schema: a top-level object with "components" and an optional
+"overtwisted" boolean (default false), each component an object
+{"tb": int, "rot": int, "coeff": "+1"|"-1", "role": str,
 "stab_signs": [str, ...]}; role and stab_signs are optional on input, and
 a role must be the one its coeff gives: "originalPlusOne" for +1,
-"chainLink" for -1.  Every
-component has tb + rot odd, and each one after the first is a pushoff of
-its predecessor stabilized by its stab_signs.  Stabilizations commute, so
-stab_signs is read as a multiset (a component stores the two counts) and
-is written negatives first.  Open book schema: {"surface": {genus,
-boundary, pairing, boundary_classes}, "alphabet": {name: class vector},
-"word": [[name, sign], ...]}.
+"chainLink" for -1.  Every component has tb + rot odd, and each one after
+the first is a pushoff of its predecessor stabilized by its stab_signs.
+Stabilizations commute, so stab_signs is read as a multiset (a component
+stores the two counts) and is written negatives first.  Open book schema:
+{"surface": {genus, boundary, pairing, boundary_classes}, "alphabet":
+{name: class vector}, "word": [[name, sign], ...]}.  Every field is read
+by `errors.read_field`, and the entries of nested integer lists by
+`_integers`.
 """
 
 from __future__ import annotations
 
-from .errors import DiagramFormatError, InvalidCoefficient, quote, read_json
+from .errors import DiagramFormatError, InvalidCoefficient, quote, read_field, read_json
 from .expansion import Component, ContactSurgeryPresentation
 from .legendrian import LegendrianKnot, stabilize_many
-
-
-def _require(mapping: dict, key: str, kind, path: str):
-    if key not in mapping:
-        raise DiagramFormatError(f"{path}: missing field {key!r}")
-    value = mapping[key]
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise DiagramFormatError(f"{path}.{key}: expected {kind.__name__}")
-    return value
 
 
 def _integers(raw, path: str, depth: int):
@@ -50,19 +43,15 @@ def parse_coefficient(raw, path: str) -> int:
 
 
 def presentation_from_dict(data: object, source: str = "diagram") -> ContactSurgeryPresentation:
-    if not isinstance(data, dict):
-        raise DiagramFormatError(f"{source}: top level must be an object")
-    raw_components = _require(data, "components", list, source)
+    raw_components = read_field(data, "components", list, source)
     components = []
     for i, raw in enumerate(raw_components):
         path = f"{source}.components[{i}]"
-        if not isinstance(raw, dict):
-            raise DiagramFormatError(f"{path}: expected an object")
-        tb = _require(raw, "tb", int, path)
-        rot = _require(raw, "rot", int, path)
+        tb = read_field(raw, "tb", int, path)
+        rot = read_field(raw, "rot", int, path)
         coeff = parse_coefficient(raw.get("coeff"), f"{path}.coeff")
-        signs = raw.get("stab_signs", [])
-        if not isinstance(signs, list) or any(s not in ("+", "-") for s in signs):
+        signs = read_field(raw, "stab_signs", list, path, [])
+        if any(s not in ("+", "-") for s in signs):
             raise DiagramFormatError(f"{path}.stab_signs: entries must be '+' or '-'")
         if (tb + rot) % 2 == 0:
             raise DiagramFormatError(
@@ -80,15 +69,14 @@ def presentation_from_dict(data: object, source: str = "diagram") -> ContactSurg
                     f"({quote(expected.tb)}, {quote(expected.rot)})"
                 )
         component = Component(LegendrianKnot(tb, rot), coeff, signs.count("-"), signs.count("+"))
-        if raw.get("role", component.role) != component.role:
+        if read_field(raw, "role", str, path, component.role) != component.role:
             raise DiagramFormatError(
                 f"{path}.role: a {coeff:+d} component has role {component.role!r}"
             )
         components.append(component)
+    overtwisted = read_field(data, "overtwisted", bool, source, False)
     try:
-        return ContactSurgeryPresentation(
-            tuple(components), overtwisted=bool(data.get("overtwisted", False))
-        )
+        return ContactSurgeryPresentation(tuple(components), overtwisted=overtwisted)
     except ValueError as exc:
         raise DiagramFormatError(f"{source}.components: {exc}") from exc
 
@@ -120,25 +108,25 @@ def open_book_from_dict(data: object, source: str = "openbook") -> tuple:
     # Imported here, so that the diagram verbs do not load openbook.
     from .openbook import SurfaceModel, word as make_word
 
-    if not isinstance(data, dict):
-        raise DiagramFormatError(f"{source}: top level must be an object")
-    surf = _require(data, "surface", dict, source)
-    genus = _require(surf, "genus", int, f"{source}.surface")
-    boundary = _require(surf, "boundary", int, f"{source}.surface")
-    pairing = _require(surf, "pairing", list, f"{source}.surface")
-    alphabet = _require(data, "alphabet", dict, source)
-    raw_word = _require(data, "word", list, source)
+    surf = read_field(data, "surface", dict, source)
+    where = f"{source}.surface"
+    genus = read_field(surf, "genus", int, where)
+    boundary = read_field(surf, "boundary", int, where)
+    pairing = read_field(surf, "pairing", list, where)
+    alphabet = read_field(data, "alphabet", dict, source)
+    raw_word = read_field(data, "word", list, source)
     try:
         surface = SurfaceModel(
             genus=genus,
             boundary_count=boundary,
-            pairing=_integers(pairing, f"{source}.surface.pairing", 2),
+            pairing=_integers(pairing, f"{where}.pairing", 2),
             curves=tuple(
                 (name, _integers(cls, f"{source}.alphabet.{name}", 1))
                 for name, cls in alphabet.items()
             ),
             boundary_classes=_integers(
-                surf.get("boundary_classes", []), f"{source}.surface.boundary_classes", 2
+                read_field(surf, "boundary_classes", list, where, []),
+                f"{where}.boundary_classes", 2,
             ),
         )
     except (TypeError, ValueError) as exc:
@@ -183,18 +171,13 @@ def facts_from_file(path: str) -> list[dict]:
         raise DiagramFormatError(f"{path}: top level must be a list")
     records = []
     for i, raw in enumerate(data):
-        if not isinstance(raw, dict):
-            raise DiagramFormatError(f"{path}[{i}]: expected an object")
-        status = raw.get("status")
+        where = f"{path}[{i}]"
+        status = read_field(raw, "status", str, where)
         if status not in ("Zero", "NonZero"):
-            raise DiagramFormatError(f"{path}[{i}].status: must be Zero or NonZero")
-        offset = raw.get("offset")
+            raise DiagramFormatError(f"{where}.status: must be Zero or NonZero")
+        offset = read_field(raw, "offset", int, where, None)
         if offset is None and status != "Zero":
-            raise DiagramFormatError(f"{path}[{i}].offset: null (every framing) is valid only for Zero")
-        if offset is not None and (isinstance(offset, bool) or not isinstance(offset, int)):
-            raise DiagramFormatError(f"{path}[{i}].offset: must be an integer or null")
-        rule = raw.get("rule", "file")
-        if not isinstance(rule, str):
-            raise DiagramFormatError(f"{path}[{i}].rule: must be a string")
+            raise DiagramFormatError(f"{where}.offset: null (every framing) is valid only for Zero")
+        rule = read_field(raw, "rule", str, where, "file")
         records.append({"offset": offset, "status": status, "rule": rule})
     return records

@@ -5,7 +5,9 @@ exit_code tells input problems (2) and ledger contradictions (3) from
 computational failures (1); the CLI exits with it.  A message that
 echoes input passes it through `quote`, so its length stays bounded.
 `read_json`, the one JSON file reader of every input format, maps each
-way a file can fail to a `DiagramFormatError` naming the path.
+way a file can fail to a `DiagramFormatError` naming the path, and
+`read_field`, the one field reader of the diagram, open book, catalog and
+facts formats, does the same for each field of a record.
 """
 
 from __future__ import annotations
@@ -132,3 +134,33 @@ def read_json(path: str):
         raise DiagramFormatError(f"{path}: an integer has too many digits") from exc
     except RecursionError as exc:
         raise DiagramFormatError(f"{path}: the JSON nests too deeply") from exc
+
+
+# The default of a field that read_field requires.
+_REQUIRED = object()
+
+_KIND_NAMES = {int: "an integer", str: "a string", bool: "a boolean",
+               list: "a list", dict: "an object"}
+
+
+def read_field(record, key: str, kind: type, path: str, default=_REQUIRED):
+    """record[key], which must be of `kind`: int, str, bool, list or dict.
+
+    A boolean is only a bool, never an int.  An absent key gives `default`
+    and is a format error when there is none; a field whose default is None
+    also takes null.  Every refusal is a `DiagramFormatError` naming
+    `path` or `path.key`.
+    """
+    if not isinstance(record, dict):
+        raise DiagramFormatError(f"{path}: expected an object")
+    if key not in record:
+        if default is _REQUIRED:
+            raise DiagramFormatError(f"{path}: missing field {key!r}")
+        return default
+    value = record[key]
+    if value is None and default is None:
+        return None
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    null = " or null" if default is None else ""
+    raise DiagramFormatError(f"{path}.{key}: must be {_KIND_NAMES[kind]}{null}")

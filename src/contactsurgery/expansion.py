@@ -177,7 +177,6 @@ class Expansion:
 
     def __init__(self, knot: LegendrianKnot, terms: tuple[int, ...], plus_one: bool):
         self.knot = knot
-        self.terms = terms
         self.head = (Component(knot, 1),) if plus_one else ()
         # Per chain link: its tb and its number of stabilizations.
         links, tb = [], knot.tb
@@ -320,7 +319,7 @@ def presentation_for_framing(
     f = framing.offset
     if f > knot.tb:
         return all_negative_presentation(knot, f - knot.tb)
+    # `drop` negative stabilizations, in closed form: each lowers tb and rot by 1.
     drop = knot.tb - (f - 1)
-    stabilized = stabilize_many(knot, (NEGATIVE,) * drop)
-    base = all_negative_presentation(stabilized, 1)
-    return ContactSurgeryPresentation(base.components, overtwisted=True)
+    stabilized = LegendrianKnot(knot.tb - drop, knot.rot - drop, knot.knot_type)
+    return ContactSurgeryPresentation((Component(stabilized, 1),), overtwisted=True)

@@ -80,13 +80,9 @@ class SpinCEvaluation:
     c_squared: Fraction
 
 
-def spin_c_evaluation(
-    presentation: ContactSurgeryPresentation, matrix: LinkingMatrix | None = None
-) -> SpinCEvaluation:
-    if matrix is None:
-        matrix = linking_matrix(presentation)
+def spin_c_evaluation(presentation: ContactSurgeryPresentation) -> SpinCEvaluation:
     rot = tuple(c.legendrian.rot for c in presentation.components)
-    kernel = matrix.factorization
+    kernel = linking_matrix(presentation).factorization
     if kernel.determinant == 0:
         raise NotRationalHomologySphere("linking matrix is singular")
     return SpinCEvaluation(rot, *kernel.solve(rot))

@@ -25,10 +25,12 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
-from .catalog import KnotType
 from .errors import Contradiction, IncompleteData
 from .legendrian import Framing, LegendrianKnot, TransverseKnot
 from .openbook import InvariantStatus
+
+# KnotType annotations name a catalog.KnotType; they are never evaluated,
+# so this module does not import catalog.
 
 STANDARD_TIGHT_S3 = "S3-standard"
 

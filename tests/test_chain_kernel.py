@@ -135,7 +135,7 @@ def test_kernel_matches_generic_on_presentations(presentation):
     data = homology_data(matrix)
     assert (data.determinant, data.signature) == (det, signature_exact(entries))
     if det:
-        spin = spin_c_evaluation(presentation, matrix)
+        spin = spin_c_evaluation(presentation)
         assert spin.solution == solve_exact(entries, rot)
         assert spin.c_squared == sum(x * r for x, r in zip(spin.solution, rot))
 
@@ -209,7 +209,7 @@ def test_zero_tail_continuant_through_the_chain_kernel(knot):
     assert isinstance(matrix.factorization, PushoffChain)
     assert matrix.factorization.continuants[1] == 0
     assert homology_data(matrix).determinant == -1
-    spin = spin_c_evaluation(presentation, matrix)
+    spin = spin_c_evaluation(presentation)
     assert spin.solution == solve_exact(matrix.entries, (rot, rot))
     assert spin.c_squared == sum(x * r for x, r in zip(spin.solution, (rot, rot)))
     assert d3_invariant(presentation) == Fraction(-1, 2)

@@ -331,6 +331,22 @@ def test_parse_rejects_a_role_its_coefficient_does_not_give(tmp_path, capsys, in
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("value", ["false", "no", 0, 1, [], None])
+def test_parse_reads_overtwisted_only_as_a_boolean(tmp_path, capsys, value):
+    for flag in (True, False):
+        parsed = presentation_from_dict(dict(UNKNOT_N2, overtwisted=flag))
+        assert parsed.overtwisted is flag
+    bad = dict(UNKNOT_N2, overtwisted=value)
+    with pytest.raises(DiagramFormatError, match=r"^diagram\.overtwisted: must be a boolean$"):
+        presentation_from_dict(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["d3", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {path}.overtwisted: must be a boolean\n"
+
+
 def test_parse_rejects_even_tb_plus_rot():
     bad = {"components": [{"tb": -1, "rot": 1, "coeff": "-1"}]}
     with pytest.raises(DiagramFormatError) as info:
@@ -427,7 +443,9 @@ def test_cli_import_loads_neither_acceptance_nor_importlib_resources():
     (["catalog", "--list"],
      ("expansion", "homology", "linalg", "diagramio", "openbook", "ledger")),
     (["openbook", "--file", "fixtures/torus-book.json"], ("ledger",)),
-], ids=["d3", "homology", "catalog", "openbook"])
+    (["ledger", "--window", "0", "1"],
+     ("catalog", "expansion", "homology", "linalg", "diagramio", "acceptance")),
+], ids=["d3", "homology", "catalog", "openbook", "ledger"])
 def test_cli_verb_loads_only_the_modules_it_uses(argv, unloaded):
     loaded = _modules_loaded_by("-m", "contactsurgery.cli", *argv)
     assert "contactsurgery.errors" in loaded
@@ -733,6 +751,22 @@ def test_cli_rejects_catalog_fields_of_the_wrong_type(tmp_path, capsys, field, v
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"input error: catalog record [0].{field}: must be ")
+
+
+@pytest.mark.parametrize("record, message", [
+    ([], "catalog record [0]: expected an object"),
+    ({"genus": 1, "slice_genus": 1}, "catalog record [0]: missing field 'name'"),
+    ({"name": "k", "slice_genus": 1}, "catalog record [0]: missing field 'genus'"),
+])
+def test_cli_names_a_catalog_record_that_is_not_an_object_or_lacks_a_field(
+    tmp_path, capsys, record, message
+):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([record]))
+    assert main(["catalog", "--list", "--catalog", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("error, code, prefix", [

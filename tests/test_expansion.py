@@ -205,6 +205,26 @@ def test_presentation_for_framing_at_or_below_tb_is_overtwisted():
     assert comp.legendrian.tb == -2  # stabilized to tb = f - 1
 
 
+def test_presentation_for_framing_far_below_tb_is_closed_form():
+    # The stabilized knot is computed, not stabilized once per step.
+    knot = LegendrianKnot(-1, 0)
+    tracemalloc.start()
+    try:
+        presentation_for_framing(knot, Framing(-10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+    (far,) = presentation_for_framing(knot, Framing(-10**12)).components
+    assert far.legendrian == LegendrianKnot(-10**12 - 1, -10**12)
+    for f in range(-6, 0):
+        stabilized = knot
+        for _ in range(knot.tb - (f - 1)):
+            stabilized = stabilize(stabilized, "-")
+        (comp,) = presentation_for_framing(knot, Framing(f)).components
+        assert comp.legendrian == stabilized
+
+
 def test_presentation_well_defined_under_pre_stabilization():
     knot = LegendrianKnot(-1, 0)
     target = presentation_for_framing(knot, Framing(2))
