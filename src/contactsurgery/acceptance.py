@@ -35,6 +35,7 @@ from .ledger import (
     tight_surgery_ranges,
 )
 from .legendrian import Framing, LegendrianKnot, TransverseKnot, stabilize
+from .legendrian import InvariantStatus as Status
 from .linalg import signature_exact
 from .openbook import (
     LanternConfiguration,
@@ -46,7 +47,6 @@ from .openbook import (
     homology_action,
     lantern_rewrite,
 )
-from .openbook import InvariantStatus as Status
 
 
 def check_a1() -> tuple[bool, str]:

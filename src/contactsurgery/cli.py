@@ -292,8 +292,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_ledger(args) -> int:
     from .ledger import LedgerSubject, apply_rules, assert_fact, inverse_limit_status
-    from .legendrian import TransverseKnot
-    from .openbook import InvariantStatus
+    from .legendrian import InvariantStatus, TransverseKnot
 
     lo, hi = args.window
     window = f"--window {quote(lo)} {quote(hi)}"
@@ -356,7 +355,8 @@ def _cmd_openbook(args) -> int:
         try:
             surface, letters = cap_off(surface, letters, args.cap)
         except DiagramFormatError as exc:
-            raise DiagramFormatError(f"--cap {args.cap}: {args.file}.surface.{exc}") from exc
+            raise DiagramFormatError(
+                f"--cap {quote(args.cap)}: {args.file}.surface.{exc}") from exc
     action = homology_action(letters, surface) if args.action else ()
     # A capped page's classes are computed too, and --json prints them.
     classes = (*surface.boundary_classes, *(c for _, c in surface.curves)) if args.json else ()

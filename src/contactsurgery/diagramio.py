@@ -2,7 +2,7 @@
 
 Diagram schema: a top-level object with "components" and an optional
 "overtwisted" boolean (default false), each component an object
-{"tb": int, "rot": int, "coeff": "+1"|"-1", "role": str,
+{"tb": int, "rot": int, "coeff": "+1"|"-1"|1|-1, "role": str,
 "stab_signs": [str, ...]}; role and stab_signs are optional on input, and
 a role must be the one its coeff gives: "originalPlusOne" for +1,
 "chainLink" for -1.  Every component has tb + rot odd, and each one after
@@ -34,10 +34,10 @@ def _integers(raw, path: str, depth: int):
 
 
 def parse_coefficient(raw, path: str) -> int:
-    if raw == "+1" or raw == 1:
-        return 1
-    if raw == "-1" or raw == -1:
-        return -1
+    """The string "+1" or "-1", or the integer 1 or -1: a bool or a float is
+    not read as an integer."""
+    if raw in ("+1", "-1") or (type(raw) is int and raw in (1, -1)):
+        return int(raw)
     raise InvalidCoefficient(
         f"{path}: contact coefficient must be +1 or -1, got {quote(repr(raw))}")
 

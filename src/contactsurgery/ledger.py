@@ -2,8 +2,9 @@
 
 A ledger records, for one framed subject (a Legendrian or transverse
 knot in a tagged contact manifold), which framings are known to carry a
-Zero or NonZero invariant.  The framed invariants form a thread under
-the framing-lowering maps, so the closure is monotone:
+Zero or NonZero invariant (a legendrian.InvariantStatus); a framing
+f_S + k is given by its integer offset k.  The framed invariants form a
+thread under the framing-lowering maps, so the closure is monotone:
 
     NonZero at f propagates to every framing above f,
     Zero at f propagates to every framing below f,
@@ -26,8 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import Contradiction, IncompleteData
-from .legendrian import Framing, LegendrianKnot, TransverseKnot
-from .openbook import InvariantStatus
+from .legendrian import InvariantStatus, LegendrianKnot, TransverseKnot
 
 # KnotType annotations name a catalog.KnotType; they are never evaluated,
 # so this module does not import catalog.
@@ -69,10 +69,6 @@ class LedgerSubject:
         return None
 
 
-def _offset(framing: Framing | int | None) -> int | None:
-    return framing.offset if isinstance(framing, Framing) else framing
-
-
 @dataclass(frozen=True)
 class LedgerState:
     """An immutable fact set and its closure.
@@ -104,8 +100,7 @@ class LedgerState:
             )
             raise Contradiction(floor.offset, zero_rule, floor.rule)
 
-    def status_at(self, framing: Framing | int) -> InvariantStatus:
-        offset = _offset(framing)
+    def status_at(self, offset: int) -> InvariantStatus:
         if self.everywhere is not None or (
             self.ceiling is not None and offset <= self.ceiling.offset
         ):
@@ -131,40 +126,33 @@ class LedgerState:
         """(framing, status, provenance) for lo..hi, one at a time; `window`
         is their list.  A Zero framing is justified by the Zero fact at the
         nearest offset at or above it, a NonZero framing by the NonZero fact
-        at the nearest offset at or below it."""
+        at the nearest offset at or below it, each found by one bisect."""
         zeros, zero_rules = self._by_offset[ZERO]
         nonzeros, nonzero_rules = self._by_offset[NONZERO]
-        z = bisect_left(zeros, lo)  # zeros[z]: the first Zero offset >= k
-        n = bisect_right(nonzeros, lo) - 1  # nonzeros[n]: the last NonZero offset <= k
         for k in range(lo, hi + 1):
-            # Offsets are distinct integers, so one step keeps each pointer.
-            if z < len(zeros) and zeros[z] < k:
-                z += 1
-            if n + 1 < len(nonzeros) and nonzeros[n + 1] == k:
-                n += 1
             status = self.status_at(k)
             if status is InvariantStatus.UNKNOWN:
                 rule = None
             elif status is NONZERO:
-                rule = nonzero_rules[nonzeros[n]]
+                rule = nonzero_rules[nonzeros[bisect_right(nonzeros, k) - 1]]
             elif self.everywhere is not None:
                 rule = self.everywhere.rule
             else:
-                rule = zero_rules[zeros[z]]
+                rule = zero_rules[zeros[bisect_left(zeros, k)]]
             yield k, status, rule
 
 
 def assert_fact(
     state: LedgerState,
-    framing: Framing | int | None,
+    offset: int | None,
     status: InvariantStatus,
     rule: str,
 ) -> LedgerState:
-    """Record a fact and carry the closure forward; raises Contradiction when
-    the closure would assign both statuses to some framing."""
+    """Record a fact at the framing offset `offset`, or at every framing when
+    it is None, and carry the closure forward; raises Contradiction when the
+    closure would assign both statuses to some framing."""
     if status not in (ZERO, NONZERO):
         raise ValueError("only Zero and NonZero facts can be asserted")
-    offset = _offset(framing)
     if offset is None and status is not ZERO:
         raise ValueError("only Zero facts may cover all framings")
     fact = Fact(offset, status, rule)

@@ -4,10 +4,14 @@ All records use Seifert-framing coordinates: the contact framing of a
 Legendrian knot equals its Thurston-Bennequin number tb.  The sign
 convention is fixed so that a negative stabilization lowers rot by one,
 which makes sl = tb - rot invariant under negative stabilization.
+
+InvariantStatus is the status of a knot's invariant at one framing, as
+the ledger records it.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 # knot_type fields hold a catalog.KnotType; the annotations are never
@@ -15,6 +19,12 @@ from dataclasses import dataclass
 
 NEGATIVE = "-"
 POSITIVE = "+"
+
+
+class InvariantStatus(enum.Enum):
+    ZERO = "Zero"
+    NONZERO = "NonZero"
+    UNKNOWN = "Unknown"
 
 
 @dataclass(frozen=True, order=True)

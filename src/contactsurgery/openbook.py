@@ -13,7 +13,6 @@ windows may wrap around the end of the word.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 
@@ -25,16 +24,12 @@ from .errors import (
     UnknownCurve,
     quote,
 )
+# The status lives in legendrian; bench/workloads.py still reads it here.
+from .legendrian import InvariantStatus  # noqa: F401
 
 Letter = tuple[str, str]
 PLUS = "+"
 MINUS = "-"
-
-
-class InvariantStatus(enum.Enum):
-    ZERO = "Zero"
-    NONZERO = "NonZero"
-    UNKNOWN = "Unknown"
 
 
 @dataclass(frozen=True)
@@ -420,7 +415,7 @@ def cap_off(surface: SurfaceModel, letters, boundary_index: int):
     letters = tuple(letters)
     if surface.boundary_count <= 1:
         raise CannotCapLastBoundary("boundary: a page needs at least one binding component")
-    field = f"boundary_classes[{boundary_index}]"
+    field = f"boundary_classes[{quote(boundary_index)}]"
     if not 0 <= boundary_index < len(surface.boundary_classes):
         raise DiagramFormatError(f"{field}: no such boundary class")
     capped = surface.boundary_classes[boundary_index]

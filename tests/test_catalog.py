@@ -62,6 +62,29 @@ def test_cable_closed_forms(p, q, max_sl, max_tb, genus):
     assert cable.max_sl - cable.max_tb == q - p > 0
 
 
+@pytest.mark.parametrize("p,q", [(3, 2), (2, 2), (1, 3), (2, 4)])
+def test_torus_knot_rejects_bad_parameters(p, q):
+    with pytest.raises(InvalidCableParameters):
+        torus_knot(p, q)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"genus": -1, "slice_genus": 0}, "genus must be non-negative"),
+    ({"genus": 1, "slice_genus": 1, "flags": frozenset({"torus", "knotted"})},
+     r"unknown flags \['knotted'\]"),
+])
+def test_knot_type_rejects_an_impossible_record(fields, message):
+    with pytest.raises(ValueError, match=message):
+        KnotType("k", **fields)
+
+
+def test_a_catalog_file_must_hold_a_list(tmp_path):
+    path = tmp_path / "cat.json"
+    path.write_text('{"name": "k"}')
+    with pytest.raises(DiagramFormatError, match="top level must be a list"):
+        Catalog.from_json(str(path))
+
+
 @pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (0, 1), (2, 4)])
 def test_cable_rejects_bad_parameters(p, q):
     with pytest.raises(InvalidCableParameters):

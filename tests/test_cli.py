@@ -286,7 +286,8 @@ def test_cli_unreadable_catalog_exit_code(tmp_path, capsys, argv):
 @pytest.mark.parametrize("value", [
     "9" * (sys.get_int_max_str_digits() + 1),  # past the int-to-str limit
     "[" * 100_000 + "]" * 100_000,  # past the recursion limit
-], ids=["long-integer", "deep-nesting"])
+    "01",  # not JSON
+], ids=["long-integer", "deep-nesting", "malformed"])
 def test_cli_every_json_reader_rejects_what_json_cannot_decode(
     tmp_path, capsys, argv, template, value
 ):
@@ -347,6 +348,36 @@ def test_parse_reads_overtwisted_only_as_a_boolean(tmp_path, capsys, value):
     assert captured.err == f"input error: {path}.overtwisted: must be a boolean\n"
 
 
+@pytest.mark.parametrize("index, value", [
+    (0, True), (1, True), (1, False), (0, 1.0), (1, -1.0), (0, "1"), (1, " -1"), (0, 2),
+    (1, None), (0, [1]),
+])
+def test_parse_reads_a_coefficient_only_as_plus_or_minus_one(tmp_path, capsys, index, value):
+    for plus, minus in (("+1", "-1"), (1, -1)):
+        good = json.loads(json.dumps(UNKNOT_N2))
+        good["components"][0]["coeff"], good["components"][1]["coeff"] = plus, minus
+        assert presentation_from_dict(good) == presentation_from_dict(UNKNOT_N2)
+    bad = json.loads(json.dumps(UNKNOT_N2))
+    bad["components"][index]["coeff"] = value
+    message = f"contact coefficient must be +1 or -1, got {value!r}"
+    with pytest.raises(InvalidCoefficient, match=rf"components\[{index}\]\.coeff: "):
+        presentation_from_dict(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["d3", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {path}.components[{index}].coeff: {message}\n"
+
+
+def test_an_overtwisted_presentation_round_trips():
+    presentation = presentation_from_dict(dict(UNKNOT_N2, overtwisted=True))
+    data = presentation_to_dict(presentation)
+    assert data["overtwisted"] is True
+    assert presentation_from_dict(data) == presentation
+    assert "overtwisted" not in presentation_to_dict(presentation_from_dict(UNKNOT_N2))
+
+
 def test_parse_rejects_even_tb_plus_rot():
     bad = {"components": [{"tb": -1, "rot": 1, "coeff": "-1"}]}
     with pytest.raises(DiagramFormatError) as info:
@@ -373,6 +404,12 @@ def test_cli_classify_json(capsys):
     assert payload["knot"] == "T(2,3)"
     assert {rng["anchor"] for rng in payload["ranges"]} == {2}
     assert payload["sl_tb_gap"] == 0
+
+
+def test_cli_classify_a_knot_no_rule_certifies(capsys):
+    assert main(["classify", "--knot", "unknot"]) == 0
+    assert capsys.readouterr().out == (
+        "unknot: no tight range certified by the built-in rules\nmax_sl - max_tb = 0\n")
 
 
 def test_cli_catalog_json(capsys):
@@ -444,8 +481,10 @@ def test_cli_import_loads_neither_acceptance_nor_importlib_resources():
      ("expansion", "homology", "linalg", "diagramio", "openbook", "ledger")),
     (["openbook", "--file", "fixtures/torus-book.json"], ("ledger",)),
     (["ledger", "--window", "0", "1"],
-     ("catalog", "expansion", "homology", "linalg", "diagramio", "acceptance")),
-], ids=["d3", "homology", "catalog", "openbook", "ledger"])
+     ("catalog", "expansion", "homology", "linalg", "diagramio", "acceptance", "openbook")),
+    (["classify", "--knot", "T(2,3)"],
+     ("openbook", "expansion", "homology", "linalg", "diagramio", "acceptance")),
+], ids=["d3", "homology", "catalog", "openbook", "ledger", "classify"])
 def test_cli_verb_loads_only_the_modules_it_uses(argv, unloaded):
     loaded = _modules_loaded_by("-m", "contactsurgery.cli", *argv)
     assert "contactsurgery.errors" in loaded
@@ -473,6 +512,18 @@ def test_cli_integer_flags_quote_a_long_argument(capsys, argv, value):
     assert captured.out == ""
     assert value[:errors.QUOTE_CAP] + "..." in captured.err
     assert len(captured.err.encode()) < 600
+
+
+def test_cli_openbook_cap_quotes_a_long_index(capsys):
+    # 4,000 digits parse as an int, so the index reaches both echoes of it.
+    index = "1" * 4000
+    assert main(["openbook", "--file", "fixtures/torus-book.json", "--cap", index]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    quoted = index[:errors.QUOTE_CAP] + "..."
+    assert captured.err == (
+        f"input error: --cap {quoted}: fixtures/torus-book.json.surface."
+        f"boundary_classes[{quoted}]: no such boundary class\n")
 
 
 def _component(tb, rot, coeff="-1", **fields):
@@ -505,6 +556,8 @@ def _duplicate_catalog(tmp_path):
     _file_input("d3", {"components": [
         _component(-1, 0), _component(-1, 0, stab_signs=["-"] * 100_000)]}),
     _file_input("d3", {"components": [_component(-1, 0), _component(int("9" * 4001), 0)]}),
+    _file_input("d3", {"components": [_component(-1, 0),
+                                      _component(-2, -1, stab_signs=[_LONG_TEXT])]}),
     # A sum and a stabilized tb of 4,301 digits, past Python's int-to-str limit.
     _file_input("d3", {"components": [_component(int("9" * 4300), 1)]}),
     _file_input("d3", {"components": [_component(-int("9" * 4300), 0),
@@ -518,9 +571,9 @@ def _duplicate_catalog(tmp_path):
     _file_input("openbook", dict(_BOOK, word=[[_LONG_TEXT, "+"]])),
     lambda tmp_path: ["catalog", "--knot", _LONG_TEXT],
     _duplicate_catalog,
-], ids=["stab-signs", "tb-4001-digits", "even-sum-past-limit", "pushoff-past-limit", "coeff",
-       "pairing-entry", "alphabet-name", "letter", "letter-sign", "letter-name", "knot-name",
-       "duplicate-knot-name"])
+], ids=["stab-signs", "tb-4001-digits", "stab-sign-entry", "even-sum-past-limit",
+       "pushoff-past-limit", "coeff", "pairing-entry", "alphabet-name", "letter", "letter-sign",
+       "letter-name", "knot-name", "duplicate-knot-name"])
 def test_messages_quote_a_long_input(tmp_path, capsys, argv):
     assert main(argv(tmp_path)) == 2
     captured = capsys.readouterr()
@@ -695,6 +748,7 @@ def _facts_file(tmp_path, records):
     ({"offset": None, "status": "NonZero"}, "[0].offset"),
     ({"offset": True, "status": "Zero"}, "[0].offset"),
     ({"offset": 1, "status": "Zero", "rule": ["x"]}, "[0].rule"),
+    ({"offset": 1, "status": "Unknown"}, "[0].status"),
 ])
 def test_cli_ledger_rejects_bad_fact_records(tmp_path, capsys, record, field):
     path = _facts_file(tmp_path, [record])
@@ -727,6 +781,15 @@ def _catalog_file(tmp_path, **fields):
     path = tmp_path / "cat.json"
     path.write_text(json.dumps([record]))
     return str(path)
+
+
+def test_cli_catalog_prints_the_lint_of_a_record(tmp_path, capsys):
+    path = _catalog_file(tmp_path, max_tb=3, max_sl=-1)
+    assert main(["catalog", "--knot", "k", "--catalog", path]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("flags: none\n"
+                        "lint: k: recorded max_sl -1 is below max_tb 3\n"
+                        "lint: k: max_tb 3 exceeds 2*genus - 1\n")
 
 
 @pytest.mark.parametrize("field, value", [

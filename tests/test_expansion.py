@@ -189,6 +189,17 @@ def test_all_negative_presentation_shape():
     assert single.components[0].coefficient == 1
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_all_negative_presentation_needs_a_positive_integer(n):
+    with pytest.raises(InvalidCoefficient, match=f"must be >= 1, got {n}"):
+        all_negative_presentation(LegendrianKnot(-1, 0), n)
+
+
+def test_an_empty_continued_fraction_has_no_value():
+    with pytest.raises(ValueError, match="empty continued fraction"):
+        evaluate_continued_fraction(())
+
+
 def test_presentation_for_framing_above_tb():
     knot = LegendrianKnot(-1, 0)
     presentation = presentation_for_framing(knot, Framing(1))

@@ -327,6 +327,16 @@ def test_d3_rejects_infinite_homology():
         d3_invariant(presentation)
 
 
+def test_spin_c_evaluation_and_the_chain_solve_refuse_a_singular_matrix():
+    presentation = all_negative_presentation(LegendrianKnot(-1, 0), 1)
+    kernel = linking_matrix(presentation).factorization
+    assert kernel.determinant == 0
+    with pytest.raises(NotRationalHomologySphere, match="linking matrix is singular"):
+        spin_c_evaluation(presentation)
+    with pytest.raises(ZeroDivisionError, match="matrix is singular"):
+        kernel.solve((0,))
+
+
 def test_d3_denominator_and_integer_sphere_lint():
     for t in range(-5, 0):
         for n in range(1, 8):

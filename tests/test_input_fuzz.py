@@ -21,8 +21,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DIAGRAM = json.loads((ROOT / "fixtures" / "unknot-n2.json").read_text())
 BOOK_FILE = str(ROOT / "fixtures" / "torus-book.json")
 BOOK = json.loads(pathlib.Path(BOOK_FILE).read_text())
-CATALOG = json.loads(
-    (ROOT / "src" / "contactsurgery" / "data" / "seed_catalog.json").read_text())[:3]
+SEED = json.loads((ROOT / "src" / "contactsurgery" / "data" / "seed_catalog.json").read_text())
+CATALOG = SEED[:3]
 FACTS = [{"offset": 2, "status": "NonZero", "rule": "a"}, {"offset": -3, "status": "Zero"}]
 
 # Each input document with the verbs that read it; the path is appended.
@@ -178,4 +178,33 @@ openbook_calls = st.builds(
 @SETTINGS
 @given(st.one_of(expand_calls, ledger_calls, openbook_calls))
 def test_boundary_flag_values_end_in_a_documented_exit_code(argv):
+    _check(argv)
+
+
+# Free text: the seed names, the coefficients above and edge-case literals,
+# the same with a few characters around them, strings over the characters
+# they are written with, and any string.
+WORDS = [record["name"] for record in SEED] + COEFFICIENTS + [
+    "1/0", "-0/0", "1_000/3", "\u0663", "inf", "nan", "1e", ".", "-", "/", "--1"]
+TEXT_ALPHABET = "0123456789+-/._eE ()TCK,;x#"
+free_text = st.one_of(
+    st.sampled_from(WORDS),
+    st.builds(lambda head, word, tail: head + word + tail,
+              st.text(alphabet=TEXT_ALPHABET, max_size=2), st.sampled_from(WORDS),
+              st.text(alphabet=TEXT_ALPHABET, max_size=2)),
+    st.text(alphabet=TEXT_ALPHABET, max_size=40),
+    st.text(max_size=40),
+)
+free_text_calls = st.one_of(
+    st.builds(lambda text: ["expand", "--count", "--tb", "-1", "--rot", "0",
+                            f"--coeff={text}"], free_text),
+    st.builds(lambda verb, text, json_flag: [*verb, f"--knot={text}", *json_flag],
+              st.sampled_from([["catalog"], ["classify"], ["ledger", "--window", "0", "1"]]),
+              free_text, st.sampled_from([[], ["--json"]])),
+)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(free_text_calls)
+def test_free_text_ends_in_a_documented_exit_code(argv):
     _check(argv)

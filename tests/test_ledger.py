@@ -26,21 +26,40 @@ from contactsurgery.ledger import (
     inverse_limit_status,
     tight_surgery_ranges,
 )
-from contactsurgery.legendrian import Framing, LegendrianKnot, TransverseKnot
+from contactsurgery.legendrian import LegendrianKnot, TransverseKnot
 from contactsurgery.openbook import InvariantStatus as Status
 
 
 def test_upward_propagation():
-    state = assert_fact(LedgerState(), Framing(0), Status.NONZERO, "seed")
+    state = assert_fact(LedgerState(), 0, Status.NONZERO, "seed")
     assert state.status_at(5) is Status.NONZERO
     assert state.status_at(0) is Status.NONZERO
     assert state.status_at(-1) is Status.UNKNOWN
 
 
 def test_downward_propagation():
-    state = assert_fact(LedgerState(), Framing(0), Status.ZERO, "seed")
+    state = assert_fact(LedgerState(), 0, Status.ZERO, "seed")
     assert state.status_at(-3) is Status.ZERO
     assert state.status_at(1) is Status.UNKNOWN
+
+
+@pytest.mark.parametrize("offset, status, message", [
+    (0, Status.UNKNOWN, "only Zero and NonZero facts can be asserted"),
+    (None, Status.UNKNOWN, "only Zero and NonZero facts can be asserted"),
+    (None, Status.NONZERO, "only Zero facts may cover all framings"),
+])
+def test_assert_fact_refuses_what_no_fact_can_say(offset, status, message):
+    with pytest.raises(ValueError, match=message):
+        assert_fact(LedgerState(), offset, status, "r")
+
+
+def test_the_nonvanishing_rules_need_the_standard_tight_sphere():
+    trefoil = torus_knot(2, 3)
+    subject = LedgerSubject(legendrian=LegendrianKnot(1, 0, trefoil),
+                            transverse=TransverseKnot(1, trefoil), binding=True)
+    assert [f.rule for f in apply_rules(subject).facts] == ["R1", "R5", "R6"]
+    elsewhere = dataclasses.replace(subject, manifold="L(5,1)")
+    assert [f.rule for f in apply_rules(elsewhere).facts] == ["R1"]
 
 
 def test_contradiction_carries_both_provenances():

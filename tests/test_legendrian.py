@@ -26,6 +26,14 @@ def test_stabilize_signs():
     assert stabilize(knot, "+") == LegendrianKnot(-2, 1)
 
 
+@pytest.mark.parametrize("sign", ["", "x", "+-", None])
+def test_stabilize_rejects_a_sign_other_than_plus_or_minus(sign):
+    with pytest.raises(ValueError, match="stabilization sign must be"):
+        stabilize(LegendrianKnot(-1, 0), sign)
+    with pytest.raises(ValueError, match="stabilization sign must be"):
+        stabilize_many(LegendrianKnot(-1, 0), ["-", sign])
+
+
 @pytest.mark.parametrize("tb,rot", [(-1, 0), (3, 2), (-4, -3), (0, 5)])
 def test_negative_stabilization_preserves_pushoff_sl(tb, rot):
     knot = LegendrianKnot(tb, rot)

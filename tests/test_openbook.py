@@ -13,6 +13,7 @@ from contactsurgery.errors import (
 )
 from contactsurgery.linalg import det_int, identity_int, mat_mul_int
 from contactsurgery.openbook import (
+    LanternConfiguration,
     SurfaceModel,
     attach_surgery_twists,
     cap_off,
@@ -493,6 +494,63 @@ def test_attach_surgery_twists_shapes():
     assert det_int(homology_action(three, surface)) == 1
     with pytest.raises(UnknownCurve):
         attach_surgery_twists(surface, base, "kappa_minus", "ghost", 2)
+
+
+def _page(curves=(("a", (1, 0, 0)),), boundary_classes=((0, 0, 1), (0, 0, -1))):
+    """A rank-3 page like `torus_like_surface`, with the given alphabet."""
+    return SurfaceModel(genus=1, boundary_count=2,
+                        pairing=((0, 1, 0), (-1, 0, 0), (0, 0, 0)),
+                        curves=curves, boundary_classes=boundary_classes)
+
+
+def _lantern_on_a_torus():
+    """Classes that meet the four lantern relations, with roles 1 and 2 on
+    the two crossing curves of a one-holed torus."""
+    surface = SurfaceModel(
+        genus=1, boundary_count=1, pairing=((0, 1), (-1, 0)),
+        curves=(("p", (1, 0)), ("q", (0, 1)), ("z", (0, 0)), ("pq", (1, 1)),
+                ("n", (-1, -1))),
+    )
+    config = LanternConfiguration(one="p", two="q", three="z", four="n", one_two="pq",
+                                  one_three="p", two_three="q")
+    return config, surface
+
+
+def _lantern_rewrite(letters, direction="LtoR"):
+    surface, config = lantern_ambient_model()
+    return lantern_rewrite(letters, config, 0, direction, surface)
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: _page(curves=(("a", (1, 0, 0)), ("a", (0, 1, 0)))), ValueError,
+     "duplicate curve names"),
+    (lambda: _page(boundary_classes=((0, 0, 1), (0, 1))), ValueError,
+     "boundary class has wrong length"),
+    (lambda: _page(boundary_classes=((1, 0, 0), (0, 1, 0))), ValueError,
+     "boundary classes must pairwise pair to zero"),
+    (lambda: LanternConfiguration.validate(*_lantern_on_a_torus()), ValueError,
+     "lantern boundary roles must pair to zero"),
+    (lambda: _lantern_rewrite((("b1", "+"),), "sideways"), ValueError,
+     "direction must be 'LtoR' or 'RtoL', got 'sideways'"),
+    (lambda: _lantern_rewrite((("c12", "-"),)), PatternMismatch,
+     "no room for the pattern at position 0"),
+    (lambda: giroux_destabilize(
+        SurfaceModel(genus=1, boundary_count=1, pairing=((0, 1), (-1, 0)),
+                     curves=(("a", (1, 0)),)), (("a", "+"),), "a"),
+     InvalidStabilization, "cannot destabilize past one boundary component"),
+    (lambda: giroux_destabilize(_page(curves=(("d", (2, 0, 2)),)), (("d", "+"),), "d"),
+     InvalidStabilization, "class of 'd' has no unimodular coordinate to drop"),
+    (lambda: giroux_destabilize(_page(curves=(("e", (0, 0, 1)),)), (("e", "+"),), "e",
+                                drop_boundary=2),
+     InvalidStabilization, "no such boundary component"),
+    (lambda: attach_surgery_twists(_page(), (), "a", "a", 0), ValueError,
+     "surgery parameter n must be >= 1, got 0"),
+], ids=["duplicate-name", "boundary-length", "boundary-pairing", "lantern-pairing",
+        "direction", "no-room", "last-boundary", "no-unimodular", "no-boundary",
+        "surgery-n"])
+def test_open_book_refusals(refused, error, message):
+    with pytest.raises(error, match=message):
+        refused()
 
 
 def _rotation_oracle(first, second) -> bool:

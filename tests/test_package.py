@@ -47,6 +47,14 @@ def test_each_name_is_the_object_in_its_home_module():
             assert getattr(contactsurgery, name) is getattr(module, name), name
 
 
+def test_invariant_status_is_one_class_whose_home_is_legendrian():
+    from contactsurgery import legendrian, openbook
+
+    assert contactsurgery._HOMES["InvariantStatus"] == "legendrian"
+    assert contactsurgery.InvariantStatus is legendrian.InvariantStatus
+    assert openbook.InvariantStatus is legendrian.InvariantStatus
+
+
 def test_star_import_binds_the_public_names():
     namespace = {}
     exec("from contactsurgery import *", namespace)
