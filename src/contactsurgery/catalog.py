@@ -123,9 +123,8 @@ def cable_of_trefoil(p: int, q: int) -> KnotType:
     if math.gcd(p, q) != 1:
         raise InvalidCableParameters(f"cable parameters ({p}, {q}) must be coprime")
     max_sl = p * q + q - p
-    genus, rem = divmod(max_sl + 1, 2)
-    if rem:
-        raise InvalidCableParameters(f"cable ({p}, {q}) gives non-integral genus")
+    # max_sl + 1 = (p + 1)(q - 1) + 2 is even: coprime p and q are not both even.
+    genus = (max_sl + 1) // 2
     return KnotType(
         name=f"C({p},{q};T(2,3))",
         genus=genus,

@@ -291,7 +291,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_ledger(args) -> int:
-    from .ledger import LedgerSubject, apply_rules, assert_fact, inverse_limit_status
+    from .ledger import LedgerSubject, apply_rules, assert_facts, inverse_limit_status
     from .legendrian import InvariantStatus, TransverseKnot
 
     lo, hi = args.window
@@ -322,13 +322,10 @@ def _cmd_ledger(args) -> int:
     if args.facts:
         from . import diagramio
 
-        for record in diagramio.facts_from_file(args.facts):
-            state = assert_fact(
-                state,
-                record["offset"],
-                InvariantStatus(record["status"]),
-                record["rule"],
-            )
+        state = assert_facts(state, (
+            (record["offset"], InvariantStatus(record["status"]), record["rule"])
+            for record in diagramio.facts_from_file(args.facts)
+        ))
     rows = state.rows(lo, hi)
     if args.json:
         _write_json({

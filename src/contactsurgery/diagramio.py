@@ -8,7 +8,8 @@ a role must be the one its coeff gives: "originalPlusOne" for +1,
 "chainLink" for -1.  Every component has tb + rot odd, and each one after
 the first is a pushoff of its predecessor stabilized by its stab_signs.
 Stabilizations commute, so stab_signs is read as a multiset (a component
-stores the two counts) and is written negatives first.  Open book schema:
+stores the two counts, and the pushoff rule is checked from them) and is
+written negatives first.  Open book schema:
 {"surface": {genus, boundary, pairing, boundary_classes}, "alphabet":
 {name: class vector}, "word": [[name, sign], ...]}.  Every field is read
 by `errors.read_field`, and the entries of nested integer lists by
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from .errors import DiagramFormatError, InvalidCoefficient, quote, read_field, read_json
 from .expansion import Component, ContactSurgeryPresentation
-from .legendrian import LegendrianKnot, stabilize_many
+from .legendrian import LegendrianKnot
 
 
 def _integers(raw, path: str, depth: int):
@@ -58,17 +59,19 @@ def presentation_from_dict(data: object, source: str = "diagram") -> ContactSurg
                 f"{path}: tb + rot = {quote(tb + rot)} is even; a Legendrian knot in "
                 "the 3-sphere has tb + rot odd"
             )
+        negatives, positives = signs.count("-"), signs.count("+")
         if components:
+            # Each stabilization lowers tb by 1 and moves rot by -1 ('-') or +1 ('+').
             prev = components[-1].legendrian
-            expected = stabilize_many(prev, signs)
-            if (tb, rot) != (expected.tb, expected.rot):
+            expected = (prev.tb - negatives - positives, prev.rot + positives - negatives)
+            if (tb, rot) != expected:
                 raise DiagramFormatError(
                     f"{path}: (tb, rot) = ({quote(tb)}, {quote(rot)}) is not "
                     f"the previous component ({quote(prev.tb)}, {quote(prev.rot)}) "
                     f"stabilized by stab_signs {quote(signs)}, which gives "
-                    f"({quote(expected.tb)}, {quote(expected.rot)})"
+                    f"({quote(expected[0])}, {quote(expected[1])})"
                 )
-        component = Component(LegendrianKnot(tb, rot), coeff, signs.count("-"), signs.count("+"))
+        component = Component(LegendrianKnot(tb, rot), coeff, negatives, positives)
         if read_field(raw, "role", str, path, component.role) != component.role:
             raise DiagramFormatError(
                 f"{path}.role: a {coeff:+d} component has role {component.role!r}"

@@ -28,7 +28,7 @@ from .legendrian import (
     POSITIVE,
     Framing,
     LegendrianKnot,
-    stabilize_many,
+    stabilize,
 )
 
 ROLE_PLUS_ONE = "originalPlusOne"
@@ -299,7 +299,7 @@ def all_negative_presentation(
     if n > 1:
         # One stabilized pushoff, then unstabilized parallel copies of it,
         # matching the chain produced by expand(knot, n).
-        stabilized = stabilize_many(knot, (NEGATIVE,))
+        stabilized = stabilize(knot, NEGATIVE)
         components.append(Component(stabilized, -1, 1))
         for _ in range(n - 2):
             components.append(Component(stabilized, -1))

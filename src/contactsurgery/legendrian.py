@@ -66,9 +66,3 @@ def stabilize(knot: LegendrianKnot, sign: str) -> LegendrianKnot:
     step = -1 if sign == NEGATIVE else 1
     return LegendrianKnot(knot.tb - 1, knot.rot + step, knot.knot_type)
 
-
-def stabilize_many(knot: LegendrianKnot, signs) -> LegendrianKnot:
-    for sign in signs:
-        knot = stabilize(knot, sign)
-    return knot
-

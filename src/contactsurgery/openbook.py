@@ -13,8 +13,8 @@ windows may wrap around the end of the word.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     CannotCapLastBoundary,
@@ -69,21 +69,23 @@ class SurfaceModel:
         for cls in self.boundary_classes:
             if len(cls) != rank:
                 raise ValueError("boundary class has wrong length")
-        for i, b1 in enumerate(self.boundary_classes):
-            for b2 in self.boundary_classes[i:]:
-                if self._pair(b1, b2) != 0:
-                    raise ValueError("boundary classes must pairwise pair to zero")
+        # One image per class; a class pairs to zero with itself (skew).
+        for i, b in enumerate(self.boundary_classes):
+            image = self._image(b)
+            if any(sum(map(mul, b2, image)) for b2 in self.boundary_classes[:i]):
+                raise ValueError("boundary classes must pairwise pair to zero")
 
     @property
     def h1_rank(self) -> int:
         return 2 * self.genus + self.boundary_count - 1
 
+    def _image(self, c) -> tuple[int, ...]:
+        """Omega c, the one place the pairing is evaluated."""
+        return tuple(sum(map(mul, row, c)) for row in self.pairing)
+
     def _pair(self, x, y) -> int:
-        return sum(
-            x[i] * self.pairing[i][j] * y[j]
-            for i in range(len(x))
-            for j in range(len(y))
-        )
+        """<x, y> = x . Omega y."""
+        return sum(map(mul, x, self._image(y)))
 
     def curve_class(self, name: str) -> tuple[int, ...]:
         try:
@@ -143,7 +145,7 @@ def _row_update(surface: SurfaceModel, name: str, sign: str):
     update: the row ((Omega c),) and the pairs (i, s c_i) with c_i != 0,
     or None when T is the identity (Omega c = 0, as for c = 0)."""
     cls = surface.curve_class(name)
-    image = tuple(sum(p * x for p, x in zip(row, cls)) for row in surface.pairing)
+    image = surface._image(cls)
     if not any(image):
         return None
     s = 1 if sign == PLUS else -1
@@ -225,10 +227,9 @@ class LanternConfiguration:
         for got, expected, label in relations:
             if got != expected:
                 raise ValueError(f"lantern homology relation {label} fails")
-        for x in (c1, c2, c3):
-            for y in (c1, c2, c3):
-                if surface._pair(x, y) != 0:
-                    raise ValueError("lantern boundary roles must pair to zero")
+        # On a skew form <x, x> = 0 and <y, x> = -<x, y>: three pairs suffice.
+        if surface._pair(c1, c2) or surface._pair(c1, c3) or surface._pair(c2, c3):
+            raise ValueError("lantern boundary roles must pair to zero")
 
     def source(self, direction: str) -> tuple[Letter, ...]:
         left = (
@@ -252,13 +253,6 @@ class LanternConfiguration:
         return self.source("RtoL" if direction == "LtoR" else "LtoR")
 
 
-@functools.cache
-def _validated(config: LanternConfiguration, surface: SurfaceModel) -> None:
-    """config.validate(surface), once per equal (configuration, surface)
-    pair: both are frozen, and a failing check raises, so it is not cached."""
-    config.validate(surface)
-
-
 def lantern_rewrite(
     letters,
     config: LanternConfiguration,
@@ -275,7 +269,7 @@ def lantern_rewrite(
     preserves the homology action.
     """
     letters = tuple(letters)
-    _validated(config, surface)
+    config.validate(surface)
     pattern = config.source(direction)
     n = len(letters)
     if not 0 <= at < n or len(pattern) > n:
@@ -419,10 +413,8 @@ def cap_off(surface: SurfaceModel, letters, boundary_index: int):
     if not 0 <= boundary_index < len(surface.boundary_classes):
         raise DiagramFormatError(f"{field}: no such boundary class")
     capped = surface.boundary_classes[boundary_index]
-    rank = surface.h1_rank
-    for j in range(rank):
-        if sum(capped[i] * surface.pairing[i][j] for i in range(rank)) != 0:
-            raise DiagramFormatError(f"{field}: a capped class must pair to zero with H1")
+    if any(surface._image(capped)):
+        raise DiagramFormatError(f"{field}: a capped class must pair to zero with H1")
 
     def matches(vec):
         return vec == capped or vec == tuple(-x for x in capped)

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactsurgery import cli, errors, expansion
 from contactsurgery.catalog import Catalog, build_seed_entries
@@ -19,7 +21,7 @@ from contactsurgery.diagramio import (
 )
 from contactsurgery.errors import DiagramFormatError, InvalidCoefficient
 from contactsurgery.expansion import all_negative_presentation, expand
-from contactsurgery.legendrian import LegendrianKnot
+from contactsurgery.legendrian import LegendrianKnot, stabilize
 
 
 UNKNOT_N2 = {
@@ -972,6 +974,43 @@ def test_cli_openbook_rejects_a_letter_that_is_not_a_name_and_sign(
     path.write_text(json.dumps(book))
     _assert_input_error(["openbook", "--file", str(path), *flags], capsys,
                         f"{path}.word[{index}]: ")
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(-9, 9), st.integers(-9, 9), st.lists(st.sampled_from("+-"), max_size=6),
+       st.sampled_from([(0, 0), (0, 0), (1, 1), (-1, 1), (0, 2), (-2, 0)]))
+def test_the_pushoff_check_is_a_fold_of_stabilize(tb, rot, signs, miss):
+    # The parser checks a component against the two sign counts in closed
+    # form; the oracle stabilizes its predecessor one sign at a time.
+    rot += (tb + rot + 1) % 2
+    expected = LegendrianKnot(tb, rot)
+    for sign in signs:
+        expected = stabilize(expected, sign)
+    got = (expected.tb + miss[0], expected.rot + miss[1])
+    diagram = {"components": [
+        {"tb": tb, "rot": rot, "coeff": "+1"},
+        {"tb": got[0], "rot": got[1], "coeff": "-1", "stab_signs": signs},
+    ]}
+    if miss == (0, 0):
+        component = presentation_from_dict(diagram).components[1]
+        assert component.legendrian == expected
+        assert sorted(component.stab_signs) == sorted(signs)
+        return
+    with pytest.raises(DiagramFormatError) as info:
+        presentation_from_dict(diagram)
+    assert str(info.value) == (
+        f"diagram.components[1]: (tb, rot) = ({got[0]}, {got[1]}) is not the previous "
+        f"component ({tb}, {rot}) stabilized by stab_signs {signs}, which gives "
+        f"({expected.tb}, {expected.rot})"
+    )
+
+
+def test_parse_refuses_a_stabilization_sign_other_than_plus_or_minus():
+    diagram = {"components": [{"tb": -1, "rot": 0, "coeff": "+1"},
+                              {"tb": -3, "rot": 0, "coeff": "-1", "stab_signs": ["-", "x"]}]}
+    with pytest.raises(DiagramFormatError,
+                       match=r"^diagram\.components\[1\]\.stab_signs: entries must be"):
+        presentation_from_dict(diagram)
 
 
 def test_diagram_stab_signs_are_a_multiset(tmp_path, capsys):

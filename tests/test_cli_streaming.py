@@ -25,8 +25,7 @@ from contactsurgery.diagramio import presentation_to_dict
 from contactsurgery.errors import Contradiction
 from contactsurgery.expansion import expand
 from contactsurgery.ledger import LedgerSubject, apply_rules, assert_fact, inverse_limit_status
-from contactsurgery.legendrian import LegendrianKnot
-from contactsurgery.openbook import InvariantStatus
+from contactsurgery.legendrian import InvariantStatus, LegendrianKnot
 
 SETTINGS = settings(max_examples=60, derandomize=True, deadline=None, database=None)
 

@@ -385,9 +385,10 @@ def fold_stabilize(knot, signs):
 
 def test_expand_is_linear_in_its_output(monkeypatch):
     # r = -N is one link with N - 1 stabilizations and N sign choices.
-    # Restabilizing every choice one sign at a time makes about N^2 / 2
-    # stabilize calls (stabilize_many loops over them); building each link
-    # from its predecessor makes at most one call per link of the output.
+    # Restabilizing every choice one sign at a time (a fold of stabilize
+    # over each link's signs) makes about N^2 / 2 stabilize calls; building
+    # each link from its predecessor makes at most one call per link of the
+    # output.
     calls = 0
 
     def counted(knot, sign):

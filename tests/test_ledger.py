@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
@@ -23,11 +24,12 @@ from contactsurgery.ledger import (
     RULE_MAX_THURSTON_BENNEQUIN,
     apply_rules,
     assert_fact,
+    assert_facts,
     inverse_limit_status,
     tight_surgery_ranges,
 )
+from contactsurgery.legendrian import InvariantStatus as Status
 from contactsurgery.legendrian import LegendrianKnot, TransverseKnot
-from contactsurgery.openbook import InvariantStatus as Status
 
 
 def test_upward_propagation():
@@ -373,3 +375,65 @@ def test_a_window_does_not_rescan_the_facts_per_framing():
         counted.window(k, k)
     # One pass builds the offset index; nothing else reads the facts.
     assert counted.facts.passes <= 1
+
+
+def _one_by_one(state, facts):
+    """assert_fact per fact: the closure reached, or the error it raised."""
+    try:
+        for fact in facts:
+            state = assert_fact(state, *fact)
+    except (Contradiction, ValueError) as exc:
+        return type(exc), str(exc)
+    return state
+
+
+@st.composite
+def batches(draw):
+    """A state built one fact at a time and a batch of further facts, which
+    may hold a fact that no assert_fact call accepts."""
+    facts = draw(fact_lists())
+    cut = draw(st.integers(0, len(facts)))
+    state = _one_by_one(LedgerState(), facts[:cut])
+    if not isinstance(state, LedgerState):
+        state = LedgerState()
+    batch = facts[cut:]
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from([(None, Status.NONZERO), (0, Status.UNKNOWN)]))
+        batch.insert(draw(st.integers(0, len(batch))), Fact(*bad, "bad"))
+    return state, batch
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(batches())
+def test_assert_facts_is_assert_fact_once_per_fact(batch):
+    state, facts = batch
+    expected = _one_by_one(state, facts)
+    try:
+        got = assert_facts(state, facts)
+    except (Contradiction, ValueError) as exc:
+        got = type(exc), str(exc)
+    # States compare by their facts and closure.
+    assert got == expected
+    if isinstance(got, LedgerState):
+        assert list(got.rows(-9, 9)) == list(expected.rows(-9, 9))
+
+
+def test_a_facts_file_builds_a_bounded_number_of_states(tmp_path, monkeypatch, capsys):
+    from contactsurgery.cli import main
+
+    records = [{"offset": -i, "status": "Zero", "rule": f"z{i}"} for i in range(2000)]
+    path = tmp_path / "facts.json"
+    path.write_text(json.dumps(records))
+    built = 0
+    init = LedgerState.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LedgerState, "__init__", counted)
+    assert main(["ledger", "--facts", str(path), "--window", "-1", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["f_S-1  Zero  [z1]", "f_S+0  Zero  [z0]"]
+    # apply_rules' empty state and the one the facts build.
+    assert built <= 2

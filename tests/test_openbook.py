@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -134,6 +135,77 @@ def pages(draw):
     surface = SurfaceModel(genus, boundary_count, pairing, curves, boundary_classes)
     letters = st.tuples(st.sampled_from(names), st.sampled_from("+-"))
     return surface, tuple(draw(st.lists(letters, max_size=12)))
+
+
+def _pair_oracle(surface, x, y):
+    """<x, y> by the double index loop (test oracle)."""
+    rank = surface.h1_rank
+    return sum(x[i] * surface.pairing[i][j] * y[j] for i in range(rank) for j in range(rank))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(pages(), st.data())
+def test_the_pairing_is_the_double_loop_and_skew(page, data):
+    surface, _ = page
+    vectors = st.tuples(*[st.integers(-3, 3)] * surface.h1_rank)
+    x, y = data.draw(vectors), data.draw(vectors)
+    assert surface._pair(x, y) == _pair_oracle(surface, x, y) == -surface._pair(y, x)
+    assert surface._pair(x, x) == 0
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(pages(), st.data())
+def test_a_page_takes_exactly_the_boundary_classes_that_pair_to_zero(page, data):
+    # Multiples of one class always pair to zero; one more class may not.
+    surface, _ = page
+    vectors = st.tuples(*[st.integers(-2, 2)] * surface.h1_rank)
+    base = data.draw(vectors)
+    multiples = data.draw(st.lists(st.integers(-2, 2), max_size=3))
+    classes = [tuple(m * x for x in base) for m in multiples]
+    classes += data.draw(st.lists(vectors, max_size=1))
+    classes.insert(data.draw(st.integers(0, len(classes))), data.draw(vectors))
+    pair_to_zero = all(_pair_oracle(surface, a, b) == 0 for a in classes for b in classes)
+    try:
+        replace(surface, boundary_classes=tuple(classes))
+    except ValueError as exc:
+        assert not pair_to_zero
+        assert str(exc) == "boundary classes must pairwise pair to zero"
+    else:
+        assert pair_to_zero
+
+
+def _counting_images(monkeypatch):
+    """Count the calls of the pairing primitive, Omega c."""
+    calls = [0]
+    image = SurfaceModel._image
+
+    def counted(self, c):
+        calls[0] += 1
+        return image(self, c)
+
+    monkeypatch.setattr(SurfaceModel, "_image", counted)
+    return calls
+
+
+def test_a_page_takes_one_image_per_boundary_class(monkeypatch):
+    # Genus 0, B boundary components: e_0 ... e_(B-2) and minus their sum.
+    # Pairing every two classes through the double index loop cost O(B^2 r^2).
+    boundary_count = 60
+    rank = boundary_count - 1
+    classes = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    images = _counting_images(monkeypatch)
+    SurfaceModel(genus=0, boundary_count=boundary_count, pairing=((0,) * rank,) * rank,
+                 boundary_classes=classes + ((-1,) * rank,))
+    assert images[0] <= boundary_count
+
+
+def test_every_lantern_rewrite_validates_with_three_pairings(monkeypatch):
+    surface, config = lantern_ambient_model()
+    word = (("c12", "-"), ("b1", "+"), ("b2", "+"), ("b3", "+"))
+    images = _counting_images(monkeypatch)
+    for calls in (1, 2):
+        lantern_rewrite(word, config, 0, "LtoR", surface)
+        assert images[0] == 3 * calls
 
 
 def _transvection(surface, name, sign):
@@ -514,6 +586,21 @@ def _lantern_on_a_torus():
     config = LanternConfiguration(one="p", two="q", three="z", four="n", one_two="pq",
                                   one_three="p", two_three="q")
     return config, surface
+
+
+@pytest.mark.parametrize("one, two, three, one_two, one_three, two_three", [
+    ("p", "q", "z", "pq", "p", "q"),
+    ("p", "z", "q", "p", "pq", "q"),
+    ("z", "p", "q", "p", "q", "pq"),
+], ids=["roles-1-2", "roles-1-3", "roles-2-3"])
+def test_lantern_validation_checks_each_pair_of_boundary_roles(
+        one, two, three, one_two, one_three, two_three):
+    # The two crossing curves of a one-holed torus fill two of roles 1, 2, 3.
+    _, surface = _lantern_on_a_torus()
+    config = LanternConfiguration(one=one, two=two, three=three, four="n", one_two=one_two,
+                                  one_three=one_three, two_three=two_three)
+    with pytest.raises(ValueError, match="lantern boundary roles must pair to zero"):
+        config.validate(surface)
 
 
 def _lantern_rewrite(letters, direction="LtoR"):

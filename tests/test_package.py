@@ -22,12 +22,12 @@ HOMES = {
                  "homology_data", "linking_matrix", "spin_c_evaluation"],
     "ledger": ["LedgerState", "LedgerSubject", "LedgerVerdict", "TightnessReport",
                "apply_rules", "assert_fact", "inverse_limit_status", "tight_surgery_ranges"],
-    "legendrian": ["Framing", "LegendrianKnot", "TransverseKnot", "stabilize"],
+    "legendrian": ["Framing", "InvariantStatus", "LegendrianKnot", "TransverseKnot",
+                   "stabilize"],
     "linalg": [],
-    "openbook": ["InvariantStatus", "LanternConfiguration", "SurfaceModel",
-                 "attach_surgery_twists", "cap_off", "cyclic_words_equal", "free_reduce",
-                 "giroux_destabilize", "giroux_stabilize", "homology_action",
-                 "lantern_rewrite"],
+    "openbook": ["LanternConfiguration", "SurfaceModel", "attach_surgery_twists", "cap_off",
+                 "cyclic_words_equal", "free_reduce", "giroux_destabilize", "giroux_stabilize",
+                 "homology_action", "lantern_rewrite"],
 }
 # The 44 re-exported names and the 8 submodules.
 PUBLIC = {name for names in HOMES.values() for name in names} | set(HOMES)
