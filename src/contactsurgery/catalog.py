@@ -62,8 +62,8 @@ class KnotType:
             raise ValueError(f"{self.name}: slice genus must lie in [0, genus]")
         if self.max_sl is not None and self.max_sl > 2 * self.genus - 1:
             raise ValueError(
-                f"{self.name}: max self-linking {self.max_sl} exceeds "
-                f"2*genus - 1 = {2 * self.genus - 1}"
+                f"{self.name}: max self-linking {quote(self.max_sl)} exceeds "
+                f"2*genus - 1 = {quote(2 * self.genus - 1)}"
             )
         if FLAG_SQP_FIBERED in self.flags:
             if self.max_sl is None or self.max_sl != 2 * self.genus - 1:
@@ -76,7 +76,7 @@ class KnotType:
             raise ValueError(f"{self.name}: unknown flags {sorted(unknown)}")
         if self.max_sl is not None and self.max_sl % 2 != 1:
             # A transverse knot in the 3-sphere has odd self-linking number.
-            raise ValueError(f"{self.name}: max self-linking {self.max_sl} must be odd")
+            raise ValueError(f"{self.name}: max self-linking {quote(self.max_sl)} must be odd")
 
 
 def lint_knot(knot: KnotType) -> list[str]:

@@ -144,12 +144,10 @@ def _legendrian(args, knot_type):
     """The knot given by --tb and --rot."""
     from .legendrian import LegendrianKnot
 
-    if (args.tb + args.rot) % 2 == 0:
-        raise NotRealizable(
-            f"--tb {quote(args.tb)} --rot {quote(args.rot)}: tb + rot is "
-            "even; a Legendrian knot in the 3-sphere has tb + rot odd"
-        )
-    return LegendrianKnot(args.tb, args.rot, knot_type)
+    try:
+        return LegendrianKnot(args.tb, args.rot, knot_type)
+    except NotRealizable as exc:
+        raise NotRealizable(f"--tb {quote(args.tb)} --rot {quote(args.rot)}: {exc}") from None
 
 
 def _knot_record(knot) -> dict:

@@ -18,7 +18,8 @@ by `errors.read_field`, and the entries of nested integer lists by
 
 from __future__ import annotations
 
-from .errors import DiagramFormatError, InvalidCoefficient, quote, read_field, read_json
+from .errors import (
+    DiagramFormatError, InvalidCoefficient, NotRealizable, quote, read_field, read_json)
 from .expansion import Component, ContactSurgeryPresentation
 from .legendrian import LegendrianKnot
 
@@ -54,11 +55,10 @@ def presentation_from_dict(data: object, source: str = "diagram") -> ContactSurg
         signs = read_field(raw, "stab_signs", list, path, [])
         if any(s not in ("+", "-") for s in signs):
             raise DiagramFormatError(f"{path}.stab_signs: entries must be '+' or '-'")
-        if (tb + rot) % 2 == 0:
-            raise DiagramFormatError(
-                f"{path}: tb + rot = {quote(tb + rot)} is even; a Legendrian knot in "
-                "the 3-sphere has tb + rot odd"
-            )
+        try:
+            knot = LegendrianKnot(tb, rot)
+        except NotRealizable as exc:
+            raise DiagramFormatError(f"{path}: {exc}") from exc
         negatives, positives = signs.count("-"), signs.count("+")
         if components:
             # Each stabilization lowers tb by 1 and moves rot by -1 ('-') or +1 ('+').
@@ -71,7 +71,7 @@ def presentation_from_dict(data: object, source: str = "diagram") -> ContactSurg
                     f"stabilized by stab_signs {quote(signs)}, which gives "
                     f"({quote(expected[0])}, {quote(expected[1])})"
                 )
-        component = Component(LegendrianKnot(tb, rot), coeff, negatives, positives)
+        component = Component(knot, coeff, negatives, positives)
         if read_field(raw, "role", str, path, component.role) != component.role:
             raise DiagramFormatError(
                 f"{path}.role: a {coeff:+d} component has role {component.role!r}"

@@ -111,7 +111,9 @@ class Contradiction(ContactSurgeryError):
         self.offset = offset
         self.zero_rule = zero_rule
         self.nonzero_rule = nonzero_rule
-        where = "all framings" if offset is None else f"f_S{offset:+d}"
+        where = "all framings"
+        if offset is not None:  # f_S+k: the sign stays when quote cannot print k
+            where = f"f_S{'+' if offset >= 0 else '-'}{quote(abs(offset))}"
         super().__init__(
             f"status clash at {where}: Zero by {zero_rule}, NonZero by {nonzero_rule}"
         )

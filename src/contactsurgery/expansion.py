@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import (
-    InvalidCoefficient,
-    NotRealizable,
-    OutOfRange,
-    UnsupportedCoefficient,
-    quote,
-)
+from .errors import InvalidCoefficient, OutOfRange, UnsupportedCoefficient
 from .legendrian import (
     NEGATIVE,
     POSITIVE,
@@ -141,16 +135,6 @@ class ContactSurgeryPresentation:
 
     def tb_rot_profile(self) -> tuple[tuple[int, int], ...]:
         return tuple((c.legendrian.tb, c.legendrian.rot) for c in self.components)
-
-
-def _require_realizable(knot: LegendrianKnot) -> None:
-    # Not in LegendrianKnot itself: placeholders such as the ledger's
-    # (max_tb, 0) carry only tb.
-    if (knot.tb + knot.rot) % 2 == 0:
-        raise NotRealizable(
-            f"(tb, rot) = ({quote(knot.tb)}, {quote(knot.rot)}): tb + rot "
-            "is even; a Legendrian knot in the 3-sphere has tb + rot odd"
-        )
 
 
 class Expansion:
@@ -279,7 +263,6 @@ def expand(knot: LegendrianKnot, r) -> Expansion:
     first; its `count` is the product of (a_i - 1) over the continued
     fraction terms.
     """
-    _require_realizable(knot)
     plus_one, terms = _chain_terms(r)
     return Expansion(knot, terms, plus_one)
 
@@ -292,7 +275,6 @@ def all_negative_presentation(
     One (+1)-surgery on the knot plus (n - 1) copies of its negative
     stabilization; for n = 1 there is no chain.
     """
-    _require_realizable(knot)
     if n < 1:
         raise InvalidCoefficient(f"integer coefficient must be >= 1, got {n}")
     components = [Component(knot, 1)]
@@ -315,7 +297,6 @@ def presentation_for_framing(
     For framings f <= tb the result is known to be overtwisted and is
     flagged as such; the knot is first stabilized down to tb = f - 1.
     """
-    _require_realizable(knot)
     f = framing.offset
     if f > knot.tb:
         return all_negative_presentation(knot, f - knot.tb)

@@ -336,9 +336,10 @@ def tight_surgery_ranges(knot: KnotType) -> TightnessReport:
         raise IncompleteData(
             f"{knot.name}: neither max_sl nor max_tb is recorded"
         )
+    # R6 can fire only when max_tb = 2 g_s - 1, which is odd, so rot 0 is realizable.
+    r6 = knot.max_tb == 2 * knot.slice_genus - 1
     subject = LedgerSubject(
-        # R6 reads tb only, so the rotation number is immaterial.
-        legendrian=None if knot.max_tb is None else LegendrianKnot(knot.max_tb, 0, knot),
+        legendrian=LegendrianKnot(knot.max_tb, 0, knot) if r6 else None,
         transverse=None if knot.max_sl is None else TransverseKnot(knot.max_sl, knot),
         binding=True,
     )

@@ -14,6 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .errors import NotRealizable, quote
+
 # knot_type fields hold a catalog.KnotType; the annotations are never
 # evaluated, so this module does not import catalog.
 
@@ -39,11 +41,19 @@ class Framing:
 
 @dataclass(frozen=True)
 class LegendrianKnot:
-    """An oriented Legendrian knot remembered by (tb, rot)."""
+    """An oriented Legendrian knot remembered by (tb, rot).  Every Legendrian
+    knot in the 3-sphere has tb + rot odd, and no other pair is built."""
 
     tb: int
     rot: int
     knot_type: KnotType | None = None
+
+    def __post_init__(self) -> None:
+        if (self.tb + self.rot) % 2 == 0:
+            raise NotRealizable(
+                f"(tb, rot) = ({quote(self.tb)}, {quote(self.rot)}): tb + rot "
+                "is even; a Legendrian knot in the 3-sphere has tb + rot odd"
+            )
 
 
 @dataclass(frozen=True)
@@ -56,7 +66,7 @@ class TransverseKnot:
     def __post_init__(self) -> None:
         # Knots in the 3-sphere have odd self-linking number.
         if self.sl % 2 != 1:
-            raise ValueError(f"self-linking number must be odd, got {self.sl}")
+            raise ValueError(f"self-linking number must be odd, got {quote(self.sl)}")
 
 
 def stabilize(knot: LegendrianKnot, sign: str) -> LegendrianKnot:

@@ -443,7 +443,7 @@ def attach_surgery_twists(
     twists along its stabilized pushoff."""
     if n < 1:
         raise ValueError(f"surgery parameter n must be >= 1, got {n}")
-    for name in (knot_curve, pushoff_curve):
-        if not surface.has_curve(name):
-            raise UnknownCurve(f"curve {name!r} is not in the alphabet")
+    # Each raises UnknownCurve for a curve that is not in the alphabet.
+    surface.curve_class(knot_curve)
+    surface.curve_class(pushoff_curve)
     return tuple(letters) + ((knot_curve, MINUS),) + ((pushoff_curve, PLUS),) * (n - 1)

@@ -204,3 +204,18 @@ def test_catalog_override_file(tmp_path):
     catalog = Catalog.from_json(str(path))
     assert catalog.lookup("custom").genus == 3
     assert "unknot" not in catalog
+
+
+@pytest.mark.parametrize("genus, max_sl, message", [
+    (1, 2 * 10**5000 + 1, "k: max self-linking <an integer too long to print> exceeds "
+                          "2*genus - 1 = 1"),
+    (10**5000, 2 * 10**5000 - 2, "k: max self-linking <an integer too long to print> must be odd"),
+], ids=["exceeds", "even"])
+def test_a_max_sl_past_the_int_to_str_limit_is_quoted(genus, max_sl, message):
+    with pytest.raises(ValueError) as info:
+        KnotType("k", genus, 0, max_sl=max_sl)
+    assert str(info.value) == message
+    record = {"name": "k", "genus": genus, "slice_genus": 0, "max_sl": max_sl}
+    with pytest.raises(DiagramFormatError) as info:
+        Catalog.from_records([record])
+    assert str(info.value) == f"catalog record [0]: {message}"

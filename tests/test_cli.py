@@ -390,6 +390,64 @@ def test_parse_rejects_even_tb_plus_rot():
                                                 "stab_signs": 5}]})
 
 
+_EVEN = "tb + rot is even; a Legendrian knot in the 3-sphere has tb + rot odd"
+_GRID = [(tb, rot) for tb in range(-3, 4) for rot in range(-3, 4)]
+
+
+@pytest.mark.parametrize("verb", [["expand", "--coeff", "3", "--count"], ["ledger"]],
+                         ids=["expand", "ledger"])
+def test_the_tb_and_rot_flags_refuse_exactly_the_even_pairs(capsys, verb):
+    for tb, rot in _GRID:
+        code = main([*verb, "--tb", str(tb), "--rot", str(rot)])
+        err = capsys.readouterr().err
+        if (tb + rot) % 2:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 2
+            assert err == (
+                f"input error: --tb {tb} --rot {rot}: (tb, rot) = ({tb}, {rot}): {_EVEN}\n")
+
+
+def test_a_diagram_component_refuses_exactly_the_even_pairs(tmp_path, capsys):
+    path = tmp_path / "diagram.json"
+    for tb, rot in _GRID:
+        path.write_text(json.dumps({"components": [{"tb": tb, "rot": rot, "coeff": "-1"}]}))
+        code = main(["homology", "--file", str(path)])
+        err = capsys.readouterr().err
+        if (tb + rot) % 2:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 2
+            assert err == (
+                f"input error: {path}.components[0]: (tb, rot) = ({tb}, {rot}): {_EVEN}\n")
+
+
+def test_the_parity_refusal_names_the_component_before_the_pushoff_rule(tmp_path, capsys):
+    # Component 1 is no pushoff of component 0 either; parity is checked first.
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps({"components": [
+        {"tb": -1, "rot": 0, "coeff": "+1"}, {"tb": 5, "rot": 1, "coeff": "-1"}]}))
+    assert main(["d3", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: {path}.components[1]: (tb, rot) = (5, 1): {_EVEN}\n")
+
+
+def test_classify_prints_the_seed_catalog_as_before(capsys):
+    # fixtures/classify-seed.txt holds what `classify --knot NAME` and then
+    # `classify --knot NAME --json` printed for each seed name, in name order,
+    # before a Legendrian knot had to have tb + rot odd.
+    expected = (pathlib.Path(__file__).resolve().parent.parent
+                / "fixtures" / "classify-seed.txt").read_text()
+    names = Catalog.builtin().names()
+    assert len(names) == 27
+    out = []
+    for name in names:
+        for flags in ([], ["--json"]):
+            assert main(["classify", "--knot", name, *flags]) == 0
+            out.append(capsys.readouterr().out)
+    assert "".join(out) == expected
+
+
 def test_cli_classify(capsys):
     assert main(["classify", "--knot", "C(2,3;T(2,3))"]) == 0
     out = capsys.readouterr().out
@@ -486,7 +544,9 @@ def test_cli_import_loads_neither_acceptance_nor_importlib_resources():
      ("catalog", "expansion", "homology", "linalg", "diagramio", "acceptance", "openbook")),
     (["classify", "--knot", "T(2,3)"],
      ("openbook", "expansion", "homology", "linalg", "diagramio", "acceptance")),
-], ids=["d3", "homology", "catalog", "openbook", "ledger", "classify"])
+    (["expand", "--tb", "-1", "--rot", "0", "--coeff", "3"],
+     ("linalg", "homology", "ledger", "openbook", "catalog", "acceptance")),
+], ids=["d3", "homology", "catalog", "openbook", "ledger", "classify", "expand"])
 def test_cli_verb_loads_only_the_modules_it_uses(argv, unloaded):
     loaded = _modules_loaded_by("-m", "contactsurgery.cli", *argv)
     assert "contactsurgery.errors" in loaded

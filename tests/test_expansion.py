@@ -431,6 +431,24 @@ def test_even_tb_plus_rot_is_not_realizable(build, tb, rot):
     assert info.value.exit_code == 2
 
 
+def test_the_library_builders_take_exactly_the_realizable_knots():
+    builders = (
+        lambda knot: expand(knot, -3),
+        lambda knot: all_negative_presentation(knot, 3),
+        lambda knot: presentation_for_framing(knot, Framing(4)),
+    )
+    for tb, rot in itertools.product(range(-3, 4), repeat=2):
+        for build in builders:
+            if (tb + rot) % 2:
+                build(LegendrianKnot(tb, rot))
+                continue
+            with pytest.raises(NotRealizable) as info:
+                build(LegendrianKnot(tb, rot))
+            assert str(info.value) == (
+                f"(tb, rot) = ({tb}, {rot}): tb + rot is even; "
+                "a Legendrian knot in the 3-sphere has tb + rot odd")
+
+
 def test_expand_stores_stabilizations_as_counts():
     # r = -8000 is one link with 7999 stabilizations and 8000 choices: sign
     # tuples would hold about 3.2e7 entries (about 500 MB of Python objects).

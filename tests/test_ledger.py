@@ -72,6 +72,20 @@ def test_contradiction_carries_both_provenances():
     assert info.value.nonzero_rule == "nz-rule"
 
 
+@pytest.mark.parametrize("offset, where", [
+    (4, "f_S+4"), (0, "f_S+0"), (-4, "f_S-4"),
+    # Past Python's 4,300-digit int-to-str limit: the sign stays.
+    (10**5000, "f_S+<an integer too long to print>"),
+    (-10**5000, "f_S-<an integer too long to print>"),
+], ids=["positive", "zero", "negative", "positive-past-limit", "negative-past-limit"])
+def test_a_contradiction_names_its_framing_with_its_sign(offset, where):
+    state = assert_fact(LedgerState(), offset, Status.ZERO, "z")
+    with pytest.raises(Contradiction) as info:
+        assert_fact(state, offset, Status.NONZERO, "n")
+    assert info.value.offset == offset
+    assert str(info.value) == f"status clash at {where}: Zero by z, NonZero by n"
+
+
 def test_order_independence():
     rng = random.Random(3)
     for _ in range(30):

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from contactsurgery.catalog import cable_of_trefoil, torus_knot
+from contactsurgery.errors import NotRealizable, quote
 from contactsurgery.ledger import RULES_BY_ID, LedgerSubject
 from contactsurgery.legendrian import (
     Framing,
@@ -82,6 +85,29 @@ def test_deep_negative_stabilizations_stay_realizable():
     assert deep.tb + abs(deep.rot) == 2 * trefoil.genus - 1
     assert _pushoff(deep).sl == trefoil.max_sl == 1
     assert _r5_holds(_pushoff(deep))
+
+
+# Small integers, and integers past Python's 4,300-digit int-to-str limit.
+_INTEGERS = st.integers() | st.builds(
+    lambda k, far: k + far, st.integers(-3, 3), st.sampled_from([10**5000, -10**5000]))
+
+
+@given(_INTEGERS, _INTEGERS)
+def test_a_legendrian_knot_exists_exactly_when_tb_plus_rot_is_odd(tb, rot):
+    if tb % 2 != rot % 2:
+        knot = LegendrianKnot(tb, rot)
+        assert (knot.tb, knot.rot) == (tb, rot)
+        return
+    with pytest.raises(NotRealizable, match="tb \\+ rot is even") as info:
+        LegendrianKnot(tb, rot)
+    assert info.value.exit_code == 2
+    assert str(info.value).startswith(f"(tb, rot) = ({quote(tb)}, {quote(rot)}): ")
+    assert len(str(info.value)) < 200
+
+
+def test_a_transverse_knot_past_the_int_to_str_limit_is_refused_as_even():
+    with pytest.raises(ValueError, match="^self-linking number must be odd, got <an integer"):
+        TransverseKnot(2 * 10**5000)
 
 
 def test_transverse_parity_enforced():
