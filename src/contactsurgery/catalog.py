@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from .errors import (
     DiagramFormatError,
@@ -25,6 +24,7 @@ from .errors import (
     read_field,
     read_json,
 )
+from .record import Record, set_field
 
 FLAG_SQP_FIBERED = "strongly-quasipositive-fibered"
 FLAG_ALGEBRAIC = "algebraic"
@@ -37,8 +37,7 @@ _KNOWN_FLAGS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class KnotType:
+class KnotType(Record):
     """Invariant record for a topological knot type in the 3-sphere.
 
     max_tb and max_sl are measured in Seifert-framing coordinates and may
@@ -47,36 +46,48 @@ class KnotType:
     (see lint_knot), since it fails for e.g. negative torus knots.
     """
 
-    name: str
-    genus: int
-    slice_genus: int
-    max_tb: int | None = None
-    max_sl: int | None = None
-    flags: frozenset[str] = field(default_factory=frozenset)
-    provenance: str = ""
+    _fields = ("name", "genus", "slice_genus", "max_tb", "max_sl", "flags", "provenance")
 
-    def __post_init__(self) -> None:
-        if self.genus < 0:
-            raise ValueError(f"{self.name}: genus must be non-negative")
-        if not 0 <= self.slice_genus <= self.genus:
-            raise ValueError(f"{self.name}: slice genus must lie in [0, genus]")
-        if self.max_sl is not None and self.max_sl > 2 * self.genus - 1:
+    def __init__(
+        self,
+        name: str,
+        genus: int,
+        slice_genus: int,
+        max_tb: int | None = None,
+        max_sl: int | None = None,
+        flags: frozenset[str] = frozenset(),
+        provenance: str = "",
+    ) -> None:
+        # The name and the flags are free text from a catalog file.
+        where = quote(name)
+        if genus < 0:
+            raise ValueError(f"{where}: genus must be non-negative")
+        if not 0 <= slice_genus <= genus:
+            raise ValueError(f"{where}: slice genus must lie in [0, genus]")
+        if max_sl is not None and max_sl > 2 * genus - 1:
             raise ValueError(
-                f"{self.name}: max self-linking {quote(self.max_sl)} exceeds "
-                f"2*genus - 1 = {quote(2 * self.genus - 1)}"
+                f"{where}: max self-linking {quote(max_sl)} exceeds "
+                f"2*genus - 1 = {quote(2 * genus - 1)}"
             )
-        if FLAG_SQP_FIBERED in self.flags:
-            if self.max_sl is None or self.max_sl != 2 * self.genus - 1:
+        if FLAG_SQP_FIBERED in flags:
+            if max_sl is None or max_sl != 2 * genus - 1:
                 raise ValueError(
-                    f"{self.name}: the {FLAG_SQP_FIBERED} flag requires "
+                    f"{where}: the {FLAG_SQP_FIBERED} flag requires "
                     f"max_sl == 2*genus - 1"
                 )
-        unknown = self.flags - _KNOWN_FLAGS
+        unknown = flags - _KNOWN_FLAGS
         if unknown:
-            raise ValueError(f"{self.name}: unknown flags {sorted(unknown)}")
-        if self.max_sl is not None and self.max_sl % 2 != 1:
+            raise ValueError(f"{where}: unknown flags {quote(sorted(unknown))}")
+        if max_sl is not None and max_sl % 2 != 1:
             # A transverse knot in the 3-sphere has odd self-linking number.
-            raise ValueError(f"{self.name}: max self-linking {quote(self.max_sl)} must be odd")
+            raise ValueError(f"{where}: max self-linking {quote(max_sl)} must be odd")
+        set_field(self, "name", name)
+        set_field(self, "genus", genus)
+        set_field(self, "slice_genus", slice_genus)
+        set_field(self, "max_tb", max_tb)
+        set_field(self, "max_sl", max_sl)
+        set_field(self, "flags", flags)
+        set_field(self, "provenance", provenance)
 
 
 def lint_knot(knot: KnotType) -> list[str]:
@@ -98,7 +109,7 @@ def lint_knot(knot: KnotType) -> list[str]:
 def torus_knot(p: int, q: int) -> KnotType:
     """Positive torus knot record, parameters coprime with q > p >= 2."""
     if not (2 <= p < q) or math.gcd(p, q) != 1:
-        raise InvalidCableParameters(f"torus knot parameters ({p}, {q}) invalid")
+        raise InvalidCableParameters(f"torus knot parameters ({quote(p)}, {quote(q)}) invalid")
     genus = (p - 1) * (q - 1) // 2
     tb = p * q - p - q
     return KnotType(
@@ -119,9 +130,9 @@ def cable_of_trefoil(p: int, q: int) -> KnotType:
     max_sl = 2*genus - 1.
     """
     if not (1 <= p < q):
-        raise InvalidCableParameters(f"cable parameters ({p}, {q}) need q > p >= 1")
+        raise InvalidCableParameters(f"cable parameters ({quote(p)}, {quote(q)}) need q > p >= 1")
     if math.gcd(p, q) != 1:
-        raise InvalidCableParameters(f"cable parameters ({p}, {q}) must be coprime")
+        raise InvalidCableParameters(f"cable parameters ({quote(p)}, {quote(q)}) must be coprime")
     max_sl = p * q + q - p
     # max_sl + 1 = (p + 1)(q - 1) + 2 is even: coprime p and q are not both even.
     genus = (max_sl + 1) // 2

@@ -186,7 +186,6 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    from . import diagramio
     from .expansion import TERMS_CAP, expand
 
     knot_type = None
@@ -219,6 +218,8 @@ def _cmd_expand(args) -> int:
     if args.limit is not None:
         shown = (p for _, p in zip(range(args.limit), expansion))
     if args.json:
+        from . import diagramio
+
         _write_json({"presentations": map(diagramio.presentation_to_dict, shown)})
         return 0
     print(f"{expansion.count} presentation(s)")

@@ -114,9 +114,8 @@ class Contradiction(ContactSurgeryError):
         where = "all framings"
         if offset is not None:  # f_S+k: the sign stays when quote cannot print k
             where = f"f_S{'+' if offset >= 0 else '-'}{quote(abs(offset))}"
-        super().__init__(
-            f"status clash at {where}: Zero by {zero_rule}, NonZero by {nonzero_rule}"
-        )
+        super().__init__(f"status clash at {where}: Zero by {quote(zero_rule)}, "
+                         f"NonZero by {quote(nonzero_rule)}")
 
 
 def read_json(path: str):

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InvalidCoefficient, OutOfRange, UnsupportedCoefficient
+from .errors import InvalidCoefficient, OutOfRange, UnsupportedCoefficient, quote
 from .legendrian import (
     NEGATIVE,
     POSITIVE,
@@ -24,6 +23,7 @@ from .legendrian import (
     LegendrianKnot,
     stabilize,
 )
+from .record import Record, set_field
 
 ROLE_PLUS_ONE = "originalPlusOne"
 ROLE_CHAIN = "chainLink"
@@ -43,7 +43,7 @@ def negative_continued_fraction(x) -> tuple[int, ...]:
     """
     x = Fraction(x)
     if x <= 1:
-        raise OutOfRange(f"negative continued fraction needs x > 1, got {x}")
+        raise OutOfRange(f"negative continued fraction needs x > 1, got {quote(x)}")
     # x = p / q.  After the term a = ceil(x) comes 1 / (a - x) = 1 + 1/y with
     # y = r / d, r = a q - p, d = q - r; it starts with floor(y) terms 2, and
     # after them x = 1 + d / (r mod d).  The expansion ends where r mod d = 0
@@ -77,8 +77,7 @@ def evaluate_continued_fraction(terms) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     """One link component of a surgery presentation.
 
     Stabilizations commute, so a component stores how many of each sign it
@@ -86,16 +85,23 @@ class Component:
     original knot, and every -1 is a chain link.
     """
 
-    legendrian: LegendrianKnot
-    coefficient: int
-    negative_stabs: int = 0
-    positive_stabs: int = 0
+    _fields = ("legendrian", "coefficient", "negative_stabs", "positive_stabs")
 
-    def __post_init__(self) -> None:
-        if self.coefficient not in (1, -1):
+    def __init__(
+        self,
+        legendrian: LegendrianKnot,
+        coefficient: int,
+        negative_stabs: int = 0,
+        positive_stabs: int = 0,
+    ) -> None:
+        if coefficient not in (1, -1):
             raise ValueError("contact coefficient must be +1 or -1")
-        if self.negative_stabs < 0 or self.positive_stabs < 0:
+        if negative_stabs < 0 or positive_stabs < 0:
             raise ValueError("stabilization counts must be non-negative")
+        set_field(self, "legendrian", legendrian)
+        set_field(self, "coefficient", coefficient)
+        set_field(self, "negative_stabs", negative_stabs)
+        set_field(self, "positive_stabs", positive_stabs)
 
     @property
     def role(self) -> str:
@@ -108,30 +114,32 @@ class Component:
         return (NEGATIVE,) * self.negative_stabs + (POSITIVE,) * self.positive_stabs
 
 
-@dataclass(frozen=True)
-class ContactSurgeryPresentation:
+class ContactSurgeryPresentation(Record):
     """An ordered chain of components presenting a contact surgery.
 
     At most one component carries the +1 coefficient; it precedes the
     chain, and every chain link is a pushoff of its predecessor.
     """
 
-    components: tuple[Component, ...] = ()
-    overtwisted: bool = False
+    _fields = ("components", "overtwisted")
 
     # The `Expansion` that built this presentation, whose linking matrix
     # it shares, and the linking matrix `homology.linking_matrix` built for
     # a presentation that has none.  Not fields: equality, hash and repr
-    # ignore them, and dataclasses.replace makes a presentation without them.
+    # ignore them, and a presentation built from the same fields has neither.
     _expansion = None
     _matrix = None
 
-    def __post_init__(self) -> None:
-        plus_ones = [i for i, c in enumerate(self.components) if c.coefficient == 1]
+    def __init__(
+        self, components: tuple[Component, ...] = (), overtwisted: bool = False
+    ) -> None:
+        plus_ones = [i for i, c in enumerate(components) if c.coefficient == 1]
         if len(plus_ones) > 1:
             raise ValueError("at most one +1 component is allowed")
         if plus_ones and plus_ones[0] != 0:
             raise ValueError("the +1 component must precede the chain")
+        set_field(self, "components", components)
+        set_field(self, "overtwisted", overtwisted)
 
     def tb_rot_profile(self) -> tuple[tuple[int, int], ...]:
         return tuple((c.legendrian.tb, c.legendrian.rot) for c in self.components)
@@ -276,7 +284,7 @@ def all_negative_presentation(
     stabilization; for n = 1 there is no chain.
     """
     if n < 1:
-        raise InvalidCoefficient(f"integer coefficient must be >= 1, got {n}")
+        raise InvalidCoefficient(f"integer coefficient must be >= 1, got {quote(n)}")
     components = [Component(knot, 1)]
     if n > 1:
         # One stabilized pushoff, then unstabilized parallel copies of it,

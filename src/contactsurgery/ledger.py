@@ -23,12 +23,12 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
 from .errors import Contradiction, IncompleteData
 from .legendrian import InvariantStatus, LegendrianKnot, TransverseKnot
+from .record import Record, set_field
 
 # KnotType annotations name a catalog.KnotType; they are never evaluated,
 # so this module does not import catalog.
@@ -50,18 +50,32 @@ Fact = namedtuple("Fact", "offset status rule")
 Fact.__doc__ = """One recorded status; offset None means 'at every framing'."""
 
 
-@dataclass(frozen=True)
-class LedgerSubject:
+class LedgerSubject(Record):
     """What the ledger is about, with the caller-asserted geometric flags."""
 
-    legendrian: LegendrianKnot | None = None
-    transverse: TransverseKnot | None = None
-    manifold: str = STANDARD_TIGHT_S3
-    positively_stabilized: bool = False
-    complement_overtwisted_or_torsion: bool = False
-    binding: bool = False
-    ambient_invariant: InvariantStatus = InvariantStatus.NONZERO
-    ambient_b1: int = 0
+    _fields = ("legendrian", "transverse", "manifold", "positively_stabilized",
+               "complement_overtwisted_or_torsion", "binding", "ambient_invariant",
+               "ambient_b1")
+
+    def __init__(
+        self,
+        legendrian: LegendrianKnot | None = None,
+        transverse: TransverseKnot | None = None,
+        manifold: str = STANDARD_TIGHT_S3,
+        positively_stabilized: bool = False,
+        complement_overtwisted_or_torsion: bool = False,
+        binding: bool = False,
+        ambient_invariant: InvariantStatus = InvariantStatus.NONZERO,
+        ambient_b1: int = 0,
+    ) -> None:
+        set_field(self, "legendrian", legendrian)
+        set_field(self, "transverse", transverse)
+        set_field(self, "manifold", manifold)
+        set_field(self, "positively_stabilized", positively_stabilized)
+        set_field(self, "complement_overtwisted_or_torsion", complement_overtwisted_or_torsion)
+        set_field(self, "binding", binding)
+        set_field(self, "ambient_invariant", ambient_invariant)
+        set_field(self, "ambient_b1", ambient_b1)
 
     def knot_type(self) -> KnotType | None:
         for knot in (self.legendrian, self.transverse):
@@ -70,8 +84,7 @@ class LedgerSubject:
         return None
 
 
-@dataclass(frozen=True)
-class LedgerState:
+class LedgerState(Record):
     """An immutable fact set and its closure.
 
     The closure is three facts that assert_fact carries forward: the first
@@ -82,10 +95,19 @@ class LedgerState:
     once with assert_facts.
     """
 
-    facts: tuple[Fact, ...] = ()
-    everywhere: Fact | None = None
-    ceiling: Fact | None = None
-    floor: Fact | None = None
+    _fields = ("facts", "everywhere", "ceiling", "floor")
+
+    def __init__(
+        self,
+        facts: tuple[Fact, ...] = (),
+        everywhere: Fact | None = None,
+        ceiling: Fact | None = None,
+        floor: Fact | None = None,
+    ) -> None:
+        set_field(self, "facts", facts)
+        set_field(self, "everywhere", everywhere)
+        set_field(self, "ceiling", ceiling)
+        set_field(self, "floor", floor)
 
     def check_consistent(self) -> None:
         """Raise Contradiction when some framing is both Zero and NonZero."""
@@ -309,14 +331,18 @@ TightRange = namedtuple("TightRange", "anchor rule")
 TightRange.__doc__ = """All rational coefficients r >= anchor, with the certifying rule."""
 
 
-@dataclass(frozen=True)
-class TightnessReport:
+class TightnessReport(Record):
     """Union of upward-closed ranges of surgery coefficients certified to
     carry tight contact structures, with per-range provenance."""
 
-    knot: KnotType
-    ranges: tuple[TightRange, ...]
-    sl_tb_gap: int | None = None
+    _fields = ("knot", "ranges", "sl_tb_gap")
+
+    def __init__(
+        self, knot: KnotType, ranges: tuple[TightRange, ...], sl_tb_gap: int | None = None
+    ) -> None:
+        set_field(self, "knot", knot)
+        set_field(self, "ranges", ranges)
+        set_field(self, "sl_tb_gap", sl_tb_gap)
 
     def anchor(self) -> int | None:
         return min((rng.anchor for rng in self.ranges), default=None)

@@ -12,9 +12,10 @@ the ledger records it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from functools import total_ordering
 
 from .errors import NotRealizable, quote
+from .record import Record, set_field
 
 # knot_type fields hold a catalog.KnotType; the annotations are never
 # evaluated, so this module does not import catalog.
@@ -29,44 +30,53 @@ class InvariantStatus(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True, order=True)
-class Framing:
-    """A framing written as f_S + offset relative to the Seifert framing."""
+@total_ordering
+class Framing(Record):
+    """A framing written as f_S + offset relative to the Seifert framing;
+    framings are ordered by their offsets."""
 
-    offset: int
+    _fields = ("offset",)
+
+    def __init__(self, offset: int) -> None:
+        set_field(self, "offset", offset)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.offset < other.offset
 
     def __str__(self) -> str:
         return f"f_S{self.offset:+d}"
 
 
-@dataclass(frozen=True)
-class LegendrianKnot:
+class LegendrianKnot(Record):
     """An oriented Legendrian knot remembered by (tb, rot).  Every Legendrian
     knot in the 3-sphere has tb + rot odd, and no other pair is built."""
 
-    tb: int
-    rot: int
-    knot_type: KnotType | None = None
+    _fields = ("tb", "rot", "knot_type")
 
-    def __post_init__(self) -> None:
-        if (self.tb + self.rot) % 2 == 0:
+    def __init__(self, tb: int, rot: int, knot_type: KnotType | None = None) -> None:
+        if (tb + rot) % 2 == 0:
             raise NotRealizable(
-                f"(tb, rot) = ({quote(self.tb)}, {quote(self.rot)}): tb + rot "
+                f"(tb, rot) = ({quote(tb)}, {quote(rot)}): tb + rot "
                 "is even; a Legendrian knot in the 3-sphere has tb + rot odd"
             )
+        set_field(self, "tb", tb)
+        set_field(self, "rot", rot)
+        set_field(self, "knot_type", knot_type)
 
 
-@dataclass(frozen=True)
-class TransverseKnot:
+class TransverseKnot(Record):
     """A transverse knot remembered by its self-linking number."""
 
-    sl: int
-    knot_type: KnotType | None = None
+    _fields = ("sl", "knot_type")
 
-    def __post_init__(self) -> None:
+    def __init__(self, sl: int, knot_type: KnotType | None = None) -> None:
         # Knots in the 3-sphere have odd self-linking number.
-        if self.sl % 2 != 1:
-            raise ValueError(f"self-linking number must be odd, got {quote(self.sl)}")
+        if sl % 2 != 1:
+            raise ValueError(f"self-linking number must be odd, got {quote(sl)}")
+        set_field(self, "sl", sl)
+        set_field(self, "knot_type", knot_type)
 
 
 def stabilize(knot: LegendrianKnot, sign: str) -> LegendrianKnot:

@@ -11,27 +11,36 @@ elimination, `_eliminate`, which `det_int`, `signature_exact` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
+from .record import Record, set_field
+
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class PushoffChain:
+class PushoffChain(Record):
     """A pushoff-chain matrix M in its tridiagonal form T = P^T M P.
 
     P is the unimodular basis change e_0 = x_0, e_j = x_j - x_{j-1}.
-    `continuants[k]` is det T[k:, k:], so `continuants[0]` = det M and
-    `continuants[n]` = 1.
+    `off_diagonal[k]` is T[k][k + 1].  `continuants[k]` is det T[k:, k:],
+    so `continuants[0]` = det M and `continuants[n]` = 1.
     """
 
-    diagonal: tuple[int, ...]
-    off_diagonal: tuple[int, ...]  # T[k][k + 1]
-    continuants: tuple[int, ...]
-    signature: int
+    _fields = ("diagonal", "off_diagonal", "continuants", "signature")
+
+    def __init__(
+        self,
+        diagonal: tuple[int, ...],
+        off_diagonal: tuple[int, ...],
+        continuants: tuple[int, ...],
+        signature: int,
+    ) -> None:
+        set_field(self, "diagonal", diagonal)
+        set_field(self, "off_diagonal", off_diagonal)
+        set_field(self, "continuants", continuants)
+        set_field(self, "signature", signature)
 
     @property
     def determinant(self) -> int:
@@ -133,21 +142,22 @@ def chain_entries(diagonal, linking) -> IntMatrix:
     )
 
 
-@dataclass(frozen=True)
-class LinkingMatrix:
+class LinkingMatrix(Record):
     """Symmetric linking matrix with smooth framings on the diagonal.
 
     Each component is a pushoff of the one before it, so
     M[i][j] = linking[min(i, j)] off the diagonal: the matrix is stored in
-    O(n), and the n x n `entries` are built only on request.
+    O(n), and the n x n `entries` are built only on request.  `linking` is
+    one shorter than `diagonal`.
     """
 
-    diagonal: tuple[int, ...]
-    linking: tuple[int, ...]  # one shorter than diagonal
+    _fields = ("diagonal", "linking")
 
-    def __post_init__(self) -> None:
-        if len(self.linking) != max(len(self.diagonal) - 1, 0):
+    def __init__(self, diagonal: tuple[int, ...], linking: tuple[int, ...]) -> None:
+        if len(linking) != max(len(diagonal) - 1, 0):
             raise ValueError("linking needs one entry fewer than diagonal")
+        set_field(self, "diagonal", diagonal)
+        set_field(self, "linking", linking)
 
     @classmethod
     def of_pushoffs(cls, tbs, coefficients) -> LinkingMatrix:

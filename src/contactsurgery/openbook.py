@@ -13,7 +13,6 @@ windows may wrap around the end of the word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .errors import (
@@ -26,14 +25,14 @@ from .errors import (
 )
 # The status lives in legendrian; bench/workloads.py still reads it here.
 from .legendrian import InvariantStatus  # noqa: F401
+from .record import Record, set_field
 
 Letter = tuple[str, str]
 PLUS = "+"
 MINUS = "-"
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(Record):
     """A surface with boundary, its H1 pairing, and a named curve alphabet.
 
     h1 rank is 2*genus + boundary_count - 1; every curve class and every
@@ -42,13 +41,21 @@ class SurfaceModel:
     other.
     """
 
-    genus: int
-    boundary_count: int
-    pairing: tuple[tuple[int, ...], ...]
-    curves: tuple[tuple[str, tuple[int, ...]], ...] = ()
-    boundary_classes: tuple[tuple[int, ...], ...] = ()
+    _fields = ("genus", "boundary_count", "pairing", "curves", "boundary_classes")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        genus: int,
+        boundary_count: int,
+        pairing: tuple[tuple[int, ...], ...],
+        curves: tuple[tuple[str, tuple[int, ...]], ...] = (),
+        boundary_classes: tuple[tuple[int, ...], ...] = (),
+    ) -> None:
+        set_field(self, "genus", genus)
+        set_field(self, "boundary_count", boundary_count)
+        set_field(self, "pairing", pairing)
+        set_field(self, "curves", curves)
+        set_field(self, "boundary_classes", boundary_classes)
         rank = self.h1_rank
         if self.genus < 0 or self.boundary_count < 1:
             raise ValueError("need genus >= 0 and at least one boundary")
@@ -182,8 +189,7 @@ def homology_action(letters, surface: SurfaceModel):
     return tuple(result)
 
 
-@dataclass(frozen=True)
-class LanternConfiguration:
+class LanternConfiguration(Record):
     """Seven named curves asserted to form a lantern in the surface.
 
     Roles 1, 2, 3, 4 are the boundary curves and roles 12, 13, 23 the
@@ -195,13 +201,25 @@ class LanternConfiguration:
     copies fill several roles.
     """
 
-    one: str
-    two: str
-    three: str
-    four: str
-    one_two: str
-    one_three: str
-    two_three: str
+    _fields = ("one", "two", "three", "four", "one_two", "one_three", "two_three")
+
+    def __init__(
+        self,
+        one: str,
+        two: str,
+        three: str,
+        four: str,
+        one_two: str,
+        one_three: str,
+        two_three: str,
+    ) -> None:
+        set_field(self, "one", one)
+        set_field(self, "two", two)
+        set_field(self, "three", three)
+        set_field(self, "four", four)
+        set_field(self, "one_two", one_two)
+        set_field(self, "one_three", one_three)
+        set_field(self, "two_three", two_three)
 
     def validate(self, surface: SurfaceModel) -> None:
         c1 = surface.curve_class(self.one)
@@ -442,7 +460,7 @@ def attach_surgery_twists(
     append one negative twist along the surgery curve and n - 1 positive
     twists along its stabilized pushoff."""
     if n < 1:
-        raise ValueError(f"surgery parameter n must be >= 1, got {n}")
+        raise ValueError(f"surgery parameter n must be >= 1, got {quote(n)}")
     # Each raises UnknownCurve for a curve that is not in the alphabet.
     surface.curve_class(knot_curve)
     surface.curve_class(pushoff_curve)

@@ -219,3 +219,17 @@ def test_a_max_sl_past_the_int_to_str_limit_is_quoted(genus, max_sl, message):
     with pytest.raises(DiagramFormatError) as info:
         Catalog.from_records([record])
     assert str(info.value) == f"catalog record [0]: {message}"
+
+
+@pytest.mark.parametrize("build, p, q, message", [
+    (torus_knot, 10**5000, 3, "torus knot parameters (<an integer too long to print>, 3) invalid"),
+    (cable_of_trefoil, 3, -10**5000,
+     "cable parameters (3, <an integer too long to print>) need q > p >= 1"),
+    (cable_of_trefoil, 2 * 10**5000, 4 * 10**5000,
+     "cable parameters (<an integer too long to print>, <an integer too long to print>) "
+     "must be coprime"),
+], ids=["torus", "cable-order", "cable-coprime"])
+def test_cable_parameters_past_the_int_to_str_limit_are_quoted(build, p, q, message):
+    with pytest.raises(InvalidCableParameters) as info:
+        build(p, q)
+    assert str(info.value) == message

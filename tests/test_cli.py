@@ -529,28 +529,38 @@ def test_cli_import_loads_neither_acceptance_nor_importlib_resources():
     loaded = _modules_loaded_by("-c", "import contactsurgery.cli")
     assert {m for m in loaded if m.startswith("contactsurgery")} == {
         "contactsurgery", "contactsurgery.cli", "contactsurgery.errors"}
-    assert not loaded & {"random", "importlib.resources", "typing"}
+    assert not loaded & {"random", "importlib.resources", "typing", "dataclasses"}
 
 
-@pytest.mark.parametrize("argv, unloaded", [
+# The package's records need neither dataclasses nor the inspect it imports.
+_RECORD_CODEGEN = ("dataclasses", "inspect")
+
+
+@pytest.mark.parametrize("argv, unloaded, unloaded_stdlib", [
+    # homology's HomologyData stays a dataclass while bench/tests/test_bench.py:74
+    # calls dataclasses.replace on it, so d3 and homology load dataclasses.
     (["d3", "--file", "fixtures/unknot-n2.json"],
-     ("ledger", "openbook", "acceptance", "catalog")),
+     ("ledger", "openbook", "acceptance", "catalog"), ()),
     (["homology", "--file", "fixtures/unknot-n2.json"],
-     ("ledger", "openbook", "acceptance", "catalog")),
+     ("ledger", "openbook", "acceptance", "catalog"), ()),
     (["catalog", "--list"],
-     ("expansion", "homology", "linalg", "diagramio", "openbook", "ledger")),
-    (["openbook", "--file", "fixtures/torus-book.json"], ("ledger",)),
+     ("expansion", "homology", "linalg", "diagramio", "openbook", "ledger"), _RECORD_CODEGEN),
+    (["openbook", "--file", "fixtures/torus-book.json"], ("ledger",), _RECORD_CODEGEN),
     (["ledger", "--window", "0", "1"],
-     ("catalog", "expansion", "homology", "linalg", "diagramio", "acceptance", "openbook")),
+     ("catalog", "expansion", "homology", "linalg", "diagramio", "acceptance", "openbook"),
+     _RECORD_CODEGEN),
     (["classify", "--knot", "T(2,3)"],
-     ("openbook", "expansion", "homology", "linalg", "diagramio", "acceptance")),
+     ("openbook", "expansion", "homology", "linalg", "diagramio", "acceptance"),
+     _RECORD_CODEGEN),
     (["expand", "--tb", "-1", "--rot", "0", "--coeff", "3"],
-     ("linalg", "homology", "ledger", "openbook", "catalog", "acceptance")),
+     ("linalg", "homology", "ledger", "openbook", "catalog", "acceptance", "diagramio"),
+     _RECORD_CODEGEN),
 ], ids=["d3", "homology", "catalog", "openbook", "ledger", "classify", "expand"])
-def test_cli_verb_loads_only_the_modules_it_uses(argv, unloaded):
+def test_cli_verb_loads_only_the_modules_it_uses(argv, unloaded, unloaded_stdlib):
     loaded = _modules_loaded_by("-m", "contactsurgery.cli", *argv)
     assert "contactsurgery.errors" in loaded
     assert not loaded & {f"contactsurgery.{m}" for m in unloaded}
+    assert not loaded & set(unloaded_stdlib)
 
 
 # Values past Python's 4,300-digit int-to-str limit, and an even one under it.
@@ -642,6 +652,28 @@ def test_messages_quote_a_long_input(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("input error: ")
     assert len(captured.err.encode()) < 1024
+
+
+def _long_rule_facts(tmp_path):
+    # R1 makes f_S+0 Zero for tb 3, so the NonZero fact there clashes with it.
+    path = _facts_file(tmp_path, [{"offset": 0, "status": "NonZero", "rule": _LONG_TEXT}])
+    return ["ledger", "--tb", "3", "--facts", path], 3
+
+
+def _long_name_catalog(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([{"name": _LONG_TEXT, "genus": -1, "slice_genus": 0}]))
+    return ["catalog", "--list", "--catalog", str(path)], 2
+
+
+@pytest.mark.parametrize("case", [_long_rule_facts, _long_name_catalog],
+                         ids=["contradiction-rule", "knot-type-name"])
+def test_library_errors_quote_free_text(tmp_path, capsys, case):
+    argv, code = case(tmp_path)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert _LONG_TEXT[:errors.QUOTE_CAP] + "..." in captured.err
+    assert len(captured.err.encode()) < 600
 
 
 def test_builtin_catalog_does_not_depend_on_the_working_directory(tmp_path, monkeypatch):

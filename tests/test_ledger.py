@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -60,7 +59,8 @@ def test_the_nonvanishing_rules_need_the_standard_tight_sphere():
     subject = LedgerSubject(legendrian=LegendrianKnot(1, 0, trefoil),
                             transverse=TransverseKnot(1, trefoil), binding=True)
     assert [f.rule for f in apply_rules(subject).facts] == ["R1", "R5", "R6"]
-    elsewhere = dataclasses.replace(subject, manifold="L(5,1)")
+    elsewhere = LedgerSubject(legendrian=subject.legendrian, transverse=subject.transverse,
+                              manifold="L(5,1)", binding=True)
     assert [f.rule for f in apply_rules(elsewhere).facts] == ["R1"]
 
 
@@ -377,7 +377,7 @@ def test_a_window_does_not_rescan_the_facts_per_framing():
     for i in range(100):
         state = assert_fact(state, -i, Status.ZERO, f"z{i}")
         state = assert_fact(state, i + 1, Status.NONZERO, f"n{i}")
-    counted = dataclasses.replace(state, facts=_CountingFacts(state.facts))
+    counted = LedgerState(_CountingFacts(state.facts), state.everywhere, state.ceiling, state.floor)
     rows = counted.window(-150, 150)
     assert counted.facts.passes <= 1
     assert rows == state.window(-150, 150)
