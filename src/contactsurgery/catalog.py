@@ -152,7 +152,7 @@ def connected_sum(a: KnotType, b: KnotType) -> KnotType:
     for part in (a, b):
         if part.max_tb is None or part.max_sl is None:
             raise IncompleteData(
-                f"connected sum needs max_tb and max_sl for {part.name}"
+                f"connected sum needs max_tb and max_sl for {quote(part.name)}"
             )
     flags = {FLAG_CONNECTED_SUM}
     if FLAG_SQP_FIBERED in a.flags and FLAG_SQP_FIBERED in b.flags:

@@ -26,7 +26,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import chain
 
-from .errors import Contradiction, IncompleteData
+from .errors import Contradiction, IncompleteData, quote
 from .legendrian import InvariantStatus, LegendrianKnot, TransverseKnot
 from .record import Record, set_field
 
@@ -360,7 +360,7 @@ def tight_surgery_ranges(knot: KnotType) -> TightnessReport:
     """
     if knot.max_sl is None and knot.max_tb is None:
         raise IncompleteData(
-            f"{knot.name}: neither max_sl nor max_tb is recorded"
+            f"{quote(knot.name)}: neither max_sl nor max_tb is recorded"
         )
     # R6 can fire only when max_tb = 2 g_s - 1, which is odd, so rot 0 is realizable.
     r6 = knot.max_tb == 2 * knot.slice_genus - 1

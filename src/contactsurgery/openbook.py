@@ -149,14 +149,34 @@ def cyclic_words_equal(first, second) -> bool:
 
 def _row_update(surface: SurfaceModel, name: str, sign: str):
     """The letter's transvection T = I + s c (Omega c)^T as a rank-one
-    update: the row ((Omega c),) and the pairs (i, s c_i) with c_i != 0,
-    or None when T is the identity (Omega c = 0, as for c = 0)."""
+    update: the bit length of its growth bound g = 1 + max|c_i| |Omega c|_1,
+    the pairs (k, (Omega c)_k) and the pairs (i, s c_i) with nonzero
+    entries, or None when T is the identity (Omega c = 0, as for c = 0)."""
     cls = surface.curve_class(name)
     image = surface._image(cls)
     if not any(image):
         return None
     s = 1 if sign == PLUS else -1
-    return (image,), tuple((i, s * x) for i, x in enumerate(cls) if x)
+    growth = 1 + max(map(abs, cls)) * sum(map(abs, image))
+    return (growth.bit_length(), tuple((k, y) for k, y in enumerate(image) if y),
+            tuple((i, s * x) for i, x in enumerate(cls) if x))
+
+
+def _fold(rows, width: int, product):
+    """A closed chunk composed after the product so far (None before the
+    first chunk).  Row i of the chunk holds the signed slots of rows[i],
+    slot j being bits [width j, width (j + 1)) in balanced base 2^width;
+    adding 2^(width-1) to every slot makes each one a plain bit field."""
+    from .linalg import mat_mul_int
+
+    shifts = range(0, width * len(rows), width)
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    offset = sum(half << shift for shift in shifts)
+    chunk = tuple(
+        tuple(((packed >> shift) & mask) - half for shift in shifts)
+        for packed in (row + offset for row in rows)
+    )
+    return chunk if product is None else mat_mul_int(chunk, product)
 
 
 def homology_action(letters, surface: SurfaceModel):
@@ -166,27 +186,41 @@ def homology_action(letters, surface: SurfaceModel):
     action(w1 + w2) = action(w1) . action(w2).  It is composed in acting
     order, result = T . result from the rightmost letter on.  A
     transvection T = I + s c (Omega c)^T gives T . R = R + s c (x) v with
-    the row v = (Omega c)^T R, so a letter computes v by mat_mul_int and
-    rewrites only the rows i with c_i != 0: it costs
-    (nnz(Omega c) + nnz(c)) r, and every other row is kept as it is.
-    Each distinct letter's update is built once; identity letters are
-    skipped.
-    """
-    from .linalg import identity_int, mat_mul_int
+    the row v = (Omega c)^T R.  Each row of R is packed into one integer,
+    its r entries as signed slots of B bits, so v is the sum of
+    (Omega c)_k row_k over the nonzero (Omega c)_k, and row_i += s c_i v
+    for each nonzero c_i: a letter costs nnz(Omega c) + nnz(c) integer
+    operations on (r B)-bit integers.
 
+    A letter multiplies the largest entry by at most
+    g = 1 + max|c_i| |Omega c|_1, so the sum of the bit lengths of the g's
+    bounds the entries.  Before a letter would bring that sum to B, the
+    chunk is closed: its rows are unpacked and composed after the product
+    so far by mat_mul_int, and the next chunk starts from the identity.
+    B is max(256, 2 max bitlen(g) + 2) over the word's letters.  Each
+    distinct letter's update is built once; identity letters are skipped.
+    """
     letters = tuple(letters)
     distinct = word(*dict.fromkeys(letters))  # checks each distinct letter's sign
     updates = {letter: _row_update(surface, *letter) for letter in distinct}
-    result = list(identity_int(surface.h1_rank))
+    width = max([256] + [2 * u[0] + 2 for u in updates.values() if u])
+    identity = [1 << shift for shift in range(0, width * surface.h1_rank, width)]
+    rows, bits, product = identity[:], 0, None
     for letter in reversed(letters):
         update = updates[letter]
         if update is None:
             continue
-        image, column = update
-        v = mat_mul_int(image, result)[0]
+        growth, image, column = update
+        bits += growth
+        if bits >= width:
+            product = _fold(rows, width, product)
+            rows, bits = identity[:], growth
+        v = 0
+        for k, y in image:
+            v += y * rows[k]
         for i, x in column:
-            result[i] = tuple(r + x * y for r, y in zip(result[i], v))
-    return tuple(result)
+            rows[i] += x * v
+    return _fold(rows, width, product)
 
 
 class LanternConfiguration(Record):

@@ -132,6 +132,13 @@ def test_connected_sum_needs_complete_data():
         connected_sum(partial, UNKNOT)
 
 
+def test_connected_sum_quotes_a_long_name():
+    partial = KnotType("x" * 100_000, genus=2, slice_genus=1)
+    with pytest.raises(IncompleteData) as caught:
+        connected_sum(UNKNOT, partial)
+    assert len(str(caught.value)) < 600
+
+
 def test_sqp_flag_forces_maximal_sl():
     for entry in Catalog.builtin():
         if FLAG_SQP_FIBERED in entry.flags:

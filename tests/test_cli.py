@@ -545,7 +545,8 @@ _RECORD_CODEGEN = ("dataclasses", "inspect")
      ("ledger", "openbook", "acceptance", "catalog"), ()),
     (["catalog", "--list"],
      ("expansion", "homology", "linalg", "diagramio", "openbook", "ledger"), _RECORD_CODEGEN),
-    (["openbook", "--file", "fixtures/torus-book.json"], ("ledger",), _RECORD_CODEGEN),
+    (["openbook", "--file", "fixtures/torus-book.json", "--action"],
+     ("ledger", "catalog", "homology", "acceptance"), _RECORD_CODEGEN),
     (["ledger", "--window", "0", "1"],
      ("catalog", "expansion", "homology", "linalg", "diagramio", "acceptance", "openbook"),
      _RECORD_CODEGEN),
@@ -666,8 +667,15 @@ def _long_name_catalog(tmp_path):
     return ["catalog", "--list", "--catalog", str(path)], 2
 
 
-@pytest.mark.parametrize("case", [_long_rule_facts, _long_name_catalog],
-                         ids=["contradiction-rule", "knot-type-name"])
+def _long_name_without_max_sl_or_max_tb(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([{"name": _LONG_TEXT, "genus": 1, "slice_genus": 1}]))
+    return ["classify", "--knot", _LONG_TEXT, "--catalog", str(path)], 1
+
+
+@pytest.mark.parametrize("case", [_long_rule_facts, _long_name_catalog,
+                                  _long_name_without_max_sl_or_max_tb],
+                         ids=["contradiction-rule", "knot-type-name", "incomplete-knot-name"])
 def test_library_errors_quote_free_text(tmp_path, capsys, case):
     argv, code = case(tmp_path)
     assert main(argv) == code

@@ -136,6 +136,36 @@ def pages(draw):
     return surface, tuple(draw(st.lists(letters, max_size=12)))
 
 
+@st.composite
+def long_pages(draw):
+    """A page of rank 3 to 6 with e_last in the radical of its pairing, and
+    a word of up to 400 letters, long enough to close chunks of the packed
+    rows.  The alphabet holds small classes, the zero class, the radical
+    class and one class whose entries reach 10**40, so its growth bound may
+    pass 2**128 and the slot width grow past 256 bits."""
+    genus = draw(st.integers(1, 2))
+    boundary_count = draw(st.integers(2, 3))
+    rank = 2 * genus + boundary_count - 1
+    entries = st.integers(-2, 2)
+    above = {
+        (i, j): 0 if j == rank - 1 else draw(entries)
+        for i in range(rank) for j in range(i + 1, rank)
+    }
+    pairing = tuple(
+        tuple(above[i, j] if i < j else -above[j, i] if i > j else 0 for j in range(rank))
+        for i in range(rank)
+    )
+    vectors = st.tuples(*[entries] * rank)
+    huge = st.tuples(*[st.sampled_from((-10**40, 10**40)) | entries] * rank)
+    curves = tuple((f"c{i}", draw(vectors)) for i in range(draw(st.integers(1, 3))))
+    curves += (("huge", draw(huge)), ("zero", (0,) * rank),
+               ("rad", (0,) * (rank - 1) + (draw(st.sampled_from((1, -1, 2))),)))
+    surface = SurfaceModel(genus, boundary_count, pairing, curves)
+    letters = st.tuples(st.sampled_from([name for name, _ in curves]), st.sampled_from("+-"))
+    size = draw(st.integers(0, 400))
+    return surface, tuple(draw(st.lists(letters, min_size=size, max_size=size)))
+
+
 def _pair_oracle(surface, x, y):
     """<x, y> by the double index loop (test oracle)."""
     rank = surface.h1_rank
@@ -219,6 +249,15 @@ def _transvection(surface, name, sign):
     )
 
 
+def _fold(surface, word):
+    """The whole word as the triple-loop product of its transvections, in
+    word order."""
+    expected = identity_int(surface.h1_rank)
+    for name, sign in word:
+        expected = _product(expected, _transvection(surface, name, sign))
+    return expected
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(pages(), st.integers(0, 12))
 def test_action_is_monoid_homomorphism(page, cut):
@@ -240,12 +279,52 @@ def test_one_letter_acts_by_its_transvection(page, sign):
 @settings(max_examples=300, deadline=None, database=None)
 @given(pages())
 def test_action_is_the_product_of_its_transvections(page):
-    # The whole word against the triple-loop fold, in word order.
     surface, word = page
-    expected = identity_int(surface.h1_rank)
-    for name, sign in word:
-        expected = _product(expected, _transvection(surface, name, sign))
-    assert homology_action(word, surface) == expected
+    assert homology_action(word, surface) == _fold(surface, word)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(long_pages(), st.data())
+def test_packed_action_of_a_long_word_is_its_fold_and_a_homomorphism(page, data):
+    surface, word = page
+    action = homology_action(word, surface)
+    assert action == _fold(surface, word)
+    cut = data.draw(st.integers(0, len(word)))
+    assert action == _product(
+        homology_action(word[:cut], surface), homology_action(word[cut:], surface)
+    )
+
+
+def test_packed_slots_decode_at_their_limit(monkeypatch):
+    # Pairing p = 2**51 - 2 on a rank-2 page: each letter's growth bound
+    # g = 1 + p has 51 bits, so a 256-bit chunk holds five letters, and the
+    # alternating word drives each chunk's negative entries to 255 bits.
+    p = 2**51 - 2
+    surface = SurfaceModel(1, 1, ((0, p), (-p, 0)), (("a", (1, 0)), ("b", (0, 1))))
+    word = (("a", "+"), ("b", "-")) * 10
+    calls = []
+
+    def recording(a, b):
+        calls.append((a, b))
+        return mat_mul_int(a, b)
+
+    monkeypatch.setattr("contactsurgery.linalg.mat_mul_int", recording)
+    assert homology_action(word, surface) == _fold(surface, word)
+    # The first chunk is the product the second one is composed after.
+    chunks = [calls[0][1]] + [a for a, _ in calls]
+    assert len(chunks) >= 4
+    for chunk in chunks:
+        assert 250 <= max(-x for row in chunk for x in row).bit_length() <= 255
+
+
+def test_a_chunk_closes_before_its_bound_reaches_the_slot_width():
+    # p = 2**64 - 2: four letters' growth bounds sum to exactly 256 bits, and
+    # four letters of the alternating word make 256-bit entries, one bit too
+    # many for a 256-bit slot, so each chunk must close after three.
+    p = 2**64 - 2
+    surface = SurfaceModel(1, 1, ((0, p), (-p, 0)), (("a", (1, 0)), ("b", (0, 1))))
+    word = (("a", "+"), ("b", "-")) * 6
+    assert homology_action(word, surface) == _fold(surface, word)
 
 
 def test_action_rejects_an_unknown_sign():
