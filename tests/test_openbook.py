@@ -99,6 +99,19 @@ def _product(a, b):
     )
 
 
+def _skew_pairing(draw, rank, entries, radical):
+    """A skew pairing drawn above the diagonal.  With radical, it is zero
+    in the last direction, which puts e_last in its radical."""
+    above = {
+        (i, j): 0 if radical and j == rank - 1 else draw(entries)
+        for i in range(rank) for j in range(i + 1, rank)
+    }
+    return tuple(
+        tuple(above[i, j] if i < j else -above[j, i] if i > j else 0 for j in range(rank))
+        for i in range(rank)
+    )
+
+
 @st.composite
 def pages(draw):
     """A page with a small alphabet, and a word over it.  Rank 0 is drawn
@@ -108,16 +121,8 @@ def pages(draw):
     boundary_count = draw(st.integers(1, 3))
     rank = 2 * genus + boundary_count - 1
     entries = st.integers(-2, 2)
-    # A pairing that is zero in the last direction puts e_last in its radical.
     radical = rank > 0 and draw(st.booleans())
-    above = {
-        (i, j): 0 if radical and j == rank - 1 else draw(entries)
-        for i in range(rank) for j in range(i + 1, rank)
-    }
-    pairing = tuple(
-        tuple(above[i, j] if i < j else -above[j, i] if i > j else 0 for j in range(rank))
-        for i in range(rank)
-    )
+    pairing = _skew_pairing(draw, rank, entries, radical)
     vectors = st.tuples(*[entries] * rank)
     names = [f"c{i}" for i in range(draw(st.integers(1, 3)))]
     curves = tuple((name, draw(vectors)) for name in names)
@@ -147,14 +152,7 @@ def long_pages(draw):
     boundary_count = draw(st.integers(2, 3))
     rank = 2 * genus + boundary_count - 1
     entries = st.integers(-2, 2)
-    above = {
-        (i, j): 0 if j == rank - 1 else draw(entries)
-        for i in range(rank) for j in range(i + 1, rank)
-    }
-    pairing = tuple(
-        tuple(above[i, j] if i < j else -above[j, i] if i > j else 0 for j in range(rank))
-        for i in range(rank)
-    )
+    pairing = _skew_pairing(draw, rank, entries, radical=True)
     vectors = st.tuples(*[entries] * rank)
     huge = st.tuples(*[st.sampled_from((-10**40, 10**40)) | entries] * rank)
     curves = tuple((f"c{i}", draw(vectors)) for i in range(draw(st.integers(1, 3))))
