@@ -24,7 +24,7 @@ from .errors import (
     read_field,
     read_json,
 )
-from .record import Record, set_field
+from .record import Record
 
 FLAG_SQP_FIBERED = "strongly-quasipositive-fibered"
 FLAG_ALGEBRAIC = "algebraic"
@@ -47,19 +47,12 @@ class KnotType(Record):
     """
 
     _fields = ("name", "genus", "slice_genus", "max_tb", "max_sl", "flags", "provenance")
+    _defaults = {"max_tb": None, "max_sl": None, "flags": frozenset(), "provenance": ""}
 
-    def __init__(
-        self,
-        name: str,
-        genus: int,
-        slice_genus: int,
-        max_tb: int | None = None,
-        max_sl: int | None = None,
-        flags: frozenset[str] = frozenset(),
-        provenance: str = "",
-    ) -> None:
+    def _check(self) -> None:
+        genus, slice_genus, max_sl, flags = self.genus, self.slice_genus, self.max_sl, self.flags
         # The name and the flags are free text from a catalog file.
-        where = quote(name)
+        where = quote(self.name)
         if genus < 0:
             raise ValueError(f"{where}: genus must be non-negative")
         if not 0 <= slice_genus <= genus:
@@ -81,13 +74,6 @@ class KnotType(Record):
         if max_sl is not None and max_sl % 2 != 1:
             # A transverse knot in the 3-sphere has odd self-linking number.
             raise ValueError(f"{where}: max self-linking {quote(max_sl)} must be odd")
-        set_field(self, "name", name)
-        set_field(self, "genus", genus)
-        set_field(self, "slice_genus", slice_genus)
-        set_field(self, "max_tb", max_tb)
-        set_field(self, "max_sl", max_sl)
-        set_field(self, "flags", flags)
-        set_field(self, "provenance", provenance)
 
 
 def lint_knot(knot: KnotType) -> list[str]:
@@ -196,12 +182,6 @@ class Catalog:
 
     def names(self) -> list[str]:
         return sorted(self._entries)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __iter__(self) -> Iterator[KnotType]:
-        return iter(self._entries.values())
 
     @classmethod
     def from_records(cls, records: list[dict]) -> "Catalog":

@@ -124,7 +124,7 @@ def open_book_from_dict(data: object, source: str = "openbook") -> tuple:
             boundary_count=boundary,
             pairing=_integers(pairing, f"{where}.pairing", 2),
             curves=tuple(
-                (name, _integers(cls, f"{source}.alphabet.{name}", 1))
+                (name, _integers(cls, f"{source}.alphabet.{quote(name)}", 1))
                 for name, cls in alphabet.items()
             ),
             boundary_classes=_integers(

@@ -16,6 +16,8 @@ import json
 
 # How many characters of an echoed input a message quotes.
 QUOTE_CAP = 40
+# The largest input file read_json reads, in bytes.
+READ_CAP = 64 * 2**20
 
 
 def quote(value) -> str:
@@ -119,12 +121,17 @@ class Contradiction(ContactSurgeryError):
 
 
 def read_json(path: str):
-    """The JSON value in a UTF-8 file.  An unreadable file, malformed JSON, an
-    integer past Python's int-to-str digit limit and nesting past the
-    recursion limit are format errors naming the path."""
+    """The JSON value in a UTF-8 file.  An unreadable file, a file larger than
+    READ_CAP, malformed JSON, an integer past Python's int-to-str digit limit
+    and nesting past the recursion limit are format errors naming the path."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        data = bytearray()
+        with open(path, "rb") as fh:
+            # In blocks: a single read(READ_CAP + 1) allocates all of it at once.
+            while len(data) <= READ_CAP and (block := fh.read(2**16)):
+                data += block
+        if len(data) <= READ_CAP:
+            return json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise DiagramFormatError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -135,6 +142,7 @@ def read_json(path: str):
         raise DiagramFormatError(f"{path}: an integer has too many digits") from exc
     except RecursionError as exc:
         raise DiagramFormatError(f"{path}: the JSON nests too deeply") from exc
+    raise DiagramFormatError(f"{path}: the file is larger than 64 MiB")
 
 
 # The default of a field that read_field requires.

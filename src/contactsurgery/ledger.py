@@ -28,7 +28,7 @@ from itertools import chain
 
 from .errors import Contradiction, IncompleteData, quote
 from .legendrian import InvariantStatus, LegendrianKnot, TransverseKnot
-from .record import Record, set_field
+from .record import Record
 
 # KnotType annotations name a catalog.KnotType; they are never evaluated,
 # so this module does not import catalog.
@@ -56,26 +56,9 @@ class LedgerSubject(Record):
     _fields = ("legendrian", "transverse", "manifold", "positively_stabilized",
                "complement_overtwisted_or_torsion", "binding", "ambient_invariant",
                "ambient_b1")
-
-    def __init__(
-        self,
-        legendrian: LegendrianKnot | None = None,
-        transverse: TransverseKnot | None = None,
-        manifold: str = STANDARD_TIGHT_S3,
-        positively_stabilized: bool = False,
-        complement_overtwisted_or_torsion: bool = False,
-        binding: bool = False,
-        ambient_invariant: InvariantStatus = InvariantStatus.NONZERO,
-        ambient_b1: int = 0,
-    ) -> None:
-        set_field(self, "legendrian", legendrian)
-        set_field(self, "transverse", transverse)
-        set_field(self, "manifold", manifold)
-        set_field(self, "positively_stabilized", positively_stabilized)
-        set_field(self, "complement_overtwisted_or_torsion", complement_overtwisted_or_torsion)
-        set_field(self, "binding", binding)
-        set_field(self, "ambient_invariant", ambient_invariant)
-        set_field(self, "ambient_b1", ambient_b1)
+    _defaults = {"legendrian": None, "transverse": None, "manifold": STANDARD_TIGHT_S3,
+                 "positively_stabilized": False, "complement_overtwisted_or_torsion": False,
+                 "binding": False, "ambient_invariant": NONZERO, "ambient_b1": 0}
 
     def knot_type(self) -> KnotType | None:
         for knot in (self.legendrian, self.transverse):
@@ -96,18 +79,7 @@ class LedgerState(Record):
     """
 
     _fields = ("facts", "everywhere", "ceiling", "floor")
-
-    def __init__(
-        self,
-        facts: tuple[Fact, ...] = (),
-        everywhere: Fact | None = None,
-        ceiling: Fact | None = None,
-        floor: Fact | None = None,
-    ) -> None:
-        set_field(self, "facts", facts)
-        set_field(self, "everywhere", everywhere)
-        set_field(self, "ceiling", ceiling)
-        set_field(self, "floor", floor)
+    _defaults = {"facts": (), "everywhere": None, "ceiling": None, "floor": None}
 
     def check_consistent(self) -> None:
         """Raise Contradiction when some framing is both Zero and NonZero."""
@@ -336,13 +308,7 @@ class TightnessReport(Record):
     carry tight contact structures, with per-range provenance."""
 
     _fields = ("knot", "ranges", "sl_tb_gap")
-
-    def __init__(
-        self, knot: KnotType, ranges: tuple[TightRange, ...], sl_tb_gap: int | None = None
-    ) -> None:
-        set_field(self, "knot", knot)
-        set_field(self, "ranges", ranges)
-        set_field(self, "sl_tb_gap", sl_tb_gap)
+    _defaults = {"sl_tb_gap": None}
 
     def anchor(self) -> int | None:
         return min((rng.anchor for rng in self.ranges), default=None)

@@ -37,9 +37,6 @@ class Framing(Record):
 
     _fields = ("offset",)
 
-    def __init__(self, offset: int) -> None:
-        set_field(self, "offset", offset)
-
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -70,13 +67,12 @@ class TransverseKnot(Record):
     """A transverse knot remembered by its self-linking number."""
 
     _fields = ("sl", "knot_type")
+    _defaults = {"knot_type": None}
 
-    def __init__(self, sl: int, knot_type: KnotType | None = None) -> None:
+    def _check(self) -> None:
         # Knots in the 3-sphere have odd self-linking number.
-        if sl % 2 != 1:
-            raise ValueError(f"self-linking number must be odd, got {quote(sl)}")
-        set_field(self, "sl", sl)
-        set_field(self, "knot_type", knot_type)
+        if self.sl % 2 != 1:
+            raise ValueError(f"self-linking number must be odd, got {quote(self.sl)}")
 
 
 def stabilize(knot: LegendrianKnot, sign: str) -> LegendrianKnot:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .record import Record, set_field
+from .record import Record
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -29,18 +29,6 @@ class PushoffChain(Record):
     """
 
     _fields = ("diagonal", "off_diagonal", "continuants", "signature")
-
-    def __init__(
-        self,
-        diagonal: tuple[int, ...],
-        off_diagonal: tuple[int, ...],
-        continuants: tuple[int, ...],
-        signature: int,
-    ) -> None:
-        set_field(self, "diagonal", diagonal)
-        set_field(self, "off_diagonal", off_diagonal)
-        set_field(self, "continuants", continuants)
-        set_field(self, "signature", signature)
 
     @property
     def determinant(self) -> int:
@@ -153,11 +141,9 @@ class LinkingMatrix(Record):
 
     _fields = ("diagonal", "linking")
 
-    def __init__(self, diagonal: tuple[int, ...], linking: tuple[int, ...]) -> None:
-        if len(linking) != max(len(diagonal) - 1, 0):
+    def _check(self) -> None:
+        if len(self.linking) != max(len(self.diagonal) - 1, 0):
             raise ValueError("linking needs one entry fewer than diagonal")
-        set_field(self, "diagonal", diagonal)
-        set_field(self, "linking", linking)
 
     @classmethod
     def of_pushoffs(cls, tbs, coefficients) -> LinkingMatrix:
@@ -182,10 +168,6 @@ class LinkingMatrix(Record):
     def factorization(self) -> PushoffChain:
         """The O(n) chain kernel for this matrix, run once."""
         return pushoff_chain(self.diagonal, self.linking)
-
-
-def identity_int(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mat_mul_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -25,7 +25,7 @@ from .errors import (
 )
 # The status lives in legendrian; bench/workloads.py still reads it here.
 from .legendrian import InvariantStatus  # noqa: F401
-from .record import Record, set_field
+from .record import Record
 
 Letter = tuple[str, str]
 PLUS = "+"
@@ -42,20 +42,9 @@ class SurfaceModel(Record):
     """
 
     _fields = ("genus", "boundary_count", "pairing", "curves", "boundary_classes")
+    _defaults = {"curves": (), "boundary_classes": ()}
 
-    def __init__(
-        self,
-        genus: int,
-        boundary_count: int,
-        pairing: tuple[tuple[int, ...], ...],
-        curves: tuple[tuple[str, tuple[int, ...]], ...] = (),
-        boundary_classes: tuple[tuple[int, ...], ...] = (),
-    ) -> None:
-        set_field(self, "genus", genus)
-        set_field(self, "boundary_count", boundary_count)
-        set_field(self, "pairing", pairing)
-        set_field(self, "curves", curves)
-        set_field(self, "boundary_classes", boundary_classes)
+    def _check(self) -> None:
         rank = self.h1_rank
         if self.genus < 0 or self.boundary_count < 1:
             raise ValueError("need genus >= 0 and at least one boundary")
@@ -236,24 +225,6 @@ class LanternConfiguration(Record):
     """
 
     _fields = ("one", "two", "three", "four", "one_two", "one_three", "two_three")
-
-    def __init__(
-        self,
-        one: str,
-        two: str,
-        three: str,
-        four: str,
-        one_two: str,
-        one_three: str,
-        two_three: str,
-    ) -> None:
-        set_field(self, "one", one)
-        set_field(self, "two", two)
-        set_field(self, "three", three)
-        set_field(self, "four", four)
-        set_field(self, "one_two", one_two)
-        set_field(self, "one_three", one_three)
-        set_field(self, "two_three", two_three)
 
     def validate(self, surface: SurfaceModel) -> None:
         c1 = surface.curve_class(self.one)

@@ -1,14 +1,20 @@
 """The frozen record base of the package's value types.
 
-A record names its fields, in order, in `_fields`, and its own positional
-`__init__` checks its arguments and stores each one with `set_field`, since
-assignment and deletion raise AttributeError.  Equality, hash and repr read
-the fields through one `operator.attrgetter`, as a frozen dataclass's
-methods would: two records are equal when they are of the same class with
-equal fields, the hash is that of the field tuple, and the repr reads
-`Name(a=..., b=...)`.  Other attributes, such as a `cached_property`, are
-seen by none of the three.  The base writes no code when a class is
-created, so it imports neither `dataclasses` nor `inspect`.
+A record is declared by `_fields`, its field names in order, and
+`_defaults`, the values of its trailing fields that have one; `_check(self)`,
+if the class defines it, holds its checks.  The base writes the positional
+`__init__`: one `set_field` per field, since assignment and deletion raise
+AttributeError, then `_check(self)`.  It is compiled once per class with
+`exec`, so the base imports neither `dataclasses` nor `inspect`.
+`LegendrianKnot`, `Component` and `ContactSurgeryPresentation` write their
+own `__init__`: `Expansion` builds them per chain link and per
+presentation, where a separate `_check` call costs a measurable share.
+
+Equality, hash and repr read the fields through one `operator.attrgetter`,
+as a frozen dataclass's methods would: two records are equal when they are
+of the same class with equal fields, the hash is that of the field tuple,
+and the repr reads `Name(a=..., b=...)`.  Other attributes, such as a
+`cached_property`, are seen by none of the three.
 """
 
 from operator import attrgetter
@@ -20,14 +26,31 @@ from operator import attrgetter
 set_field = object.__setattr__
 
 
+def _write_init(cls):
+    """The positional `__init__` of a record that defines none."""
+    fields, check = cls._fields, getattr(cls, "_check", None)
+    params = [f"{name}=_defaults[{name!r}]" if name in cls._defaults else name for name in fields]
+    body = [f"set_field(self, {name!r}, {name})" for name in fields]
+    if check is not None:
+        body.append("_check(self)")
+    namespace = {"set_field": set_field, "_defaults": cls._defaults, "_check": check}
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), namespace)
+    init = namespace["__init__"]
+    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
+    return init
+
+
 class Record:
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         get = attrgetter(*cls._fields)
         # attrgetter of one name gives the bare value, not a 1-tuple.
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _write_init(cls)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

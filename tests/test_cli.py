@@ -673,9 +673,15 @@ def _long_name_without_max_sl_or_max_tb(tmp_path):
     return ["classify", "--knot", _LONG_TEXT, "--catalog", str(path)], 1
 
 
+def _long_alphabet_name_without_a_class(tmp_path):
+    return _file_input("openbook", dict(_BOOK, alphabet={_LONG_TEXT: "notalist"}))(tmp_path), 2
+
+
 @pytest.mark.parametrize("case", [_long_rule_facts, _long_name_catalog,
-                                  _long_name_without_max_sl_or_max_tb],
-                         ids=["contradiction-rule", "knot-type-name", "incomplete-knot-name"])
+                                  _long_name_without_max_sl_or_max_tb,
+                                  _long_alphabet_name_without_a_class],
+                         ids=["contradiction-rule", "knot-type-name", "incomplete-knot-name",
+                              "alphabet-name-path"])
 def test_library_errors_quote_free_text(tmp_path, capsys, case):
     argv, code = case(tmp_path)
     assert main(argv) == code
@@ -684,9 +690,29 @@ def test_library_errors_quote_free_text(tmp_path, capsys, case):
     assert len(captured.err.encode()) < 600
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_cli_refuses_a_file_past_the_read_cap():
+    # An unbounded read of /dev/zero grows until the address-space limit
+    # ends the process; read_json stops one byte past errors.READ_CAP.
+    resource = pytest.importorskip("resource")
+    limit = 1 << 29
+    result = subprocess.run(
+        [sys.executable, "-m", "contactsurgery.cli", "d3", "--file", "/dev/zero"],
+        env=dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent
+                                            / "src")),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2, result.stderr[-500:]
+    assert result.stdout == ""
+    assert result.stderr == "input error: /dev/zero: the file is larger than 64 MiB\n"
+
+
 def test_builtin_catalog_does_not_depend_on_the_working_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert list(Catalog.builtin()) == build_seed_entries()
+    catalog = Catalog.builtin()
+    assert [catalog.lookup(name) for name in catalog.names()] == sorted(
+        build_seed_entries(), key=lambda entry: entry.name)
 
 
 def test_cli_catalog_override(tmp_path, capsys):

@@ -1,7 +1,12 @@
 """The frozen records: equality, hash, repr and immutability of each one."""
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
+import contactsurgery
 from contactsurgery.catalog import KnotType
 from contactsurgery.expansion import Component, ContactSurgeryPresentation
 from contactsurgery.ledger import (
@@ -105,3 +110,30 @@ def test_cached_values_are_not_fields():
 
 def test_a_knot_type_has_no_flags_by_default():
     assert KnotType("k", 1, 1).flags == frozenset()
+
+
+def _package_records():
+    """Every Record subclass the package's modules define."""
+    for module in pkgutil.iter_modules(contactsurgery.__path__):
+        importlib.import_module(f"contactsurgery.{module.name}")
+    return [cls for cls in Record.__subclasses__() if cls.__module__.startswith("contactsurgery.")]
+
+
+# The records that build often enough in Expansion to keep a hand-written __init__.
+_HAND_WRITTEN = {"LegendrianKnot", "Component", "ContactSurgeryPresentation"}
+
+
+def test_each_record_signature_is_its_fields():
+    records = _package_records()
+    assert {cls.__name__ for cls in records} == set(CASES)
+    for cls in records:
+        parameters = inspect.signature(cls).parameters.values()
+        assert tuple(p.name for p in parameters) == cls._fields
+        generated = cls.__init__.__code__.co_filename == "<string>"
+        assert generated == (cls.__name__ not in _HAND_WRITTEN)
+        if not generated:
+            continue
+        assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+        defaults = {p.name: p.default for p in parameters if p.default is not p.empty}
+        assert defaults == cls._defaults
+        assert tuple(defaults) == cls._fields[len(cls._fields) - len(defaults):]
