@@ -142,7 +142,7 @@ def read_json(path: str):
         raise DiagramFormatError(f"{path}: an integer has too many digits") from exc
     except RecursionError as exc:
         raise DiagramFormatError(f"{path}: the JSON nests too deeply") from exc
-    raise DiagramFormatError(f"{path}: the file is larger than 64 MiB")
+    raise DiagramFormatError(f"{path}: the file is larger than {READ_CAP >> 20} MiB")
 
 
 # The default of a field that read_field requires.
