@@ -25,8 +25,7 @@ _EXPORTS = {
                  "homology_data", "linking_matrix", "spin_c_evaluation"),
     "ledger": ("LedgerState", "LedgerSubject", "LedgerVerdict", "TightnessReport",
                "apply_rules", "assert_fact", "inverse_limit_status", "tight_surgery_ranges"),
-    "legendrian": ("Framing", "InvariantStatus", "LegendrianKnot", "TransverseKnot",
-                   "stabilize"),
+    "legendrian": ("InvariantStatus", "LegendrianKnot", "TransverseKnot", "stabilize"),
     "linalg": (),
     "openbook": ("LanternConfiguration", "SurfaceModel", "attach_surgery_twists", "cap_off",
                  "cyclic_words_equal", "free_reduce", "giroux_destabilize",

@@ -34,7 +34,7 @@ from .ledger import (
     inverse_limit_status,
     tight_surgery_ranges,
 )
-from .legendrian import Framing, LegendrianKnot, TransverseKnot, stabilize
+from .legendrian import LegendrianKnot, TransverseKnot, stabilize
 from .legendrian import InvariantStatus as Status
 from .linalg import signature_exact
 from .openbook import (
@@ -86,7 +86,7 @@ def _brute_force_profiles(base: LegendrianKnot, terms) -> set[tuple]:
             for s in signs:
                 tb -= 1
                 rot += 1 if s == "+" else -1
-            current = LegendrianKnot(tb, rot, current.knot_type)
+            current = LegendrianKnot(tb, rot)
             profile.append((tb, rot))
         profiles.add(tuple(profile))
     return profiles
@@ -154,7 +154,7 @@ def check_a3() -> tuple[bool, str]:
             knot = base
             for _ in range(extra):
                 knot = stabilize(knot, "-")
-            values.add(d3_invariant(presentation_for_framing(knot, Framing(offset))))
+            values.add(d3_invariant(presentation_for_framing(knot, offset)))
         if len(values) != 1:
             details.append(f"framing f_S{offset:+d}: values {sorted(values)}")
         elif offset == 1 and values != {Fraction(-1, 2)}:
@@ -179,7 +179,7 @@ def check_a4() -> tuple[bool, str]:
     """|H1| of the surgered manifold equals |tb + n| on the unknot family."""
     details: list[str] = []
     for t in range(-1, -6, -1):
-        knot = LegendrianKnot(t, t + 1, UNKNOT)
+        knot = LegendrianKnot(t, t + 1)
         for n in range(1, 9):
             det = linking_matrix(all_negative_presentation(knot, n)).determinant()
             if t + n == 0:
@@ -570,8 +570,9 @@ def check_a9() -> tuple[bool, str]:
 
     cable = cable_of_trefoil(2, 3)
     subject = LedgerSubject(
-        legendrian=LegendrianKnot(6, -1, cable),
-        transverse=TransverseKnot(7, cable),
+        legendrian=LegendrianKnot(6, -1),
+        transverse=TransverseKnot(7),
+        knot_type=cable,
         binding=True,
     )
     ledger = apply_rules(subject)

@@ -82,7 +82,7 @@ _DECIMAL_EXPONENT = re.compile(
 def _load_catalog(args):
     from .catalog import Catalog
 
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return Catalog.from_json(args.catalog)
     return Catalog.builtin()
 
@@ -140,12 +140,12 @@ def _integer(text: str, odd: bool = False) -> int:
     return value
 
 
-def _legendrian(args, knot_type):
+def _legendrian(args):
     """The knot given by --tb and --rot."""
     from .legendrian import LegendrianKnot
 
     try:
-        return LegendrianKnot(args.tb, args.rot, knot_type)
+        return LegendrianKnot(args.tb, args.rot)
     except NotRealizable as exc:
         raise NotRealizable(f"--tb {quote(args.tb)} --rot {quote(args.rot)}: {exc}") from None
 
@@ -188,10 +188,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_expand(args) -> int:
     from .expansion import TERMS_CAP, expand
 
-    knot_type = None
-    if args.knot:
-        knot_type = _load_catalog(args).lookup(args.knot)
-    knot = _legendrian(args, knot_type)
+    knot = _legendrian(args)
     if args.limit is not None and args.limit < 0:
         raise OutOfRange(f"--limit {quote(args.limit)}: must not be negative")
     try:
@@ -305,15 +302,10 @@ def _cmd_ledger(args) -> int:
     knot_type = None
     if args.knot:
         knot_type = _load_catalog(args).lookup(args.knot)
-    legendrian = None
-    if args.tb is not None:
-        legendrian = _legendrian(args, knot_type)
-    transverse = None
-    if args.sl is not None:
-        transverse = TransverseKnot(args.sl, knot_type)
     subject = LedgerSubject(
-        legendrian=legendrian,
-        transverse=transverse,
+        legendrian=None if args.tb is None else _legendrian(args),
+        transverse=None if args.sl is None else TransverseKnot(args.sl),
+        knot_type=knot_type,
         binding=args.binding,
         positively_stabilized=args.positively_stabilized,
     )
@@ -399,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--coeff", required=True,
                      help="rational coefficient, e.g. 3 or -2; write negative "
                           "fractions in the = form: --coeff=-7/2")
-    exp.add_argument("--knot", help="optional catalog name for lint context")
-    exp.add_argument("--catalog", help="path to a catalog JSON file")
     exp.add_argument("--json", action="store_true")
     exp.add_argument("--count", action="store_true",
                      help="print only the number of presentations")

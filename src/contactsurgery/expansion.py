@@ -16,14 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvalidCoefficient, OutOfRange, UnsupportedCoefficient, quote
-from .legendrian import (
-    NEGATIVE,
-    POSITIVE,
-    Framing,
-    LegendrianKnot,
-    stabilize,
-)
-from .record import Record, set_field
+from .legendrian import NEGATIVE, POSITIVE, LegendrianKnot, stabilize
+from .record import Record
 
 ROLE_PLUS_ONE = "originalPlusOne"
 ROLE_CHAIN = "chainLink"
@@ -86,22 +80,13 @@ class Component(Record):
     """
 
     _fields = ("legendrian", "coefficient", "negative_stabs", "positive_stabs")
+    _defaults = {"negative_stabs": 0, "positive_stabs": 0}
 
-    def __init__(
-        self,
-        legendrian: LegendrianKnot,
-        coefficient: int,
-        negative_stabs: int = 0,
-        positive_stabs: int = 0,
-    ) -> None:
-        if coefficient not in (1, -1):
+    def _check(self) -> None:
+        if self.coefficient not in (1, -1):
             raise ValueError("contact coefficient must be +1 or -1")
-        if negative_stabs < 0 or positive_stabs < 0:
+        if self.negative_stabs < 0 or self.positive_stabs < 0:
             raise ValueError("stabilization counts must be non-negative")
-        set_field(self, "legendrian", legendrian)
-        set_field(self, "coefficient", coefficient)
-        set_field(self, "negative_stabs", negative_stabs)
-        set_field(self, "positive_stabs", positive_stabs)
 
     @property
     def role(self) -> str:
@@ -130,16 +115,14 @@ class ContactSurgeryPresentation(Record):
     _expansion = None
     _matrix = None
 
-    def __init__(
-        self, components: tuple[Component, ...] = (), overtwisted: bool = False
-    ) -> None:
-        plus_ones = [i for i, c in enumerate(components) if c.coefficient == 1]
+    _defaults = {"components": (), "overtwisted": False}
+
+    def _check(self) -> None:
+        plus_ones = [i for i, c in enumerate(self.components) if c.coefficient == 1]
         if len(plus_ones) > 1:
             raise ValueError("at most one +1 component is allowed")
         if plus_ones and plus_ones[0] != 0:
             raise ValueError("the +1 component must precede the chain")
-        set_field(self, "components", components)
-        set_field(self, "overtwisted", overtwisted)
 
     def tb_rot_profile(self) -> tuple[tuple[int, int], ...]:
         return tuple((c.legendrian.tb, c.legendrian.rot) for c in self.components)
@@ -233,12 +216,12 @@ class Expansion:
     def _build(self, chain, rots, plus, start) -> ContactSurgeryPresentation:
         # Links before `start` are those of the previous presentation; link j
         # starts from its predecessor's rot, rots[j], in O(1).
-        links, knot_type = self._links, self.knot.knot_type
+        links = self._links
         for j in range(start, len(chain)):
             tb, k = links[j]
             p = plus[j]
             rots[j + 1] = rot = rots[j] + 2 * p - k
-            chain[j] = Component(LegendrianKnot(tb, rot, knot_type), -1, k - p, p)
+            chain[j] = Component(LegendrianKnot(tb, rot), -1, k - p, p)
         presentation = ContactSurgeryPresentation(self.head + tuple(chain))
         object.__setattr__(presentation, "_expansion", self)
         return presentation
@@ -296,19 +279,16 @@ def all_negative_presentation(
     return ContactSurgeryPresentation(tuple(components))
 
 
-def presentation_for_framing(
-    knot: LegendrianKnot, framing: Framing
-) -> ContactSurgeryPresentation:
+def presentation_for_framing(knot: LegendrianKnot, f: int) -> ContactSurgeryPresentation:
     """Presentation of the canonical contact structure on surgery with the
-    given framing, built from the all-negative stabilization choice.
+    framing f_S + f, built from the all-negative stabilization choice.
 
     For framings f <= tb the result is known to be overtwisted and is
     flagged as such; the knot is first stabilized down to tb = f - 1.
     """
-    f = framing.offset
     if f > knot.tb:
         return all_negative_presentation(knot, f - knot.tb)
     # `drop` negative stabilizations, in closed form: each lowers tb and rot by 1.
     drop = knot.tb - (f - 1)
-    stabilized = LegendrianKnot(knot.tb - drop, knot.rot - drop, knot.knot_type)
+    stabilized = LegendrianKnot(knot.tb - drop, knot.rot - drop)
     return ContactSurgeryPresentation((Component(stabilized, 1),), overtwisted=True)

@@ -51,20 +51,17 @@ Fact.__doc__ = """One recorded status; offset None means 'at every framing'."""
 
 
 class LedgerSubject(Record):
-    """What the ledger is about, with the caller-asserted geometric flags."""
+    """What the ledger is about: a Legendrian or transverse knot, or both,
+    of one knot type (a catalog.KnotType, or None when unknown), with the
+    caller-asserted geometric flags."""
 
-    _fields = ("legendrian", "transverse", "manifold", "positively_stabilized",
+    _fields = ("legendrian", "transverse", "knot_type", "manifold", "positively_stabilized",
                "complement_overtwisted_or_torsion", "binding", "ambient_invariant",
                "ambient_b1")
-    _defaults = {"legendrian": None, "transverse": None, "manifold": STANDARD_TIGHT_S3,
-                 "positively_stabilized": False, "complement_overtwisted_or_torsion": False,
-                 "binding": False, "ambient_invariant": NONZERO, "ambient_b1": 0}
-
-    def knot_type(self) -> KnotType | None:
-        for knot in (self.legendrian, self.transverse):
-            if knot is not None and knot.knot_type is not None:
-                return knot.knot_type
-        return None
+    _defaults = {"legendrian": None, "transverse": None, "knot_type": None,
+                 "manifold": STANDARD_TIGHT_S3, "positively_stabilized": False,
+                 "complement_overtwisted_or_torsion": False, "binding": False,
+                 "ambient_invariant": NONZERO, "ambient_b1": 0}
 
 
 class LedgerState(Record):
@@ -202,7 +199,7 @@ def _standard_s3_knot_type(subject: LedgerSubject) -> KnotType | None:
     standard tight 3-sphere."""
     if subject.manifold != STANDARD_TIGHT_S3:
         return None
-    return subject.knot_type()
+    return subject.knot_type
 
 
 def _max_self_linking_binding(s: LedgerSubject) -> bool:
@@ -252,7 +249,7 @@ RULES = (
         ZERO,
     ),
     # NonZero at f_S + 2g for a binding with sl = 2g - 1, g >= 1.
-    Rule("R5", _max_self_linking_binding, NONZERO, lambda s: 2 * s.knot_type().genus),
+    Rule("R5", _max_self_linking_binding, NONZERO, lambda s: 2 * s.knot_type.genus),
     # NonZero at tb + 1 for a Legendrian with tb = 2*slice_genus - 1 > 0.
     Rule("R6", _max_tb_legendrian, NONZERO, lambda s: s.legendrian.tb + 1),
     # NonZero at tb + 1 for the maximal Legendrian unknot (tb = -1).
@@ -331,8 +328,9 @@ def tight_surgery_ranges(knot: KnotType) -> TightnessReport:
     # R6 can fire only when max_tb = 2 g_s - 1, which is odd, so rot 0 is realizable.
     r6 = knot.max_tb == 2 * knot.slice_genus - 1
     subject = LedgerSubject(
-        legendrian=LegendrianKnot(knot.max_tb, 0, knot) if r6 else None,
-        transverse=None if knot.max_sl is None else TransverseKnot(knot.max_sl, knot),
+        legendrian=LegendrianKnot(knot.max_tb, 0) if r6 else None,
+        transverse=None if knot.max_sl is None else TransverseKnot(knot.max_sl),
+        knot_type=knot,
         binding=True,
     )
     ranges = tuple(

@@ -3,12 +3,10 @@
 A record is declared by `_fields`, its field names in order, and
 `_defaults`, the values of its trailing fields that have one; `_check(self)`,
 if the class defines it, holds its checks.  The base writes the positional
-`__init__`: one `set_field` per field, since assignment and deletion raise
-AttributeError, then `_check(self)`.  It is compiled once per class with
-`exec`, so the base imports neither `dataclasses` nor `inspect`.
-`LegendrianKnot`, `Component` and `ContactSurgeryPresentation` write their
-own `__init__`: `Expansion` builds them per chain link and per
-presentation, where a separate `_check` call costs a measurable share.
+`__init__` of every record: one `set_field` per field, since assignment
+and deletion raise AttributeError, then `_check(self)`.  It is compiled
+once per class with `exec`, so the base imports neither `dataclasses` nor
+`inspect`.
 
 Equality, hash and repr read the fields through one `operator.attrgetter`,
 as a frozen dataclass's methods would: two records are equal when they are
@@ -27,7 +25,7 @@ set_field = object.__setattr__
 
 
 def _write_init(cls):
-    """The positional `__init__` of a record that defines none."""
+    """The positional `__init__` of a record class."""
     fields, check = cls._fields, getattr(cls, "_check", None)
     params = [f"{name}=_defaults[{name!r}]" if name in cls._defaults else name for name in fields]
     body = [f"set_field(self, {name!r}, {name})" for name in fields]
@@ -49,8 +47,7 @@ class Record:
         get = attrgetter(*cls._fields)
         # attrgetter of one name gives the bare value, not a 1-tuple.
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
-        if "__init__" not in cls.__dict__:
-            cls.__init__ = _write_init(cls)
+        cls.__init__ = _write_init(cls)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -33,7 +33,7 @@ from contactsurgery.homology import (
     linking_matrix,
     spin_c_evaluation,
 )
-from contactsurgery.legendrian import Framing, LegendrianKnot
+from contactsurgery.legendrian import LegendrianKnot
 from contactsurgery.linalg import (
     PushoffChain,
     chain_entries,
@@ -234,7 +234,7 @@ def test_d3_invariant_under_negative_stabilization(knot, n):
     # take about a minute per d3 at n = 200.
     assume(knot.tb + n != 0)
     stabilized = LegendrianKnot(knot.tb - 1, knot.rot - 1)
-    framing = Framing(knot.tb + n)
+    framing = knot.tb + n
     assert d3_invariant(all_negative_presentation(knot, n)) == d3_invariant(
         presentation_for_framing(stabilized, framing)
     )
@@ -251,7 +251,7 @@ def test_d3_memory_is_linear_in_the_chain_length():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert d3 == d3_invariant(presentation_for_framing(LegendrianKnot(-2, -1), Framing(3999)))
+    assert d3 == d3_invariant(presentation_for_framing(LegendrianKnot(-2, -1), 3999))
     assert peak < 4 * 2**20
 
 

@@ -266,7 +266,7 @@ def test_cli_unreadable_file_exit_code(tmp_path, capsys, verb):
 
 @pytest.mark.parametrize("argv", [
     ["catalog", "--list"],
-    ["expand", "--tb", "-1", "--rot", "0", "--coeff", "2", "--knot", "unknot"],
+    ["ledger", "--knot", "unknot"],
     ["classify", "--knot", "unknot"],
 ])
 def test_cli_unreadable_catalog_exit_code(tmp_path, capsys, argv):

@@ -46,7 +46,7 @@ LEDGER_SUBJECTS = [
     ([], LedgerSubject()),
     (["--tb", "3", "--rot", "0"], LedgerSubject(legendrian=LegendrianKnot(3, 0))),
     (["--knot", "unknot", "--tb", "-1", "--rot", "0"],
-     LedgerSubject(legendrian=LegendrianKnot(-1, 0, _UNKNOT))),
+     LedgerSubject(legendrian=LegendrianKnot(-1, 0), knot_type=_UNKNOT)),
     (["--positively-stabilized"], LedgerSubject(positively_stabilized=True)),
 ]
 

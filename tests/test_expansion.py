@@ -27,7 +27,7 @@ from contactsurgery.expansion import (
 )
 from contactsurgery.homology import linking_matrix
 from contactsurgery import legendrian
-from contactsurgery.legendrian import Framing, LegendrianKnot, stabilize
+from contactsurgery.legendrian import LegendrianKnot, stabilize
 
 SETTINGS = settings(
     max_examples=50, deadline=None, database=None,
@@ -211,14 +211,14 @@ def test_an_empty_continued_fraction_has_no_value():
 
 def test_presentation_for_framing_above_tb():
     knot = LegendrianKnot(-1, 0)
-    presentation = presentation_for_framing(knot, Framing(1))
+    presentation = presentation_for_framing(knot, 1)
     assert presentation == all_negative_presentation(knot, 2)
     assert not presentation.overtwisted
 
 
 def test_presentation_for_framing_at_or_below_tb_is_overtwisted():
     knot = LegendrianKnot(-1, 0)
-    presentation = presentation_for_framing(knot, Framing(-1))
+    presentation = presentation_for_framing(knot, -1)
     assert presentation.overtwisted
     (comp,) = presentation.components
     assert comp.coefficient == 1
@@ -230,29 +230,29 @@ def test_presentation_for_framing_far_below_tb_is_closed_form():
     knot = LegendrianKnot(-1, 0)
     tracemalloc.start()
     try:
-        presentation_for_framing(knot, Framing(-10**6))
+        presentation_for_framing(knot, -10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**10
-    (far,) = presentation_for_framing(knot, Framing(-10**12)).components
+    (far,) = presentation_for_framing(knot, -10**12).components
     assert far.legendrian == LegendrianKnot(-10**12 - 1, -10**12)
     for f in range(-6, 0):
         stabilized = knot
         for _ in range(knot.tb - (f - 1)):
             stabilized = stabilize(stabilized, "-")
-        (comp,) = presentation_for_framing(knot, Framing(f)).components
+        (comp,) = presentation_for_framing(knot, f).components
         assert comp.legendrian == stabilized
 
 
 def test_presentation_well_defined_under_pre_stabilization():
     knot = LegendrianKnot(-1, 0)
-    target = presentation_for_framing(knot, Framing(2))
+    target = presentation_for_framing(knot, 2)
     for extra in range(1, 4):
         stabilized = knot
         for _ in range(extra):
             stabilized = stabilize(stabilized, "-")
-        other = presentation_for_framing(stabilized, Framing(2))
+        other = presentation_for_framing(stabilized, 2)
         assert len(other.components) == len(target.components) + extra
 
 
@@ -430,8 +430,8 @@ def test_order_of_h1_of_every_presentation(knot, r):
     lambda knot: expand(knot, -3),
     lambda knot: expand(knot, Fraction(7, 2)),
     lambda knot: all_negative_presentation(knot, 3),
-    lambda knot: presentation_for_framing(knot, Framing(4)),
-    lambda knot: presentation_for_framing(knot, Framing(-4)),
+    lambda knot: presentation_for_framing(knot, 4),
+    lambda knot: presentation_for_framing(knot, -4),
 ])
 @pytest.mark.parametrize("tb, rot", [(0, 0), (-2, 2), (-1, 1)])
 def test_even_tb_plus_rot_is_not_realizable(build, tb, rot):
@@ -444,7 +444,7 @@ def test_the_library_builders_take_exactly_the_realizable_knots():
     builders = (
         lambda knot: expand(knot, -3),
         lambda knot: all_negative_presentation(knot, 3),
-        lambda knot: presentation_for_framing(knot, Framing(4)),
+        lambda knot: presentation_for_framing(knot, 4),
     )
     for tb, rot in itertools.product(range(-3, 4), repeat=2):
         for build in builders:

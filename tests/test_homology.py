@@ -353,24 +353,24 @@ def test_d3_denominator_and_integer_sphere_lint():
 # Chern evaluations and the nonvanishing criterion
 
 
-def _r5_certifies(knot, n, binding=True):
+def _r5_certifies(knot, knot_type, n, binding=True):
     """Whether the rule table's R5 entry, read on the transverse pushoff of
-    `knot`, asserts NonZero at the surgery framing tb + n."""
-    pushoff = TransverseKnot(knot.tb - knot.rot, knot.knot_type)
-    subject = LedgerSubject(transverse=pushoff, binding=binding)
+    `knot` of type `knot_type`, asserts NonZero at the surgery framing tb + n."""
+    pushoff = TransverseKnot(knot.tb - knot.rot)
+    subject = LedgerSubject(transverse=pushoff, knot_type=knot_type, binding=binding)
     r5 = RULES_BY_ID["R5"]
     return r5.holds(subject) and r5.offset(subject) == knot.tb + n
 
 
 def test_nonvanishing_criterion_instances():
     cable = cable_of_trefoil(2, 3)
-    assert _r5_certifies(LegendrianKnot(6, -1, cable), 2)
+    assert _r5_certifies(LegendrianKnot(6, -1), cable, 2)
     trefoil = torus_knot(2, 3)
-    assert _r5_certifies(LegendrianKnot(1, 0, trefoil), 1)
-    assert not _r5_certifies(LegendrianKnot(-1, 0, UNKNOT), 1)
-    assert not _r5_certifies(LegendrianKnot(6, -1, cable), 2, binding=False)
+    assert _r5_certifies(LegendrianKnot(1, 0), trefoil, 1)
+    assert not _r5_certifies(LegendrianKnot(-1, 0), UNKNOT, 1)
+    assert not _r5_certifies(LegendrianKnot(6, -1), cable, 2, binding=False)
     # Without a knot type there is no genus for R5 to read.
-    assert not _r5_certifies(LegendrianKnot(6, -1), 2)
+    assert not _r5_certifies(LegendrianKnot(6, -1), None, 2)
 
 
 def test_criterion_matches_cap_evaluation():
@@ -381,7 +381,7 @@ def test_criterion_matches_cap_evaluation():
             if (tb - rot) % 2 == 0:
                 continue  # sl = tb - rot is odd for a knot in the 3-sphere
             n = 2 * cable.genus - tb
-            if n >= 1 and _r5_certifies(LegendrianKnot(tb, rot, cable), n):
+            if n >= 1 and _r5_certifies(LegendrianKnot(tb, rot), cable, n):
                 certified += 1
                 assert cap_class_evaluations(n, rot, [rot - 1] * (n - 1))[1] == 0
     assert certified == 3  # sl = 7: (tb, rot) = (4, -3), (5, -2), (6, -1)

@@ -56,11 +56,11 @@ def test_assert_fact_refuses_what_no_fact_can_say(offset, status, message):
 
 def test_the_nonvanishing_rules_need_the_standard_tight_sphere():
     trefoil = torus_knot(2, 3)
-    subject = LedgerSubject(legendrian=LegendrianKnot(1, 0, trefoil),
-                            transverse=TransverseKnot(1, trefoil), binding=True)
+    subject = LedgerSubject(legendrian=LegendrianKnot(1, 0), transverse=TransverseKnot(1),
+                            knot_type=trefoil, binding=True)
     assert [f.rule for f in apply_rules(subject).facts] == ["R1", "R5", "R6"]
     elsewhere = LedgerSubject(legendrian=subject.legendrian, transverse=subject.transverse,
-                              manifold="L(5,1)", binding=True)
+                              knot_type=trefoil, manifold="L(5,1)", binding=True)
     assert [f.rule for f in apply_rules(elsewhere).facts] == ["R1"]
 
 
@@ -116,8 +116,9 @@ def test_closure_idempotent():
 def test_no_nonzero_then_zero_pair_in_rule_ledgers():
     cable = cable_of_trefoil(2, 3)
     subject = LedgerSubject(
-        legendrian=LegendrianKnot(6, -1, cable),
-        transverse=TransverseKnot(7, cable),
+        legendrian=LegendrianKnot(6, -1),
+        transverse=TransverseKnot(7),
+        knot_type=cable,
         binding=True,
     )
     state = apply_rules(subject)
@@ -133,8 +134,9 @@ def test_rule_r1_and_r5_on_cable():
     cable = cable_of_trefoil(2, 3)
     state = apply_rules(
         LedgerSubject(
-            legendrian=LegendrianKnot(6, -1, cable),
-            transverse=TransverseKnot(7, cable),
+            legendrian=LegendrianKnot(6, -1),
+            transverse=TransverseKnot(7),
+            knot_type=cable,
             binding=True,
         )
     )
@@ -157,7 +159,8 @@ def test_rule_r2_positive_stabilization():
 def test_rule_r3_overtwisted_complement():
     state = apply_rules(
         LedgerSubject(
-            legendrian=LegendrianKnot(-3, 0, UNKNOT),
+            legendrian=LegendrianKnot(-3, 0),
+            knot_type=UNKNOT,
             complement_overtwisted_or_torsion=True,
         )
     )
@@ -170,7 +173,8 @@ def test_inconsistent_subject_surfaces_contradiction():
     with pytest.raises(Contradiction):
         apply_rules(
             LedgerSubject(
-                legendrian=LegendrianKnot(-1, 0, UNKNOT),
+                legendrian=LegendrianKnot(-1, 0),
+                knot_type=UNKNOT,
                 complement_overtwisted_or_torsion=True,
             )
         )
@@ -179,7 +183,8 @@ def test_inconsistent_subject_surfaces_contradiction():
 def test_rule_r4_binding_of_vanishing_structure():
     state = apply_rules(
         LedgerSubject(
-            transverse=TransverseKnot(-1, UNKNOT),
+            transverse=TransverseKnot(-1),
+            knot_type=UNKNOT,
             binding=True,
             ambient_invariant=Status.ZERO,
             ambient_b1=0,
@@ -193,7 +198,8 @@ def test_rule_r4_binding_of_vanishing_structure():
 def test_rule_r4_skipped_unless_zero_invariant_and_b1_zero(ambient, b1):
     state = apply_rules(
         LedgerSubject(
-            transverse=TransverseKnot(-1, UNKNOT),
+            transverse=TransverseKnot(-1),
+            knot_type=UNKNOT,
             binding=True,
             ambient_invariant=ambient,
             ambient_b1=b1,
@@ -204,14 +210,14 @@ def test_rule_r4_skipped_unless_zero_invariant_and_b1_zero(ambient, b1):
 
 def test_rule_r6_trefoil():
     trefoil = torus_knot(2, 3)
-    state = apply_rules(LedgerSubject(legendrian=LegendrianKnot(1, 0, trefoil)))
+    state = apply_rules(LedgerSubject(legendrian=LegendrianKnot(1, 0), knot_type=trefoil))
     assert state.status_at(2) is Status.NONZERO
     assert state.window(2, 2)[0][2] == "R6"
     assert state.status_at(1) is Status.ZERO  # R1 at tb
 
 
 def test_rule_e1_unknot():
-    state = apply_rules(LedgerSubject(legendrian=LegendrianKnot(-1, 0, UNKNOT)))
+    state = apply_rules(LedgerSubject(legendrian=LegendrianKnot(-1, 0), knot_type=UNKNOT))
     assert state.status_at(0) is Status.NONZERO
     assert state.window(0, 0)[0][2] == "E1"
     assert state.status_at(-1) is Status.ZERO
@@ -222,7 +228,7 @@ def test_empty_ledger_unknown():
 
 
 def test_window_rendering():
-    state = apply_rules(LedgerSubject(legendrian=LegendrianKnot(-1, 0, UNKNOT)))
+    state = apply_rules(LedgerSubject(legendrian=LegendrianKnot(-1, 0), knot_type=UNKNOT))
     rows = state.window(-3, 2)
     assert [r[0] for r in rows] == list(range(-3, 3))
     statuses = {k: status for k, status, _ in rows}
@@ -254,7 +260,7 @@ def test_tight_surgeries_upward_closed():
     report = tight_surgery_ranges(cable)
     anchor = report.anchor()
     state = apply_rules(
-        LedgerSubject(transverse=TransverseKnot(cable.max_sl, cable), binding=True)
+        LedgerSubject(transverse=TransverseKnot(cable.max_sl), knot_type=cable, binding=True)
     )
     assert state.status_at(anchor - 1) is not Status.NONZERO
     rows = state.window(anchor, anchor + 11)

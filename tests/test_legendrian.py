@@ -5,17 +5,12 @@ from hypothesis import strategies as st
 from contactsurgery.catalog import cable_of_trefoil, torus_knot
 from contactsurgery.errors import NotRealizable, quote
 from contactsurgery.ledger import RULES_BY_ID, LedgerSubject
-from contactsurgery.legendrian import (
-    Framing,
-    LegendrianKnot,
-    TransverseKnot,
-    stabilize,
-)
+from contactsurgery.legendrian import LegendrianKnot, TransverseKnot, stabilize
 
 
 def _pushoff(knot):
     """The positive transverse pushoff, sl = tb - rot."""
-    return TransverseKnot(knot.tb - knot.rot, knot.knot_type)
+    return TransverseKnot(knot.tb - knot.rot)
 
 
 def _fold_stabilize(knot, signs):
@@ -24,8 +19,9 @@ def _fold_stabilize(knot, signs):
     return knot
 
 
-def _r5_holds(transverse):
-    return RULES_BY_ID["R5"].holds(LedgerSubject(transverse=transverse, binding=True))
+def _r5_holds(transverse, knot_type):
+    subject = LedgerSubject(transverse=transverse, knot_type=knot_type, binding=True)
+    return RULES_BY_ID["R5"].holds(subject)
 
 
 def test_stabilize_signs():
@@ -51,7 +47,7 @@ def test_negative_stabilization_preserves_pushoff_sl(tb, rot):
 def test_reverse_is_involution_and_swaps_stabilizations():
     # Orientation reversal keeps tb and negates rot.
     def reverse(k):
-        return LegendrianKnot(k.tb, -k.rot, k.knot_type)
+        return LegendrianKnot(k.tb, -k.rot)
 
     knot = LegendrianKnot(-3, 2)
     assert reverse(reverse(knot)) == knot
@@ -62,29 +58,29 @@ def test_reverse_is_involution_and_swaps_stabilizations():
 def test_transverse_pushoff_values():
     assert _pushoff(LegendrianKnot(-1, 0)).sl == -1
     cable = cable_of_trefoil(2, 3)
-    pushoff = _pushoff(LegendrianKnot(6, -1, cable))
+    pushoff = _pushoff(LegendrianKnot(6, -1))
     assert pushoff.sl == 7 == cable.max_sl
-    assert _r5_holds(pushoff)
-    assert not _r5_holds(_pushoff(stabilize(LegendrianKnot(6, -1, cable), "+")))
+    assert _r5_holds(pushoff, cable)
+    assert not _r5_holds(_pushoff(stabilize(LegendrianKnot(6, -1), "+")), cable)
 
 
 def test_pushoff_invariant_under_repeated_negative_stabilization():
-    knot = LegendrianKnot(2, 1, torus_knot(2, 5))
+    knot = LegendrianKnot(2, 1)
     expected = _pushoff(knot)
     for _ in range(6):
         knot = stabilize(knot, "-")
         assert _pushoff(knot) == expected
-    assert _fold_stabilize(LegendrianKnot(2, 1, torus_knot(2, 5)), "-" * 6) == knot
+    assert _fold_stabilize(LegendrianKnot(2, 1), "-" * 6) == knot
 
 
 def test_deep_negative_stabilizations_stay_realizable():
     # tb -3, rot -4 on the trefoil satisfies tb + |rot| = 1 = 2g - 1.
     trefoil = torus_knot(2, 3)
-    deep = _fold_stabilize(LegendrianKnot(1, 0, trefoil), "----")
+    deep = _fold_stabilize(LegendrianKnot(1, 0), "----")
     assert (deep.tb, deep.rot) == (-3, -4)
     assert deep.tb + abs(deep.rot) == 2 * trefoil.genus - 1
     assert _pushoff(deep).sl == trefoil.max_sl == 1
-    assert _r5_holds(_pushoff(deep))
+    assert _r5_holds(_pushoff(deep), trefoil)
 
 
 # Small integers, and integers past Python's 4,300-digit int-to-str limit.
@@ -114,9 +110,3 @@ def test_transverse_parity_enforced():
     with pytest.raises(ValueError):
         TransverseKnot(0)
     TransverseKnot(-7)  # negative odd values are fine
-
-
-def test_framing_ordering():
-    assert Framing(-1) < Framing(0) < Framing(3)
-    assert str(Framing(2)) == "f_S+2"
-    assert str(Framing(-1)) == "f_S-1"
