@@ -208,7 +208,7 @@ class Catalog:
     def from_json(cls, path: str) -> "Catalog":
         records = read_json(path)
         if not isinstance(records, list):
-            raise DiagramFormatError(f"catalog {path}: top level must be a list")
+            raise DiagramFormatError(f"catalog {quote(path)}: top level must be a list")
         return cls.from_records(records)
 
     @classmethod

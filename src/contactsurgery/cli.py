@@ -287,7 +287,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_ledger(args) -> int:
-    from .ledger import LedgerSubject, apply_rules, assert_facts, inverse_limit_status
+    from .ledger import (
+        LedgerSubject, apply_rules, assert_facts, check_realizable, inverse_limit_status)
     from .legendrian import InvariantStatus, TransverseKnot
 
     lo, hi = args.window
@@ -309,6 +310,8 @@ def _cmd_ledger(args) -> int:
         binding=args.binding,
         positively_stabilized=args.positively_stabilized,
     )
+    check_realizable(subject, legendrian=f"--tb {quote(args.tb)} --rot {quote(args.rot)}",
+                     transverse=f"--sl {quote(args.sl)}")
     state = apply_rules(subject)
     if args.facts:
         from . import diagramio
@@ -344,7 +347,7 @@ def _cmd_openbook(args) -> int:
             surface, letters = cap_off(surface, letters, args.cap)
         except DiagramFormatError as exc:
             raise DiagramFormatError(
-                f"--cap {quote(args.cap)}: {args.file}.surface.{exc}") from exc
+                f"--cap {quote(args.cap)}: {quote(args.file)}.surface.{exc}") from exc
     action = homology_action(letters, surface) if args.action else ()
     # A capped page's classes are computed too, and --json prints them.
     classes = (*surface.boundary_classes, *(c for _, c in surface.curves)) if args.json else ()

@@ -85,7 +85,7 @@ def presentation_from_dict(data: object, source: str = "diagram") -> ContactSurg
 
 
 def parse_diagram_file(path: str) -> ContactSurgeryPresentation:
-    return presentation_from_dict(read_json(path), path)
+    return presentation_from_dict(read_json(path), quote(path))
 
 
 def presentation_to_dict(presentation: ContactSurgeryPresentation) -> dict:
@@ -151,7 +151,7 @@ def open_book_from_dict(data: object, source: str = "openbook") -> tuple:
 
 
 def parse_open_book_file(path: str) -> tuple:
-    return open_book_from_dict(read_json(path), path)
+    return open_book_from_dict(read_json(path), quote(path))
 
 
 def open_book_to_dict(surface, letters) -> dict:
@@ -169,12 +169,12 @@ def open_book_to_dict(surface, letters) -> dict:
 
 def facts_from_file(path: str) -> list[dict]:
     """Ledger fact records: a list of {offset, status, rule} objects."""
-    data = read_json(path)
+    data, source = read_json(path), quote(path)
     if not isinstance(data, list):
-        raise DiagramFormatError(f"{path}: top level must be a list")
+        raise DiagramFormatError(f"{source}: top level must be a list")
     records = []
     for i, raw in enumerate(data):
-        where = f"{path}[{i}]"
+        where = f"{source}[{i}]"
         status = read_field(raw, "status", str, where)
         if status not in ("Zero", "NonZero"):
             raise DiagramFormatError(f"{where}.status: must be Zero or NonZero")

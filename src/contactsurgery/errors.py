@@ -52,8 +52,8 @@ class IncompleteData(ContactSurgeryError):
 
 
 class NotRealizable(ContactSurgeryError):
-    """Requested classical invariants (tb + rot even, or tb beyond the
-    Bennequin bound) belong to no Legendrian knot in the 3-sphere."""
+    """Requested classical invariants (tb + rot even, or tb, rot or sl past a
+    bound of the knot type) belong to no knot in the 3-sphere."""
 
     exit_code = 2
 
@@ -123,7 +123,9 @@ class Contradiction(ContactSurgeryError):
 def read_json(path: str):
     """The JSON value in a UTF-8 file.  An unreadable file, a file larger than
     READ_CAP, malformed JSON, an integer past Python's int-to-str digit limit
-    and nesting past the recursion limit are format errors naming the path."""
+    and nesting past the recursion limit are format errors naming the path,
+    quoted once."""
+    where = quote(path)
     try:
         data = bytearray()
         with open(path, "rb") as fh:
@@ -134,15 +136,18 @@ def read_json(path: str):
             return json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise DiagramFormatError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"{where}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DiagramFormatError(f"{path}: cannot read the file: {exc}") from exc
+    except OSError as exc:
+        # str(exc) would name the path a second time, unquoted.
+        raise DiagramFormatError(f"{where}: cannot read the file: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DiagramFormatError(f"{where}: cannot read the file: {exc}") from exc
     except ValueError as exc:
-        raise DiagramFormatError(f"{path}: an integer has too many digits") from exc
+        raise DiagramFormatError(f"{where}: an integer has too many digits") from exc
     except RecursionError as exc:
-        raise DiagramFormatError(f"{path}: the JSON nests too deeply") from exc
-    raise DiagramFormatError(f"{path}: the file is larger than {READ_CAP >> 20} MiB")
+        raise DiagramFormatError(f"{where}: the JSON nests too deeply") from exc
+    raise DiagramFormatError(f"{where}: the file is larger than {READ_CAP >> 20} MiB")
 
 
 # The default of a field that read_field requires.

@@ -26,7 +26,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import chain
 
-from .errors import Contradiction, IncompleteData, quote
+from .errors import Contradiction, IncompleteData, NotRealizable, quote
 from .legendrian import InvariantStatus, LegendrianKnot, TransverseKnot
 from .record import Record
 
@@ -62,6 +62,30 @@ class LedgerSubject(Record):
                  "manifold": STANDARD_TIGHT_S3, "positively_stabilized": False,
                  "complement_overtwisted_or_torsion": False, "binding": False,
                  "ambient_invariant": NONZERO, "ambient_b1": 0}
+
+
+def check_realizable(subject: LedgerSubject, legendrian: str, transverse: str) -> None:
+    """Raise NotRealizable, named by `legendrian` or `transverse`, when a knot
+    of a subject in the standard tight 3-sphere breaks a bound of its knot
+    type: tb + |rot| <= 2 g_s - 1 (Rudolph's slice-Bennequin inequality) and
+    tb <= max_tb, or sl <= max_sl and sl <= 2 g_s - 1.  An unknown knot type
+    or bound checks nothing."""
+    knot_type = _standard_s3_knot_type(subject)
+    if knot_type is None:
+        return
+    bound, bounds = 2 * knot_type.slice_genus - 1, []
+    if subject.legendrian is not None:
+        tb, rot = subject.legendrian.tb, subject.legendrian.rot
+        bounds += [(legendrian, "tb + |rot|", tb + abs(rot), "2 g_s - 1", bound),
+                   (legendrian, "tb", tb, "max_tb", knot_type.max_tb)]
+    if subject.transverse is not None:
+        sl = subject.transverse.sl
+        bounds += [(transverse, "sl", sl, "max_sl", knot_type.max_sl),
+                   (transverse, "sl", sl, "2 g_s - 1", bound)]
+    for knot, what, value, limit_name, limit in bounds:
+        if limit is not None and value > limit:
+            raise NotRealizable(f"{knot}: {what} = {quote(value)} exceeds {limit_name} = "
+                                f"{quote(limit)} for {quote(knot_type.name)}")
 
 
 class LedgerState(Record):

@@ -1,15 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactsurgery import cli, errors, expansion
+from contactsurgery import cli, errors, expansion, ledger
 from contactsurgery.catalog import Catalog, build_seed_entries
 from contactsurgery.cli import main
 from contactsurgery.diagramio import (
@@ -261,7 +264,7 @@ def test_cli_unreadable_file_exit_code(tmp_path, capsys, verb):
         assert main([verb, "--file", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert str(path) in captured.err and "Traceback" not in captured.err
+        assert errors.quote(str(path)) in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -276,7 +279,7 @@ def test_cli_unreadable_catalog_exit_code(tmp_path, capsys, argv):
         assert main(argv + ["--catalog", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert str(path) in captured.err and "Traceback" not in captured.err
+        assert errors.quote(str(path)) in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv, template", [
@@ -298,7 +301,7 @@ def test_cli_every_json_reader_rejects_what_json_cannot_decode(
     assert main(argv + [str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"input error: {path}: ")
+    assert captured.err.startswith(f"input error: {errors.quote(path)}: ")
     assert len(captured.err) < 200
 
 
@@ -347,7 +350,7 @@ def test_parse_reads_overtwisted_only_as_a_boolean(tmp_path, capsys, value):
     assert main(["d3", "--file", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"input error: {path}.overtwisted: must be a boolean\n"
+    assert captured.err == f"input error: {errors.quote(path)}.overtwisted: must be a boolean\n"
 
 
 @pytest.mark.parametrize("index, value", [
@@ -369,7 +372,8 @@ def test_parse_reads_a_coefficient_only_as_plus_or_minus_one(tmp_path, capsys, i
     assert main(["d3", "--file", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"input error: {path}.components[{index}].coeff: {message}\n"
+    assert captured.err == (
+        f"input error: {errors.quote(path)}.components[{index}].coeff: {message}\n")
 
 
 def test_an_overtwisted_presentation_round_trips():
@@ -419,7 +423,8 @@ def test_a_diagram_component_refuses_exactly_the_even_pairs(tmp_path, capsys):
         else:
             assert code == 2
             assert err == (
-                f"input error: {path}.components[0]: (tb, rot) = ({tb}, {rot}): {_EVEN}\n")
+                f"input error: {errors.quote(path)}.components[0]: "
+                f"(tb, rot) = ({tb}, {rot}): {_EVEN}\n")
 
 
 def test_the_parity_refusal_names_the_component_before_the_pushoff_rule(tmp_path, capsys):
@@ -429,7 +434,7 @@ def test_the_parity_refusal_names_the_component_before_the_pushoff_rule(tmp_path
         {"tb": -1, "rot": 0, "coeff": "+1"}, {"tb": 5, "rot": 1, "coeff": "-1"}]}))
     assert main(["d3", "--file", str(path)]) == 2
     assert capsys.readouterr().err == (
-        f"input error: {path}.components[1]: (tb, rot) = (5, 1): {_EVEN}\n")
+        f"input error: {errors.quote(path)}.components[1]: (tb, rot) = (5, 1): {_EVEN}\n")
 
 
 def test_classify_prints_the_seed_catalog_as_before(capsys):
@@ -550,13 +555,17 @@ _RECORD_CODEGEN = ("dataclasses", "inspect")
     (["ledger", "--window", "0", "1"],
      ("catalog", "expansion", "homology", "linalg", "diagramio", "acceptance", "openbook"),
      _RECORD_CODEGEN),
+    (["ledger", "--knot", "T(2,3)", "--tb", "1", "--rot", "0", "--sl", "1", "--binding"],
+     ("expansion", "homology", "linalg", "diagramio", "openbook", "acceptance"),
+     _RECORD_CODEGEN),
     (["classify", "--knot", "T(2,3)"],
      ("openbook", "expansion", "homology", "linalg", "diagramio", "acceptance"),
      _RECORD_CODEGEN),
     (["expand", "--tb", "-1", "--rot", "0", "--coeff", "3"],
      ("linalg", "homology", "ledger", "openbook", "catalog", "acceptance", "diagramio"),
      _RECORD_CODEGEN),
-], ids=["d3", "homology", "catalog", "openbook", "ledger", "classify", "expand"])
+], ids=["d3", "homology", "catalog", "openbook", "ledger", "ledger-knot", "classify",
+        "expand"])
 def test_cli_verb_loads_only_the_modules_it_uses(argv, unloaded, unloaded_stdlib):
     loaded = _modules_loaded_by("-m", "contactsurgery.cli", *argv)
     assert "contactsurgery.errors" in loaded
@@ -677,11 +686,20 @@ def _long_alphabet_name_without_a_class(tmp_path):
     return _file_input("openbook", dict(_BOOK, alphabet={_LONG_TEXT: "notalist"}))(tmp_path), 2
 
 
+def _long_path(*argv):
+    # A file name of 100,000 characters cannot be opened; the path is echoed once.
+    return lambda tmp_path: ([*argv, _LONG_TEXT], 2)
+
+
 @pytest.mark.parametrize("case", [_long_rule_facts, _long_name_catalog,
                                   _long_name_without_max_sl_or_max_tb,
-                                  _long_alphabet_name_without_a_class],
+                                  _long_alphabet_name_without_a_class,
+                                  _long_path("d3", "--file"), _long_path("openbook", "--file"),
+                                  _long_path("ledger", "--facts"),
+                                  _long_path("catalog", "--list", "--catalog")],
                          ids=["contradiction-rule", "knot-type-name", "incomplete-knot-name",
-                              "alphabet-name-path"])
+                              "alphabet-name-path", "diagram-path", "openbook-path",
+                              "facts-path", "catalog-path"])
 def test_library_errors_quote_free_text(tmp_path, capsys, case):
     argv, code = case(tmp_path)
     assert main(argv) == code
@@ -883,7 +901,7 @@ def test_cli_ledger_rejects_bad_fact_records(tmp_path, capsys, record, field):
     assert main(["ledger", "--facts", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"input error: {path}{field}:")
+    assert captured.err.startswith(f"input error: {errors.quote(path)}{field}:")
 
 
 def test_cli_ledger_accepts_null_offset_for_zero(tmp_path, capsys):
@@ -900,6 +918,49 @@ def test_cli_ledger_rejects_an_even_self_linking_number(capsys, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --sl:" in captured.err and "Traceback" not in captured.err
+
+
+_SEED_KNOTS = {name: Catalog.builtin().lookup(name) for name in Catalog.builtin().names()}
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(sorted(_SEED_KNOTS)), st.none() | st.integers(-8, 42),
+       st.integers(-8, 8), st.none() | st.integers(-4, 21).map(lambda k: 2 * k + 1),
+       st.booleans())
+@example("T(2,3)", 1, 4, None, False)
+@example("T(2,3)", None, 0, 9, True)
+@example("T(2,3)", 1, 0, 1, True)
+def test_cli_ledger_refuses_exactly_the_subjects_past_the_bounds(name, tb, rot, sl, binding):
+    knot = _SEED_KNOTS[name]
+    argv = ["ledger", "--knot", name]
+    if tb is not None:
+        rot += (tb + rot + 1) % 2
+        argv += [f"--tb={tb}", f"--rot={rot}"]
+    if sl is not None:
+        argv.append(f"--sl={sl}")
+    if binding:
+        argv.append("--binding")
+    # The bounds: Rudolph's tb + |rot| <= 2 g_s - 1 and tb <= max_tb;
+    # sl <= max_sl and sl <= 2 g_s - 1.
+    bound = 2 * knot.slice_genus - 1
+    legendrian_ok = tb is None or (tb + abs(rot) <= bound and tb <= knot.max_tb)
+    transverse_ok = sl is None or (sl <= bound and sl <= knot.max_sl)
+    code, out, err = _run_main(argv)
+    if legendrian_ok and transverse_ok:
+        # An accepted subject prints what it printed before the check.
+        with mock.patch.object(ledger, "check_realizable", lambda *args, **kwargs: None):
+            assert (code, out, err) == (0, *_run_main(argv)[1:])
+        return
+    flags = f"--tb {tb} --rot {rot}" if not legendrian_ok else f"--sl {sl}"
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {flags}: ") and err.count("\n") == 1
 
 
 def _catalog_file(tmp_path, **fields):
@@ -1030,7 +1091,7 @@ def test_cli_openbook_cap_rejects_unusable_boundary_classes(
     path.write_text(json.dumps(book))
     _assert_input_error(
         ["openbook", "--file", str(path), "--cap", "0"], capsys,
-        f"{path}.surface.boundary_classes[0]: ", reason,
+        f"{errors.quote(path)}.surface.boundary_classes[0]: ", reason,
     )
 
 
@@ -1053,7 +1114,8 @@ def test_cli_openbook_rejects_entries_that_are_not_integers(
     edit(book)
     path = tmp_path / "book.json"
     path.write_text(json.dumps(book))
-    _assert_input_error(["openbook", "--file", str(path), *flags], capsys, f"{path}.{field}: ")
+    _assert_input_error(["openbook", "--file", str(path), *flags], capsys,
+                        f"{errors.quote(path)}.{field}: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -1075,7 +1137,7 @@ def test_cli_openbook_cap_of_the_last_boundary(tmp_path, capsys):
     }))
     _assert_input_error(
         ["openbook", "--file", str(path), "--cap", "0"], capsys,
-        f"--cap 0: {path}.surface.boundary: ",
+        f"--cap 0: {errors.quote(path)}.surface.boundary: ",
     )
 
 
@@ -1099,7 +1161,7 @@ def test_cli_openbook_rejects_a_letter_that_is_not_a_name_and_sign(
     path = tmp_path / "book.json"
     path.write_text(json.dumps(book))
     _assert_input_error(["openbook", "--file", str(path), *flags], capsys,
-                        f"{path}.word[{index}]: ")
+                        f"{errors.quote(path)}.word[{index}]: ")
 
 
 @settings(max_examples=200, deadline=None, database=None)
