@@ -107,6 +107,7 @@ class ContactSurgeryPresentation(Record):
     """
 
     _fields = ("components", "overtwisted")
+    _defaults = {"components": (), "overtwisted": False}
 
     # The `Expansion` that built this presentation, whose linking matrix
     # it shares, and the linking matrix `homology.linking_matrix` built for
@@ -114,8 +115,6 @@ class ContactSurgeryPresentation(Record):
     # ignore them, and a presentation built from the same fields has neither.
     _expansion = None
     _matrix = None
-
-    _defaults = {"components": (), "overtwisted": False}
 
     def _check(self) -> None:
         plus_ones = [i for i, c in enumerate(self.components) if c.coefficient == 1]
