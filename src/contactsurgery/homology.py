@@ -9,11 +9,14 @@ rotation numbers, and assemble the d3 invariant
 
 normalized so the empty diagram yields -1/2.  All arithmetic is exact.
 
-`d3_invariant` reads det * c^2 as one integer (`PushoffChain.adjugate_form`)
+`d3_invariant` reads det and signature from `pushoff_chain`'s forward pass
+and det * c^2 as one integer from a second forward pass
+(`PushoffChain.adjugate_form`), each in O(n) steps by small multipliers,
 and divides once, by 4 * det; only `spin_c_evaluation` builds the
-solution's `Fraction`s.  Every presentation factors its linking matrix
-once: an expansion's presentations share one matrix, and any other
-presentation keeps the matrix `linking_matrix` built for it.
+solution's `Fraction`s, from the tail continuants.  Every presentation
+factors its linking matrix once: an expansion's presentations share one
+matrix, and any other presentation keeps the matrix `linking_matrix`
+built for it.
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@
 
 Everything here is deterministic and float-free.  Pushoff-chain
 matrices, the linking matrices of every surgery presentation, are given
-by their diagonal and linking tuples (`LinkingMatrix`) and have an O(n)
-kernel (`pushoff_chain`) that never builds the n x n matrix; every
-other square integer matrix goes through one fraction-free
-elimination, `_eliminate`, which `det_int`, `signature_exact` and
-`solve_exact` expose.
+by their diagonal and linking tuples (`LinkingMatrix`).  For them
+`pushoff_chain` and `PushoffChain.adjugate_form` give det, signature and
+det * c^2 in O(n) integer steps that multiply by small integers only,
+and never build the n x n matrix.  Every other square integer matrix
+goes through one fraction-free elimination, `_eliminate`, which
+`det_int`, `signature_exact` and `solve_exact` expose.
 """
 
 from __future__ import annotations
@@ -24,45 +25,34 @@ class PushoffChain(Record):
     """A pushoff-chain matrix M in its tridiagonal form T = P^T M P.
 
     P is the unimodular basis change e_0 = x_0, e_j = x_j - x_{j-1}.
-    `off_diagonal[k]` is T[k][k + 1].  `continuants[k]` is det T[k:, k:],
-    so `continuants[0]` = det M and `continuants[n]` = 1.
+    `diagonal[k]` is a_k = T[k][k] and `off_diagonal[k]` is
+    b_k = T[k][k + 1]; `determinant` and `signature` are M's.
     """
 
-    _fields = ("diagonal", "off_diagonal", "continuants", "signature")
+    _fields = ("diagonal", "off_diagonal", "determinant", "signature")
 
-    @property
-    def determinant(self) -> int:
-        return self.continuants[0]
+    @cached_property
+    def continuants(self) -> tuple[int, ...]:
+        """The tail continuants P_k = det T[k:, k:], k = 0, ..., n, built
+        from the tail: P_k = a_k P_{k+1} - b_k^2 P_{k+2}."""
+        p = [0, 1]  # P_{n+1} = 0, P_n = 1, then P_{n-1}, ...
+        for ak, bk in zip(reversed(self.diagonal), reversed((*self.off_diagonal, 0))):
+            p.append(ak * p[-1] - bk * bk * p[-2])
+        return tuple(p[:0:-1])
 
     def solve(self, rhs) -> tuple[tuple[Fraction, ...], Fraction]:
-        """The solution x of M x = rhs and x . rhs, exactly: x_j =
-        (w_j - w_{j+1}) / det and x . rhs = (w . r) / det (see `_adjugate`)."""
-        det = self.continuants[0]
+        """The solution x of M x = rhs and x . rhs, exactly.
+
+        adj(T) has entry (k, j), k <= j, equal to (-1)^(j-k) b_k ... b_{j-1}
+        h_k P_{j+1}, for the head continuants h_k = det T[:k, :k].  So for
+        r = P^T rhs, w = adj(T) r has w_k = h_k s_k + P_{k+1} u_k, with
+        s_k = P_{k+1} r_k - b_k s_{k+1} (backward) and u_{k+1} =
+        -b_k (h_k r_k + u_k) (forward).  As adj(M) = P adj(T) P^T,
+        x_j = (w_j - w_{j+1}) / det and x . rhs = (w . r) / det.
+        """
+        det = self.determinant
         if det == 0:
             raise ZeroDivisionError("matrix is singular")
-        r, w = self._adjugate(rhs)
-        w.append(0)
-        solution = tuple(Fraction(x - y, det) for x, y in zip(w, w[1:]))
-        return solution, Fraction(sum(map(mul, w, r)), det)
-
-    def adjugate_form(self, rhs) -> int:
-        """rhs^T adj(M) rhs = w . r, an integer; det * rhs^T M^-1 rhs when M
-        is invertible, so det * c^2 without building a solution."""
-        r, w = self._adjugate(rhs)
-        return sum(map(mul, w, r))
-
-    def _adjugate(self, rhs) -> tuple[list[int], list[int]]:
-        """r = P^T rhs and w = adj(T) r, in integers.
-
-        The adjugate of T has entry (k, j), k <= j, equal to
-        (-1)^(j-k) b_k ... b_{j-1} h_k P_{j+1} for the head continuants
-        h_k = det T[:k, :k].  So w_k = h_k s_k + P_{k+1} u_k with
-        s_k = P_{k+1} r_k - b_k s_{k+1} (backward) and
-        u_{k+1} = -b_k (h_k r_k + u_k) (forward, building h).  As P is
-        unimodular, adj(M) = P adj(T) P^T: the solution of M x = rhs is
-        x = P w / det, that is x_j = (w_j - w_{j+1}) / det, and
-        rhs^T adj(M) rhs = w . r.
-        """
         a, p = self.diagonal, self.continuants
         b = self.off_diagonal + (0,)
         r = [y - x for x, y in zip((0, *rhs), rhs)]
@@ -76,49 +66,59 @@ class PushoffChain(Record):
             w.append(h * sk + pk * u)
             u = -bk * (h * rk + u)
             h, h_prev, b_prev = ak * h - b_prev * b_prev * h_prev, h, bk
-        return r, w
+        w.append(0)
+        solution = tuple(Fraction(x - y, det) for x, y in zip(w, w[1:]))
+        return solution, Fraction(sum(map(mul, w, r)), det)
 
-
-def _tail(diagonal, linking):
-    """(a_k, b_k) for k = n - 1, ..., 0: the tridiagonal form of the chain.
-
-    a_0 = d_0, a_k = d_k - 2 t_{k-1} + d_{k-1} and b_k = t_k - d_k, with
-    b_{n-1} = 0, for d = diagonal and t = linking.
-    """
-    b = 0
-    for k in range(len(diagonal) - 1, 0, -1):
-        yield diagonal[k] - 2 * linking[k - 1] + diagonal[k - 1], b
-        b = linking[k - 1] - diagonal[k - 1]
-    if diagonal:
-        yield diagonal[0], b
+    def adjugate_form(self, rhs) -> int:
+        """rhs^T adj(M) rhs = r^T adj(T) r = -det [[T, r], [r^T, 0]] for
+        r = P^T rhs, an integer: det * c^2 with no solution built.  Expanding
+        the bordered leading blocks by their last row, the forms
+        F_m = r[:m]^T adj(T[:m, :m]) r[:m] obey F_{m+1} = a_m F_m -
+        b_{m-1}^2 F_{m-1} - 2 b_{m-1} r_m beta_m + r_m^2 h_m and beta_{m+1} =
+        r_m h_m - b_{m-1} beta_m, from F_0 = beta_0 = 0 and the head
+        continuants h, h_0 = 1: every multiplier is small."""
+        h, h_prev, f, f_prev, beta, b_prev, x = 1, 0, 0, 0, 0, 0, 0  # x: rhs_{m-1}
+        for ak, bk, y in zip(self.diagonal, self.off_diagonal + (0,), rhs):
+            bb, rk, x = b_prev * b_prev, y - x, y
+            f, f_prev = ak * f - bb * f_prev, f
+            beta = -b_prev * beta
+            if rk:  # r_m = 0 along each run of terms 2 in a chain
+                f += rk * (rk * h + 2 * beta)
+                beta += rk * h
+            h, h_prev, b_prev = ak * h - bb * h_prev, h, bk
+        return f
 
 
 def pushoff_chain(diagonal, linking) -> PushoffChain:
-    """Tridiagonal form of a pushoff-chain matrix, eliminated from the tail.
+    """Tridiagonal form of a pushoff-chain matrix, with det and signature
+    from one forward pass.
 
     A pushoff chain M has `diagonal` on its diagonal and
     M[i][j] = linking[min(i, j)] off it.  In the basis e_j = x_j - x_{j-1}
-    it is tridiagonal (see `_tail`), and one pass of continuants gives det
-    and signature in O(n) integer steps.
+    it is tridiagonal: a_0 = d_0, a_k = d_k - 2 t_{k-1} + d_{k-1} and
+    b_k = t_k - d_k, for d = diagonal and t = linking.
 
-    The signature is Jacobi's rule, the sum of sign(Q_k Q_{k+1}), on the
-    continuants Q of T's irreducible blocks: the rule restarts with
-    Q_{k+1} = 1 at each b_k = 0.  Inside a block a zero Q_k has neighbours
-    of opposite sign, so its two zero terms add up to the right count; on
-    the global continuants a singular block would zero every term before it.
+    T splits into irreducible blocks at each b_{k-1} = 0, and each block's
+    head continuants Q_{k+1} = a_k Q_k - b_{k-1}^2 Q_{k-1} start again from
+    Q = 1.  det is the product of the blocks' last Q.  The signature is
+    Jacobi's rule, the sum of sign(Q_k Q_{k+1}) within each block, read by
+    comparing signs.  Inside a block a zero Q_k has neighbours of opposite
+    sign, so its two zero terms add up to the right count; on the global
+    continuants a singular block would zero every term after it.
     """
-    a, b, p = [], [], [0, 1]  # p: P_{n+1} = 0, P_n = 1, then P_{n-1}, ...
-    signature, q, q1 = 0, 1, 0  # q, q1: Q_{k+1}, Q_{k+2}
-    for ak, bk in _tail(diagonal, linking):
-        a.append(ak)
-        b.append(bk)
-        bb = bk * bk
-        p.append(ak * p[-1] - bb * p[-2])
-        if not bk:
-            q = 1
-        q, q1 = ak * q - bb * q1, q
-        signature += (q * q1 > 0) - (q * q1 < 0)
-    return PushoffChain(tuple(a[::-1]), tuple(b[:0:-1]), tuple(p[:0:-1]), signature)
+    b = tuple([t - d for t, d in zip(linking, diagonal)])
+    a = (*diagonal[:1], *[d - t - bk for d, t, bk in zip(diagonal[1:], linking, b)])
+    det, signature, q, q_prev = 1, 0, 1, 0
+    for ak, bk in zip(a, (0, *b)):  # bk = b_{k-1}
+        if bk:
+            q, q_prev = ak * q - bk * bk * q_prev, q
+        else:
+            det *= q
+            q, q_prev = ak, 1
+        if q and q_prev:
+            signature += 1 if (q > 0) == (q_prev > 0) else -1
+    return PushoffChain(a, b, det * q, signature)
 
 
 def chain_entries(diagonal, linking) -> IntMatrix:

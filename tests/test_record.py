@@ -33,9 +33,9 @@ CASES = {
         lambda: ContactSurgeryPresentation((Component(LegendrianKnot(-2, -1), 1),), True),
         f"ContactSurgeryPresentation(components=(Component(legendrian={_KNOT}, "
         "coefficient=1, negative_stabs=0, positive_stabs=0),), overtwisted=True)"),
-    "PushoffChain": (lambda: PushoffChain((0, -3), (-1,), (-1, -3, 1), 0),
+    "PushoffChain": (lambda: PushoffChain((0, -3), (-1,), -1, 0),
                      "PushoffChain(diagonal=(0, -3), off_diagonal=(-1,), "
-                     "continuants=(-1, -3, 1), signature=0)"),
+                     "determinant=-1, signature=0)"),
     "LinkingMatrix": (lambda: LinkingMatrix((0, -3), (-1,)),
                       "LinkingMatrix(diagonal=(0, -3), linking=(-1,))"),
     "LedgerSubject": (lambda: LedgerSubject(LegendrianKnot(-2, -1), binding=True),
