@@ -21,12 +21,16 @@ READ_CAP = 64 * 2**20
 
 
 def quote(value) -> str:
-    """The start of an input's text, str(value), for a message."""
+    """The start of an input's text, str(value), for a message, with each
+    character that is not printable (a NUL, a newline) escaped."""
     try:
         text = str(value)
     except ValueError:  # an integer past Python's int-to-str limit
         return "<an integer too long to print>"
-    return text if len(text) <= QUOTE_CAP else text[:QUOTE_CAP] + "..."
+    text = text if len(text) <= QUOTE_CAP else text[:QUOTE_CAP] + "..."
+    if text.isprintable():
+        return text
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
 class ContactSurgeryError(Exception):
@@ -132,22 +136,25 @@ def read_json(path: str):
             # In blocks: a single read(READ_CAP + 1) allocates all of it at once.
             while len(data) <= READ_CAP and (block := fh.read(2**16)):
                 data += block
-        if len(data) <= READ_CAP:
-            return json.loads(data.decode("utf-8"))
+    except OSError as exc:
+        # str(exc) would name the path a second time, unquoted.
+        raise DiagramFormatError(f"{where}: cannot read the file: {exc.strerror}") from exc
+    except ValueError as exc:  # a NUL in the path
+        raise DiagramFormatError(f"{where}: cannot read the file: {exc}") from exc
+    if len(data) > READ_CAP:
+        raise DiagramFormatError(f"{where}: the file is larger than {READ_CAP >> 20} MiB")
+    try:
+        return json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise DiagramFormatError(
             f"{where}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except OSError as exc:
-        # str(exc) would name the path a second time, unquoted.
-        raise DiagramFormatError(f"{where}: cannot read the file: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise DiagramFormatError(f"{where}: cannot read the file: {exc}") from exc
     except ValueError as exc:
         raise DiagramFormatError(f"{where}: an integer has too many digits") from exc
     except RecursionError as exc:
         raise DiagramFormatError(f"{where}: the JSON nests too deeply") from exc
-    raise DiagramFormatError(f"{where}: the file is larger than {READ_CAP >> 20} MiB")
 
 
 # The default of a field that read_field requires.

@@ -347,3 +347,55 @@ def test_a_standalone_presentation_factors_its_matrix_once(make, monkeypatch):
     assert linking_matrix(copy) is not matrix
     assert linking_matrix(copy) == matrix
     assert linking_matrix(fresh) is not matrix
+
+
+@st.composite
+def tridiagonals(draw):
+    """(diagonal, linking, rhs) of a pushoff chain drawn through its
+    tridiagonal form: a_k and b_k so small that b_k = 0 (a split into
+    blocks, some singular) and zero head and tail continuants are common,
+    with n = 0 and n = 1 among them."""
+    n = draw(st.integers(0, 9))
+    a = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(-2, 2), min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
+    # Invert a_0 = d_0, b_k = t_k - d_k and a_k = d_k - 2 t_{k-1} + d_{k-1}.
+    d, t = a[:1], []
+    for ak, bk in zip(a[1:], b):
+        t.append(d[-1] + bk)
+        d.append(ak + 2 * t[-1] - d[-1])
+    rhs = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    return tuple(d), tuple(t), tuple(rhs)
+
+
+@st.composite
+def presentation_chains(draw):
+    """(diagonal, linking, rot) of a presentation, +1 heads included."""
+    presentation = draw(presentations())
+    matrix = linking_matrix(presentation)
+    return matrix.diagonal, matrix.linking, tuple(c.legendrian.rot for c in presentation.components)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(st.one_of(tridiagonals(), presentation_chains()))
+@example(((), (), ()))  # n = 0
+@example(((-2,), (), (3,)))  # n = 1
+@example(((3, 3), (3,), (1, -2)))  # T = diag(3, 0): a singular block at b_0 = 0
+@example(((0, 3), (0,), (1, 1)))  # T = diag(0, 3): global head continuants (1, 0, 0)
+@example(((1, 4, 7), (2, 4), (1, 0, -1)))  # a singular block, then b_1 = 0
+@example(((0, 3), (1,), (1, 1)))  # a zero head continuant, h_1 = a_0 = 0
+@example(((1, 4, 7), (2, 5), (2, -1, 1)))  # an interior zero head continuant, h_2 = 0
+@example(((-1, 0, 1), (0, 1), (1, -2, 3)))  # a zero tail continuant, P_1 = 0
+@example(((-1, -3), (-2,), (1, 1)))  # a +1 head, then its unstabilized pushoff: P_1 = 0
+def test_forward_passes_match_the_bordered_determinant(chain):
+    # det and signature from the one forward pass, and rhs^T adj(M) rhs from
+    # the bordered recurrence, against the generic elimination on the n x n
+    # entries; the tail continuants `solve` reads end in det and 1.
+    diagonal, linking, rhs = chain
+    entries = chain_entries(diagonal, linking)
+    kernel = pushoff_chain(diagonal, linking)
+    assert (kernel.determinant, kernel.signature) == (det_int(entries), signature_exact(entries))
+    form = kernel.adjugate_form(rhs)
+    assert isinstance(form, int)
+    assert form == -det_int(bordered(entries, rhs))
+    assert kernel.continuants[0] == kernel.determinant
+    assert kernel.continuants[len(diagonal)] == 1

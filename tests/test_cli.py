@@ -256,6 +256,25 @@ def test_cli_missing_file_exit_code(capsys):
     assert main(["d3", "--file", "/nonexistent/diagram.json"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["d3", "--file"], ["openbook", "--file"], ["ledger", "--facts"],
+    ["catalog", "--list", "--catalog"],
+], ids=["diagram", "openbook", "facts", "catalog"])
+def test_cli_a_path_with_a_nul_cannot_be_read(capsys, argv):
+    # open() refuses an embedded NUL with ValueError, not OSError; the echo
+    # escapes the NUL.
+    assert main(argv + ["a\x00b"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: a\\x00b: cannot read the file: embedded null byte\n"
+
+
+def test_quote_escapes_what_is_not_printable():
+    assert errors.quote("a\x00b\tc\n") == "a\\x00b\\tc\\n"
+    assert errors.quote("\x1b" * 50) == "\\x1b" * errors.QUOTE_CAP + "..."
+    assert errors.quote("nœud ü") == "nœud ü"
+
+
 @pytest.mark.parametrize("verb", ["d3", "homology", "openbook"])
 def test_cli_unreadable_file_exit_code(tmp_path, capsys, verb):
     undecodable = tmp_path / "latin1.json"
@@ -1073,7 +1092,7 @@ def _assert_input_error(argv, capsys, *fragments):
 def test_cli_openbook_cap_out_of_range(capsys, index):
     _assert_input_error(
         ["openbook", "--file", FIXTURE_BOOK, "--cap", index], capsys,
-        f"--cap {index}: {FIXTURE_BOOK}.surface.boundary_classes[{index}]: ",
+        f"--cap {index}: {errors.quote(FIXTURE_BOOK)}.surface.boundary_classes[{index}]: ",
     )
 
 
