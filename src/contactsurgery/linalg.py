@@ -80,12 +80,9 @@ class PushoffChain(Record):
         continuants h, h_0 = 1: every multiplier is small."""
         h, h_prev, f, f_prev, beta, b_prev, x = 1, 0, 0, 0, 0, 0, 0  # x: rhs_{m-1}
         for ak, bk, y in zip(self.diagonal, self.off_diagonal + (0,), rhs):
-            bb, rk, x = b_prev * b_prev, y - x, y
-            f, f_prev = ak * f - bb * f_prev, f
-            beta = -b_prev * beta
-            if rk:  # r_m = 0 along each run of terms 2 in a chain
-                f += rk * (rk * h + 2 * beta)
-                beta += rk * h
+            rk, x, bb = y - x, y, b_prev * b_prev
+            f, f_prev = ak * f - bb * f_prev - 2 * b_prev * rk * beta + rk * rk * h, f
+            beta = rk * h - b_prev * beta
             h, h_prev, b_prev = ak * h - bb * h_prev, h, bk
         return f
 
