@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .errors import InvalidCoefficient, OutOfRange, UnsupportedCoefficient, quote
 from .legendrian import NEGATIVE, POSITIVE, LegendrianKnot, stabilize
-from .record import Record
+from .record import Record, set_field
 
 ROLE_PLUS_ONE = "originalPlusOne"
 ROLE_CHAIN = "chainLink"
@@ -26,6 +26,11 @@ ROLE_CHAIN = "chainLink"
 # The most terms a negative continued fraction may have.  Contact r-surgery
 # for r = 10**400 or r = -10**-30 would expand along about 10**400 or 10**30.
 TERMS_CAP = 10**6
+
+# The most chain-link components one iteration of an `Expansion` keeps for
+# reuse, a few hundred bytes each (about 1.3 MB when full); a full cache is
+# cleared, so a stream's memory stays bounded however long it runs.
+LINK_CACHE_CAP = 4096
 
 
 def negative_continued_fraction(x) -> tuple[int, ...]:
@@ -117,10 +122,15 @@ class ContactSurgeryPresentation(Record):
     _matrix = None
 
     def _check(self) -> None:
-        plus_ones = [i for i, c in enumerate(self.components) if c.coefficient == 1]
-        if len(plus_ones) > 1:
-            raise ValueError("at most one +1 component is allowed")
-        if plus_ones and plus_ones[0] != 0:
+        # One pass: a second +1 is reported before a misplaced one.
+        components = self.components
+        seen, misplaced = bool(components) and components[0].coefficient == 1, False
+        for c in components[1:]:
+            if c.coefficient == 1:
+                if seen:
+                    raise ValueError("at most one +1 component is allowed")
+                seen = misplaced = True
+        if misplaced:
             raise ValueError("the +1 component must precede the chain")
 
     def tb_rot_profile(self) -> tuple[tuple[int, int], ...]:
@@ -146,7 +156,18 @@ class Expansion:
     Iteration extends each prefix of choices in turn, so the next
     presentation rebuilds only the links after the last choice that
     changed; an int index builds its presentation in O(links), and a
-    slice returns a tuple.
+    slice returns a tuple.  Both take one generator, `_presentations`.
+
+    Link j's component is fixed by (j, its rot, p_j).  In iteration order
+    links 0 and 1 never meet a key twice: link 0 starts from the knot's
+    rot, and link 1 from a rot that differs for each p_0.  From link 2 on,
+    different prefixes reach the same rot, so an iteration keeps those
+    links' components by key and reuses each; the cache is cleared when
+    it holds LINK_CACHE_CAP of them.  A one- or two-link expansion keeps
+    no cache, and a stream holds O(links) memory plus at most
+    LINK_CACHE_CAP components.  A presentation costs one tuple, one record
+    and its one-pass check, plus a component built, or found, for each
+    link after the last choice that changed.
     """
 
     def __init__(self, knot: LegendrianKnot, terms: tuple[int, ...], plus_one: bool):
@@ -179,23 +200,7 @@ class Expansion:
         return self.count
 
     def __iter__(self):
-        links = self._links
-        plus = [0] * len(links)
-        rots = [self.knot.rot] * (len(links) + 1)
-        chain = [None] * len(links)
-        movable = [j for j, (_, k) in enumerate(links) if k]
-        start = 0
-        while True:
-            yield self._build(chain, rots, plus, start)
-            # The next mixed-radix number: the last link that has a further
-            # choice takes it, and the links after it start over.
-            for start in reversed(movable):
-                if plus[start] < links[start][1]:
-                    plus[start] += 1
-                    break
-                plus[start] = 0
-            else:
-                return
+        return self._presentations([0] * len(self._links))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -210,20 +215,45 @@ class Expansion:
         for j in reversed(range(len(links))):
             if links[j][1]:
                 i, plus[j] = divmod(i, links[j][1] + 1)
-        return self._build([None] * len(links), [self.knot.rot] * (len(links) + 1), plus, 0)
+        return next(self._presentations(plus))
 
-    def _build(self, chain, rots, plus, start) -> ContactSurgeryPresentation:
-        # Links before `start` are those of the previous presentation; link j
-        # starts from its predecessor's rot, rots[j], in O(1).
-        links = self._links
-        for j in range(start, len(chain)):
-            tb, k = links[j]
-            p = plus[j]
-            rots[j + 1] = rot = rots[j] + 2 * p - k
-            chain[j] = Component(LegendrianKnot(tb, rot), -1, k - p, p)
-        presentation = ContactSurgeryPresentation(self.head + tuple(chain))
-        object.__setattr__(presentation, "_expansion", self)
-        return presentation
+    def _presentations(self, plus):
+        """The presentations from the choice `plus` on, in order."""
+        links, head = self._links, self.head
+        rots = [self.knot.rot] * (len(links) + 1)
+        chain = [None] * len(links)
+        movable = [j for j, (_, k) in enumerate(links) if k]
+        cache = {}
+        start = 0
+        while True:
+            # Links before `start` are those of the previous presentation;
+            # link j starts from its predecessor's rot, rots[j], in O(1).
+            for j in range(start, len(chain)):
+                tb, k = links[j]
+                p = plus[j]
+                rots[j + 1] = rot = rots[j] + 2 * p - k
+                key = (j, rot, p)
+                component = cache.get(key)
+                if component is None:
+                    component = Component(LegendrianKnot(tb, rot), -1, k - p, p)
+                    # Links 0 and 1 never see a key twice (see the class).
+                    if j > 1:
+                        if len(cache) >= LINK_CACHE_CAP:
+                            cache.clear()
+                        cache[key] = component
+                chain[j] = component
+            presentation = ContactSurgeryPresentation(head + tuple(chain))
+            set_field(presentation, "_expansion", self)
+            yield presentation
+            # The next mixed-radix number: the last link that has a further
+            # choice takes it, and the links after it start over.
+            for start in reversed(movable):
+                if plus[start] < links[start][1]:
+                    plus[start] += 1
+                    break
+                plus[start] = 0
+            else:
+                return
 
 
 def _chain_terms(r) -> tuple[bool, tuple[int, ...]]:

@@ -26,6 +26,7 @@ from contactsurgery.expansion import (
     presentation_for_framing,
 )
 from contactsurgery.homology import linking_matrix
+from contactsurgery import expansion as expansion_module
 from contactsurgery import legendrian
 from contactsurgery.legendrian import LegendrianKnot, stabilize
 
@@ -324,6 +325,10 @@ def test_expand_matches_brute_force(knot, r):
 @example(LegendrianKnot(-2, 1), Fraction(7, 2))
 @example(LegendrianKnot(-1, 0), Fraction(-9, 7))
 def test_every_index_matches_iteration_and_brute_force(knot, r):
+    assert_matches_brute_force(knot, r)
+
+
+def assert_matches_brute_force(knot, r):
     expansion = expand(knot, r)
     iterated = tuple(expansion)
     reference = reference_expansion(knot, r)
@@ -331,6 +336,52 @@ def test_every_index_matches_iteration_and_brute_force(knot, r):
     for i, presentation in enumerate(reference):
         assert expansion[i] == iterated[i] == presentation
         assert expansion[i - len(reference)] == presentation
+
+
+def coefficient_of(terms, plus_one: bool) -> Fraction:
+    """The r whose chain has these continued fraction terms: 1 - r = [terms]
+    without a +1 head, 1 - r/(1 - r) = [terms] with one, for [terms] > 2."""
+    x = evaluate_continued_fraction(terms)
+    return (x - 1) / (x - 2) if plus_one else 1 - x
+
+
+# coefficients() (q <= 12) seldom gives more than two links with
+# stabilizations, so it seldom reaches the links from 2 on, whose components
+# an iteration keeps and reuses; these terms are drawn directly.
+@SETTINGS
+@given(knots(), st.booleans(), st.lists(st.integers(2, 8), min_size=1, max_size=5))
+@example(LegendrianKnot(-1, 0), False, [8, 8, 8])
+@example(LegendrianKnot(-2, 1), True, [8, 8, 8])
+@example(LegendrianKnot(-1, 0), False, [5, 5, 5, 5])
+@example(LegendrianKnot(-3, 2), True, [5, 5, 5, 5])
+def test_drawn_terms_match_brute_force(knot, plus_one, terms):
+    assume(not plus_one or terms[0] > 2)  # [terms] > 2 exactly when a_0 > 2
+    r = coefficient_of(terms, plus_one)
+    assert chain_terms(r) == tuple(terms)
+    assert_matches_brute_force(knot, r)
+
+
+def test_a_cache_cleared_when_full_matches_brute_force(monkeypatch):
+    # Two entries: links 2 and 3 clear the cache every few presentations.
+    monkeypatch.setattr(expansion_module, "LINK_CACHE_CAP", 2)
+    assert_matches_brute_force(LegendrianKnot(-1, 0), coefficient_of((5, 5, 5, 5), True))
+
+
+def test_streaming_an_expansion_keeps_bounded_memory():
+    # Four links of 300 stabilizations each.  Over the first 80,000
+    # presentations, link 3 meets a new (rot, p_3) at each one, so a cache
+    # without a bound would grow with the number iterated.
+    expansion = expand(LegendrianKnot(-1, 0), coefficient_of((302,) * 4, False))
+    peaks = []
+    for n in (20_000, 80_000):
+        tracemalloc.start()
+        try:
+            for _ in itertools.islice(expansion, n):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 def test_indices_slices_and_index_error():
@@ -505,6 +556,10 @@ def test_component_role_follows_its_coefficient():
 @pytest.mark.parametrize("coefficients, message", [
     ((1, 1), "at most one \\+1 component is allowed"),
     ((-1, 1), "the \\+1 component must precede the chain"),
+    # A second +1 is reported before a misplaced one.
+    ((-1, 1, 1), "at most one \\+1 component is allowed"),
+    ((1, -1, 1), "at most one \\+1 component is allowed"),
+    ((-1, -1, 1), "the \\+1 component must precede the chain"),
 ])
 def test_presentation_rejects_a_misplaced_plus_one(coefficients, message):
     knot = LegendrianKnot(-5, 0)

@@ -89,6 +89,10 @@ CASES = {
                       SIZES, 2.05),
     "openbook-action": (_with_file(_word, "openbook", "--file", "FILE", "--action"),
                         SIZES, 2.05),
+    # 1 - r = [12, 12, 12]: three links of 10 stabilizations, 1,331 presentations.
+    "expand-presentations": (lambda tmp_path, n: ["expand", "--tb", "-1", "--rot", "0",
+                                                  "--coeff=-1561/143", "--limit", str(n)],
+                             SIZES, 2.05),
     # A page of 800 boundary components alone takes about a minute traced.
     "openbook-cap": (_with_file(_page, "openbook", "--file", "FILE", "--cap", "0"),
                      (50, 100, 200), 4.1),
