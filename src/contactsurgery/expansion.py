@@ -14,6 +14,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 
 from .errors import InvalidCoefficient, OutOfRange, UnsupportedCoefficient, quote
 from .legendrian import NEGATIVE, POSITIVE, LegendrianKnot, stabilize
@@ -151,12 +152,13 @@ class Expansion:
 
     Every presentation has the same tbs and coefficients, so all of them
     share one `LinkingMatrix`, `matrix`, built on first use, and its
-    factorization is run at most once.  `count` = prod(a_j - 1) is an
+    chain kernel runs at most once.  `count` = prod(a_j - 1) is an
     int; `len` raises OverflowError past sys.maxsize, as for a range.
     Iteration extends each prefix of choices in turn, so the next
     presentation rebuilds only the links after the last choice that
     changed; an int index builds its presentation in O(links), and a
-    slice returns a tuple.  Both take one generator, `_presentations`.
+    slice a tuple, iterating from its start when its step is 1.  All
+    take one generator, `_presentations`.
 
     Link j's component is fixed by (j, its rot, p_j).  In iteration order
     links 0 and 1 never meet a key twice: link 0 starts from the knot's
@@ -200,26 +202,29 @@ class Expansion:
         return self.count
 
     def __iter__(self):
-        return self._presentations([0] * len(self._links))
+        return self._presentations(0)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(*index.indices(self.count))))
+            indices = range(*index.indices(self.count))
+            if indices.step == 1 and indices:
+                return tuple(islice(self._presentations(indices.start), len(indices)))
+            return tuple(next(self._presentations(i)) for i in indices)
         i = operator.index(index)
         if i < 0:
             i += self.count
         if not 0 <= i < self.count:
             raise IndexError("Expansion index out of range")
-        links = self._links
+        return next(self._presentations(i))
+
+    def _presentations(self, i):
+        """The presentations in order, from index i (0 <= i < count) on."""
+        links, head = self._links, self.head
+        # The choices p_0, ..., p_m of presentation i: its mixed-radix digits.
         plus = [0] * len(links)
         for j in reversed(range(len(links))):
             if links[j][1]:
                 i, plus[j] = divmod(i, links[j][1] + 1)
-        return next(self._presentations(plus))
-
-    def _presentations(self, plus):
-        """The presentations from the choice `plus` on, in order."""
-        links, head = self._links, self.head
         rots = [self.knot.rot] * (len(links) + 1)
         chain = [None] * len(links)
         movable = [j for j, (_, k) in enumerate(links) if k]

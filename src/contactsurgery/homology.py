@@ -11,12 +11,12 @@ normalized so the empty diagram yields -1/2.  All arithmetic is exact.
 
 `d3_invariant` reads det and signature from `pushoff_chain`'s forward pass
 and det * c^2 as one integer from a second forward pass
-(`PushoffChain.adjugate_form`), each in O(n) steps by small multipliers,
+(`LinkingMatrix.adjugate_form`), each in O(n) steps by small multipliers,
 and divides once, by 4 * det; only `spin_c_evaluation` builds the
-solution's `Fraction`s, from the tail continuants.  Every presentation
-factors its linking matrix once: an expansion's presentations share one
-matrix, and any other presentation keeps the matrix `linking_matrix`
-built for it.
+solution's `Fraction`s (`LinkingMatrix.solve`), and it takes c^2 from
+the same integer.  Every presentation runs `pushoff_chain` on its linking
+matrix once: an expansion's presentations share one matrix, and any
+other presentation keeps the matrix `linking_matrix` built for it.
 """
 
 from __future__ import annotations
@@ -63,12 +63,11 @@ class HomologyData:
 
 def homology_data(matrix: LinkingMatrix) -> HomologyData:
     """|H1| (None when infinite), signature, and euler = 1 + size."""
-    kernel = matrix.factorization
-    det = kernel.determinant
+    det = matrix.determinant()
     return HomologyData(
         determinant=det,
         order_h1=abs(det) if det != 0 else None,
-        signature=kernel.signature,
+        signature=matrix.signature(),
         euler_characteristic=1 + matrix.size,
     )
 
@@ -85,10 +84,11 @@ class SpinCEvaluation:
 
 def spin_c_evaluation(presentation: ContactSurgeryPresentation) -> SpinCEvaluation:
     rot = tuple(c.legendrian.rot for c in presentation.components)
-    kernel = linking_matrix(presentation).factorization
-    if kernel.determinant == 0:
+    matrix = linking_matrix(presentation)
+    det = matrix.determinant()
+    if det == 0:
         raise NotRationalHomologySphere("linking matrix is singular")
-    return SpinCEvaluation(rot, *kernel.solve(rot))
+    return SpinCEvaluation(rot, matrix.solve(rot), Fraction(matrix.adjugate_form(rot), det))
 
 
 def d3_invariant(presentation: ContactSurgeryPresentation) -> Fraction:
@@ -100,15 +100,14 @@ def d3_invariant(presentation: ContactSurgeryPresentation) -> Fraction:
     d3 = (N - det * (3 * signature + 2 * euler - 4 * q)) / (4 * det).
     """
     matrix = linking_matrix(presentation)
-    kernel = matrix.factorization
-    det = kernel.determinant
+    det = matrix.determinant()
     if det == 0:
         raise NotRationalHomologySphere(
             "d3 is undefined: the surgered manifold has infinite H1"
         )
     comps = presentation.components
-    form = kernel.adjugate_form([c.legendrian.rot for c in comps])
+    form = matrix.adjugate_form([c.legendrian.rot for c in comps])
     q = sum(1 for c in comps if c.coefficient == 1)
     return Fraction(
-        form - det * (3 * kernel.signature + 2 * (1 + matrix.size) - 4 * q), 4 * det
+        form - det * (3 * matrix.signature() + 2 * (1 + matrix.size) - 4 * q), 4 * det
     )

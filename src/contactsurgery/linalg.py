@@ -2,98 +2,32 @@
 
 Everything here is deterministic and float-free.  Pushoff-chain
 matrices, the linking matrices of every surgery presentation, are given
-by their diagonal and linking tuples (`LinkingMatrix`).  For them
-`pushoff_chain` and `PushoffChain.adjugate_form` give det, signature and
-det * c^2 in O(n) integer steps that multiply by small integers only,
-and never build the n x n matrix.  Every other square integer matrix
-goes through one fraction-free elimination, `_eliminate`, which
-`det_int`, `signature_exact` and `solve_exact` expose.
+by their diagonal and linking tuples (`LinkingMatrix`), whose methods
+give det, signature and det * c^2 in O(n) integer steps that multiply by
+small integers only, and the solution of M x = rhs, without building the
+n x n matrix.  Every other square integer matrix goes through one
+fraction-free elimination, `_eliminate`, which `det_int`,
+`signature_exact` and `solve_exact` expose.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from .record import Record
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-class PushoffChain(Record):
-    """A pushoff-chain matrix M in its tridiagonal form T = P^T M P.
-
-    P is the unimodular basis change e_0 = x_0, e_j = x_j - x_{j-1}.
-    `diagonal[k]` is a_k = T[k][k] and `off_diagonal[k]` is
-    b_k = T[k][k + 1]; `determinant` and `signature` are M's.
-    """
-
-    _fields = ("diagonal", "off_diagonal", "determinant", "signature")
-
-    @cached_property
-    def continuants(self) -> tuple[int, ...]:
-        """The tail continuants P_k = det T[k:, k:], k = 0, ..., n, built
-        from the tail: P_k = a_k P_{k+1} - b_k^2 P_{k+2}."""
-        p = [0, 1]  # P_{n+1} = 0, P_n = 1, then P_{n-1}, ...
-        for ak, bk in zip(reversed(self.diagonal), reversed((*self.off_diagonal, 0))):
-            p.append(ak * p[-1] - bk * bk * p[-2])
-        return tuple(p[:0:-1])
-
-    def solve(self, rhs) -> tuple[tuple[Fraction, ...], Fraction]:
-        """The solution x of M x = rhs and x . rhs, exactly.
-
-        adj(T) has entry (k, j), k <= j, equal to (-1)^(j-k) b_k ... b_{j-1}
-        h_k P_{j+1}, for the head continuants h_k = det T[:k, :k].  So for
-        r = P^T rhs, w = adj(T) r has w_k = h_k s_k + P_{k+1} u_k, with
-        s_k = P_{k+1} r_k - b_k s_{k+1} (backward) and u_{k+1} =
-        -b_k (h_k r_k + u_k) (forward).  As adj(M) = P adj(T) P^T,
-        x_j = (w_j - w_{j+1}) / det and x . rhs = (w . r) / det.
-        """
-        det = self.determinant
-        if det == 0:
-            raise ZeroDivisionError("matrix is singular")
-        a, p = self.diagonal, self.continuants
-        b = self.off_diagonal + (0,)
-        r = [y - x for x, y in zip((0, *rhs), rhs)]
-        s, sk = [], 0
-        for pk, rk, bk in zip(p[:0:-1], reversed(r), reversed(b)):
-            sk = pk * rk - bk * sk
-            s.append(sk)
-        w = []
-        h, h_prev, u, b_prev = 1, 0, 0, 0  # h_k, h_{k-1}, u_k, b_{k-1}
-        for ak, bk, rk, sk, pk in zip(a, b, r, reversed(s), p[1:]):
-            w.append(h * sk + pk * u)
-            u = -bk * (h * rk + u)
-            h, h_prev, b_prev = ak * h - b_prev * b_prev * h_prev, h, bk
-        w.append(0)
-        solution = tuple(Fraction(x - y, det) for x, y in zip(w, w[1:]))
-        return solution, Fraction(sum(map(mul, w, r)), det)
-
-    def adjugate_form(self, rhs) -> int:
-        """rhs^T adj(M) rhs = r^T adj(T) r = -det [[T, r], [r^T, 0]] for
-        r = P^T rhs, an integer: det * c^2 with no solution built.  Expanding
-        the bordered leading blocks by their last row, the forms
-        F_m = r[:m]^T adj(T[:m, :m]) r[:m] obey F_{m+1} = a_m F_m -
-        b_{m-1}^2 F_{m-1} - 2 b_{m-1} r_m beta_m + r_m^2 h_m and beta_{m+1} =
-        r_m h_m - b_{m-1} beta_m, from F_0 = beta_0 = 0 and the head
-        continuants h, h_0 = 1: every multiplier is small."""
-        h, h_prev, f, f_prev, beta, b_prev, x = 1, 0, 0, 0, 0, 0, 0  # x: rhs_{m-1}
-        for ak, bk, y in zip(self.diagonal, self.off_diagonal + (0,), rhs):
-            rk, x, bb = y - x, y, b_prev * b_prev
-            f, f_prev = ak * f - bb * f_prev - 2 * b_prev * rk * beta + rk * rk * h, f
-            beta = rk * h - b_prev * beta
-            h, h_prev, b_prev = ak * h - bb * h_prev, h, bk
-        return f
-
-
-def pushoff_chain(diagonal, linking) -> PushoffChain:
-    """Tridiagonal form of a pushoff-chain matrix, with det and signature
-    from one forward pass.
+def pushoff_chain(diagonal, linking) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """(a, b, det, signature): the diagonal and off-diagonal of the
+    tridiagonal form T of a pushoff-chain matrix M, and M's det and
+    signature, from one forward pass.
 
     A pushoff chain M has `diagonal` on its diagonal and
     M[i][j] = linking[min(i, j)] off it.  In the basis e_j = x_j - x_{j-1}
-    it is tridiagonal: a_0 = d_0, a_k = d_k - 2 t_{k-1} + d_{k-1} and
+    it is T = P^T M P: a_0 = d_0, a_k = d_k - 2 t_{k-1} + d_{k-1} and
     b_k = t_k - d_k, for d = diagonal and t = linking.
 
     T splits into irreducible blocks at each b_{k-1} = 0, and each block's
@@ -115,16 +49,12 @@ def pushoff_chain(diagonal, linking) -> PushoffChain:
             q, q_prev = ak, 1
         if q and q_prev:
             signature += 1 if (q > 0) == (q_prev > 0) else -1
-    return PushoffChain(a, b, det * q, signature)
+    return a, b, det * q, signature
 
 
-def chain_entries(diagonal, linking) -> IntMatrix:
-    """The n x n pushoff-chain matrix itself, in O(n^2)."""
-    n = len(diagonal)
-    return tuple(
-        linking[:i] + (d,) + linking[i:i + 1] * (n - i - 1)
-        for i, d in enumerate(diagonal)
-    )
+def _check_rhs(n, rhs) -> None:
+    if len(rhs) != n:
+        raise ValueError(f"rhs needs {n} entries, got {len(rhs)}")
 
 
 class LinkingMatrix(Record):
@@ -133,7 +63,8 @@ class LinkingMatrix(Record):
     Each component is a pushoff of the one before it, so
     M[i][j] = linking[min(i, j)] off the diagonal: the matrix is stored in
     O(n), and the n x n `entries` are built only on request.  `linking` is
-    one shorter than `diagonal`.
+    one shorter than `diagonal`.  The methods read `pushoff_chain`, which
+    runs once per matrix, on first use.
     """
 
     _fields = ("diagonal", "linking")
@@ -156,15 +87,73 @@ class LinkingMatrix(Record):
 
     @cached_property
     def entries(self) -> IntMatrix:
-        return chain_entries(self.diagonal, self.linking)
-
-    def determinant(self) -> int:
-        return self.factorization.determinant
+        """The n x n matrix itself, in O(n^2)."""
+        n, linking = self.size, self.linking
+        return tuple(
+            linking[:i] + (d,) + linking[i:i + 1] * (n - i - 1)
+            for i, d in enumerate(self.diagonal)
+        )
 
     @cached_property
-    def factorization(self) -> PushoffChain:
-        """The O(n) chain kernel for this matrix, run once."""
+    def _chain(self):
         return pushoff_chain(self.diagonal, self.linking)
+
+    def determinant(self) -> int:
+        return self._chain[2]
+
+    def signature(self) -> int:
+        return self._chain[3]
+
+    def adjugate_form(self, rhs) -> int:
+        """rhs^T adj(M) rhs = r^T adj(T) r = -det [[T, r], [r^T, 0]] for
+        r = P^T rhs, an integer: det * c^2 with no solution built.  Expanding
+        the bordered leading blocks by their last row, the forms
+        F_m = r[:m]^T adj(T[:m, :m]) r[:m] obey F_{m+1} = a_m F_m -
+        b_{m-1}^2 F_{m-1} - 2 b_{m-1} r_m beta_m + r_m^2 h_m and beta_{m+1} =
+        r_m h_m - b_{m-1} beta_m, from F_0 = beta_0 = 0 and the head
+        continuants h, h_0 = 1: every multiplier is small."""
+        a, b, _, _ = self._chain
+        _check_rhs(len(a), rhs)
+        h, h_prev, f, f_prev, beta, b_prev, x = 1, 0, 0, 0, 0, 0, 0  # x: rhs_{m-1}
+        for ak, bk, y in zip(a, b + (0,), rhs):
+            rk, x, bb = y - x, y, b_prev * b_prev
+            f, f_prev = ak * f - bb * f_prev - 2 * b_prev * rk * beta + rk * rk * h, f
+            beta = rk * h - b_prev * beta
+            h, h_prev, b_prev = ak * h - bb * h_prev, h, bk
+        return f
+
+    def solve(self, rhs) -> tuple[Fraction, ...]:
+        """The solution x of M x = rhs, exactly.
+
+        adj(T) has entry (k, j), k <= j, equal to (-1)^(j-k) b_k ... b_{j-1}
+        h_k P_{j+1}, for the head and tail continuants h_k = det T[:k, :k]
+        and P_k = det T[k:, k:].  So for r = P^T rhs, w = adj(T) r has
+        w_k = h_k s_k + P_{k+1} u_k.  A backward loop builds P_k and s_k =
+        P_{k+1} r_k - b_k s_{k+1}, and a forward loop h and u_{k+1} =
+        -b_k (h_k r_k + u_k); no continuant outlives the call.  As
+        adj(M) = P adj(T) P^T, x_j = (w_j - w_{j+1}) / det.
+        """
+        a, b, det, _ = self._chain
+        _check_rhs(len(a), rhs)
+        if det == 0:
+            raise ZeroDivisionError("matrix is singular")
+        b = b + (0,)
+        r = [y - x for x, y in zip((0, *rhs), rhs)]
+        p, s = [], []  # P_{k+1} and s_k, from k = n - 1 down
+        pk, p_next, sk = 1, 0, 0  # P_{k+1}, P_{k+2}, s_{k+1}
+        for ak, bk, rk in zip(reversed(a), reversed(b), reversed(r)):
+            sk = pk * rk - bk * sk
+            p.append(pk)
+            s.append(sk)
+            pk, p_next = ak * pk - bk * bk * p_next, pk
+        w = []
+        h, h_prev, u, b_prev = 1, 0, 0, 0  # h_k, h_{k-1}, u_k, b_{k-1}
+        for ak, bk, rk, sk, pk in zip(a, b, r, reversed(s), reversed(p)):
+            w.append(h * sk + pk * u)
+            u = -bk * (h * rk + u)
+            h, h_prev, b_prev = ak * h - b_prev * b_prev * h_prev, h, bk
+        w.append(0)
+        return tuple(Fraction(x - y, det) for x, y in zip(w, w[1:]))
 
 
 def mat_mul_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -200,6 +189,7 @@ def signature_exact(matrix) -> int:
 
 def solve_exact(matrix, rhs) -> tuple[Fraction, ...]:
     """Solve M x = rhs over the rationals; M must be square and invertible."""
+    _check_rhs(len(matrix), rhs)
     _, det, numerators = _eliminate(matrix, rhs)
     if det == 0:
         raise ZeroDivisionError("matrix is singular")

@@ -9,6 +9,7 @@ not make itself.  d3, which reads det * c^2 as one integer
 (`adjugate_form`), must equal the DGS formula assembled from them.
 """
 
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -34,14 +35,7 @@ from contactsurgery.homology import (
     spin_c_evaluation,
 )
 from contactsurgery.legendrian import LegendrianKnot
-from contactsurgery.linalg import (
-    PushoffChain,
-    chain_entries,
-    det_int,
-    pushoff_chain,
-    signature_exact,
-    solve_exact,
-)
+from contactsurgery.linalg import det_int, pushoff_chain, signature_exact, solve_exact
 
 SETTINGS = settings(
     max_examples=50, deadline=None, database=None,
@@ -99,30 +93,30 @@ def row_formula(presentation):
     )
 
 
-def assert_solves(kernel, entries, rot):
-    """M x = rot by substitution, and c^2 = x . rot."""
-    solution, c_squared = kernel.solve(rot)
+def assert_solves(matrix, rot):
+    """M x = rot by substitution, and det * (x . rot) = rot^T adj(M) rot."""
+    solution = matrix.solve(rot)
     assert all(
-        sum(a * x for a, x in zip(row, solution)) == r for row, r in zip(entries, rot)
+        sum(a * x for a, x in zip(row, solution)) == r for row, r in zip(matrix.entries, rot)
     )
-    assert c_squared == sum(x * r for x, r in zip(solution, rot))
-    return solution, c_squared
+    c_squared = sum(x * r for x, r in zip(solution, rot))
+    assert matrix.determinant() * c_squared == matrix.adjugate_form(rot)
+    return solution
 
 
 def assert_matches_generic(diagonal, linking, rot):
-    chain = pushoff_chain(diagonal, linking)
-    entries = chain_entries(diagonal, linking)
-    assert chain.determinant == det_int(entries)
-    assert chain.signature == signature_exact(entries)
-    if chain.determinant:
-        solution, _ = assert_solves(chain, entries, rot)
-        assert solution == solve_exact(entries, rot)
+    matrix = LinkingMatrix(diagonal, linking)
+    entries = matrix.entries
+    assert matrix.determinant() == det_int(entries)
+    assert matrix.signature() == signature_exact(entries)
+    if matrix.determinant():
+        assert assert_solves(matrix, rot) == solve_exact(entries, rot)
 
 
 @SETTINGS
 @given(presentations())
 def test_kernel_matches_generic_on_presentations(presentation):
-    # The O(n) path (determinant, factorization, spin_c_evaluation) never
+    # The O(n) path (determinant, signature, spin_c_evaluation) never
     # builds the entries; here they are built, checked against the rows of
     # the linking matrix, and handed to the generic kernels.
     matrix = linking_matrix(presentation)
@@ -173,7 +167,7 @@ def chains(draw):
 @example(((-1, 0, 1), (0, 1)), [1, -2, 3, 0, 0, 0, 0, 0])
 def test_kernel_matches_generic_on_any_chain(chain, rhs):
     diagonal, linking = chain
-    entries = chain_entries(diagonal, linking)
+    entries = LinkingMatrix(diagonal, linking).entries
     assert entries == tuple(
         tuple(diagonal[i] if i == j else linking[min(i, j)] for j in range(len(diagonal)))
         for i in range(len(diagonal))
@@ -205,8 +199,7 @@ def test_zero_tail_continuant_through_the_chain_kernel(knot):
     matrix = linking_matrix(presentation)
     tb, rot = knot.tb, knot.rot
     assert matrix.entries == ((tb + 1, tb), (tb, tb - 1))
-    assert isinstance(matrix.factorization, PushoffChain)
-    assert matrix.factorization.continuants[1] == 0
+    assert pushoff_chain(matrix.diagonal, matrix.linking)[0][1] == 0  # a_1 = P_1
     assert homology_data(matrix).determinant == -1
     spin = spin_c_evaluation(presentation)
     assert spin.solution == solve_exact(matrix.entries, (rot, rot))
@@ -216,12 +209,23 @@ def test_zero_tail_continuant_through_the_chain_kernel(knot):
 
 def test_kernel_on_the_hand_checked_matrix():
     # ((-1, -2, -2), (-2, -4, -3), (-2, -3, -4))
-    chain = pushoff_chain((-1, -4, -4), (-2, -3))
-    assert chain.diagonal == (-1, -1, -2)
-    assert chain.off_diagonal == (-1, 1)
-    assert (chain.determinant, chain.signature) == (1, -1)
-    assert chain.solve((-1, -2, -2)) == ((1, 0, 0), -1)
-    assert pushoff_chain((), ()).determinant == 1
+    assert pushoff_chain((-1, -4, -4), (-2, -3)) == ((-1, -1, -2), (-1, 1), 1, -1)
+    matrix = LinkingMatrix((-1, -4, -4), (-2, -3))
+    assert (matrix.determinant(), matrix.signature()) == (1, -1)
+    assert matrix.solve((-1, -2, -2)) == (1, 0, 0)
+    assert matrix.adjugate_form((-1, -2, -2)) == -1
+    assert LinkingMatrix((), ()).determinant() == 1
+
+
+@pytest.mark.parametrize("rhs", [(-1, -2), (-1, -2, -2, 0)], ids=["short", "long"])
+def test_the_kernels_refuse_a_right_hand_side_of_the_wrong_length(rhs):
+    # The loops zip the rhs against the matrix, which would silently
+    # truncate either one.
+    matrix = LinkingMatrix((-1, -4, -4), (-2, -3))
+    for solve in (matrix.solve, matrix.adjugate_form,
+                  lambda rhs: solve_exact(matrix.entries, rhs)):
+        with pytest.raises(ValueError, match=f"rhs needs 3 entries, got {len(rhs)}"):
+            solve(rhs)
 
 
 @SETTINGS
@@ -255,6 +259,38 @@ def test_d3_memory_is_linear_in_the_chain_length():
     assert peak < 4 * 2**20
 
 
+def long_chain(n):
+    """The first presentation of a random negative continued fraction with
+    n terms of 3-5 (`random.Random(5)`) on the Legendrian unknot: its
+    continuants grow by about 1.85 bits per link."""
+    rng = random.Random(5)
+    terms = [rng.randint(3, 5) for _ in range(n)]
+    p, q = 1, 0  # [a_0, ..., a_m] = p / q, from the tail
+    for a in reversed(terms):
+        p, q = a * p - q, p
+    presentation = expand(LegendrianKnot(-1, 0), 1 - Fraction(p, q))[0]
+    assert len(presentation.components) == n
+    return presentation
+
+
+def test_spin_c_evaluation_keeps_nothing_on_the_matrix():
+    # The matrix is shared by the whole expansion and lives as long as any
+    # of its presentations; tail continuants kept on it would hold about
+    # 0.5 MB here.
+    presentation = long_chain(2000)
+    matrix = linking_matrix(presentation)
+    matrix.determinant()  # runs the forward pass, whose result the matrix keeps
+    tracemalloc.start()
+    try:
+        spin = spin_c_evaluation(presentation)
+        assert spin.c_squared == sum(x * r for x, r in zip(spin.solution, spin.rot_vector))
+        del spin
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.1 * 2**20
+
+
 def bordered(entries, rhs):
     """[[M, rhs], [rhs^T, 0]], whose determinant is -rhs^T adj(M) rhs."""
     return tuple(row + (r,) for row, r in zip(entries, rhs)) + (tuple(rhs) + (0,),)
@@ -269,13 +305,12 @@ def test_adjugate_form_is_det_times_c_squared(chain, rhs):
     # ones included, and det * c^2 from `solve` where det != 0.
     diagonal, linking = chain
     rot = tuple(rhs[: len(diagonal)])
-    kernel = pushoff_chain(diagonal, linking)
-    form = kernel.adjugate_form(rot)
+    matrix = LinkingMatrix(diagonal, linking)
+    form = matrix.adjugate_form(rot)
     assert isinstance(form, int)
-    assert form == -det_int(bordered(chain_entries(diagonal, linking), rot))
-    if kernel.determinant:
-        _, c_squared = kernel.solve(rot)
-        assert form == c_squared * kernel.determinant
+    assert form == -det_int(bordered(matrix.entries, rot))
+    if matrix.determinant():
+        assert_solves(matrix, rot)
 
 
 @st.composite
@@ -387,15 +422,16 @@ def presentation_chains(draw):
 @example(((-1, 0, 1), (0, 1), (1, -2, 3)))  # a zero tail continuant, P_1 = 0
 @example(((-1, -3), (-2,), (1, 1)))  # a +1 head, then its unstabilized pushoff: P_1 = 0
 def test_forward_passes_match_the_bordered_determinant(chain):
-    # det and signature from the one forward pass, and rhs^T adj(M) rhs from
-    # the bordered recurrence, against the generic elimination on the n x n
-    # entries; the tail continuants `solve` reads end in det and 1.
+    # det and signature from the one forward pass, rhs^T adj(M) rhs from
+    # the bordered recurrence, and the solution from the tail continuants,
+    # against the generic elimination on the n x n entries.
     diagonal, linking, rhs = chain
-    entries = chain_entries(diagonal, linking)
-    kernel = pushoff_chain(diagonal, linking)
-    assert (kernel.determinant, kernel.signature) == (det_int(entries), signature_exact(entries))
-    form = kernel.adjugate_form(rhs)
+    matrix = LinkingMatrix(diagonal, linking)
+    entries = matrix.entries
+    det = det_int(entries)
+    assert (matrix.determinant(), matrix.signature()) == (det, signature_exact(entries))
+    form = matrix.adjugate_form(rhs)
     assert isinstance(form, int)
     assert form == -det_int(bordered(entries, rhs))
-    assert kernel.continuants[0] == kernel.determinant
-    assert kernel.continuants[len(diagonal)] == 1
+    if det:
+        assert matrix.solve(rhs) == solve_exact(entries, rhs)

@@ -400,6 +400,21 @@ def test_indices_slices_and_index_error():
         expansion["0"]
 
 
+@SETTINGS
+@given(knots(), st.booleans(), st.lists(st.integers(2, 5), min_size=3, max_size=4), st.data())
+def test_a_slice_matches_the_same_slice_of_the_iterated_tuple(knot, plus_one, terms, data):
+    # A step-1 slice iterates from its start; any other step builds each
+    # index on its own.  Ends of either sign, past both ends, and empty.
+    assume(not plus_one or terms[0] > 2)
+    expansion = expand(knot, coefficient_of(terms, plus_one))
+    whole = tuple(expansion)
+    ends = st.none() | st.integers(-len(whole) - 2, len(whole) + 2)
+    for _ in range(4):
+        index = slice(data.draw(ends), data.draw(ends),
+                      data.draw(st.sampled_from([None, 1, -1, 2, -2, 5, -5])))
+        assert expansion[index] == whole[index]
+
+
 def test_a_huge_expansion_is_counted_and_indexed_without_being_built():
     # 1 - r = 10**400 + 1: one link with 10**400 - 1 stabilizations.
     expansion = expand(LegendrianKnot(-1, 0), -Fraction(10**400))
