@@ -13,7 +13,7 @@ windows may wrap around the end of the word.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import (
     CannotCapLastBoundary,
@@ -104,7 +104,11 @@ def word(*letters) -> tuple[Letter, ...]:
 
 
 def free_reduce(letters) -> tuple[Letter, ...]:
-    """Cancel adjacent inverse pairs until none remain."""
+    """Cancel adjacent inverse pairs until none remain.  A sign other than
+    '+' or '-' raises ValueError, as in `word`."""
+    letters = tuple(letters)
+    if not {PLUS, MINUS}.issuperset(map(itemgetter(1), letters)):
+        word(*letters)  # names the first bad sign
     out: list[Letter] = []
     for letter in letters:
         if out and out[-1][0] == letter[0] and out[-1][1] != letter[1]:
@@ -151,21 +155,27 @@ def _row_update(surface: SurfaceModel, name: str, sign: str):
             tuple((i, s * x) for i, x in enumerate(cls) if x))
 
 
-def _fold(rows, width: int, product):
-    """A closed chunk composed after the product so far (None before the
-    first chunk).  Row i of the chunk holds the signed slots of rows[i],
-    slot j being bits [width j, width (j + 1)) in balanced base 2^width;
-    adding 2^(width-1) to every slot makes each one a plain bit field."""
-    from .linalg import mat_mul_int
-
+def _unpack(rows, width: int):
+    """The chunk whose row i holds the signed slots of rows[i], slot j
+    being bits [width j, width (j + 1)) in balanced base 2^width; adding
+    2^(width-1) to every slot makes each one a plain bit field."""
     shifts = range(0, width * len(rows), width)
     half, mask = 1 << (width - 1), (1 << width) - 1
     offset = sum(half << shift for shift in shifts)
-    chunk = tuple(
+    return tuple(
         tuple(((packed >> shift) & mask) - half for shift in shifts)
         for packed in (row + offset for row in rows)
     )
-    return chunk if product is None else mat_mul_int(chunk, product)
+
+
+def _compose(chunk, product):
+    """The chunk composed after the product so far (None before the first
+    chunk)."""
+    if product is None:
+        return chunk
+    from .linalg import mat_mul_int
+
+    return mat_mul_int(chunk, product)
 
 
 def homology_action(letters, surface: SurfaceModel):
@@ -182,10 +192,19 @@ def homology_action(letters, surface: SurfaceModel):
     operations on (r B)-bit integers.
 
     A letter multiplies the largest entry by at most
-    g = 1 + max|c_i| |Omega c|_1, so the sum of the bit lengths of the g's
-    bounds the entries.  Before a letter would bring that sum to B, the
-    chunk is closed: its rows are unpacked and composed after the product
-    so far by mat_mul_int, and the next chunk starts from the identity.
+    g = 1 + max|c_i| |Omega c|_1, so adding bitlen(g) to a running bound
+    `bits` keeps the invariant: after each letter every entry of the
+    chunk is below 2^bits in absolute value, and bits < B, so each entry
+    fits its signed slot.  When a letter would bring `bits` to B, the
+    chunk is unpacked and measured: m is the bit length of its largest
+    entry.  If 2m < B, the rows stay packed and `bits` restarts at
+    m + bitlen(g), below B since B >= 2 bitlen(g) + 2.  Otherwise the
+    chunk is composed after the product so far by mat_mul_int and the
+    next chunk starts from the identity.  Asking 2m < B, not only
+    m + bitlen(g) < B, leaves more than B/2 - bitlen(g) bits of headroom
+    after a measurement, so a kept chunk is not unpacked at every letter.
+    Random words grow far slower than the bound, so most triggers cost
+    one unpack of r^2 slots and no product.
     B is max(256, 2 max bitlen(g) + 2) over the word's letters.  Each
     distinct letter's update is built once; identity letters are skipped.
     """
@@ -202,14 +221,19 @@ def homology_action(letters, surface: SurfaceModel):
         growth, image, column = update
         bits += growth
         if bits >= width:
-            product = _fold(rows, width, product)
-            rows, bits = identity[:], growth
+            chunk = _unpack(rows, width)
+            m = max(abs(x) for row in chunk for x in row).bit_length()
+            if 2 * m < width:
+                bits = m + growth
+            else:
+                product = _compose(chunk, product)
+                rows, bits = identity[:], growth
         v = 0
         for k, y in image:
             v += y * rows[k]
         for i, x in column:
             rows[i] += x * v
-    return _fold(rows, width, product)
+    return _compose(_unpack(rows, width), product)
 
 
 class LanternConfiguration(Record):

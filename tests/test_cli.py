@@ -570,7 +570,7 @@ _RECORD_CODEGEN = ("dataclasses", "inspect")
     (["catalog", "--list"],
      ("expansion", "homology", "linalg", "diagramio", "openbook", "ledger"), _RECORD_CODEGEN),
     (["openbook", "--file", "fixtures/torus-book.json", "--action"],
-     ("ledger", "catalog", "homology", "acceptance"), _RECORD_CODEGEN),
+     ("ledger", "catalog", "homology", "linalg", "acceptance"), _RECORD_CODEGEN),
     (["ledger", "--window", "0", "1"],
      ("catalog", "expansion", "homology", "linalg", "diagramio", "acceptance", "openbook"),
      _RECORD_CODEGEN),

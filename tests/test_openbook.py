@@ -11,6 +11,7 @@ from contactsurgery.errors import (
     PatternMismatch,
     UnknownCurve,
 )
+from contactsurgery import openbook
 from contactsurgery.linalg import det_int, mat_mul_int
 from contactsurgery.openbook import (
     LanternConfiguration,
@@ -78,6 +79,17 @@ def test_cyclic_equality_cancels_across_the_ends():
     assert cyclic_words_equal(word, (("y", "+"),))
     assert cyclic_words_equal((("x", "+"), ("x", "-")), ())
     assert not cyclic_words_equal(word, (("y", "-"),))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: free_reduce([("a", "+"), ("a", "x")]),
+    lambda: free_reduce(iter([("a", "-"), ("b", "+"), ("b", "x")])),
+    lambda: cyclic_words_equal((("b1", "x"),), (("b1", "x"),)),
+    lambda: cyclic_words_equal((), (("b1", "+"), ("b2", "x"))),
+], ids=["free-reduce-pair", "free-reduce-iterator", "cyclic-same", "cyclic-second"])
+def test_word_rewrites_refuse_a_sign_as_the_action_does(call):
+    with pytest.raises(ValueError, match="twist sign must be '\\+' or '-', got 'x'"):
+        call()
 
 
 def _identity(n):
@@ -327,6 +339,122 @@ def test_a_chunk_closes_before_its_bound_reaches_the_slot_width():
     surface = SurfaceModel(1, 1, ((0, p), (-p, 0)), (("a", (1, 0)), ("b", (0, 1))))
     word = (("a", "+"), ("b", "-")) * 6
     assert homology_action(word, surface) == _fold(surface, word)
+
+
+def _alternating_page(p):
+    """A rank-2 page with pairing p, on which a+ b- acts hyperbolically:
+    k alternating letters from the identity make entries of at least p^k,
+    while each letter's growth bound is g = 1 + p."""
+    return SurfaceModel(1, 1, ((0, p), (-p, 0)), (("a", (1, 0)), ("b", (0, 1))))
+
+
+def _counting_chunks(monkeypatch):
+    """Record each unpacked chunk and each pair that mat_mul_int composes."""
+    unpacked, composed = [], []
+    unpack = openbook._unpack
+
+    def counted_unpack(rows, width):
+        unpacked.append(unpack(rows, width))
+        return unpacked[-1]
+
+    def recording(a, b):
+        composed.append((a, b))
+        return mat_mul_int(a, b)
+
+    monkeypatch.setattr(openbook, "_unpack", counted_unpack)
+    monkeypatch.setattr("contactsurgery.linalg.mat_mul_int", recording)
+    return unpacked, composed
+
+
+@st.composite
+def reset_pages(draw):
+    """A rank-2 page whose pairing p has 8 to 200 bits (slot width 256 to
+    404), and a word that in acting order starts with cancelling pairs
+    a+ a- enough for the bound to reach the slot width while the entries
+    stay at most p, so the chunk is measured and kept; then alternates
+    a+ b- long enough to drive the entries past half the slot width and
+    reach a trigger after, so the chunk is composed; then ends with up to
+    40 letters over a, b and a small third class."""
+    p = draw(st.integers(2**7, 2**200 - 1))
+    growth = (p + 1).bit_length()
+    width = max(256, 2 * growth + 2)
+    third = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    surface = SurfaceModel(1, 1, ((0, p), (-p, 0)),
+                           (("a", (1, 0)), ("b", (0, 1)), ("c", third)))
+    pairs = width // growth + 1 + draw(st.integers(0, 3))
+    cancelling = (("a", "+"), ("a", "-")) * pairs
+    least = 2 * (width // (p.bit_length() - 1)) + 3
+    alternating = (("a", "+"), ("b", "-")) * draw(st.integers(least // 2 + 1, least))
+    letters = st.tuples(st.sampled_from("abc"), st.sampled_from("+-"))
+    rest = tuple(draw(st.lists(letters, max_size=40)))
+    return surface, tuple(reversed(cancelling + alternating + rest))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(reset_pages(), st.data())
+def test_a_measured_chunk_is_kept_or_composed_exactly(page, data):
+    surface, word = page
+    with pytest.MonkeyPatch.context() as patch:
+        unpacked, composed = _counting_chunks(patch)
+        action = homology_action(word, surface)
+    # Every trigger unpacks once and then keeps or composes the chunk, and
+    # the last chunk is unpacked after the loop.  mat_mul_int runs once per
+    # chunk composed at a trigger: the first becomes the product, and the
+    # last chunk is composed after the product.
+    kept = len(unpacked) - 1 - len(composed)
+    assert kept >= 1 and len(composed) >= 1
+    assert action == _fold(surface, word)
+    cut = data.draw(st.integers(0, len(word)))
+    assert action == _product(
+        homology_action(word[:cut], surface), homology_action(word[cut:], surface)
+    )
+
+
+def test_a_kept_chunk_is_driven_to_its_slot_limit_before_it_is_composed(monkeypatch):
+    # p = 2**51 - 2, so g = 1 + p has 51 bits and B = 256.  In acting
+    # order a+ a- a+ a- a+ brings the bound to 255 with entries of 51 bits:
+    # the next letter, b-, keeps the chunk, restarting the bound at
+    # 51 + 51.  With three more alternating letters the chunk acts as five,
+    # with 255-bit entries, and the letter after composes it.
+    surface = _alternating_page(2**51 - 2)
+    acting = (("a", "+"), ("a", "-")) * 2 + (("a", "+"), ("b", "-")) * 5
+    word = tuple(reversed(acting))
+    unpacked, composed = _counting_chunks(monkeypatch)
+    assert homology_action(word, surface) == _fold(surface, word)
+    assert [max(abs(x) for row in chunk for x in row).bit_length()
+            for chunk in unpacked] == [51, 255, 255]
+    # The chunk composed at the trigger is the product the last one is
+    # composed after.
+    assert len(composed) == 1
+    assert composed[0][1] == unpacked[1]
+
+
+def test_a_kept_chunk_closes_before_its_bound_reaches_the_slot_width():
+    # p = 2**64 - 2: in acting order a+ a- a+ brings the bound to 192 with
+    # entries of 64 bits, so the next letter keeps the chunk at a bound of
+    # 64 + 64.  Two letters later the bound reaches exactly 256, where four
+    # alternating letters make 256-bit entries, one bit too many for a
+    # 256-bit slot: the chunk must be composed there.
+    surface = _alternating_page(2**64 - 2)
+    acting = (("a", "+"), ("a", "-")) + (("a", "+"), ("b", "-")) * 3
+    word = tuple(reversed(acting))
+    assert homology_action(word, surface) == _fold(surface, word)
+
+
+def test_a_random_lantern_word_of_2000_letters_composes_at_most_one_chunk(monkeypatch):
+    # Random lantern words grow about 0.11 bits a letter, far below the
+    # growth bound: a chunk closed on the bound alone was composed 15 times.
+    surface, _ = lantern_ambient_model()
+    names = [name for name, _ in surface.curves]
+    rng = random.Random(5)
+    word = tuple((rng.choice(names), rng.choice("+-")) for _ in range(2000))
+    _, composed = _counting_chunks(monkeypatch)
+    action = homology_action(word, surface)
+    assert len(composed) <= 1
+    monkeypatch.undo()
+    assert action == _product(
+        homology_action(word[:1000], surface), homology_action(word[1000:], surface)
+    )
 
 
 def test_action_rejects_an_unknown_sign():
