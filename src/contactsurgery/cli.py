@@ -126,28 +126,22 @@ def _check_printable(values) -> None:
             )
 
 
-def _integer(text: str, odd: bool = False) -> int:
-    """The argparse type of the integer flags: an int, odd if `odd`, as
-    self-linking numbers of knots in the 3-sphere are.  Its messages quote
-    at most errors.QUOTE_CAP characters of the argument."""
+def _integer(text: str) -> int:
+    """The argparse type of the integer flags.  Its message quotes at most
+    errors.QUOTE_CAP characters of the argument."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {quote(text)!r}") from None
-    if odd and value % 2 != 1:
-        raise argparse.ArgumentTypeError(
-            f"self-linking number must be odd, got {quote(value)}")
-    return value
 
 
-def _legendrian(args):
-    """The knot given by --tb and --rot."""
-    from .legendrian import LegendrianKnot
-
+def _knot(flags: str, knot_class, *invariants):
+    """knot_class(*invariants); the NotRealizable it raises is named by
+    `flags`, the flags that gave the invariants."""
     try:
-        return LegendrianKnot(args.tb, args.rot)
+        return knot_class(*invariants)
     except NotRealizable as exc:
-        raise NotRealizable(f"--tb {quote(args.tb)} --rot {quote(args.rot)}: {exc}") from None
+        raise NotRealizable(f"{flags}: {exc}") from None
 
 
 def _knot_record(knot) -> dict:
@@ -187,8 +181,10 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_expand(args) -> int:
     from .expansion import TERMS_CAP, expand
+    from .legendrian import LegendrianKnot
 
-    knot = _legendrian(args)
+    flags = f"--tb {quote(args.tb)} --rot {quote(args.rot)}"
+    knot = _knot(flags, LegendrianKnot, args.tb, args.rot)
     if args.limit is not None and args.limit < 0:
         raise OutOfRange(f"--limit {quote(args.limit)}: must not be negative")
     try:
@@ -289,7 +285,7 @@ def _cmd_classify(args) -> int:
 def _cmd_ledger(args) -> int:
     from .ledger import (
         LedgerSubject, apply_rules, assert_facts, check_realizable, inverse_limit_status)
-    from .legendrian import InvariantStatus, TransverseKnot
+    from .legendrian import InvariantStatus, LegendrianKnot, TransverseKnot
 
     lo, hi = args.window
     window = f"--window {quote(lo)} {quote(hi)}"
@@ -303,15 +299,17 @@ def _cmd_ledger(args) -> int:
     knot_type = None
     if args.knot:
         knot_type = _load_catalog(args).lookup(args.knot)
+    legendrian = f"--tb {quote(args.tb)} --rot {quote(args.rot)}"
+    transverse = f"--sl {quote(args.sl)}"
     subject = LedgerSubject(
-        legendrian=None if args.tb is None else _legendrian(args),
-        transverse=None if args.sl is None else TransverseKnot(args.sl),
+        legendrian=(None if args.tb is None
+                    else _knot(legendrian, LegendrianKnot, args.tb, args.rot)),
+        transverse=None if args.sl is None else _knot(transverse, TransverseKnot, args.sl),
         knot_type=knot_type,
         binding=args.binding,
         positively_stabilized=args.positively_stabilized,
     )
-    check_realizable(subject, legendrian=f"--tb {quote(args.tb)} --rot {quote(args.rot)}",
-                     transverse=f"--sl {quote(args.sl)}")
+    check_realizable(subject, legendrian, transverse)
     state = apply_rules(subject)
     if args.facts:
         from . import diagramio
@@ -421,8 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     led.add_argument("--catalog", help="path to a catalog JSON file")
     led.add_argument("--tb", type=_integer, help="Legendrian tb (enables rule R1)")
     led.add_argument("--rot", type=_integer, default=0)
-    led.add_argument("--sl", type=lambda text: _integer(text, odd=True),
-                     help="transverse self-linking number")
+    led.add_argument("--sl", type=_integer, help="transverse self-linking number")
     led.add_argument("--binding", action="store_true",
                      help="assert the subject is an open book binding")
     led.add_argument("--positively-stabilized", action="store_true")

@@ -56,8 +56,8 @@ class IncompleteData(ContactSurgeryError):
 
 
 class NotRealizable(ContactSurgeryError):
-    """Requested classical invariants (tb + rot even, or tb, rot or sl past a
-    bound of the knot type) belong to no knot in the 3-sphere."""
+    """Requested classical invariants (tb + rot or sl even, or tb, rot or sl
+    past a bound of the knot type) belong to no knot in the 3-sphere."""
 
     exit_code = 2
 

@@ -91,25 +91,24 @@ def check_realizable(subject: LedgerSubject, legendrian: str, transverse: str) -
 class LedgerState(Record):
     """An immutable fact set and its closure.
 
-    The closure is three facts that assert_fact carries forward: the first
-    Zero fact that covers every framing, the Zero fact at the largest
-    offset (the zero ceiling) and the NonZero fact at the smallest offset
-    (the nonzero floor), the first asserted among facts at one offset.
-    Start from LedgerState() and add facts with assert_fact, or many at
-    once with assert_facts.
+    The closure is two facts that assert_fact carries forward: the zero
+    ceiling, the Zero fact at the largest offset, offset None (every
+    framing) above all, and the nonzero floor, the NonZero fact at the
+    smallest offset; among facts at one offset the first asserted wins.
+    Building a state whose ceiling covers every framing or reaches its floor
+    raises Contradiction.  Start from LedgerState() and add facts with
+    assert_fact, or many at once with assert_facts.
     """
 
-    _fields = ("facts", "everywhere", "ceiling", "floor")
-    _defaults = {"facts": (), "everywhere": None, "ceiling": None, "floor": None}
+    _fields = ("facts", "ceiling", "floor")
+    _defaults = {"facts": (), "ceiling": None, "floor": None}
 
-    def check_consistent(self) -> None:
-        """Raise Contradiction when some framing is both Zero and NonZero."""
-        _check(self.everywhere, self.ceiling, self.floor, self.facts)
+    def _check(self) -> None:
+        _clash(self.ceiling, self.floor, self.facts)
 
     def status_at(self, offset: int) -> InvariantStatus:
-        if self.everywhere is not None or (
-            self.ceiling is not None and offset <= self.ceiling.offset
-        ):
+        ceiling = self.ceiling
+        if ceiling is not None and (ceiling.offset is None or offset <= ceiling.offset):
             return ZERO
         if self.floor is not None and offset >= self.floor.offset:
             return NONZERO
@@ -130,9 +129,10 @@ class LedgerState(Record):
 
     def rows(self, lo: int, hi: int):
         """(framing, status, provenance) for lo..hi, one at a time; `window`
-        is their list.  A Zero framing is justified by the Zero fact at the
-        nearest offset at or above it, a NonZero framing by the NonZero fact
-        at the nearest offset at or below it, each found by one bisect."""
+        is their list.  A Zero framing is justified by the ceiling when it
+        covers every framing, else by the Zero fact at the nearest offset at
+        or above it, a NonZero framing by the NonZero fact at the nearest
+        offset at or below it, each found by one bisect."""
         zeros, zero_rules = self._by_offset[ZERO]
         nonzeros, nonzero_rules = self._by_offset[NONZERO]
         for k in range(lo, hi + 1):
@@ -141,44 +141,44 @@ class LedgerState(Record):
                 rule = None
             elif status is NONZERO:
                 rule = nonzero_rules[nonzeros[bisect_right(nonzeros, k) - 1]]
-            elif self.everywhere is not None:
-                rule = self.everywhere.rule
+            elif self.ceiling.offset is None:
+                rule = self.ceiling.rule
             else:
                 rule = zero_rules[zeros[bisect_left(zeros, k)]]
             yield k, status, rule
 
 
-def _check(everywhere, ceiling, floor, facts) -> None:
-    """Raise Contradiction when the closure (everywhere, ceiling, floor) makes
-    some framing both Zero and NonZero; facts are read only to name the rule."""
-    if floor is None:
+def _clash(ceiling, floor, facts) -> None:
+    """Raise Contradiction when the closure (ceiling, floor) makes some
+    framing both Zero and NonZero; facts are read only to name the rule, the
+    first Zero fact at or above a concrete floor (the ceiling if none is)."""
+    if ceiling is None or floor is None:
         return
-    if everywhere is not None:
-        raise Contradiction(None, everywhere.rule, floor.rule)
-    if ceiling is not None and floor.offset <= ceiling.offset:
+    if ceiling.offset is None:
+        raise Contradiction(None, ceiling.rule, floor.rule)
+    if floor.offset <= ceiling.offset:
         zero_rule = next(
-            f.rule
-            for f in facts
-            if f.status is ZERO and f.offset is not None and f.offset >= floor.offset
+            (f.rule for f in facts
+             if f.status is ZERO and f.offset is not None and f.offset >= floor.offset),
+            ceiling.rule,
         )
         raise Contradiction(floor.offset, zero_rule, floor.rule)
 
 
-def _carry(everywhere, ceiling, floor, fact: Fact):
+def _carry(ceiling, floor, fact: Fact):
     """The closure step of assert_fact and assert_facts: the closure with one more fact."""
     offset, status, _ = fact
     if status not in (ZERO, NONZERO):
         raise ValueError("only Zero and NonZero facts can be asserted")
-    if offset is None and status is not ZERO:
-        raise ValueError("only Zero facts may cover all framings")
-    if offset is None:
-        everywhere = everywhere or fact
-    elif status is ZERO:
-        if ceiling is None or offset > ceiling.offset:
-            ceiling = fact
-    elif floor is None or offset < floor.offset:
-        floor = fact
-    return everywhere, ceiling, floor
+    if status is NONZERO:
+        if offset is None:
+            raise ValueError("only Zero facts may cover all framings")
+        if floor is None or offset < floor.offset:
+            floor = fact
+    elif ceiling is None or (ceiling.offset is not None
+                             and (offset is None or offset > ceiling.offset)):
+        ceiling = fact
+    return ceiling, floor
 
 
 def assert_fact(
@@ -191,22 +191,19 @@ def assert_fact(
     it is None, and carry the closure forward; raises Contradiction when the
     closure would assign both statuses to some framing."""
     fact = Fact(offset, status, rule)
-    everywhere, ceiling, floor = _carry(state.everywhere, state.ceiling, state.floor, fact)
-    facts = state.facts + (fact,)
-    _check(everywhere, ceiling, floor, facts)
-    return LedgerState(facts, everywhere, ceiling, floor)
+    return LedgerState(state.facts + (fact,), *_carry(state.ceiling, state.floor, fact))
 
 
 def assert_facts(state: LedgerState, facts) -> LedgerState:
     """assert_fact for each (offset, status, rule) in turn, in one pass that
     builds the fact tuple and the state once: time linear in the number of
     facts.  Raises what the first failing assert_fact call would."""
-    closure = state.everywhere, state.ceiling, state.floor
+    closure = state.ceiling, state.floor
     added = []
     for fact in map(Fact._make, facts):
         closure = _carry(*closure, fact)
         added.append(fact)
-        _check(*closure, chain(state.facts, added))
+        _clash(*closure, chain(state.facts, added))
     return LedgerState(state.facts + tuple(added), *closure)
 
 
@@ -300,8 +297,7 @@ def inverse_limit_status(state: LedgerState) -> LedgerVerdict:
     otherwise.  The rules never certify nonvanishing of every component,
     so no stronger verdict is ever claimed.
     """
-    state.check_consistent()
-    if state.everywhere is not None:
+    if state.ceiling is not None and state.ceiling.offset is None:
         return LedgerVerdict.ZERO
     if state.floor is not None:
         return LedgerVerdict.NOT_ALL_ZERO

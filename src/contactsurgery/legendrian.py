@@ -55,12 +55,12 @@ class TransverseKnot(Record):
     def _check(self) -> None:
         # Knots in the 3-sphere have odd self-linking number.
         if self.sl % 2 != 1:
-            raise ValueError(f"self-linking number must be odd, got {quote(self.sl)}")
+            raise NotRealizable(f"self-linking number must be odd, got {quote(self.sl)}")
 
 
 def stabilize(knot: LegendrianKnot, sign: str) -> LegendrianKnot:
     """Stabilize once: tb drops by 1, rot moves by -1 ('-') or +1 ('+')."""
     if sign not in (NEGATIVE, POSITIVE):
-        raise ValueError(f"stabilization sign must be '+' or '-', got {sign!r}")
+        raise ValueError(f"stabilization sign must be '+' or '-', got {quote(sign)!r}")
     step = -1 if sign == NEGATIVE else 1
     return LegendrianKnot(knot.tb - 1, knot.rot + step)

@@ -49,7 +49,7 @@ class SurfaceModel(Record):
         if self.genus < 0 or self.boundary_count < 1:
             raise ValueError("need genus >= 0 and at least one boundary")
         if len(self.pairing) != rank or any(len(r) != rank for r in self.pairing):
-            raise ValueError(f"pairing must be {rank} x {rank}")
+            raise ValueError(f"pairing must be {quote(rank)} x {quote(rank)}")
         for i in range(rank):
             for j in range(rank):
                 if self.pairing[i][j] != -self.pairing[j][i]:
@@ -87,7 +87,7 @@ class SurfaceModel(Record):
         try:
             return self._classes[name]
         except KeyError:
-            raise UnknownCurve(f"curve {name!r} is not in the alphabet") from None
+            raise UnknownCurve(f"curve {quote(name)!r} is not in the alphabet") from None
 
     def has_curve(self, name: str) -> bool:
         return name in self._classes
@@ -294,7 +294,7 @@ class LanternConfiguration(Record):
             return left
         if direction == "RtoL":
             return right
-        raise ValueError(f"direction must be 'LtoR' or 'RtoL', got {direction!r}")
+        raise ValueError(f"direction must be 'LtoR' or 'RtoL', got {quote(direction)!r}")
 
     def target(self, direction: str) -> tuple[Letter, ...]:
         return self.source("RtoL" if direction == "LtoR" else "LtoR")
@@ -320,13 +320,13 @@ def lantern_rewrite(
     pattern = config.source(direction)
     n = len(letters)
     if not 0 <= at < n or len(pattern) > n:
-        raise PatternMismatch(f"no room for the pattern at position {at}")
+        raise PatternMismatch(f"no room for the pattern at position {quote(at)}")
     window = [(at + k) % n for k in range(len(pattern))]
     for idx, expected in zip(window, pattern):
         if letters[idx] != expected:
             raise PatternMismatch(
-                f"letter {letters[idx]!r} at position {idx} does not match "
-                f"{expected!r}"
+                f"letter {quote(letters[idx])} at position {idx} does not match "
+                f"{quote(expected)}"
             )
     target = config.target(direction)
     if window[-1] >= at:
@@ -350,11 +350,11 @@ def giroux_stabilize(surface: SurfaceModel, letters, new_curve: str, new_class):
     must be new to the alphabet.
     """
     if surface.has_curve(new_curve):
-        raise InvalidStabilization(f"curve {new_curve!r} is already in the alphabet")
+        raise InvalidStabilization(f"curve {quote(new_curve)!r} is already in the alphabet")
     rank = surface.h1_rank + 1
     new_class = tuple(new_class)
     if len(new_class) != rank:
-        raise InvalidStabilization(f"new curve class must have length {rank}")
+        raise InvalidStabilization(f"new curve class must have length {quote(rank)}")
     if abs(new_class[-1]) != 1:
         raise InvalidStabilization(
             "the stabilizing curve must cross the new handle exactly once"
@@ -422,7 +422,7 @@ def giroux_destabilize(
     hits = [i for i, (name, _) in enumerate(letters) if name == curve]
     if len(hits) != 1 or letters[hits[0]][1] != PLUS:
         raise InvalidStabilization(
-            f"destabilization needs exactly one positive twist on {curve!r}"
+            f"destabilization needs exactly one positive twist on {quote(curve)!r}"
         )
     if surface.boundary_count < 2:
         raise InvalidStabilization("cannot destabilize past one boundary component")
@@ -430,11 +430,11 @@ def giroux_destabilize(
         drop_index = _last_unit(cls)
         if drop_index is None:
             raise InvalidStabilization(
-                f"class of {curve!r} has no unimodular coordinate to drop"
+                f"class of {quote(curve)!r} has no unimodular coordinate to drop"
             )
     if not 0 <= drop_index < len(cls) or abs(cls[drop_index]) != 1:
         raise InvalidStabilization(
-            f"class of {curve!r} is not unimodular at index {drop_index}"
+            f"class of {quote(curve)!r} is not unimodular at index {quote(drop_index)}"
         )
     if drop_boundary is None:
         drop_boundary = len(surface.boundary_classes) - 1

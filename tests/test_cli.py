@@ -597,20 +597,31 @@ _LONG_INTEGER = "9" * 5000
 _LONG_EVEN = "8" * 4000
 
 
-@pytest.mark.parametrize("argv, value", [
-    (["expand", "--tb", _LONG_INTEGER, "--rot", "0", "--coeff", "2"], _LONG_INTEGER),
-    (["expand", "--tb", "-1", "--rot", _LONG_INTEGER, "--coeff", "2"], _LONG_INTEGER),
-    (["ledger", "--window", "0", _LONG_INTEGER], _LONG_INTEGER),
-    (["openbook", "--file", "fixtures/torus-book.json", "--cap", _LONG_INTEGER], _LONG_INTEGER),
-    (["ledger", f"--sl={_LONG_INTEGER}"], _LONG_INTEGER),
-    (["ledger", "--sl", _LONG_EVEN], _LONG_EVEN),
+def _exit_code(argv) -> int:
+    """main's exit code, whether argparse exits or main returns it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, value, error", [
+    (["expand", "--tb", _LONG_INTEGER, "--rot", "0", "--coeff", "2"], _LONG_INTEGER,
+     "argument --tb: "),
+    (["expand", "--tb", "-1", "--rot", _LONG_INTEGER, "--coeff", "2"], _LONG_INTEGER,
+     "argument --rot: "),
+    (["ledger", "--window", "0", _LONG_INTEGER], _LONG_INTEGER, "argument --window: "),
+    (["openbook", "--file", "fixtures/torus-book.json", "--cap", _LONG_INTEGER], _LONG_INTEGER,
+     "argument --cap: "),
+    (["ledger", f"--sl={_LONG_INTEGER}"], _LONG_INTEGER, "argument --sl: "),
+    # An even --sl parses; the transverse knot refuses it.
+    (["ledger", "--sl", _LONG_EVEN], _LONG_EVEN, "input error: --sl "),
 ], ids=["tb", "rot", "window", "cap", "sl", "sl-even"])
-def test_cli_integer_flags_quote_a_long_argument(capsys, argv, value):
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
+def test_cli_integer_flags_quote_a_long_argument(capsys, argv, value, error):
+    assert _exit_code(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert error in captured.err
     assert value[:errors.QUOTE_CAP] + "..." in captured.err
     assert len(captured.err.encode()) < 600
 
@@ -929,14 +940,16 @@ def test_cli_ledger_accepts_null_offset_for_zero(tmp_path, capsys):
     assert capsys.readouterr().out == "f_S+0  Zero  [all]\ninverse limit: Zero\n"
 
 
-@pytest.mark.parametrize("value", ["2", "0", "x"])
-def test_cli_ledger_rejects_an_even_self_linking_number(capsys, value):
-    with pytest.raises(SystemExit) as info:
-        main(["ledger", "--knot", "T(2,3)", "--sl", value])
-    assert info.value.code == 2
+@pytest.mark.parametrize("value, error", [
+    ("2", "input error: --sl 2: self-linking number must be odd, got 2\n"),
+    ("0", "input error: --sl 0: self-linking number must be odd, got 0\n"),
+    ("x", "argument --sl: invalid int value: 'x'\n"),
+], ids=["2", "0", "x"])
+def test_cli_ledger_rejects_an_even_self_linking_number(capsys, value, error):
+    assert _exit_code(["ledger", "--knot", "T(2,3)", "--sl", value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "argument --sl:" in captured.err and "Traceback" not in captured.err
+    assert captured.err.endswith(error) and "Traceback" not in captured.err
 
 
 _SEED_KNOTS = {name: Catalog.builtin().lookup(name) for name in Catalog.builtin().names()}

@@ -4,12 +4,15 @@ stderr and nothing on stdout, never in a traceback."""
 
 import contextlib
 import copy
+import functools
 import io
 import json
+import operator
 import os
 import pathlib
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +128,28 @@ def test_a_malformed_input_file_ends_in_a_documented_exit_code(call):
         with open(path, "wb") as fh:
             fh.write(data)
         _check(verb + [path])
+
+
+def _huge_integer_calls():
+    """Each verb with the document it reads and the key path of one
+    integer field of that document."""
+    for document, verbs in INPUTS:
+        for path in _paths(document):
+            if type(functools.reduce(operator.getitem, path, document)) is int:
+                for verb in verbs:
+                    field = ".".join(map(str, path))
+                    yield pytest.param(verb, document, path, id=f"{' '.join(verb)} {field}")
+
+
+@pytest.mark.parametrize("verb, document, path", _huge_integer_calls())
+def test_a_huge_integer_field_ends_in_a_short_message(tmp_path, verb, document, path):
+    # 4,001 digits: under Python's int-to-str limit, so a message that does
+    # not quote the value, or a value computed from it, prints all of them.
+    document = copy.deepcopy(document)
+    functools.reduce(operator.getitem, path[:-1], document)[path[-1]] = 10**4000
+    input_path = tmp_path / "input.json"
+    input_path.write_text(json.dumps(document))
+    _check(verb + [str(input_path)])
 
 
 NUMBERS = ["0", "1", "-1", "2", "-2", "3", "-3", str(WINDOW_CAP), str(WINDOW_CAP + 1),

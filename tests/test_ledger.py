@@ -383,7 +383,7 @@ def test_a_window_does_not_rescan_the_facts_per_framing():
     for i in range(100):
         state = assert_fact(state, -i, Status.ZERO, f"z{i}")
         state = assert_fact(state, i + 1, Status.NONZERO, f"n{i}")
-    counted = LedgerState(_CountingFacts(state.facts), state.everywhere, state.ceiling, state.floor)
+    counted = LedgerState(_CountingFacts(state.facts), state.ceiling, state.floor)
     rows = counted.window(-150, 150)
     assert counted.facts.passes <= 1
     assert rows == state.window(-150, 150)
@@ -457,3 +457,42 @@ def test_a_facts_file_builds_a_bounded_number_of_states(tmp_path, monkeypatch, c
     assert capsys.readouterr().out.splitlines()[:2] == ["f_S-1  Zero  [z1]", "f_S+0  Zero  [z0]"]
     # apply_rules' empty state and the one the facts build.
     assert built <= 2
+
+
+def test_a_state_whose_closure_clashes_is_never_built():
+    facts = (Fact(5, Status.ZERO, "z"), Fact(0, Status.NONZERO, "n"))
+    with pytest.raises(Contradiction, match=r"^status clash at f_S\+0: Zero by z, NonZero by n$"):
+        LedgerState(facts, facts[0], facts[1])
+
+
+@st.composite
+def closures(draw):
+    """A fact list and a ceiling and floor drawn from its Zero and NonZero
+    facts, each possibly None, whether or not they clash."""
+    facts = draw(fact_lists())
+    zeros = [f for f in facts if f.status is Status.ZERO]
+    nonzeros = [f for f in facts if f.status is Status.NONZERO]
+    ceiling = draw(st.sampled_from([None, *zeros]))
+    floor = draw(st.sampled_from([None, *nonzeros]))
+    return tuple(facts), ceiling, floor
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(closures())
+def test_building_a_state_raises_exactly_when_its_closure_clashes(closure):
+    facts, ceiling, floor = closure
+    clashes = ceiling is not None and floor is not None and (
+        ceiling.offset is None or ceiling.offset >= floor.offset)
+    if not clashes:
+        assert LedgerState(facts, ceiling, floor).facts == facts
+        return
+    with pytest.raises(Contradiction) as raised:
+        LedgerState(facts, ceiling, floor)
+    if ceiling.offset is None:
+        zero_rule = ceiling.rule
+    else:
+        zero_rule = next(f.rule for f in facts if f.status is Status.ZERO
+                         and f.offset is not None and f.offset >= floor.offset)
+    exc = raised.value
+    assert (exc.offset, exc.zero_rule, exc.nonzero_rule) == (
+        None if ceiling.offset is None else floor.offset, zero_rule, floor.rule)

@@ -102,11 +102,11 @@ def test_a_legendrian_knot_exists_exactly_when_tb_plus_rot_is_odd(tb, rot):
 
 
 def test_a_transverse_knot_past_the_int_to_str_limit_is_refused_as_even():
-    with pytest.raises(ValueError, match="^self-linking number must be odd, got <an integer"):
+    with pytest.raises(NotRealizable, match="^self-linking number must be odd, got <an integer"):
         TransverseKnot(2 * 10**5000)
 
 
 def test_transverse_parity_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotRealizable):
         TransverseKnot(0)
     TransverseKnot(-7)  # negative odd values are fine

@@ -10,8 +10,10 @@ from contactsurgery.errors import (
     InvalidStabilization,
     PatternMismatch,
     UnknownCurve,
+    quote,
 )
 from contactsurgery import openbook
+from contactsurgery.legendrian import LegendrianKnot, stabilize
 from contactsurgery.linalg import det_int, mat_mul_int
 from contactsurgery.openbook import (
     LanternConfiguration,
@@ -57,6 +59,55 @@ def test_surface_validation():
         )
     with pytest.raises(UnknownCurve):
         torus_like_surface().curve_class("nope")
+
+
+LONG_NAME = "x" * 100_000
+HUGE_INTEGER = 10**4000  # 4,001 digits, under the int-to-str limit
+
+
+def _with_curve(cls):
+    """torus_like_surface with one more curve, named LONG_NAME."""
+    surface = torus_like_surface()
+    return SurfaceModel(surface.genus, surface.boundary_count, surface.pairing,
+                        surface.curves + ((LONG_NAME, cls),), surface.boundary_classes)
+
+
+def _lantern_with_a_long_name():
+    """lantern_rewrite's arguments on the lantern ambient model with c12
+    renamed LONG_NAME, and letters that do not match its LtoR side."""
+    surface, _ = lantern_ambient_model()
+    curves = tuple((LONG_NAME if name == "c12" else name, cls) for name, cls in surface.curves)
+    surface = SurfaceModel(surface.genus, surface.boundary_count, surface.pairing, curves,
+                           surface.boundary_classes)
+    config = LanternConfiguration("b1", "b2", "b3", "b4", LONG_NAME, "c13", "c23")
+    return ((LONG_NAME, "+"),) * 4, config, 0, "LtoR", surface
+
+
+@pytest.mark.parametrize("call, error, echoed", [
+    (lambda: SurfaceModel(genus=HUGE_INTEGER, boundary_count=1, pairing=()), ValueError,
+     2 * HUGE_INTEGER),
+    (lambda: torus_like_surface().curve_class(LONG_NAME), UnknownCurve, LONG_NAME),
+    (lambda: lantern_ambient_model()[1].source(LONG_NAME), ValueError, LONG_NAME),
+    (lambda: lantern_rewrite((("b1", "+"),) * 4, lantern_ambient_model()[1], HUGE_INTEGER,
+                             "LtoR", lantern_ambient_model()[0]), PatternMismatch, HUGE_INTEGER),
+    (lambda: lantern_rewrite(*_lantern_with_a_long_name()), PatternMismatch, (LONG_NAME, "-")),
+    (lambda: giroux_stabilize(_with_curve((1, 0, 0)), (), LONG_NAME, (0, 0, 0, 1)),
+     InvalidStabilization, LONG_NAME),
+    (lambda: giroux_destabilize(_with_curve((1, 0, 0)), (), LONG_NAME), InvalidStabilization,
+     LONG_NAME),
+    (lambda: giroux_destabilize(_with_curve((2, 0, 0)), ((LONG_NAME, "+"),), LONG_NAME),
+     InvalidStabilization, LONG_NAME),
+    (lambda: giroux_destabilize(_with_curve((1, 0, 0)), ((LONG_NAME, "+"),), LONG_NAME,
+                                drop_index=HUGE_INTEGER), InvalidStabilization, HUGE_INTEGER),
+    (lambda: stabilize(LegendrianKnot(-1, 0), LONG_NAME), ValueError, LONG_NAME),
+], ids=["rank", "curve_class", "direction", "position", "letters", "stabilize",
+        "destabilize-twists", "destabilize-no-unit", "destabilize-index", "legendrian-sign"])
+def test_a_message_quotes_a_long_name_or_integer(call, error, echoed):
+    with pytest.raises(error) as raised:
+        call()
+    message = str(raised.value)
+    assert quote(echoed) in message
+    assert len(message.encode()) < 600
 
 
 def test_free_reduce():

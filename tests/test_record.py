@@ -42,8 +42,7 @@ CASES = {
                       f"ambient_invariant={_NONZERO}, ambient_b1=0)"),
     "LedgerState": (lambda: assert_fact(LedgerState(), 1, InvariantStatus.NONZERO, "r"),
                     f"LedgerState(facts=(Fact(offset=1, status={_NONZERO}, rule='r'),), "
-                    f"everywhere=None, ceiling=None, floor=Fact(offset=1, status={_NONZERO}, "
-                    "rule='r'))"),
+                    f"ceiling=None, floor=Fact(offset=1, status={_NONZERO}, rule='r'))"),
     "TightnessReport": (
         lambda: TightnessReport(KnotType("T(2,3)", 1, 1, 1, 1), (TightRange(2, "r"),), 0),
         f"TightnessReport(knot={_TREFOIL}, ranges=(TightRange(anchor=2, rule='r'),), "
