@@ -20,10 +20,12 @@ from .errors import (
     IncompleteData,
     InvalidCableParameters,
     NotInCatalog,
+    NotRealizable,
     quote,
     read_field,
     read_json,
 )
+from .legendrian import TransverseKnot
 from .record import Record
 
 FLAG_SQP_FIBERED = "strongly-quasipositive-fibered"
@@ -71,9 +73,11 @@ class KnotType(Record):
         unknown = flags - _KNOWN_FLAGS
         if unknown:
             raise ValueError(f"{where}: unknown flags {quote(sorted(unknown))}")
-        if max_sl is not None and max_sl % 2 != 1:
-            # A transverse knot in the 3-sphere has odd self-linking number.
-            raise ValueError(f"{where}: max self-linking {quote(max_sl)} must be odd")
+        if max_sl is not None:
+            try:
+                TransverseKnot(max_sl)  # the home of the parity rule
+            except NotRealizable:
+                raise ValueError(f"{where}: max self-linking {quote(max_sl)} must be odd") from None
 
 
 def lint_knot(knot: KnotType) -> list[str]:

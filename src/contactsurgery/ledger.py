@@ -129,23 +129,35 @@ class LedgerState(Record):
 
     def rows(self, lo: int, hi: int):
         """(framing, status, provenance) for lo..hi, one at a time; `window`
-        is their list.  A Zero framing is justified by the ceiling when it
-        covers every framing, else by the Zero fact at the nearest offset at
-        or above it, a NonZero framing by the NonZero fact at the nearest
-        offset at or below it, each found by one bisect."""
+        is their list.  The framings come in three runs: Zero up to the
+        ceiling, Unknown, and NonZero from the floor.  A Zero framing is
+        justified by the ceiling when it covers every framing, else by the
+        Zero fact at the nearest offset at or above it, a NonZero framing by
+        the NonZero fact at the nearest offset at or below it.  Each run
+        finds its first fact by one bisect and then advances with k;
+        `status_at` gives the same statuses framing by framing."""
+        ceiling, floor = self.ceiling, self.floor
+        if ceiling is not None and ceiling.offset is None:
+            for k in range(lo, hi + 1):
+                yield k, ZERO, ceiling.rule
+            return
+        # The Zero run is lo..zero_end - 1 and the NonZero run nonzero_start..hi.
+        zero_end = lo if ceiling is None else max(lo, min(ceiling.offset, hi) + 1)
+        nonzero_start = hi + 1 if floor is None else min(max(floor.offset, lo), hi + 1)
         zeros, zero_rules = self._by_offset[ZERO]
-        nonzeros, nonzero_rules = self._by_offset[NONZERO]
-        for k in range(lo, hi + 1):
-            status = self.status_at(k)
-            if status is InvariantStatus.UNKNOWN:
-                rule = None
-            elif status is NONZERO:
-                rule = nonzero_rules[nonzeros[bisect_right(nonzeros, k) - 1]]
-            elif self.ceiling.offset is None:
-                rule = self.ceiling.rule
-            else:
-                rule = zero_rules[zeros[bisect_left(zeros, k)]]
-            yield k, status, rule
+        j = bisect_left(zeros, lo)
+        for k in range(lo, zero_end):
+            if zeros[j] < k:
+                j += 1
+            yield k, ZERO, zero_rules[zeros[j]]
+        for k in range(zero_end, nonzero_start):
+            yield k, InvariantStatus.UNKNOWN, None
+        if nonzero_start <= hi:
+            nonzeros, nonzero_rules = self._by_offset[NONZERO]
+            rule = nonzero_rules[nonzeros[bisect_right(nonzeros, nonzero_start) - 1]]
+            for k in range(nonzero_start, hi + 1):
+                rule = nonzero_rules.get(k, rule)
+                yield k, NONZERO, rule
 
 
 def _clash(ceiling, floor, facts) -> None:

@@ -59,6 +59,8 @@ class SurfaceModel(Record):
         if len(classes) != len(self.curves):
             raise ValueError("duplicate curve names in the alphabet")
         object.__setattr__(self, "_classes", classes)
+        # Not a field either: _row_update fills it, one entry per curve.
+        object.__setattr__(self, "_updates", {})
         for name, cls in self.curves:
             if len(cls) != rank:
                 raise ValueError(f"curve {quote(name)!r} class has wrong length")
@@ -136,23 +138,30 @@ def cyclic_words_equal(first, second) -> bool:
     # One character per distinct letter; b is a rotation of a exactly when
     # its string occurs in a + a, which a substring search finds in linear time.
     codes = {letter: chr(i) for i, letter in enumerate(set(a) | set(b))}
-    text = "".join(codes[letter] for letter in a)
-    return "".join(codes[letter] for letter in b) in text + text
+    text = "".join(map(codes.__getitem__, a))
+    return "".join(map(codes.__getitem__, b)) in text + text
 
 
 def _row_update(surface: SurfaceModel, name: str, sign: str):
     """The letter's transvection T = I + s c (Omega c)^T as a rank-one
-    update: the bit length of its growth bound g = 1 + max|c_i| |Omega c|_1,
-    the pairs (k, (Omega c)_k) and the pairs (i, s c_i) with nonzero
-    entries, or None when T is the identity (Omega c = 0, as for c = 0)."""
-    cls = surface.curve_class(name)
-    image = surface._image(cls)
-    if not any(image):
-        return None
-    s = 1 if sign == PLUS else -1
-    growth = 1 + max(map(abs, cls)) * sum(map(abs, image))
-    return (growth.bit_length(), tuple((k, y) for k, y in enumerate(image) if y),
-            tuple((i, s * x) for i, x in enumerate(cls) if x))
+    update: the bits ceil(log2 g) = bitlen(g - 1) of its growth bound
+    g = 1 + max|c_i| |Omega c|_1, the pairs (k, (Omega c)_k) and the pairs
+    (i, s c_i) with nonzero entries, or None when T is the identity
+    (Omega c = 0, as for c = 0).  Omega c is computed once per curve and
+    surface: the updates for both signs are kept on the surface."""
+    try:
+        updates = surface._updates[name]
+    except KeyError:
+        cls = surface.curve_class(name)
+        image = surface._image(cls)
+        updates = None, None
+        if any(image):
+            growth = (max(map(abs, cls)) * sum(map(abs, image))).bit_length()
+            image = tuple((k, y) for k, y in enumerate(image) if y)
+            updates = tuple((growth, image, tuple((i, s * x) for i, x in enumerate(cls) if x))
+                            for s in (1, -1))
+        surface._updates[name] = updates
+    return updates[sign == MINUS]
 
 
 def _unpack(rows, width: int):
@@ -189,24 +198,26 @@ def homology_action(letters, surface: SurfaceModel):
     its r entries as signed slots of B bits, so v is the sum of
     (Omega c)_k row_k over the nonzero (Omega c)_k, and row_i += s c_i v
     for each nonzero c_i: a letter costs nnz(Omega c) + nnz(c) integer
-    operations on (r B)-bit integers.
+    operations on (r B)-bit integers.  A multiplier of +1 or -1 is an
+    addition or a subtraction, with no product.
 
     A letter multiplies the largest entry by at most
-    g = 1 + max|c_i| |Omega c|_1, so adding bitlen(g) to a running bound
-    `bits` keeps the invariant: after each letter every entry of the
-    chunk is below 2^bits in absolute value, and bits < B, so each entry
-    fits its signed slot.  When a letter would bring `bits` to B, the
-    chunk is unpacked and measured: m is the bit length of its largest
-    entry.  If 2m < B, the rows stay packed and `bits` restarts at
-    m + bitlen(g), below B since B >= 2 bitlen(g) + 2.  Otherwise the
-    chunk is composed after the product so far by mat_mul_int and the
-    next chunk starts from the identity.  Asking 2m < B, not only
-    m + bitlen(g) < B, leaves more than B/2 - bitlen(g) bits of headroom
-    after a measurement, so a kept chunk is not unpacked at every letter.
-    Random words grow far slower than the bound, so most triggers cost
-    one unpack of r^2 slots and no product.
-    B is max(256, 2 max bitlen(g) + 2) over the word's letters.  Each
-    distinct letter's update is built once; identity letters are skipped.
+    g = 1 + max|c_i| |Omega c|_1, so adding ceil(log2 g) = bitlen(g - 1)
+    (the letter's `growth`) to a running bound `bits` keeps the
+    invariant: after each letter every entry of the chunk is below
+    2^bits in absolute value, and bits < B, so each entry fits its
+    signed slot.  When a letter would bring `bits` to B, the chunk is
+    unpacked and measured: m is the bit length of its largest entry.  If
+    2m < B, the rows stay packed and `bits` restarts at m + growth, below
+    B since B >= 2 growth + 2.  Otherwise the chunk is composed after the
+    product so far by mat_mul_int and the next chunk starts from the
+    identity.  Asking 2m < B, not only m + growth < B, leaves more than
+    B/2 - growth bits of headroom after a measurement, so a kept chunk is
+    not unpacked at every letter.  Random words grow far slower than the
+    bound, so most triggers cost one unpack of r^2 slots and no product.
+    B is max(256, 2 max growth + 2) over the word's letters.  Each
+    distinct letter's update is looked up once, and identity letters are
+    skipped.
     """
     letters = tuple(letters)
     distinct = word(*dict.fromkeys(letters))  # checks each distinct letter's sign
@@ -230,9 +241,19 @@ def homology_action(letters, surface: SurfaceModel):
                 rows, bits = identity[:], growth
         v = 0
         for k, y in image:
-            v += y * rows[k]
+            if y == 1:
+                v += rows[k]
+            elif y == -1:
+                v -= rows[k]
+            else:
+                v += y * rows[k]
         for i, x in column:
-            rows[i] += x * v
+            if x == 1:
+                rows[i] += v
+            elif x == -1:
+                rows[i] -= v
+            else:
+                rows[i] += x * v
     return _compose(_unpack(rows, width), product)
 
 

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import json
 import random
@@ -395,6 +396,61 @@ def test_a_window_does_not_rescan_the_facts_per_framing():
         counted.window(k, k)
     # One pass builds the offset index; nothing else reads the facts.
     assert counted.facts.passes <= 1
+
+
+def _bisect_rows(state, lo, hi):
+    """The rows framing by framing: status_at, then the fact behind it by one
+    bisect into the sorted offsets of that status."""
+    first = {Status.ZERO: {}, Status.NONZERO: {}}
+    for fact in state.facts:
+        if fact.offset is not None:
+            first[fact.status].setdefault(fact.offset, fact.rule)
+    zeros, nonzeros = sorted(first[Status.ZERO]), sorted(first[Status.NONZERO])
+    rows = []
+    for k in range(lo, hi + 1):
+        status = state.status_at(k)
+        if status is Status.UNKNOWN:
+            rule = None
+        elif status is Status.NONZERO:
+            rule = first[status][nonzeros[bisect.bisect_right(nonzeros, k) - 1]]
+        elif state.ceiling.offset is None:
+            rule = state.ceiling.rule
+        else:
+            rule = first[status][zeros[bisect.bisect_left(zeros, k)]]
+        rows.append((k, status, rule))
+    return rows
+
+
+@st.composite
+def read_windows(draw):
+    """A state from fact_lists' facts, stopped before its first clash, and
+    a window lo..hi that may start below, inside or above the Unknown gap
+    and may be empty."""
+    state = LedgerState()
+    for fact in draw(fact_lists()):
+        try:
+            state = assert_fact(state, *fact)
+        except Contradiction:
+            break
+    lo = draw(st.integers(-12, 12))
+    return state, lo, draw(st.integers(lo - 2, lo + 16))
+
+
+def _read_window(*pairs, lo, hi):
+    return assert_facts(LedgerState(), _facts(*pairs)), lo, hi
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@example(_read_window((None, Status.ZERO), (-3, Status.ZERO), lo=-5, hi=5))
+@example(_read_window((-2, Status.ZERO), (3, Status.NONZERO), lo=-6, hi=6))
+@example(_read_window((-2, Status.ZERO), (3, Status.NONZERO), lo=0, hi=6))
+@example(_read_window((-2, Status.ZERO), (3, Status.NONZERO), lo=5, hi=9))
+@example(_read_window((-2, Status.ZERO), (-4, Status.ZERO), lo=0, hi=3))
+@example(_read_window((4, Status.NONZERO), (1, Status.NONZERO), lo=-3, hi=6))
+@given(read_windows())
+def test_rows_walk_the_runs_as_status_at_and_a_bisect_read_them(window):
+    state, lo, hi = window
+    assert list(state.rows(lo, hi)) == _bisect_rows(state, lo, hi)
 
 
 def _one_by_one(state, facts):

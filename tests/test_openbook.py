@@ -303,6 +303,15 @@ def test_every_lantern_rewrite_validates_with_three_pairings(monkeypatch):
         assert images[0] == 3 * calls
 
 
+def test_the_action_takes_one_image_per_curve_and_surface(monkeypatch):
+    surface, _ = lantern_ambient_model()
+    word = tuple((name, sign) for name, _ in surface.curves for sign in "+-")
+    images = _counting_images(monkeypatch)
+    for _ in range(3):
+        homology_action(word, surface)
+    assert images[0] == len(surface.curves)
+
+
 def _transvection(surface, name, sign):
     """T = I + s c (Omega c)^T, written out entry by entry."""
     omega, c = surface.pairing, surface.curve_class(name)
@@ -417,17 +426,32 @@ def _counting_chunks(monkeypatch):
     return unpacked, composed
 
 
+def test_a_chunk_fills_its_slots_to_one_bit_below_the_slot_width(monkeypatch):
+    # p = 2**51 - 1, so g = 1 + p = 2**51 and each letter adds exactly
+    # ceil(log2 g) = 51 bits to the bound (bitlen(g) would add 52).  Five
+    # alternating letters bring it to 255 = B - 1 with entries of 255 bits,
+    # the most a signed 256-bit slot holds, and the sixth letter composes
+    # the chunk.
+    surface = _alternating_page(2**51 - 1)
+    word = (("a", "+"), ("b", "-")) * 6
+    unpacked, composed = _counting_chunks(monkeypatch)
+    assert homology_action(word, surface) == _fold(surface, word)
+    assert [max(abs(x) for row in chunk for x in row).bit_length()
+            for chunk in unpacked] == [255, 255, 102]
+    assert len(composed) == 2
+
+
 @st.composite
 def reset_pages(draw):
     """A rank-2 page whose pairing p has 8 to 200 bits (slot width 256 to
-    404), and a word that in acting order starts with cancelling pairs
+    402), and a word that in acting order starts with cancelling pairs
     a+ a- enough for the bound to reach the slot width while the entries
     stay at most p, so the chunk is measured and kept; then alternates
     a+ b- long enough to drive the entries past half the slot width and
     reach a trigger after, so the chunk is composed; then ends with up to
     40 letters over a, b and a small third class."""
     p = draw(st.integers(2**7, 2**200 - 1))
-    growth = (p + 1).bit_length()
+    growth = p.bit_length()  # ceil(log2 g) for g = 1 + p
     width = max(256, 2 * growth + 2)
     third = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
     surface = SurfaceModel(1, 1, ((0, p), (-p, 0)),
