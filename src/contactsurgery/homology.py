@@ -27,6 +27,7 @@ from fractions import Fraction
 from .errors import NotRationalHomologySphere
 from .expansion import ContactSurgeryPresentation
 from .linalg import LinkingMatrix
+from .record import set_field
 
 
 def linking_matrix(presentation: ContactSurgeryPresentation) -> LinkingMatrix:
@@ -49,7 +50,7 @@ def linking_matrix(presentation: ContactSurgeryPresentation) -> LinkingMatrix:
         matrix = LinkingMatrix.of_pushoffs(
             [c.legendrian.tb for c in comps], [c.coefficient for c in comps]
         )
-        object.__setattr__(presentation, "_matrix", matrix)
+        set_field(presentation, "_matrix", matrix)
     return matrix
 
 

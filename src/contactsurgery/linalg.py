@@ -125,35 +125,33 @@ class LinkingMatrix(Record):
     def solve(self, rhs) -> tuple[Fraction, ...]:
         """The solution x of M x = rhs, exactly.
 
-        adj(T) has entry (k, j), k <= j, equal to (-1)^(j-k) b_k ... b_{j-1}
-        h_k P_{j+1}, for the head and tail continuants h_k = det T[:k, :k]
-        and P_k = det T[k:, k:].  So for r = P^T rhs, w = adj(T) r has
-        w_k = h_k s_k + P_{k+1} u_k.  A backward loop builds P_k and s_k =
-        P_{k+1} r_k - b_k s_{k+1}, and a forward loop h and u_{k+1} =
-        -b_k (h_k r_k + u_k); no continuant outlives the call.  As
-        adj(M) = P adj(T) P^T, x_j = (w_j - w_{j+1}) / det.
+        As adj(M) = P adj(T) P^T, x_j = (w_j - w_{j+1}) / det for w the
+        integer solution of T w = det r, r = P^T rhs.  Where T splits after
+        row k (b_k = 0, and at k = n - 1), `adjugate_form`'s forward pass
+        gives w_k = P_{k+1} beta_{k+1}, the tail continuant P_{k+1} being
+        det / h_{k+1}.  A backward walk takes every other w_k from row k + 1,
+        w_k = (det r_{k+1} - a_{k+1} w_{k+1} - b_{k+1} w_{k+2}) / b_k, and
+        keeps only w_{k+1} and w_{k+2}: each product has a small factor.
         """
         a, b, det, _ = self._chain
         _check_rhs(len(a), rhs)
         if det == 0:
             raise ZeroDivisionError("matrix is singular")
         b = b + (0,)
-        r = [y - x for x, y in zip((0, *rhs), rhs)]
-        p, s = [], []  # P_{k+1} and s_k, from k = n - 1 down
-        pk, p_next, sk = 1, 0, 0  # P_{k+1}, P_{k+2}, s_{k+1}
-        for ak, bk, rk in zip(reversed(a), reversed(b), reversed(r)):
-            sk = pk * rk - bk * sk
-            p.append(pk)
-            s.append(sk)
-            pk, p_next = ak * pk - bk * bk * p_next, pk
-        w = []
-        h, h_prev, u, b_prev = 1, 0, 0, 0  # h_k, h_{k-1}, u_k, b_{k-1}
-        for ak, bk, rk, sk, pk in zip(a, b, r, reversed(s), reversed(p)):
-            w.append(h * sk + pk * u)
-            u = -bk * (h * rk + u)
-            h, h_prev, b_prev = ak * h - b_prev * b_prev * h_prev, h, bk
-        w.append(0)
-        return tuple(Fraction(x - y, det) for x, y in zip(w, w[1:]))
+        x = [0] * len(a)  # w_k at each split k, then the answer
+        h, h_prev, beta, b_prev, y_prev = 1, 0, 0, 0, 0
+        for k, (ak, bk, y) in enumerate(zip(a, b, rhs)):
+            beta = (y - y_prev) * h - b_prev * beta
+            h, h_prev, b_prev, y_prev = ak * h - b_prev * b_prev * h_prev, h, bk, y
+            if not bk:  # a split, where h_{k+1} divides det
+                x[k] = det // h * beta
+        w1 = w2 = 0  # w_{k+1}, w_{k+2}
+        for k in reversed(range(len(a))):
+            w = x[k]
+            if b[k]:
+                w = (det * (rhs[k + 1] - rhs[k]) - a[k + 1] * w1 - b[k + 1] * w2) // b[k]
+            x[k], w1, w2 = Fraction(w - w1, det), w, w1
+        return tuple(x)
 
 
 def mat_mul_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -25,7 +25,7 @@ from .errors import (
 )
 # The status lives in legendrian; bench/workloads.py still reads it here.
 from .legendrian import InvariantStatus  # noqa: F401
-from .record import Record
+from .record import Record, set_field
 
 Letter = tuple[str, str]
 PLUS = "+"
@@ -58,9 +58,9 @@ class SurfaceModel(Record):
         classes = dict(self.curves)
         if len(classes) != len(self.curves):
             raise ValueError("duplicate curve names in the alphabet")
-        object.__setattr__(self, "_classes", classes)
+        set_field(self, "_classes", classes)
         # Not a field either: _row_update fills it, one entry per curve.
-        object.__setattr__(self, "_updates", {})
+        set_field(self, "_updates", {})
         for name, cls in self.curves:
             if len(cls) != rank:
                 raise ValueError(f"curve {quote(name)!r} class has wrong length")

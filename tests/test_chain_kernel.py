@@ -291,6 +291,23 @@ def test_spin_c_evaluation_keeps_nothing_on_the_matrix():
     assert retained < 0.1 * 2**20
 
 
+def test_solve_peaks_near_its_answer():
+    # The row walk keeps two w's beside the answer's n Fractions (about
+    # 1.9 MB here); lists of n continuants and of n w's would double it.
+    presentation = long_chain(2000)
+    matrix = linking_matrix(presentation)
+    matrix.determinant()
+    rot = tuple(c.legendrian.rot for c in presentation.components)
+    tracemalloc.start()
+    try:
+        solution = matrix.solve(rot)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(solution) == 2000
+    assert peak <= 1.25 * retained
+
+
 def bordered(entries, rhs):
     """[[M, rhs], [rhs^T, 0]], whose determinant is -rhs^T adj(M) rhs."""
     return tuple(row + (r,) for row, r in zip(entries, rhs)) + (tuple(rhs) + (0,),)
@@ -421,10 +438,12 @@ def presentation_chains(draw):
 @example(((1, 4, 7), (2, 5), (2, -1, 1)))  # an interior zero head continuant, h_2 = 0
 @example(((-1, 0, 1), (0, 1), (1, -2, 3)))  # a zero tail continuant, P_1 = 0
 @example(((-1, -3), (-2,), (1, 1)))  # a +1 head, then its unstabilized pushoff: P_1 = 0
+@example(((2, 5), (2,), (1, 0)))  # T = diag(2, 3): w_0 = (det / h_1) beta_1 = 3 beta_1
+@example(((2, 4, 9, 12), (2, 5, 9), (1, -1, 0, 1)))  # blocks (2), [[2, 1], [1, 3]], (3)
 def test_forward_passes_match_the_bordered_determinant(chain):
     # det and signature from the one forward pass, rhs^T adj(M) rhs from
-    # the bordered recurrence, and the solution from the tail continuants,
-    # against the generic elimination on the n x n entries.
+    # the bordered recurrence, and the solution from the row walk back from
+    # each split, against the generic elimination on the n x n entries.
     diagonal, linking, rhs = chain
     matrix = LinkingMatrix(diagonal, linking)
     entries = matrix.entries
