@@ -29,20 +29,21 @@ from .errors import (
     quote,
 )
 
-# The stderr prefix for each exit code of a ContactSurgeryError.
-_PREFIXES = {1: "error", 2: "input error", 3: "contradiction"}
-
 
 class _Streamed(list):
     """An iterator as a list for `_write_json`.  The pure-Python encoder tests
     a list once for emptiness, then iterates it, so each item is read once,
     as it is written.  (`JSONEncoder.encode` may run the C encoder, which
-    would read the empty list underneath.)"""
+    would read the empty list underneath.)  An object that is not an
+    iterator is refused with the TypeError of `json`: a set, say, would be
+    written in hash order."""
 
     def __init__(self, items):
+        if not hasattr(items, "__next__"):
+            raise TypeError(f"Object of type {type(items).__name__} is not JSON serializable")
         super().__init__()
-        self._items = iter(items)
-        self._head = list(islice(self._items, 1))
+        self._items = items
+        self._head = list(islice(items, 1))
 
     def __bool__(self) -> bool:
         return bool(self._head)
@@ -144,18 +145,6 @@ def _knot(flags: str, knot_class, *invariants):
         raise NotRealizable(f"{flags}: {exc}") from None
 
 
-def _knot_record(knot) -> dict:
-    return {
-        "name": knot.name,
-        "genus": knot.genus,
-        "slice_genus": knot.slice_genus,
-        "max_tb": knot.max_tb,
-        "max_sl": knot.max_sl,
-        "flags": sorted(knot.flags),
-        "provenance": knot.provenance,
-    }
-
-
 def _cmd_catalog(args) -> int:
     from .catalog import lint_knot
 
@@ -166,7 +155,9 @@ def _cmd_catalog(args) -> int:
         return 0
     knot = catalog.lookup(args.knot)
     if args.json:
-        _write_json(_knot_record(knot))
+        # The record's fields, with its flags sorted: a frozenset has no order.
+        _write_json({name: getattr(knot, name) for name in knot._fields}
+                    | {"flags": sorted(knot.flags)})
     else:
         print(f"name: {knot.name}")
         print(f"genus: {knot.genus}")
@@ -228,6 +219,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_homology(args) -> int:
+    from dataclasses import asdict
+
     from . import diagramio
     from .homology import homology_data, linking_matrix
 
@@ -235,12 +228,7 @@ def _cmd_homology(args) -> int:
     data = homology_data(linking_matrix(presentation))
     _check_printable((data.determinant, data.signature, data.euler_characteristic))
     if args.json:
-        _write_json({
-            "determinant": data.determinant,
-            "order_h1": data.order_h1,
-            "signature": data.signature,
-            "euler_characteristic": data.euler_characteristic,
-        })
+        _write_json(asdict(data))
         return 0
     order = "infinite" if data.order_h1 is None else str(data.order_h1)
     print(f"|H1| = {order}")
@@ -285,7 +273,7 @@ def _cmd_classify(args) -> int:
 def _cmd_ledger(args) -> int:
     from .ledger import (
         LedgerSubject, apply_rules, assert_facts, check_realizable, inverse_limit_status)
-    from .legendrian import InvariantStatus, LegendrianKnot, TransverseKnot
+    from .legendrian import LegendrianKnot, TransverseKnot
 
     lo, hi = args.window
     window = f"--window {quote(lo)} {quote(hi)}"
@@ -314,10 +302,7 @@ def _cmd_ledger(args) -> int:
     if args.facts:
         from . import diagramio
 
-        state = assert_facts(state, (
-            (record["offset"], InvariantStatus(record["status"]), record["rule"])
-            for record in diagramio.facts_from_file(args.facts)
-        ))
+        state = assert_facts(state, diagramio.facts_from_file(args.facts))
     rows = state.rows(lo, hi)
     if args.json:
         _write_json({
@@ -451,7 +436,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
         return code
     except ContactSurgeryError as exc:
-        print(f"{_PREFIXES[exc.exit_code]}: {exc}", file=sys.stderr)
+        print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
     except BrokenPipeError:
         # The reader closed stdout.  Python flushes stdout again at exit, so

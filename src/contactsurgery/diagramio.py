@@ -18,10 +18,10 @@ by `errors.read_field`, and the entries of nested integer lists by
 
 from __future__ import annotations
 
+# Each reader imports its format's records when it runs, so an open book or
+# a facts file loads no expansion, and a diagram no openbook.
 from .errors import (
     DiagramFormatError, InvalidCoefficient, NotRealizable, quote, read_field, read_json)
-from .expansion import Component, ContactSurgeryPresentation
-from .legendrian import LegendrianKnot
 
 
 def _integers(raw, path: str, depth: int):
@@ -45,6 +45,9 @@ def parse_coefficient(raw, path: str) -> int:
 
 
 def presentation_from_dict(data: object, source: str = "diagram") -> ContactSurgeryPresentation:
+    from .expansion import Component, ContactSurgeryPresentation
+    from .legendrian import LegendrianKnot
+
     raw_components = read_field(data, "components", list, source)
     components = []
     for i, raw in enumerate(raw_components):
@@ -108,7 +111,6 @@ def presentation_to_dict(presentation: ContactSurgeryPresentation) -> dict:
 
 def open_book_from_dict(data: object, source: str = "openbook") -> tuple:
     """The (SurfaceModel, letters) pair of an open-book object."""
-    # Imported here, so that the diagram verbs do not load openbook.
     from .openbook import SurfaceModel, word as make_word
 
     surf = read_field(data, "surface", dict, source)
@@ -167,12 +169,15 @@ def open_book_to_dict(surface, letters) -> dict:
     }
 
 
-def facts_from_file(path: str) -> list[dict]:
-    """Ledger fact records: a list of {offset, status, rule} objects."""
+def facts_from_file(path: str) -> list[tuple]:
+    """The facts of a list of {offset, status, rule} objects, as the
+    (offset, InvariantStatus, rule) triples `ledger.assert_facts` takes."""
+    from .legendrian import InvariantStatus
+
     data, source = read_json(path), quote(path)
     if not isinstance(data, list):
         raise DiagramFormatError(f"{source}: top level must be a list")
-    records = []
+    facts = []
     for i, raw in enumerate(data):
         where = f"{source}[{i}]"
         status = read_field(raw, "status", str, where)
@@ -181,6 +186,5 @@ def facts_from_file(path: str) -> list[dict]:
         offset = read_field(raw, "offset", int, where, None)
         if offset is None and status != "Zero":
             raise DiagramFormatError(f"{where}.offset: null (every framing) is valid only for Zero")
-        rule = read_field(raw, "rule", str, where, "file")
-        records.append({"offset": offset, "status": status, "rule": rule})
-    return records
+        facts.append((offset, InvariantStatus(status), read_field(raw, "rule", str, where, "file")))
+    return facts

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Every domain failure raises a subclass of ContactSurgeryError.  Its
-exit_code tells input problems (2) and ledger contradictions (3) from
-computational failures (1); the CLI exits with it.  A message that
+exit_code tells input problems (2, every InputError) and ledger
+contradictions (3) from computational failures (1); the CLI exits with it
+and prefixes the message on stderr with the kind's label.  A message that
 echoes input passes it through `quote`, so its length stays bounded.
 `read_json`, the one JSON file reader of every input format, maps each
 way a file can fail to a `DiagramFormatError` naming the path, and
@@ -36,49 +37,43 @@ def quote(value) -> str:
 class ContactSurgeryError(Exception):
     """Base class for all domain errors raised by this package."""
 
-    exit_code = 1
+    exit_code, label = 1, "error"
 
 
-class NotInCatalog(ContactSurgeryError):
+class InputError(ContactSurgeryError):
+    """Base class of the errors an input causes: a flag, a file, a name."""
+
+    exit_code, label = 2, "input error"
+
+
+class NotInCatalog(InputError):
     """Requested knot name is not present in the loaded catalog."""
 
-    exit_code = 2
 
-
-class InvalidCableParameters(ContactSurgeryError):
+class InvalidCableParameters(InputError):
     """Cable parameters must satisfy q > p >= 1 with gcd(p, q) = 1."""
-
-    exit_code = 2
 
 
 class IncompleteData(ContactSurgeryError):
     """An operation needs a knot invariant that is recorded as unknown."""
 
 
-class NotRealizable(ContactSurgeryError):
+class NotRealizable(InputError):
     """Requested classical invariants (tb + rot or sl even, or tb, rot or sl
     past a bound of the knot type) belong to no knot in the 3-sphere."""
 
-    exit_code = 2
 
-
-class OutOfRange(ContactSurgeryError):
+class OutOfRange(InputError):
     """Argument outside its domain: the continued fraction expansion's, or
     a ledger window that is reversed or wider than the CLI's cap."""
 
-    exit_code = 2
 
-
-class UnsupportedCoefficient(ContactSurgeryError):
+class UnsupportedCoefficient(InputError):
     """Surgery coefficients in the open interval (0, 1) are rejected."""
 
-    exit_code = 2
 
-
-class InvalidCoefficient(ContactSurgeryError):
+class InvalidCoefficient(InputError):
     """Surgery coefficient zero (or unparseable) is not a valid input."""
-
-    exit_code = 2
 
 
 class NotRationalHomologySphere(ContactSurgeryError):
@@ -97,11 +92,9 @@ class InvalidStabilization(ContactSurgeryError):
     """Stabilization or destabilization data is inconsistent."""
 
 
-class DiagramFormatError(ContactSurgeryError):
+class DiagramFormatError(InputError):
     """A diagram, open book or catalog file failed syntactic or semantic
     validation; the message carries the offending field path."""
-
-    exit_code = 2
 
 
 class CannotCapLastBoundary(DiagramFormatError):
@@ -111,7 +104,7 @@ class CannotCapLastBoundary(DiagramFormatError):
 class Contradiction(ContactSurgeryError):
     """Ledger closure produced both Zero and NonZero at some framing."""
 
-    exit_code = 3
+    exit_code, label = 3, "contradiction"
 
     def __init__(self, offset, zero_rule: str, nonzero_rule: str):
         self.offset = offset

@@ -16,6 +16,7 @@ from contactsurgery import cli, errors, expansion, ledger
 from contactsurgery.catalog import Catalog, build_seed_entries
 from contactsurgery.cli import main
 from contactsurgery.diagramio import (
+    facts_from_file,
     open_book_from_dict,
     open_book_to_dict,
     parse_diagram_file,
@@ -24,7 +25,7 @@ from contactsurgery.diagramio import (
 )
 from contactsurgery.errors import DiagramFormatError, InvalidCoefficient
 from contactsurgery.expansion import all_negative_presentation, expand
-from contactsurgery.legendrian import LegendrianKnot, stabilize
+from contactsurgery.legendrian import InvariantStatus, LegendrianKnot, stabilize
 
 
 UNKNOT_N2 = {
@@ -513,6 +514,18 @@ def test_cli_ledger_json(capsys):
     assert payload["inverse_limit"] == "NotAllZero"
 
 
+_SEED_CATALOG = json.loads((pathlib.Path(__file__).resolve().parent.parent / "src"
+                            / "contactsurgery" / "data" / "seed_catalog.json").read_text())
+
+
+@pytest.mark.parametrize("record", _SEED_CATALOG, ids=[r["name"] for r in _SEED_CATALOG])
+def test_cli_catalog_json_is_the_seed_record(capsys, record):
+    assert main(["catalog", "--knot", record["name"], "--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == record
+    assert out == cli._JSON.encode(record) + "\n"
+
+
 def test_cli_catalog(capsys):
     assert main(["catalog", "--knot", "T(2,3)"]) == 0
     out = capsys.readouterr().out
@@ -570,7 +583,8 @@ _RECORD_CODEGEN = ("dataclasses", "inspect")
     (["catalog", "--list"],
      ("expansion", "homology", "linalg", "diagramio", "openbook", "ledger"), _RECORD_CODEGEN),
     (["openbook", "--file", "fixtures/torus-book.json", "--action"],
-     ("ledger", "catalog", "homology", "linalg", "acceptance"), _RECORD_CODEGEN),
+     ("ledger", "catalog", "homology", "linalg", "acceptance", "expansion"),
+     (*_RECORD_CODEGEN, "fractions")),
     (["ledger", "--window", "0", "1"],
      ("catalog", "expansion", "homology", "linalg", "diagramio", "acceptance", "openbook"),
      _RECORD_CODEGEN),
@@ -590,6 +604,15 @@ def test_cli_verb_loads_only_the_modules_it_uses(argv, unloaded, unloaded_stdlib
     assert "contactsurgery.errors" in loaded
     assert not loaded & {f"contactsurgery.{m}" for m in unloaded}
     assert not loaded & set(unloaded_stdlib)
+
+
+def test_cli_ledger_facts_loads_no_expansion(tmp_path):
+    # A facts file is read by diagramio, which imports a diagram's records
+    # only when it reads a diagram.
+    path = _facts_file(tmp_path, [{"offset": 2, "status": "NonZero"}])
+    loaded = _modules_loaded_by("-m", "contactsurgery.cli", "ledger", "--facts", path)
+    assert "contactsurgery.diagramio" in loaded
+    assert not loaded & {"contactsurgery.expansion", "fractions"}
 
 
 # Values past Python's 4,300-digit int-to-str limit, and an even one under it.
@@ -934,6 +957,21 @@ def test_cli_ledger_rejects_bad_fact_records(tmp_path, capsys, record, field):
     assert captured.err.startswith(f"input error: {errors.quote(path)}{field}:")
 
 
+def test_facts_from_file_yields_the_facts_assert_facts_takes(tmp_path):
+    path = _facts_file(tmp_path, [
+        {"offset": 3, "status": "NonZero", "rule": "R"},
+        {"offset": -1, "status": "Zero"},
+        {"offset": None, "status": "Zero", "rule": "all"},
+        {"status": "Zero"},
+    ])
+    assert facts_from_file(path) == [
+        (3, InvariantStatus.NONZERO, "R"),
+        (-1, InvariantStatus.ZERO, "file"),
+        (None, InvariantStatus.ZERO, "all"),
+        (None, InvariantStatus.ZERO, "file"),
+    ]
+
+
 def test_cli_ledger_accepts_null_offset_for_zero(tmp_path, capsys):
     path = _facts_file(tmp_path, [{"offset": None, "status": "Zero", "rule": "all"}])
     assert main(["ledger", "--facts", path, "--window", "0", "0"]) == 0
@@ -1053,21 +1091,45 @@ def test_cli_names_a_catalog_record_that_is_not_an_object_or_lacks_a_field(
     assert captured.err == f"input error: {message}\n"
 
 
-@pytest.mark.parametrize("error, code, prefix", [
-    (errors.ContactSurgeryError("x"), 1, "error"),
-    (errors.IncompleteData("x"), 1, "error"),
-    (errors.NotInCatalog("x"), 2, "input error"),
-    (errors.DiagramFormatError("x"), 2, "input error"),
-    (errors.Contradiction(None, "z", "n"), 3, "contradiction"),
-])
-def test_cli_maps_each_error_to_its_exit_code(monkeypatch, capsys, error, code, prefix):
+# The exit code of every error class in errors: 2 for the input errors.
+_EXIT_CODES = {
+    "ContactSurgeryError": 1, "IncompleteData": 1, "NotRationalHomologySphere": 1,
+    "UnknownCurve": 1, "PatternMismatch": 1, "InvalidStabilization": 1,
+    "InputError": 2, "NotInCatalog": 2, "InvalidCableParameters": 2, "NotRealizable": 2,
+    "OutOfRange": 2, "UnsupportedCoefficient": 2, "InvalidCoefficient": 2,
+    "DiagramFormatError": 2, "CannotCapLastBoundary": 2,
+    "Contradiction": 3,
+}
+_LABELS = {1: "error", 2: "input error", 3: "contradiction"}
+
+
+def _error_classes(cls=errors.ContactSurgeryError):
+    """cls and every class under it, walking the subclasses."""
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+_ERROR_CLASSES = [cls for cls in _error_classes() if cls.__module__ == errors.__name__]
+
+
+def test_the_exit_code_table_names_every_error_class():
+    assert {cls.__name__ for cls in _ERROR_CLASSES} == _EXIT_CODES.keys()
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_cli_maps_each_error_to_its_exit_code(monkeypatch, capsys, cls):
+    error = cls(None, "z", "n") if cls is errors.Contradiction else cls("x")
+
     def fail(args):
         raise error
 
     monkeypatch.setattr(cli, "_cmd_selftest", fail)
-    assert error.exit_code == code
+    code = _EXIT_CODES[cls.__name__]
+    assert (code == 2) == issubclass(cls, errors.InputError)
+    assert (error.exit_code, error.label) == (code, _LABELS[code])
     assert main(["selftest"]) == code
-    assert capsys.readouterr().err == f"{prefix}: {error}\n"
+    assert capsys.readouterr().err == f"{_LABELS[code]}: {error}\n"
 
 
 def test_cli_golden_output_of_a_zero_tail_chain(tmp_path, capsys):

@@ -88,6 +88,13 @@ def test_streamed_ledger_json_is_one_encoding_of_the_window(subject, lo, width, 
     assert out.getvalue() == cli._JSON.encode(payload) + "\n"
 
 
+def test_write_json_refuses_a_set_rather_than_write_it_in_hash_order():
+    # Only an iterator is streamed: a frozenset's order depends on the hash seed.
+    flags = frozenset({"algebraic", "torus", "strongly-quasipositive-fibered"})
+    with pytest.raises(TypeError, match="frozenset is not JSON serializable"):
+        cli._write_json({"flags": flags})
+
+
 @st.composite
 def surgeries(draw):
     """A realizable knot and a coefficient r < 0 or r >= 1 with at most 200
