@@ -151,9 +151,10 @@ class Expansion:
     presentation comes first.
 
     Every presentation has the same tbs and coefficients, so all of them
-    share one `LinkingMatrix`, `matrix`, built on first use, and its
-    chain kernel runs at most once.  `count` = prod(a_j - 1) is an
-    int; `len` raises OverflowError past sys.maxsize, as for a range.
+    share one `LinkingMatrix`, `matrix`, built on first use and factored
+    when built, so its chain kernel runs at most once.  `count` =
+    prod(a_j - 1) is an int; `len` raises OverflowError past sys.maxsize,
+    as for a range.
     Iteration extends each prefix of choices in turn, so the next
     presentation rebuilds only the links after the last choice that
     changed; an int index builds its presentation in O(links), and a

@@ -9,14 +9,14 @@ rotation numbers, and assemble the d3 invariant
 
 normalized so the empty diagram yields -1/2.  All arithmetic is exact.
 
-`d3_invariant` reads det and signature from `pushoff_chain`'s forward pass
-and det * c^2 as one integer from a second forward pass
-(`LinkingMatrix.adjugate_form`), each in O(n) steps by small multipliers,
+A `LinkingMatrix` is factored when it is built, by `pushoff_chain`'s
+forward pass; the functions here read its (a, b, det, signature) as data.
+`d3_invariant` takes det * c^2 as one integer from a second forward pass
+(`LinkingMatrix.adjugate_form`), each pass O(n) steps by small multipliers,
 and divides once, by 4 * det; only `spin_c_evaluation` builds the
-solution's `Fraction`s (`LinkingMatrix.solve`), and it takes c^2 from
-the same integer.  Every presentation runs `pushoff_chain` on its linking
-matrix once: an expansion's presentations share one matrix, and any
-other presentation keeps the matrix `linking_matrix` built for it.
+solution's `Fraction`s (`LinkingMatrix.solve`), and it takes c^2 from the
+same integer.  Each presentation's matrix is built, so factored, once: an
+expansion's presentations share one, and any other keeps its own.
 """
 
 from __future__ import annotations
@@ -46,10 +46,11 @@ def linking_matrix(presentation: ContactSurgeryPresentation) -> LinkingMatrix:
         return presentation._expansion.matrix
     matrix = presentation._matrix
     if matrix is None:
-        comps = presentation.components
-        matrix = LinkingMatrix.of_pushoffs(
-            [c.legendrian.tb for c in comps], [c.coefficient for c in comps]
-        )
+        tbs, coefficients = [], []
+        for c in presentation.components:
+            tbs.append(c.legendrian.tb)
+            coefficients.append(c.coefficient)
+        matrix = LinkingMatrix.of_pushoffs(tbs, coefficients)
         set_field(presentation, "_matrix", matrix)
     return matrix
 
@@ -64,13 +65,8 @@ class HomologyData:
 
 def homology_data(matrix: LinkingMatrix) -> HomologyData:
     """|H1| (None when infinite), signature, and euler = 1 + size."""
-    det = matrix.determinant()
-    return HomologyData(
-        determinant=det,
-        order_h1=abs(det) if det != 0 else None,
-        signature=matrix.signature(),
-        euler_characteristic=1 + matrix.size,
-    )
+    _, _, det, signature = matrix._chain
+    return HomologyData(det, abs(det) if det else None, signature, 1 + len(matrix.diagonal))
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ class SpinCEvaluation:
 def spin_c_evaluation(presentation: ContactSurgeryPresentation) -> SpinCEvaluation:
     rot = tuple(c.legendrian.rot for c in presentation.components)
     matrix = linking_matrix(presentation)
-    det = matrix.determinant()
+    _, _, det, _ = matrix._chain
     if det == 0:
         raise NotRationalHomologySphere("linking matrix is singular")
     return SpinCEvaluation(rot, matrix.solve(rot), Fraction(matrix.adjugate_form(rot), det))
@@ -98,17 +94,16 @@ def d3_invariant(presentation: ContactSurgeryPresentation) -> Fraction:
     Defined when the surgered manifold is a rational homology sphere
     (nonzero determinant); the empty presentation gives -1/2.  With
     det * c^2 = N, the integer `adjugate_form` of the rot vector,
-    d3 = (N - det * (3 * signature + 2 * euler - 4 * q)) / (4 * det).
+    d3 = (N - det * (3 * signature + 2 * euler - 4 * q)) / (4 * det), where
+    q is 1 just when the first component is the (only) +1.
     """
     matrix = linking_matrix(presentation)
-    det = matrix.determinant()
+    _, _, det, signature = matrix._chain
     if det == 0:
         raise NotRationalHomologySphere(
             "d3 is undefined: the surgered manifold has infinite H1"
         )
     comps = presentation.components
     form = matrix.adjugate_form([c.legendrian.rot for c in comps])
-    q = sum(1 for c in comps if c.coefficient == 1)
-    return Fraction(
-        form - det * (3 * matrix.signature() + 2 * (1 + matrix.size) - 4 * q), 4 * det
-    )
+    q = 1 if comps and comps[0].coefficient == 1 else 0
+    return Fraction(form - det * (3 * signature + 2 * (1 + len(comps)) - 4 * q), 4 * det)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .record import Record
+from .record import Record, set_field
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -38,10 +38,11 @@ def pushoff_chain(diagonal, linking) -> tuple[tuple[int, ...], tuple[int, ...], 
     sign, so its two zero terms add up to the right count; on the global
     continuants a singular block would zero every term after it.
     """
-    b = tuple([t - d for t, d in zip(linking, diagonal)])
-    a = (*diagonal[:1], *[d - t - bk for d, t, bk in zip(diagonal[1:], linking, b)])
+    a, b, t, bk = [], [], 0, 0  # t_{k-1} and b_{k-1}, 0 before the first component
     det, signature, q, q_prev = 1, 0, 1, 0
-    for ak, bk in zip(a, (0, *b)):  # bk = b_{k-1}
+    for d, t_next in zip(diagonal, (*linking, 0)):  # b against the padding is dropped
+        ak = d - t - bk
+        a.append(ak)
         if bk:
             q, q_prev = ak * q - bk * bk * q_prev, q
         else:
@@ -49,7 +50,9 @@ def pushoff_chain(diagonal, linking) -> tuple[tuple[int, ...], tuple[int, ...], 
             q, q_prev = ak, 1
         if q and q_prev:
             signature += 1 if (q > 0) == (q_prev > 0) else -1
-    return a, b, det * q, signature
+        t, bk = t_next, t_next - d
+        b.append(bk)
+    return tuple(a), tuple(b[:-1]), det * q, signature
 
 
 def _check_rhs(n, rhs) -> None:
@@ -63,8 +66,9 @@ class LinkingMatrix(Record):
     Each component is a pushoff of the one before it, so
     M[i][j] = linking[min(i, j)] off the diagonal: the matrix is stored in
     O(n), and the n x n `entries` are built only on request.  `linking` is
-    one shorter than `diagonal`.  The methods read `pushoff_chain`, which
-    runs once per matrix, on first use.
+    one shorter than `diagonal`.  The matrix is factored when it is built:
+    `_check` stores `pushoff_chain`'s tuple as `_chain`, not a field, and
+    the methods read it.
     """
 
     _fields = ("diagonal", "linking")
@@ -72,6 +76,7 @@ class LinkingMatrix(Record):
     def _check(self) -> None:
         if len(self.linking) != max(len(self.diagonal) - 1, 0):
             raise ValueError("linking needs one entry fewer than diagonal")
+        set_field(self, "_chain", pushoff_chain(self.diagonal, self.linking))
 
     @classmethod
     def of_pushoffs(cls, tbs, coefficients) -> LinkingMatrix:
@@ -94,10 +99,6 @@ class LinkingMatrix(Record):
             for i, d in enumerate(self.diagonal)
         )
 
-    @cached_property
-    def _chain(self):
-        return pushoff_chain(self.diagonal, self.linking)
-
     def determinant(self) -> int:
         return self._chain[2]
 
@@ -113,7 +114,8 @@ class LinkingMatrix(Record):
         r_m h_m - b_{m-1} beta_m, from F_0 = beta_0 = 0 and the head
         continuants h, h_0 = 1: every multiplier is small."""
         a, b, _, _ = self._chain
-        _check_rhs(len(a), rhs)
+        if len(rhs) != len(a):
+            _check_rhs(len(a), rhs)
         h, h_prev, f, f_prev, beta, b_prev, x = 1, 0, 0, 0, 0, 0, 0  # x: rhs_{m-1}
         for ak, bk, y in zip(a, b + (0,), rhs):
             rk, x, bb = y - x, y, b_prev * b_prev
@@ -134,7 +136,8 @@ class LinkingMatrix(Record):
         keeps only w_{k+1} and w_{k+2}: each product has a small factor.
         """
         a, b, det, _ = self._chain
-        _check_rhs(len(a), rhs)
+        if len(rhs) != len(a):
+            _check_rhs(len(a), rhs)
         if det == 0:
             raise ZeroDivisionError("matrix is singular")
         b = b + (0,)

@@ -10,6 +10,7 @@ not make itself.  d3, which reads det * c^2 as one integer
 """
 
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -165,6 +166,10 @@ def chains(draw):
 @example(((3, 3), (3,)), [0] * 8)
 # An interior zero continuant, P_1 = 0, with det = 1.
 @example(((-1, 0, 1), (0, 1)), [1, -2, 3, 0, 0, 0, 0, 0])
+@example(((), ()), [0] * 8)  # n = 0: det 1, signature 0, the empty solution
+@example(((-2,), ()), [3] + [0] * 7)  # n = 1: no link, so no b
+# A split at the first link, b_0 = 0: T = (2) + [[3, -2], [-2, 3]].
+@example(((2, 5, 4), (2, 3)), [1, -1, 2, 0, 0, 0, 0, 0])
 def test_kernel_matches_generic_on_any_chain(chain, rhs):
     diagonal, linking = chain
     entries = LinkingMatrix(diagonal, linking).entries
@@ -180,12 +185,78 @@ def test_kernel_matches_generic_on_any_chain(chain, rhs):
     assert_matches_generic(diagonal, linking, rot)
 
 
-def test_linking_needs_one_entry_fewer_than_diagonal():
+def counted_pushoff_chain(monkeypatch):
+    """Route `linalg.pushoff_chain` through a counter; returns the list of
+    the chain lengths it was called on."""
+    calls = []
+
+    def counted(diagonal, linking):
+        calls.append(len(diagonal))
+        return pushoff_chain(diagonal, linking)
+
+    monkeypatch.setattr(linalg, "pushoff_chain", counted)
+    return calls
+
+
+def test_linking_needs_one_entry_fewer_than_diagonal(monkeypatch):
     LinkingMatrix((), ())
     LinkingMatrix((3,), ())
+    calls = counted_pushoff_chain(monkeypatch)
     for diagonal, linking in [((3,), (1,)), ((3, 4), ()), ((), (1,))]:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one entry fewer"):
             LinkingMatrix(diagonal, linking)
+    assert calls == []  # the lengths are checked before the matrix is factored
+
+
+def test_a_matrix_is_factored_when_built_and_only_then(monkeypatch):
+    diagonal, linking = (-1, -4, -4), (-2, -3)
+    expected = pushoff_chain(diagonal, linking)
+    calls = counted_pushoff_chain(monkeypatch)
+    matrix = LinkingMatrix(diagonal, linking)
+    assert vars(matrix)["_chain"] == expected  # stored by the constructor
+    assert calls == [3]
+    assert (matrix.determinant(), matrix.signature()) == expected[2:]
+    assert matrix.adjugate_form((-1, -2, -2)) == -1
+    assert matrix.solve((-1, -2, -2)) == (1, 0, 0)
+    assert calls == [3]
+    # `_chain` is not a field: equality, hash and repr read the fields only.
+    other = LinkingMatrix(diagonal, linking)
+    assert matrix == other and hash(matrix) == hash(other)
+    assert repr(matrix) == "LinkingMatrix(diagonal=(-1, -4, -4), linking=(-2, -3))"
+
+
+def d3_path_calls(presentation):
+    """The Python frames `homology_data(linking_matrix(p))` and then
+    `d3_invariant(p)` enter, counted by `sys.setprofile`."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        homology_data(linking_matrix(presentation))
+        d3_invariant(presentation)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("make, fresh, kept", [
+    (lambda: all_negative_presentation(LegendrianKnot(-1, 0), 12), 13, 8),
+    (lambda: expand(LegendrianKnot(-1, 0), Fraction(-7, 3))[1], 17, 8),
+], ids=["all negative", "expansion"])
+def test_the_d3_path_enters_few_python_frames(make, fresh, kept):
+    # The benchmark times each op after a reference load, with cold caches,
+    # as a one-shot CLI call runs; a cold op pays mostly for the frames it
+    # enters.  The budgets are the counts on Python 3.11; 3.12 and later
+    # inline comprehensions, so they enter fewer.  Factoring on first use
+    # and reading determinant(), signature() and size cost 28 / 17 (all
+    # negative) and 29 / 16 (expansion).
+    presentation = make()
+    assert d3_path_calls(presentation) <= fresh
+    assert d3_path_calls(presentation) <= kept
 
 
 @SETTINGS
