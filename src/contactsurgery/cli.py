@@ -11,6 +11,7 @@ ledger's window) is written as it is computed, never held whole.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import os
@@ -448,6 +449,13 @@ def main(argv=None) -> int:
             return 1
         os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         return 1
+    finally:
+        if argv is None:
+            # The process's own call, about to exit: every object start-up,
+            # the imports and the verb made lives until then, so the
+            # collections at shutdown need not walk them.  A caller that
+            # passes argv keeps running, and its collector is left alone.
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import cached_property
 from itertools import islice
 
 from .errors import InvalidCoefficient, OutOfRange, UnsupportedCoefficient, quote
@@ -151,8 +150,11 @@ class Expansion:
     presentation comes first.
 
     Every presentation has the same tbs and coefficients, so all of them
-    share one `LinkingMatrix`, `matrix`, built on first use and factored
-    when built, so its chain kernel runs at most once.  `count` =
+    share one `LinkingMatrix`, `matrix`, factored when built, so its chain
+    kernel runs at most once.  `homology.linking_matrix` builds it on first
+    use, from whichever presentation comes first, and keeps it in
+    `_matrix`, which starts at None; reading `matrix` first builds it
+    through that function too.  `count` =
     prod(a_j - 1) is an int; `len` raises OverflowError past sys.maxsize,
     as for a range.
     Iteration extends each prefix of choices in turn, so the next
@@ -173,6 +175,8 @@ class Expansion:
     link after the last choice that changed.
     """
 
+    _matrix = None
+
     def __init__(self, knot: LegendrianKnot, terms: tuple[int, ...], plus_one: bool):
         self.knot = knot
         self.head = (Component(knot, 1),) if plus_one else ()
@@ -185,14 +189,17 @@ class Expansion:
         self.count = math.prod(a - 1 for a in terms)
         self.tbs = tuple([c.legendrian.tb for c in self.head] + [tb for tb, _ in links])
 
-    @cached_property
+    @property
     def matrix(self) -> LinkingMatrix:
-        """The linking matrix of every presentation."""
-        # Imported here, so that listing presentations does not load linalg.
-        from .linalg import LinkingMatrix
+        """The linking matrix every presentation shares: `linking_matrix` of
+        any of them."""
+        matrix = self._matrix
+        if matrix is None:
+            # Imported here, so that listing presentations does not load linalg.
+            from .homology import linking_matrix
 
-        coefficients = [c.coefficient for c in self.head] + [-1] * len(self._links)
-        return LinkingMatrix.of_pushoffs(self.tbs, coefficients)
+            matrix = linking_matrix(self[0])
+        return matrix
 
     @property
     def stabilizations(self) -> tuple[int, ...]:

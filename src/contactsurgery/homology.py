@@ -17,17 +17,28 @@ and divides once, by 4 * det; only `spin_c_evaluation` builds the
 solution's `Fraction`s (`LinkingMatrix.solve`), and it takes c^2 from the
 same integer.  Each presentation's matrix is built, so factored, once: an
 expansion's presentations share one, and any other keeps its own.
+`linking_matrix` builds both kinds through `LinkingMatrix.of_pushoffs` and
+keeps the result in a plain `_matrix` attribute that starts at None, on the
+`Expansion` or on the presentation; the rot and tb vectors are read with
+`map` and `attrgetter`, so a first use enters no Python frame beyond the
+builder's own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import NotRationalHomologySphere
 from .expansion import ContactSurgeryPresentation
 from .linalg import LinkingMatrix
 from .record import set_field
+
+# A component's tb, rot and coefficient, read in C by `map`.
+_tb = attrgetter("legendrian.tb")
+_rot = attrgetter("legendrian.rot")
+_coefficient = attrgetter("coefficient")
 
 
 def linking_matrix(presentation: ContactSurgeryPresentation) -> LinkingMatrix:
@@ -39,19 +50,21 @@ def linking_matrix(presentation: ContactSurgeryPresentation) -> LinkingMatrix:
     (tb_0, ..., tb_{i-1}, tb_i + coefficient_i, tb_i, ..., tb_i).
 
     A presentation taken from an `Expansion` returns the one matrix that
-    all of that expansion's presentations share; any other presentation
-    builds its matrix on first use and keeps it, so it is factored once.
+    all of that expansion's presentations share, which the expansion
+    keeps; any other presentation keeps its own.  Either is built on first
+    use, so it is factored once.
     """
-    if presentation._expansion is not None:
-        return presentation._expansion.matrix
-    matrix = presentation._matrix
+    owner = presentation._expansion
+    if owner is None:
+        owner = presentation
+    matrix = owner._matrix
     if matrix is None:
-        tbs, coefficients = [], []
-        for c in presentation.components:
-            tbs.append(c.legendrian.tb)
-            coefficients.append(c.coefficient)
-        matrix = LinkingMatrix.of_pushoffs(tbs, coefficients)
-        set_field(presentation, "_matrix", matrix)
+        # Every presentation of an expansion has the same tbs and coefficients.
+        components = presentation.components
+        matrix = LinkingMatrix.of_pushoffs(
+            tuple(map(_tb, components)), tuple(map(_coefficient, components))
+        )
+        set_field(owner, "_matrix", matrix)
     return matrix
 
 
@@ -80,7 +93,7 @@ class SpinCEvaluation:
 
 
 def spin_c_evaluation(presentation: ContactSurgeryPresentation) -> SpinCEvaluation:
-    rot = tuple(c.legendrian.rot for c in presentation.components)
+    rot = tuple(map(_rot, presentation.components))
     matrix = linking_matrix(presentation)
     _, _, det, _ = matrix._chain
     if det == 0:
@@ -104,6 +117,6 @@ def d3_invariant(presentation: ContactSurgeryPresentation) -> Fraction:
             "d3 is undefined: the surgered manifold has infinite H1"
         )
     comps = presentation.components
-    form = matrix.adjugate_form([c.legendrian.rot for c in comps])
+    form = matrix.adjugate_form(tuple(map(_rot, comps)))
     q = 1 if comps and comps[0].coefficient == 1 else 0
     return Fraction(form - det * (3 * signature + 2 * (1 + len(comps)) - 4 * q), 4 * det)

@@ -23,12 +23,11 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from functools import cached_property
 from itertools import chain
 
 from .errors import Contradiction, IncompleteData, NotRealizable, quote
 from .legendrian import InvariantStatus, LegendrianKnot, TransverseKnot
-from .record import Record
+from .record import Record, set_field
 
 # KnotType annotations name a catalog.KnotType; they are never evaluated,
 # so this module does not import catalog.
@@ -102,6 +101,7 @@ class LedgerState(Record):
 
     _fields = ("facts", "ceiling", "floor")
     _defaults = {"facts": (), "ceiling": None, "floor": None}
+    _by_offset = None  # `_offset_index(facts)`, built by the first `rows` that needs it
 
     def _check(self) -> None:
         _clash(self.ceiling, self.floor, self.facts)
@@ -116,16 +116,6 @@ class LedgerState(Record):
 
     def window(self, lo: int, hi: int) -> list[tuple[int, InvariantStatus, str | None]]:
         return list(self.rows(lo, hi))
-
-    @cached_property
-    def _by_offset(self) -> dict[InvariantStatus, tuple[list[int], dict[int, str]]]:
-        """Per status, the distinct concrete offsets in increasing order and
-        the rule first asserted at each."""
-        first: dict[InvariantStatus, dict[int, str]] = {ZERO: {}, NONZERO: {}}
-        for fact in self.facts:
-            if fact.offset is not None:
-                first[fact.status].setdefault(fact.offset, fact.rule)
-        return {status: (sorted(rules), rules) for status, rules in first.items()}
 
     def rows(self, lo: int, hi: int):
         """(framing, status, provenance) for lo..hi, one at a time; `window`
@@ -144,7 +134,11 @@ class LedgerState(Record):
         # The Zero run is lo..zero_end - 1 and the NonZero run nonzero_start..hi.
         zero_end = lo if ceiling is None else max(lo, min(ceiling.offset, hi) + 1)
         nonzero_start = hi + 1 if floor is None else min(max(floor.offset, lo), hi + 1)
-        zeros, zero_rules = self._by_offset[ZERO]
+        by_offset = self._by_offset
+        if by_offset is None:
+            by_offset = _offset_index(self.facts)
+            set_field(self, "_by_offset", by_offset)
+        zeros, zero_rules = by_offset[ZERO]
         j = bisect_left(zeros, lo)
         for k in range(lo, zero_end):
             if zeros[j] < k:
@@ -153,11 +147,21 @@ class LedgerState(Record):
         for k in range(zero_end, nonzero_start):
             yield k, InvariantStatus.UNKNOWN, None
         if nonzero_start <= hi:
-            nonzeros, nonzero_rules = self._by_offset[NONZERO]
+            nonzeros, nonzero_rules = by_offset[NONZERO]
             rule = nonzero_rules[nonzeros[bisect_right(nonzeros, nonzero_start) - 1]]
             for k in range(nonzero_start, hi + 1):
                 rule = nonzero_rules.get(k, rule)
                 yield k, NONZERO, rule
+
+
+def _offset_index(facts) -> dict[InvariantStatus, tuple[list[int], dict[int, str]]]:
+    """Per status, the distinct concrete offsets in increasing order and
+    the rule first asserted at each."""
+    first: dict[InvariantStatus, dict[int, str]] = {ZERO: {}, NONZERO: {}}
+    for fact in facts:
+        if fact.offset is not None:
+            first[fact.status].setdefault(fact.offset, fact.rule)
+    return {status: (sorted(rules), rules) for status, rules in first.items()}
 
 
 def _clash(ceiling, floor, facts) -> None:

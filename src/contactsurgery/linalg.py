@@ -13,7 +13,7 @@ fraction-free elimination, `_eliminate`, which `det_int`,
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from operator import add
 
 from .record import Record, set_field
 
@@ -68,10 +68,12 @@ class LinkingMatrix(Record):
     O(n), and the n x n `entries` are built only on request.  `linking` is
     one shorter than `diagonal`.  The matrix is factored when it is built:
     `_check` stores `pushoff_chain`'s tuple as `_chain`, not a field, and
-    the methods read it.
+    the methods read it.  `entries` is kept in `_entries`, which starts at
+    None; neither is seen by equality, hash or repr.
     """
 
     _fields = ("diagonal", "linking")
+    _entries = None  # `entries`, once built
 
     def _check(self) -> None:
         if len(self.linking) != max(len(self.diagonal) - 1, 0):
@@ -84,20 +86,24 @@ class LinkingMatrix(Record):
         before it, with these tbs and contact coefficients: component j
         links every earlier component i in tb_i, and its smooth framing is
         tb_j + coefficient_j."""
-        return cls(tuple([t + c for t, c in zip(tbs, coefficients)]), tuple(tbs[:-1]))
+        return cls(tuple(map(add, tbs, coefficients)), tuple(tbs[:-1]))
 
     @property
     def size(self) -> int:
         return len(self.diagonal)
 
-    @cached_property
+    @property
     def entries(self) -> IntMatrix:
-        """The n x n matrix itself, in O(n^2)."""
-        n, linking = self.size, self.linking
-        return tuple(
-            linking[:i] + (d,) + linking[i:i + 1] * (n - i - 1)
-            for i, d in enumerate(self.diagonal)
-        )
+        """The n x n matrix itself, in O(n^2), built on first use and kept."""
+        entries = self._entries
+        if entries is None:
+            n, linking = self.size, self.linking
+            entries = tuple(
+                linking[:i] + (d,) + linking[i:i + 1] * (n - i - 1)
+                for i, d in enumerate(self.diagonal)
+            )
+            set_field(self, "_entries", entries)
+        return entries
 
     def determinant(self) -> int:
         return self._chain[2]

@@ -11,8 +11,10 @@ once per class with `exec`, so the base imports neither `dataclasses` nor
 Equality, hash and repr read the fields through one `operator.attrgetter`,
 as a frozen dataclass's methods would: two records are equal when they are
 of the same class with equal fields, the hash is that of the field tuple,
-and the repr reads `Name(a=..., b=...)`.  Other attributes, such as a
-`cached_property`, are seen by none of the three.
+and the repr reads `Name(a=..., b=...)`.  Other attributes are seen by
+none of the three.  A value a record computes on first use and keeps is
+such an attribute: a class attribute that starts at None, which the first
+reader replaces on the instance with `set_field`.
 """
 
 from operator import attrgetter

@@ -9,6 +9,7 @@ not make itself.  d3, which reads det * c^2 as one integer
 (`adjugate_form`), must equal the DGS formula assembled from them.
 """
 
+import os
 import random
 import sys
 import tracemalloc
@@ -219,44 +220,74 @@ def test_a_matrix_is_factored_when_built_and_only_then(monkeypatch):
     assert matrix.adjugate_form((-1, -2, -2)) == -1
     assert matrix.solve((-1, -2, -2)) == (1, 0, 0)
     assert calls == [3]
-    # `_chain` is not a field: equality, hash and repr read the fields only.
+    # `_chain` is not a field, nor are the `entries` kept on first use:
+    # equality, hash and repr read the fields only.
+    assert matrix.entries is matrix.entries
     other = LinkingMatrix(diagonal, linking)
+    assert "_entries" not in vars(other)
     assert matrix == other and hash(matrix) == hash(other)
     assert repr(matrix) == "LinkingMatrix(diagonal=(-1, -4, -4), linking=(-2, -3))"
 
 
-def d3_path_calls(presentation):
-    """The Python frames `homology_data(linking_matrix(p))` and then
-    `d3_invariant(p)` enter, counted by `sys.setprofile`."""
-    calls = 0
+@pytest.mark.parametrize("first", ["expansion.matrix", "linking_matrix"])
+def test_an_expansion_builds_its_matrix_once_whichever_read_comes_first(monkeypatch, first):
+    expansion = expand(LegendrianKnot(-2, 1), Fraction(-31, 7))
+    calls = counted_pushoff_chain(monkeypatch)
+    if first == "expansion.matrix":
+        matrix = expansion.matrix
+        assert linking_matrix(expansion[-1]) is matrix
+    else:
+        matrix = linking_matrix(expansion[-1])
+        assert expansion.matrix is matrix
+    assert all(linking_matrix(p) is matrix for p in expansion)
+    assert calls == [len(expansion.tbs)]
+    assert matrix == LinkingMatrix.of_pushoffs(
+        expansion.tbs, [c.coefficient for c in expansion[0].components])
 
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
 
-    sys.setprofile(count)
+def d3_path_frames(presentation):
+    """The code of each Python frame `homology_data(linking_matrix(p))` and
+    then `d3_invariant(p)` enter, in order, recorded by `sys.setprofile`."""
+    codes = []
+
+    def record(frame, event, arg):
+        if event == "call":
+            codes.append(frame.f_code)
+
+    sys.setprofile(record)
     try:
         homology_data(linking_matrix(presentation))
         d3_invariant(presentation)
     finally:
         sys.setprofile(None)
-    return calls
+    return codes
+
+
+def is_machinery(code):
+    """Whether a frame runs `functools` (a `cached_property` read) or
+    importlib (a function-local import), not the package's own work."""
+    name = code.co_filename
+    return name.endswith(f"{os.sep}functools.py") or name.startswith("<frozen importlib")
 
 
 @pytest.mark.parametrize("make, fresh, kept", [
-    (lambda: all_negative_presentation(LegendrianKnot(-1, 0), 12), 13, 8),
-    (lambda: expand(LegendrianKnot(-1, 0), Fraction(-7, 3))[1], 17, 8),
+    (lambda: all_negative_presentation(LegendrianKnot(-1, 0), 12), 11, 7),
+    (lambda: expand(LegendrianKnot(-1, 0), Fraction(-7, 3))[1], 11, 7),
 ], ids=["all negative", "expansion"])
 def test_the_d3_path_enters_few_python_frames(make, fresh, kept):
     # The benchmark times each op after a reference load, with cold caches,
     # as a one-shot CLI call runs; a cold op pays mostly for the frames it
-    # enters.  The budgets are the counts on Python 3.11; 3.12 and later
-    # inline comprehensions, so they enter fewer.  Factoring on first use
-    # and reading determinant(), signature() and size cost 28 / 17 (all
-    # negative) and 29 / 16 (expansion).
+    # enters.  The budgets are the counts on Python 3.11.  The path holds no
+    # comprehension, which 3.12 and later would inline, so the counts should
+    # be the same on 3.10-3.13; CI runs those versions.  First use also
+    # builds and factors the matrix (`of_pushoffs`, `__init__`, `_check`,
+    # `pushoff_chain`), and an expansion's shared matrix is built the same
+    # way as a standalone presentation's own.
     presentation = make()
-    assert d3_path_calls(presentation) <= fresh
-    assert d3_path_calls(presentation) <= kept
+    first = d3_path_frames(presentation)
+    assert len(first) <= fresh
+    assert not [code.co_filename for code in first if is_machinery(code)]
+    assert len(d3_path_frames(presentation)) <= kept
 
 
 @SETTINGS

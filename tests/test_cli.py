@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -613,6 +614,37 @@ def test_cli_ledger_facts_loads_no_expansion(tmp_path):
     loaded = _modules_loaded_by("-m", "contactsurgery.cli", "ledger", "--facts", path)
     assert "contactsurgery.diagramio" in loaded
     assert not loaded & {"contactsurgery.expansion", "fractions"}
+
+
+def test_main_with_argv_leaves_the_collector_alone(capsys):
+    # Tests and the benchmark's in-process pass call main(argv) and go on
+    # running, so their objects must stay collectable.
+    before = gc.get_freeze_count()
+    assert main(["d3", "--file", "fixtures/unknot-n2.json"]) == 0
+    assert main(["d3", "--file", "fixtures/no-such-file.json"]) == 2
+    assert _exit_code(["d3"]) == 2
+    assert gc.get_freeze_count() == before
+
+
+def test_the_process_own_call_freezes_the_collector_as_it_ends():
+    # Without argv, main is the process's own CLI call: once the verb has
+    # run, it freezes what the process made, so shutdown need not walk it.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    script = (
+        "import gc, sys\n"
+        "from contactsurgery.cli import main\n"
+        "sys.argv[1:] = ['d3', '--file', 'fixtures/unknot-n2.json']\n"
+        "frozen = gc.get_freeze_count()\n"
+        "code = main()\n"
+        "print(code, frozen, gc.get_freeze_count() > 0)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.stderr == ""
+    assert result.stdout.splitlines() == ["-1/2", "0 0 True"]
 
 
 # Values past Python's 4,300-digit int-to-str limit, and an even one under it.

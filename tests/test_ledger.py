@@ -2,11 +2,13 @@ import bisect
 import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contactsurgery import ledger
 from contactsurgery.catalog import (
     KnotType,
     UNKNOT,
@@ -451,6 +453,26 @@ def _read_window(*pairs, lo, hi):
 def test_rows_walk_the_runs_as_status_at_and_a_bisect_read_them(window):
     state, lo, hi = window
     assert list(state.rows(lo, hi)) == _bisect_rows(state, lo, hi)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@example(_read_window((None, Status.ZERO), (-3, Status.ZERO), lo=-5, hi=5))
+@example(_read_window((-2, Status.ZERO), (3, Status.NONZERO), lo=-6, hi=6))
+@example(_read_window(lo=0, hi=2))
+@given(read_windows())
+def test_rows_build_the_offset_index_on_first_use_only(window):
+    # The index is kept on the state by the first read that needs it; a
+    # ceiling that covers every framing names every row without it.
+    state, lo, hi = window
+    with mock.patch.object(ledger, "_offset_index", wraps=ledger._offset_index) as index:
+        first = list(state.rows(lo, hi))
+        assert list(state.rows(lo, hi)) == first
+        wider = list(state.rows(lo - 3, hi + 3))
+    covers_all = state.ceiling is not None and state.ceiling.offset is None
+    assert index.call_count == (0 if covers_all else 1)
+    assert wider[3:len(wider) - 3] == first
+    assert [(k, status) for k, status, _ in wider] == [
+        (k, state.status_at(k)) for k in range(lo - 3, hi + 4)]
 
 
 def _one_by_one(state, facts):
