@@ -451,10 +451,9 @@ def main(argv=None) -> int:
         return 1
     finally:
         if argv is None:
-            # The process's own call, about to exit: every object start-up,
-            # the imports and the verb made lives until then, so the
-            # collections at shutdown need not walk them.  A caller that
-            # passes argv keeps running, and its collector is left alone.
+            # The process's own call, about to exit: frozen objects are not
+            # walked by the collections at shutdown.  A caller that passes
+            # argv goes on running, so its collector is left alone.
             gc.freeze()
 
 

@@ -195,7 +195,8 @@ class Expansion:
         any of them."""
         matrix = self._matrix
         if matrix is None:
-            # Imported here, so that listing presentations does not load linalg.
+            # Imported here, so that listing presentations loads neither
+            # homology nor linalg.
             from .homology import linking_matrix
 
             matrix = linking_matrix(self[0])
