@@ -11,12 +11,16 @@ normalized so the empty diagram yields -1/2.  All arithmetic is exact.
 
 A `LinkingMatrix` is factored when it is built, by `pushoff_chain`'s
 forward pass; the functions here read its (a, b, det, signature) as data.
-`d3_invariant` takes det * c^2 as one integer from a second forward pass
-(`LinkingMatrix.adjugate_form`), each pass O(n) steps by small multipliers,
-and divides once, by 4 * det; only `spin_c_evaluation` builds the
-solution's `Fraction`s (`LinkingMatrix.solve`), and it takes c^2 from the
-same integer.  Each presentation's matrix is built, so factored, once: an
-expansion's presentations share one, and any other keeps its own.
+Every link of a presentation's chain is a unit, b_k = -coefficient_k,
+so the tridiagonal form never splits and H1 = coker M is cyclic: of
+order |det|, or Z where det = 0.  `d3_invariant` takes det * c^2 as one integer from a second
+forward pass (`LinkingMatrix.adjugate_form`), each pass O(n) steps by
+small multipliers, and divides once, by 4 * det; only
+`spin_c_evaluation` builds the solution's `Fraction`s
+(`LinkingMatrix.solve`, the integer `adjugate_vector` over det), and it
+takes c^2 from the same integer as d3.  Each presentation's matrix is
+built, so factored, once: an expansion's presentations share one, and
+any other keeps its own.
 `linking_matrix` builds both kinds through `LinkingMatrix.of_pushoffs` and
 keeps the result in a plain `_matrix` attribute that starts at None, on the
 `Expansion` or on the presentation, so a first use enters no `functools` or

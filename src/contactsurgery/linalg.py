@@ -2,10 +2,12 @@
 
 Everything here is deterministic and float-free.  Pushoff-chain
 matrices, the linking matrices of every surgery presentation, are given
-by their diagonal and linking tuples (`LinkingMatrix`), whose methods
-give det, signature and det * c^2 in O(n) integer steps that multiply by
-small integers only, and the solution of M x = rhs, without building the
-n x n matrix.  Every other square integer matrix goes through one
+by their diagonal and linking tuples (`LinkingMatrix`), each link
+linking_k - diagonal_k a unit, +1 or -1, as in a chain of (+1) and (-1)
+surgeries.  Their methods give det, signature, det * c^2 and the integer
+vector adj(M) rhs in O(n) integer steps that multiply by small integers
+only, and from that vector the solution of M x = rhs, without building
+the n x n matrix.  Every other square integer matrix goes through one
 fraction-free elimination, `_eliminate`, which `det_int`,
 `signature_exact` and `solve_exact` expose.
 """
@@ -18,6 +20,7 @@ from operator import add
 from .record import Record, set_field
 
 IntMatrix = tuple[tuple[int, ...], ...]
+_UNITS = frozenset((1, -1))  # the links b_k a pushoff chain admits
 
 
 def pushoff_chain(diagonal, linking) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
@@ -30,29 +33,29 @@ def pushoff_chain(diagonal, linking) -> tuple[tuple[int, ...], tuple[int, ...], 
     it is T = P^T M P: a_0 = d_0, a_k = d_k - 2 t_{k-1} + d_{k-1} and
     b_k = t_k - d_k, for d = diagonal and t = linking.
 
-    T splits into irreducible blocks at each b_{k-1} = 0, and each block's
-    head continuants Q_{k+1} = a_k Q_k - b_{k-1}^2 Q_{k-1} start again from
-    Q = 1.  det is the product of the blocks' last Q.  The signature is
-    Jacobi's rule, the sum of sign(Q_k Q_{k+1}) within each block, read by
-    comparing signs.  Inside a block a zero Q_k has neighbours of opposite
-    sign, so its two zero terms add up to the right count; on the global
-    continuants a singular block would zero every term after it.
+    Every link must be a unit, b_k = +1 or -1: in a chain of (+1) and (-1)
+    surgeries b_k is -coefficient_k.  Any other link raises ValueError,
+    naming the first such link and its b_k.  So T never splits, and its
+    head continuants Q_{k+1} = a_k Q_k - Q_{k-1}, from Q_{-1} = 0 and
+    Q_0 = 1, end at det = Q_n.  The signature is Jacobi's rule, the sum of
+    sign(Q_k Q_{k+1}), read by comparing signs: a zero Q_k has neighbours
+    of opposite sign, so its two zero terms add up to the right count.
     """
     a, b, t, bk = [], [], 0, 0  # t_{k-1} and b_{k-1}, 0 before the first component
-    det, signature, q, q_prev = 1, 0, 1, 0
+    signature, q, q_prev = 0, 1, 0
     for d, t_next in zip(diagonal, (*linking, 0)):  # b against the padding is dropped
         ak = d - t - bk
         a.append(ak)
-        if bk:
-            q, q_prev = ak * q - bk * bk * q_prev, q
-        else:
-            det *= q
-            q, q_prev = ak, 1
+        q, q_prev = ak * q - q_prev, q
         if q and q_prev:
             signature += 1 if (q > 0) == (q_prev > 0) else -1
         t, bk = t_next, t_next - d
         b.append(bk)
-    return tuple(a), tuple(b[:-1]), det * q, signature
+    b = tuple(b[:-1])
+    if not _UNITS.issuperset(b):
+        k, value = next((k, v) for k, v in enumerate(b) if v not in _UNITS)
+        raise ValueError(f"link {k} has linking - diagonal = {value}, not +1 or -1")
+    return tuple(a), b, q, signature
 
 
 def _check_rhs(n, rhs) -> None:
@@ -66,7 +69,8 @@ class LinkingMatrix(Record):
     Each component is a pushoff of the one before it, so
     M[i][j] = linking[min(i, j)] off the diagonal: the matrix is stored in
     O(n), and the n x n `entries` are built only on request.  `linking` is
-    one shorter than `diagonal`.  The matrix is factored when it is built:
+    one shorter than `diagonal`, and each link linking_k - diagonal_k must
+    be +1 or -1 (`pushoff_chain`).  The matrix is factored when it is built:
     `_check` stores `pushoff_chain`'s tuple as `_chain`, not a field, and
     the methods read it.  `entries` is kept in `_entries`, which starts at
     None; neither is seen by equality, hash or repr.
@@ -115,51 +119,62 @@ class LinkingMatrix(Record):
         """rhs^T adj(M) rhs = r^T adj(T) r = -det [[T, r], [r^T, 0]] for
         r = P^T rhs, an integer: det * c^2 with no solution built.  Expanding
         the bordered leading blocks by their last row, the forms
-        F_m = r[:m]^T adj(T[:m, :m]) r[:m] obey F_{m+1} = a_m F_m -
-        b_{m-1}^2 F_{m-1} - 2 b_{m-1} r_m beta_m + r_m^2 h_m and beta_{m+1} =
-        r_m h_m - b_{m-1} beta_m, from F_0 = beta_0 = 0 and the head
-        continuants h, h_0 = 1: every multiplier is small."""
+        F_m = r[:m]^T adj(T[:m, :m]) r[:m] obey F_{m+1} = a_m F_m - F_{m-1} -
+        2 b_{m-1} r_m beta_m + r_m^2 h_m and beta_{m+1} = r_m h_m -
+        b_{m-1} beta_m, from F_0 = beta_0 = 0 and the head continuants h,
+        h_0 = 1: every multiplier is small."""
         a, b, _, _ = self._chain
         if len(rhs) != len(a):
             _check_rhs(len(a), rhs)
         h, h_prev, f, f_prev, beta, b_prev, x = 1, 0, 0, 0, 0, 0, 0  # x: rhs_{m-1}
         for ak, bk, y in zip(a, b + (0,), rhs):
-            rk, x, bb = y - x, y, b_prev * b_prev
-            f, f_prev = ak * f - bb * f_prev - 2 * b_prev * rk * beta + rk * rk * h, f
+            rk, x = y - x, y
+            f, f_prev = ak * f - f_prev - 2 * b_prev * rk * beta + rk * rk * h, f
             beta = rk * h - b_prev * beta
-            h, h_prev, b_prev = ak * h - bb * h_prev, h, bk
+            h, h_prev, b_prev = ak * h - h_prev, h, bk
         return f
 
-    def solve(self, rhs) -> tuple[Fraction, ...]:
-        """The solution x of M x = rhs, exactly.
+    def adjugate_vector(self, rhs) -> list[int]:
+        """adj(M) rhs, as a list of integers: det * x for the solution x of
+        M x = rhs, and defined for a singular M as well.
 
-        As adj(M) = P adj(T) P^T, x_j = (w_j - w_{j+1}) / det for w the
-        integer solution of T w = det r, r = P^T rhs.  Where T splits after
-        row k (b_k = 0, and at k = n - 1), `adjugate_form`'s forward pass
-        gives w_k = P_{k+1} beta_{k+1}, the tail continuant P_{k+1} being
-        det / h_{k+1}.  A backward walk takes every other w_k from row k + 1,
-        w_k = (det r_{k+1} - a_{k+1} w_{k+1} - b_{k+1} w_{k+2}) / b_k, and
-        keeps only w_{k+1} and w_{k+2}: each product has a small factor.
+        As adj(M) = P adj(T) P^T, it is (w_j - w_{j+1})_j for w = adj(T) r,
+        r = P^T rhs.  `adjugate_form`'s beta recurrence gives
+        w_{n-1} = beta_n, and a backward walk reads each earlier w_k off row
+        k + 1 of T w = det r: b_k is a unit, so
+        w_k = b_k (det r_{k+1} - a_{k+1} w_{k+1} - b_{k+1} w_{k+2}).  The
+        walk keeps only w_{k+1} and w_{k+2}, so it holds no list but its
+        answer, and each product has a small factor.
         """
         a, b, det, _ = self._chain
-        if len(rhs) != len(a):
-            _check_rhs(len(a), rhs)
+        n = len(a)
+        if len(rhs) != n:
+            _check_rhs(n, rhs)
+        b = b + (0,)  # b_{n-1} = 0: no link past the last row
+        h, h_prev, beta, b_prev, y_prev = 1, 0, 0, 0, 0
+        for ak, bk, y in zip(a, b, rhs):
+            beta = (y - y_prev) * h - b_prev * beta
+            h, h_prev, b_prev, y_prev = ak * h - h_prev, h, bk, y
+        x = [0] * n
+        w, w_next = beta, 0  # w_k and w_{k+1}, from k = n - 1
+        for k in range(n - 1, 0, -1):
+            x[k] = w - w_next
+            w, w_next = b[k - 1] * (det * (rhs[k] - rhs[k - 1]) - a[k] * w - b[k] * w_next), w
+        if n:
+            x[0] = w - w_next
+        return x
+
+    def solve(self, rhs) -> tuple[Fraction, ...]:
+        """The solution x of M x = rhs, exactly: `adjugate_vector` over det.
+
+        Each integer of the vector is replaced by its `Fraction` in place,
+        so the integers and the answer are not all held at once."""
+        x = self.adjugate_vector(rhs)
+        det = self._chain[2]
         if det == 0:
             raise ZeroDivisionError("matrix is singular")
-        b = b + (0,)
-        x = [0] * len(a)  # w_k at each split k, then the answer
-        h, h_prev, beta, b_prev, y_prev = 1, 0, 0, 0, 0
-        for k, (ak, bk, y) in enumerate(zip(a, b, rhs)):
-            beta = (y - y_prev) * h - b_prev * beta
-            h, h_prev, b_prev, y_prev = ak * h - b_prev * b_prev * h_prev, h, bk, y
-            if not bk:  # a split, where h_{k+1} divides det
-                x[k] = det // h * beta
-        w1 = w2 = 0  # w_{k+1}, w_{k+2}
-        for k in reversed(range(len(a))):
-            w = x[k]
-            if b[k]:
-                w = (det * (rhs[k + 1] - rhs[k]) - a[k + 1] * w1 - b[k + 1] * w2) // b[k]
-            x[k], w1, w2 = Fraction(w - w1, det), w, w1
+        for k, v in enumerate(x):
+            x[k] = Fraction(v, det)
         return tuple(x)
 
 

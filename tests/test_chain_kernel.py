@@ -2,9 +2,10 @@
 
 `det_int`, `signature_exact` and `solve_exact`, the one-call entry points
 of the generic elimination, run on the materialized n x n entries, are
-the oracle: on every chain, zero continuants and zero off-diagonal
-entries included, the kernel's det, signature, solution and c^2 must
-equal theirs.  c^2 must equal x . rot, the check `SpinCEvaluation` does
+the oracle: on every chain of unit links, zero continuants and singular
+matrices included, the kernel's det, signature, adjugate vector, solution
+and c^2 must equal theirs.  A chain with a link other than +1 or -1 is
+refused.  c^2 must equal x . rot, the check `SpinCEvaluation` does
 not make itself.  d3, which reads det * c^2 as one integer
 (`adjugate_form`), must equal the DGS formula assembled from them.
 """
@@ -149,28 +150,28 @@ def test_determinant_is_bareiss_on_shared_and_parsed_matrices(presentation):
 
 @st.composite
 def chains(draw):
-    """Any integer pushoff chain: its diagonal, and M[i][j] = t_min(i, j) off it.
+    """Any pushoff chain of unit links: its diagonal d, and M[i][j] =
+    t_min(i, j) off it, with each b_k = t_k - d_k drawn from +1 and -1.
 
-    Each t_k is drawn near d_k half the time, so that b_k = t_k - d_k = 0
-    and zero continuants are common.
+    Half the time d_k is drawn so that a_k = d_k - d_{k-1} - 2 b_{k-1} is
+    -1, 0 or 1, so that zero continuants are common.
     """
-    n = draw(st.integers(1, 8))
-    d = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))
-    t = [draw(st.one_of(st.integers(-5, 5), st.integers(dk - 1, dk + 1))) for dk in d[:-1]]
+    n = draw(st.integers(0, 8))
+    d = [draw(st.integers(-8, 8))] if n else []
+    t = []
+    for _ in range(n - 1):
+        t.append(d[-1] + draw(st.sampled_from((1, -1))))
+        near = 2 * t[-1] - d[-1]  # where a_k = 0
+        d.append(draw(st.one_of(st.integers(-8, 8), st.integers(near - 1, near + 1))))
     return tuple(d), tuple(t)
 
 
 @SETTINGS
 @given(chains(), st.lists(st.integers(-6, 6), min_size=8, max_size=8))
-# T = diag(3, 0): b_0 = 0 and P_1 = 0, so Jacobi's rule on the global
-# continuants (0, 0, 1) gives 0, not the signature 1.
-@example(((3, 3), (3,)), [0] * 8)
 # An interior zero continuant, P_1 = 0, with det = 1.
 @example(((-1, 0, 1), (0, 1)), [1, -2, 3, 0, 0, 0, 0, 0])
 @example(((), ()), [0] * 8)  # n = 0: det 1, signature 0, the empty solution
 @example(((-2,), ()), [3] + [0] * 7)  # n = 1: no link, so no b
-# A split at the first link, b_0 = 0: T = (2) + [[3, -2], [-2, 3]].
-@example(((2, 5, 4), (2, 3)), [1, -1, 2, 0, 0, 0, 0, 0])
 def test_kernel_matches_generic_on_any_chain(chain, rhs):
     diagonal, linking = chain
     entries = LinkingMatrix(diagonal, linking).entries
@@ -417,7 +418,7 @@ def bordered(entries, rhs):
 
 @SETTINGS
 @given(chains(), st.lists(st.integers(-6, 6), min_size=8, max_size=8))
-@example(((3, 3), (3,)), [0] * 8)
+@example(((1, 4), (2,)), [1, -2, 0, 0, 0, 0, 0, 0])  # T = [[1, 1], [1, 1]], singular
 @example(((-1, 0, 1), (0, 1)), [1, -2, 3, 0, 0, 0, 0, 0])
 def test_adjugate_form_is_det_times_c_squared(chain, rhs):
     # rhs^T adj(M) rhs by the bordered determinant on every chain, singular
@@ -506,12 +507,12 @@ def test_a_standalone_presentation_factors_its_matrix_once(make, monkeypatch):
 @st.composite
 def tridiagonals(draw):
     """(diagonal, linking, rhs) of a pushoff chain drawn through its
-    tridiagonal form: a_k and b_k so small that b_k = 0 (a split into
-    blocks, some singular) and zero head and tail continuants are common,
-    with n = 0 and n = 1 among them."""
+    tridiagonal form: unit links b_k, and a_k so small that zero head and
+    tail continuants, and singular matrices, are common, with n = 0 and
+    n = 1 among them."""
     n = draw(st.integers(0, 9))
     a = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    b = draw(st.lists(st.integers(-2, 2), min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
+    b = draw(st.lists(st.sampled_from((1, -1)), min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
     # Invert a_0 = d_0, b_k = t_k - d_k and a_k = d_k - 2 t_{k-1} + d_{k-1}.
     d, t = a[:1], []
     for ak, bk in zip(a[1:], b):
@@ -533,19 +534,15 @@ def presentation_chains(draw):
 @given(st.one_of(tridiagonals(), presentation_chains()))
 @example(((), (), ()))  # n = 0
 @example(((-2,), (), (3,)))  # n = 1
-@example(((3, 3), (3,), (1, -2)))  # T = diag(3, 0): a singular block at b_0 = 0
-@example(((0, 3), (0,), (1, 1)))  # T = diag(0, 3): global head continuants (1, 0, 0)
-@example(((1, 4, 7), (2, 4), (1, 0, -1)))  # a singular block, then b_1 = 0
+@example(((1, 4), (2,), (1, -2)))  # T = [[1, 1], [1, 1]], singular
 @example(((0, 3), (1,), (1, 1)))  # a zero head continuant, h_1 = a_0 = 0
 @example(((1, 4, 7), (2, 5), (2, -1, 1)))  # an interior zero head continuant, h_2 = 0
 @example(((-1, 0, 1), (0, 1), (1, -2, 3)))  # a zero tail continuant, P_1 = 0
 @example(((-1, -3), (-2,), (1, 1)))  # a +1 head, then its unstabilized pushoff: P_1 = 0
-@example(((2, 5), (2,), (1, 0)))  # T = diag(2, 3): w_0 = (det / h_1) beta_1 = 3 beta_1
-@example(((2, 4, 9, 12), (2, 5, 9), (1, -1, 0, 1)))  # blocks (2), [[2, 1], [1, 3]], (3)
 def test_forward_passes_match_the_bordered_determinant(chain):
     # det and signature from the one forward pass, rhs^T adj(M) rhs from
     # the bordered recurrence, and the solution from the row walk back from
-    # each split, against the generic elimination on the n x n entries.
+    # w_{n-1}, against the generic elimination on the n x n entries.
     diagonal, linking, rhs = chain
     matrix = LinkingMatrix(diagonal, linking)
     entries = matrix.entries
@@ -556,3 +553,78 @@ def test_forward_passes_match_the_bordered_determinant(chain):
     assert form == -det_int(bordered(entries, rhs))
     if det:
         assert matrix.solve(rhs) == solve_exact(entries, rhs)
+
+
+@pytest.mark.parametrize("diagonal, linking, link, b", [
+    ((3, 3), (3,), 0, 0),  # T = diag(3, 0)
+    ((0, 3), (0,), 0, 0),  # T = diag(0, 3)
+    ((2, 5), (2,), 0, 0),  # T = diag(2, 3)
+    ((2, 5, 4), (2, 3), 0, 0),  # b = (0, -2): the first is named
+    ((2, 4, 9, 12), (2, 5, 9), 0, 0),  # b = (0, 1, 0)
+    ((-1, -4, -4, -4), (-2, -4, -5), 1, 0),  # an inner split
+    ((1, 4, 7), (2, 4), 1, 0),  # a split at the last link
+    ((0, 3), (2,), 0, 2),
+    ((-1, -4, -4), (-2, -2), 1, 2),
+    ((-1, -4, -4, -4), (-2, -6, -5), 1, -2),
+])
+def test_a_link_other_than_a_unit_is_refused(diagonal, linking, link, b):
+    # In a chain of (+1) and (-1) surgeries b_k = -coefficient_k, so only
+    # unit links are admitted; the error names the first other one.
+    message = rf"^link {link} has linking - diagonal = {b}, not \+1 or -1$"
+    with pytest.raises(ValueError, match=message):
+        pushoff_chain(diagonal, linking)
+    with pytest.raises(ValueError, match=message):
+        LinkingMatrix(diagonal, linking)
+
+
+def cofactor_vector(entries, rhs):
+    """adj(M) rhs by cofactors: entry i is the sum over j of
+    (-1)^(i + j) det(M without row j and column i) rhs_j."""
+    n = len(entries)
+    return [
+        sum((-1) ** (i + j) * det_int(tuple(
+            row[:i] + row[i + 1:] for r, row in enumerate(entries) if r != j)) * rhs[j]
+            for j in range(n))
+        for i in range(n)
+    ]
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.one_of(tridiagonals(), presentation_chains()))
+@example(((), (), ()))  # n = 0
+@example(((0,), (), (3,)))  # n = 1, singular: adj(M) = (1)
+@example(((1, 4), (2,), (1, -2)))  # T = [[1, 1], [1, 1]], singular
+@example(((-1, 0, 1), (0, 1), (1, -2, 3)))  # a zero tail continuant, P_1 = 0
+@example(((1, 4, 7), (2, 5), (2, -1, 1)))  # an interior zero head continuant, h_2 = 0
+def test_adjugate_vector_is_the_cofactor_expansion(chain):
+    diagonal, linking, rhs = chain
+    matrix = LinkingMatrix(diagonal, linking)
+    vector = matrix.adjugate_vector(rhs)
+    assert len(vector) == len(rhs) and all(type(v) is int for v in vector)
+    if len(rhs) <= 8:
+        assert vector == cofactor_vector(matrix.entries, rhs)
+    assert sum(v * r for v, r in zip(vector, rhs)) == matrix.adjugate_form(rhs)
+    det = matrix.determinant()
+    if det:
+        assert vector == [det * x for x in solve_exact(matrix.entries, rhs)]
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.one_of(tridiagonals(), presentation_chains()), st.booleans())
+@example(((-1, -4, -4), (-2, -3), (1, 0, 0)), True)  # det 1: every v is in the image
+@example(((-5, -5), (-4,), (1, 0)), False)  # T = [[-5, 1], [1, -2]], det 9
+def test_h1_is_cyclic_so_one_sum_tells_the_image(chain, in_image):
+    # Unit links make coker M = H1 cyclic of order |det|, generated by
+    # e_0's class, and 1^T adj(M) = e_0^T adj(T) P^T is primitive.  So v
+    # lies in M Z^n, the test of two rot vectors for one spin^c structure,
+    # just when the one sum of adj(M) v is divisible by det.
+    diagonal, linking, u = chain
+    matrix = LinkingMatrix(diagonal, linking)
+    det = matrix.determinant()
+    assume(det)
+    entries = matrix.entries
+    v = tuple(sum(m * x for m, x in zip(row, u)) for row in entries) if in_image else u
+    integral = all(x.denominator == 1 for x in solve_exact(entries, v))
+    assert integral == (sum(matrix.adjugate_vector(v)) % det == 0)
+    if in_image:
+        assert integral

@@ -629,6 +629,8 @@ def test_main_with_argv_leaves_the_collector_alone(capsys):
 def test_the_process_own_call_freezes_the_collector_as_it_ends():
     # Without argv, main is the process's own CLI call: once the verb has
     # run, it freezes what the process made, so shutdown need not walk it.
+    # The count is compared with its value before the call, since an
+    # interpreter may start with objects frozen (375 on Python 3.12.1).
     root = pathlib.Path(__file__).resolve().parent.parent
     script = (
         "import gc, sys\n"
@@ -636,7 +638,7 @@ def test_the_process_own_call_freezes_the_collector_as_it_ends():
         "sys.argv[1:] = ['d3', '--file', 'fixtures/unknot-n2.json']\n"
         "frozen = gc.get_freeze_count()\n"
         "code = main()\n"
-        "print(code, frozen, gc.get_freeze_count() > 0)\n"
+        "print(code, gc.get_freeze_count() > frozen)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], cwd=root,
@@ -644,7 +646,7 @@ def test_the_process_own_call_freezes_the_collector_as_it_ends():
         capture_output=True, text=True, timeout=60,
     )
     assert result.stderr == ""
-    assert result.stdout.splitlines() == ["-1/2", "0 0 True"]
+    assert result.stdout.splitlines() == ["-1/2", "0 True"]
 
 
 # Values past Python's 4,300-digit int-to-str limit, and an even one under it.
