@@ -258,7 +258,7 @@ def _cmd_classify(args) -> int:
     if args.json:
         _write_json({
             "knot": knot.name,
-            "ranges": [{"anchor": rng.anchor, "rule": rng.rule} for rng in report.ranges],
+            "ranges": [rng._asdict() for rng in report.ranges],
             "sl_tb_gap": report.sl_tb_gap,
         })
         return 0

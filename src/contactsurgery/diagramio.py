@@ -54,7 +54,9 @@ def presentation_from_dict(data: object, source: str = "diagram") -> ContactSurg
         path = f"{source}.components[{i}]"
         tb = read_field(raw, "tb", int, path)
         rot = read_field(raw, "rot", int, path)
-        coeff = parse_coefficient(raw.get("coeff"), f"{path}.coeff")
+        if "coeff" not in raw:
+            raise DiagramFormatError(f"{path}: missing field 'coeff'")
+        coeff = parse_coefficient(raw["coeff"], f"{path}.coeff")
         signs = read_field(raw, "stab_signs", list, path, [])
         if any(s not in ("+", "-") for s in signs):
             raise DiagramFormatError(f"{path}.stab_signs: entries must be '+' or '-'")

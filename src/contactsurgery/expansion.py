@@ -150,13 +150,12 @@ class Expansion:
     presentation comes first.
 
     Every presentation has the same tbs and coefficients, so all of them
-    share one `LinkingMatrix`, `matrix`, factored when built, so its chain
-    kernel runs at most once.  `homology.linking_matrix` builds it on first
-    use, from whichever presentation comes first, and keeps it in
-    `_matrix`, which starts at None; reading `matrix` first builds it
-    through that function too.  `count` =
-    prod(a_j - 1) is an int; `len` raises OverflowError past sys.maxsize,
-    as for a range.
+    share one `LinkingMatrix`, factored when built, so its chain kernel
+    runs at most once.  `homology.linking_matrix` of any presentation
+    returns it: that function builds it on first use, from whichever
+    presentation comes first, and keeps it in `_matrix`, which starts at
+    None.  `count` = prod(a_j - 1) is an int; `len` raises OverflowError
+    past sys.maxsize, as for a range.
     Iteration extends each prefix of choices in turn, so the next
     presentation rebuilds only the links after the last choice that
     changed; an int index builds its presentation in O(links), and a
@@ -188,19 +187,6 @@ class Expansion:
         self._links = tuple(links)
         self.count = math.prod(a - 1 for a in terms)
         self.tbs = tuple([c.legendrian.tb for c in self.head] + [tb for tb, _ in links])
-
-    @property
-    def matrix(self) -> LinkingMatrix:
-        """The linking matrix every presentation shares: `linking_matrix` of
-        any of them."""
-        matrix = self._matrix
-        if matrix is None:
-            # Imported here, so that listing presentations loads neither
-            # homology nor linalg.
-            from .homology import linking_matrix
-
-            matrix = linking_matrix(self[0])
-        return matrix
 
     @property
     def stabilizations(self) -> tuple[int, ...]:

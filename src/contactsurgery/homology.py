@@ -13,14 +13,15 @@ A `LinkingMatrix` is factored when it is built, by `pushoff_chain`'s
 forward pass; the functions here read its (a, b, det, signature) as data.
 Every link of a presentation's chain is a unit, b_k = -coefficient_k,
 so the tridiagonal form never splits and H1 = coker M is cyclic: of
-order |det|, or Z where det = 0.  `d3_invariant` takes det * c^2 as one integer from a second
-forward pass (`LinkingMatrix.adjugate_form`), each pass O(n) steps by
-small multipliers, and divides once, by 4 * det; only
-`spin_c_evaluation` builds the solution's `Fraction`s
-(`LinkingMatrix.solve`, the integer `adjugate_vector` over det), and it
-takes c^2 from the same integer as d3.  Each presentation's matrix is
-built, so factored, once: an expansion's presentations share one, and
-any other keeps its own.
+order |det|, or Z where det = 0.  `d3_invariant` takes det * c^2 as one
+integer from a second forward pass (`LinkingMatrix.adjugate_form`), each
+pass O(n) steps by small multipliers, and divides once, by 4 * det.
+`spin_c_evaluation` takes one integer vector instead, adj(M) rot
+(`LinkingMatrix.adjugate_vector`), reads det * c^2 off it as a dot
+product with rot, and only then turns each entry into its `Fraction`
+of the solution.  Each presentation's matrix is built, so factored,
+once: an expansion's presentations share one, and any other keeps its
+own.
 `linking_matrix` builds both kinds through `LinkingMatrix.of_pushoffs` and
 keeps the result in a plain `_matrix` attribute that starts at None, on the
 `Expansion` or on the presentation, so a first use enters no `functools` or
@@ -93,12 +94,20 @@ class SpinCEvaluation:
 
 
 def spin_c_evaluation(presentation: ContactSurgeryPresentation) -> SpinCEvaluation:
+    """The rot vector, the solution x of M x = rot and c^2 = x . rot, from
+    one integer vector, adj(M) rot = det * x: det * c^2 is its dot product
+    with rot, and each of its integers is then replaced by its `Fraction`
+    in place, so the integers and the solution are not all held at once."""
     rot = tuple(c.legendrian.rot for c in presentation.components)
     matrix = linking_matrix(presentation)
     _, _, det, _ = matrix._chain
     if det == 0:
         raise NotRationalHomologySphere("linking matrix is singular")
-    return SpinCEvaluation(rot, matrix.solve(rot), Fraction(matrix.adjugate_form(rot), det))
+    x = matrix.adjugate_vector(rot)
+    form = sum(v * r for v, r in zip(x, rot))
+    for k, v in enumerate(x):
+        x[k] = Fraction(v, det)
+    return SpinCEvaluation(rot, tuple(x), Fraction(form, det))
 
 
 def d3_invariant(presentation: ContactSurgeryPresentation) -> Fraction:

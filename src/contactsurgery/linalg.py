@@ -5,9 +5,9 @@ matrices, the linking matrices of every surgery presentation, are given
 by their diagonal and linking tuples (`LinkingMatrix`), each link
 linking_k - diagonal_k a unit, +1 or -1, as in a chain of (+1) and (-1)
 surgeries.  Their methods give det, signature, det * c^2 and the integer
-vector adj(M) rhs in O(n) integer steps that multiply by small integers
-only, and from that vector the solution of M x = rhs, without building
-the n x n matrix.  Every other square integer matrix goes through one
+vector adj(M) rhs, det times the solution of M x = rhs, in O(n) integer
+steps that multiply by small integers only, without building the n x n
+matrix.  Every other square integer matrix goes through one
 fraction-free elimination, `_eliminate`, which `det_int`,
 `signature_exact` and `solve_exact` expose.
 """
@@ -68,16 +68,15 @@ class LinkingMatrix(Record):
 
     Each component is a pushoff of the one before it, so
     M[i][j] = linking[min(i, j)] off the diagonal: the matrix is stored in
-    O(n), and the n x n `entries` are built only on request.  `linking` is
-    one shorter than `diagonal`, and each link linking_k - diagonal_k must
-    be +1 or -1 (`pushoff_chain`).  The matrix is factored when it is built:
-    `_check` stores `pushoff_chain`'s tuple as `_chain`, not a field, and
-    the methods read it.  `entries` is kept in `_entries`, which starts at
-    None; neither is seen by equality, hash or repr.
+    O(n), and the n x n `entries` are built on each read, never kept.
+    `linking` is one shorter than `diagonal`, and each link
+    linking_k - diagonal_k must be +1 or -1 (`pushoff_chain`).  The matrix
+    is factored when it is built: `_check` stores `pushoff_chain`'s tuple
+    as `_chain`, not a field, so equality, hash and repr do not see it, and
+    the methods read it.
     """
 
     _fields = ("diagonal", "linking")
-    _entries = None  # `entries`, once built
 
     def _check(self) -> None:
         if len(self.linking) != max(len(self.diagonal) - 1, 0):
@@ -93,21 +92,13 @@ class LinkingMatrix(Record):
         return cls(tuple(map(add, tbs, coefficients)), tuple(tbs[:-1]))
 
     @property
-    def size(self) -> int:
-        return len(self.diagonal)
-
-    @property
     def entries(self) -> IntMatrix:
-        """The n x n matrix itself, in O(n^2), built on first use and kept."""
-        entries = self._entries
-        if entries is None:
-            n, linking = self.size, self.linking
-            entries = tuple(
-                linking[:i] + (d,) + linking[i:i + 1] * (n - i - 1)
-                for i, d in enumerate(self.diagonal)
-            )
-            set_field(self, "_entries", entries)
-        return entries
+        """The n x n matrix itself, built in O(n^2) on each read."""
+        n, linking = len(self.diagonal), self.linking
+        return tuple(
+            linking[:i] + (d,) + linking[i:i + 1] * (n - i - 1)
+            for i, d in enumerate(self.diagonal)
+        )
 
     def determinant(self) -> int:
         return self._chain[2]
@@ -163,19 +154,6 @@ class LinkingMatrix(Record):
         if n:
             x[0] = w - w_next
         return x
-
-    def solve(self, rhs) -> tuple[Fraction, ...]:
-        """The solution x of M x = rhs, exactly: `adjugate_vector` over det.
-
-        Each integer of the vector is replaced by its `Fraction` in place,
-        so the integers and the answer are not all held at once."""
-        x = self.adjugate_vector(rhs)
-        det = self._chain[2]
-        if det == 0:
-            raise ZeroDivisionError("matrix is singular")
-        for k, v in enumerate(x):
-            x[k] = Fraction(v, det)
-        return tuple(x)
 
 
 def mat_mul_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -97,14 +97,14 @@ def row_formula(presentation):
 
 
 def assert_solves(matrix, rot):
-    """M x = rot by substitution, and det * (x . rot) = rot^T adj(M) rot."""
-    solution = matrix.solve(rot)
-    assert all(
-        sum(a * x for a, x in zip(row, solution)) == r for row, r in zip(matrix.entries, rot)
-    )
+    """adj(M) rot = det * x for the generic solution x, which solves
+    M x = rot by substitution, and det * (x . rot) = rot^T adj(M) rot."""
+    entries, det = matrix.entries, matrix.determinant()
+    solution = solve_exact(entries, rot)
+    assert all(sum(a * x for a, x in zip(row, solution)) == r for row, r in zip(entries, rot))
+    assert matrix.adjugate_vector(rot) == [det * x for x in solution]
     c_squared = sum(x * r for x, r in zip(solution, rot))
-    assert matrix.determinant() * c_squared == matrix.adjugate_form(rot)
-    return solution
+    assert det * c_squared == matrix.adjugate_form(rot)
 
 
 def assert_matches_generic(diagonal, linking, rot):
@@ -113,7 +113,7 @@ def assert_matches_generic(diagonal, linking, rot):
     assert matrix.determinant() == det_int(entries)
     assert matrix.signature() == signature_exact(entries)
     if matrix.determinant():
-        assert assert_solves(matrix, rot) == solve_exact(entries, rot)
+        assert_solves(matrix, rot)
 
 
 @SETTINGS
@@ -134,6 +134,8 @@ def test_kernel_matches_generic_on_presentations(presentation):
         spin = spin_c_evaluation(presentation)
         assert spin.solution == solve_exact(entries, rot)
         assert spin.c_squared == sum(x * r for x, r in zip(spin.solution, rot))
+        # The independent pass: spin^c reads det * c^2 off adj(M) rot.
+        assert det * spin.c_squared == matrix.adjugate_form(rot)
 
 
 @SETTINGS
@@ -219,27 +221,26 @@ def test_a_matrix_is_factored_when_built_and_only_then(monkeypatch):
     assert calls == [3]
     assert (matrix.determinant(), matrix.signature()) == expected[2:]
     assert matrix.adjugate_form((-1, -2, -2)) == -1
-    assert matrix.solve((-1, -2, -2)) == (1, 0, 0)
+    rhs = (-1, -2, -2)
+    solution = solve_exact(matrix.entries, rhs)
+    assert solution == (1, 0, 0)
+    assert matrix.adjugate_vector(rhs) == [expected[2] * x for x in solution]
     assert calls == [3]
-    # `_chain` is not a field, nor are the `entries` kept on first use:
-    # equality, hash and repr read the fields only.
-    assert matrix.entries is matrix.entries
+    # `_chain` is not a field, and the `entries` are built on each read,
+    # never kept: equality, hash and repr read the fields only.
+    assert matrix.entries == matrix.entries
+    assert set(vars(matrix)) == {"diagonal", "linking", "_chain"}
     other = LinkingMatrix(diagonal, linking)
-    assert "_entries" not in vars(other)
     assert matrix == other and hash(matrix) == hash(other)
     assert repr(matrix) == "LinkingMatrix(diagonal=(-1, -4, -4), linking=(-2, -3))"
 
 
-@pytest.mark.parametrize("first", ["expansion.matrix", "linking_matrix"])
+@pytest.mark.parametrize("first", [0, -1], ids=["first presentation", "last presentation"])
 def test_an_expansion_builds_its_matrix_once_whichever_read_comes_first(monkeypatch, first):
     expansion = expand(LegendrianKnot(-2, 1), Fraction(-31, 7))
     calls = counted_pushoff_chain(monkeypatch)
-    if first == "expansion.matrix":
-        matrix = expansion.matrix
-        assert linking_matrix(expansion[-1]) is matrix
-    else:
-        matrix = linking_matrix(expansion[-1])
-        assert expansion.matrix is matrix
+    matrix = linking_matrix(expansion[first])
+    assert expansion._matrix is matrix  # kept by the expansion, its owner
     assert all(linking_matrix(p) is matrix for p in expansion)
     assert calls == [len(expansion.tbs)]
     assert matrix == LinkingMatrix.of_pushoffs(
@@ -315,7 +316,9 @@ def test_kernel_on_the_hand_checked_matrix():
     assert pushoff_chain((-1, -4, -4), (-2, -3)) == ((-1, -1, -2), (-1, 1), 1, -1)
     matrix = LinkingMatrix((-1, -4, -4), (-2, -3))
     assert (matrix.determinant(), matrix.signature()) == (1, -1)
-    assert matrix.solve((-1, -2, -2)) == (1, 0, 0)
+    solution = solve_exact(matrix.entries, (-1, -2, -2))
+    assert solution == (1, 0, 0)
+    assert matrix.adjugate_vector((-1, -2, -2)) == [matrix.determinant() * x for x in solution]
     assert matrix.adjugate_form((-1, -2, -2)) == -1
     assert LinkingMatrix((), ()).determinant() == 1
 
@@ -325,7 +328,7 @@ def test_the_kernels_refuse_a_right_hand_side_of_the_wrong_length(rhs):
     # The loops zip the rhs against the matrix, which would silently
     # truncate either one.
     matrix = LinkingMatrix((-1, -4, -4), (-2, -3))
-    for solve in (matrix.solve, matrix.adjugate_form,
+    for solve in (matrix.adjugate_vector, matrix.adjugate_form,
                   lambda rhs: solve_exact(matrix.entries, rhs)):
         with pytest.raises(ValueError, match=f"rhs needs 3 entries, got {len(rhs)}"):
             solve(rhs)
@@ -394,20 +397,20 @@ def test_spin_c_evaluation_keeps_nothing_on_the_matrix():
     assert retained < 0.1 * 2**20
 
 
-def test_solve_peaks_near_its_answer():
+def test_spin_c_evaluation_peaks_near_its_answer():
     # The row walk keeps two w's beside the answer's n Fractions (about
-    # 1.9 MB here); lists of n continuants and of n w's would double it.
+    # 1.9 MB here), and each integer of adj(M) rot gives way to its
+    # Fraction in place; lists of n continuants and of n w's, or the
+    # integers and the Fractions held at once, would double it.
     presentation = long_chain(2000)
-    matrix = linking_matrix(presentation)
-    matrix.determinant()
-    rot = tuple(c.legendrian.rot for c in presentation.components)
+    linking_matrix(presentation).determinant()
     tracemalloc.start()
     try:
-        solution = matrix.solve(rot)
+        spin = spin_c_evaluation(presentation)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(solution) == 2000
+    assert len(spin.solution) == 2000
     assert peak <= 1.25 * retained
 
 
@@ -422,7 +425,7 @@ def bordered(entries, rhs):
 @example(((-1, 0, 1), (0, 1)), [1, -2, 3, 0, 0, 0, 0, 0])
 def test_adjugate_form_is_det_times_c_squared(chain, rhs):
     # rhs^T adj(M) rhs by the bordered determinant on every chain, singular
-    # ones included, and det * c^2 from `solve` where det != 0.
+    # ones included, and det * c^2 from the generic solution where det != 0.
     diagonal, linking = chain
     rot = tuple(rhs[: len(diagonal)])
     matrix = LinkingMatrix(diagonal, linking)
@@ -493,7 +496,7 @@ def test_a_standalone_presentation_factors_its_matrix_once(make, monkeypatch):
     assert linking_matrix(presentation) is matrix
     homology_data(linking_matrix(presentation))
     d3_invariant(presentation)
-    assert calls == [matrix.size]
+    assert calls == [len(matrix.diagonal)]
     # The kept matrix is not a field.
     assert (repr(presentation), hash(presentation)) == before
     assert presentation == fresh and hash(fresh) == hash(presentation)
@@ -552,7 +555,7 @@ def test_forward_passes_match_the_bordered_determinant(chain):
     assert isinstance(form, int)
     assert form == -det_int(bordered(entries, rhs))
     if det:
-        assert matrix.solve(rhs) == solve_exact(entries, rhs)
+        assert matrix.adjugate_vector(rhs) == [det * x for x in solve_exact(entries, rhs)]
 
 
 @pytest.mark.parametrize("diagonal, linking, link, b", [

@@ -397,6 +397,24 @@ def test_parse_reads_a_coefficient_only_as_plus_or_minus_one(tmp_path, capsys, i
         f"input error: {errors.quote(path)}.components[{index}].coeff: {message}\n")
 
 
+@pytest.mark.parametrize("index", [0, 1])
+def test_cli_reports_a_missing_coeff_as_a_missing_field(tmp_path, capsys, index):
+    # As every other required field; a null coeff keeps the coefficient
+    # message (above).
+    bad = json.loads(json.dumps(UNKNOT_N2))
+    del bad["components"][index]["coeff"]
+    with pytest.raises(DiagramFormatError,
+                       match=rf"^diagram\.components\[{index}\]: missing field 'coeff'$"):
+        presentation_from_dict(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["d3", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: {errors.quote(path)}.components[{index}]: missing field 'coeff'\n")
+
+
 def test_an_overtwisted_presentation_round_trips():
     presentation = presentation_from_dict(dict(UNKNOT_N2, overtwisted=True))
     data = presentation_to_dict(presentation)

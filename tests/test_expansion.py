@@ -433,8 +433,8 @@ def test_a_huge_expansion_is_counted_and_indexed_without_being_built():
 @example(LegendrianKnot(-1, 0), Fraction(1))
 def test_every_presentation_shares_one_linking_matrix(knot, r):
     expansion = expand(knot, r)
-    shared = linking_matrix(expansion[0])
-    assert shared is expansion.matrix
+    shared = linking_matrix(expansion[-1])
+    assert expansion._matrix is shared  # kept by the expansion, its owner
     assert all(linking_matrix(p) is shared for p in expansion)
     # An equal presentation built elsewhere gets an equal matrix of its own.
     rebuilt = ContactSurgeryPresentation(expansion[-1].components)
