@@ -163,10 +163,10 @@ def check_a3() -> tuple[bool, str]:
     if two.entries != ((0, -1), (-1, -3)):
         details.append(f"hand-checked 2x2 matrix differs: {two.entries}")
     pre = all_negative_presentation(LegendrianKnot(-2, -1), 3)
-    three = linking_matrix(pre)
-    if three.entries != ((-1, -2, -2), (-2, -4, -3), (-2, -3, -4)):
-        details.append(f"hand-checked 3x3 matrix differs: {three.entries}")
-    if signature_exact(three.entries) != -1:
+    three = linking_matrix(pre).entries
+    if three != ((-1, -2, -2), (-2, -4, -3), (-2, -3, -4)):
+        details.append(f"hand-checked 3x3 matrix differs: {three}")
+    if signature_exact(three) != -1:
         details.append("3x3 signature is not -1")
     if spin_c_evaluation(pre).c_squared != -1:
         details.append("3x3 c^2 is not -1")

@@ -156,22 +156,30 @@ class Expansion:
     presentation comes first, and keeps it in `_matrix`, which starts at
     None.  `count` = prod(a_j - 1) is an int; `len` raises OverflowError
     past sys.maxsize, as for a range.
-    Iteration extends each prefix of choices in turn, so the next
-    presentation rebuilds only the links after the last choice that
-    changed; an int index builds its presentation in O(links), and a
-    slice a tuple, iterating from its start when its step is 1.  All
-    take one generator, `_presentations`.
+    Iteration extends each prefix of choices in turn: an odometer steps
+    p_0, ..., p_{m-1}, rebuilding only the links after the last choice
+    that changed, and builds that prefix's tuple once; an inner loop then
+    walks the last link, p_m from its start to k_m, its rot stepping by 2.
+    The last link's run of choices is never built as a whole, so an int
+    index builds its presentation in O(links) even for k_m = 10**400 - 1,
+    and a slice a
+    tuple, iterating from its start when its step is 1.  All take one
+    generator, `_presentations`.
 
     Link j's component is fixed by (j, its rot, p_j).  In iteration order
     links 0 and 1 never meet a key twice: link 0 starts from the knot's
     rot, and link 1 from a rot that differs for each p_0.  From link 2 on,
-    different prefixes reach the same rot, so an iteration keeps those
-    links' components by key and reuses each; the cache is cleared when
-    it holds LINK_CACHE_CAP of them.  A one- or two-link expansion keeps
-    no cache, and a stream holds O(links) memory plus at most
-    LINK_CACHE_CAP components.  A presentation costs one tuple, one record
-    and its one-pass check, plus a component built, or found, for each
-    link after the last choice that changed.
+    the last link included, different prefixes reach the same rot, so an
+    iteration keeps those links' components by key and reuses each; the
+    cache is cleared when it holds LINK_CACHE_CAP of them.  A one- or
+    two-link expansion keeps no cache, and a stream holds O(links) memory
+    plus at most LINK_CACHE_CAP components.  The generator holds the
+    invariants the records' `_check`s would prove (the +1 head, if any,
+    comes first, every link's coefficient is -1, both counts lie in
+    [0, k_j], and tb + rot stays odd), so it builds with their
+    `_unchecked` builders.  A presentation costs one tuple and
+    one record, plus a component built, or found, for the last link and
+    for each link after the last choice that changed.
     """
 
     _matrix = None
@@ -215,38 +223,71 @@ class Expansion:
     def _presentations(self, i):
         """The presentations in order, from index i (0 <= i < count) on."""
         links, head = self._links, self.head
+        # The builders that skip `_check`: the head, checked, comes first,
+        # every link's coefficient is -1, both counts lie in [0, k], and each
+        # link keeps tb + rot odd, since it moves tb by -k and rot by 2 p - k.
+        # The tests' `reference_expansion` builds the same records through
+        # the checked constructors.
+        knot, component, presentation = (
+            LegendrianKnot._unchecked, Component._unchecked,
+            ContactSurgeryPresentation._unchecked)
+        if not links:
+            only = presentation(head)
+            set_field(only, "_expansion", self)
+            yield only
+            return
         # The choices p_0, ..., p_m of presentation i: its mixed-radix digits.
         plus = [0] * len(links)
         for j in reversed(range(len(links))):
             if links[j][1]:
                 i, plus[j] = divmod(i, links[j][1] + 1)
-        rots = [self.knot.rot] * (len(links) + 1)
-        chain = [None] * len(links)
-        movable = [j for j, (_, k) in enumerate(links) if k]
+        m = len(links) - 1
+        tb_m, k_m = links[m]
+        rots = [self.knot.rot] * (m + 1)
+        chain = [None] * m
+        # The odometer steps links 0, ..., m - 1; the last link is walked below.
+        movable = [j for j, (_, k) in enumerate(links[:m]) if k]
         cache = {}
         start = 0
         while True:
-            # Links before `start` are those of the previous presentation;
-            # link j starts from its predecessor's rot, rots[j], in O(1).
-            for j in range(start, len(chain)):
+            # Links before `start` are those of the previous prefix; link j
+            # starts from its predecessor's rot, rots[j], in O(1).
+            for j in range(start, m):
                 tb, k = links[j]
                 p = plus[j]
                 rots[j + 1] = rot = rots[j] + 2 * p - k
                 key = (j, rot, p)
-                component = cache.get(key)
-                if component is None:
-                    component = Component(LegendrianKnot(tb, rot), -1, k - p, p)
+                link = cache.get(key)
+                if link is None:
+                    link = component(knot(tb, rot), -1, k - p, p)
                     # Links 0 and 1 never see a key twice (see the class).
                     if j > 1:
                         if len(cache) >= LINK_CACHE_CAP:
                             cache.clear()
-                        cache[key] = component
-                chain[j] = component
-            presentation = ContactSurgeryPresentation(head + tuple(chain))
-            set_field(presentation, "_expansion", self)
-            yield presentation
-            # The next mixed-radix number: the last link that has a further
-            # choice takes it, and the links after it start over.
+                        cache[key] = link
+                chain[j] = link
+            prefix = head + tuple(chain)
+            # The last link: each further positive stabilization adds 2 to rot.
+            rot = rots[m] + 2 * plus[m] - k_m
+            for p in range(plus[m], k_m + 1):
+                if m > 1:
+                    key = (m, rot, p)
+                    link = cache.get(key)
+                    if link is None:
+                        link = component(knot(tb_m, rot), -1, k_m - p, p)
+                        if len(cache) >= LINK_CACHE_CAP:
+                            cache.clear()
+                        cache[key] = link
+                else:
+                    link = component(knot(tb_m, rot), -1, k_m - p, p)
+                built = presentation(prefix + (link,))
+                set_field(built, "_expansion", self)
+                yield built
+                rot += 2
+            plus[m] = 0
+            # The next prefix, a mixed-radix number: the last link before m
+            # that has a further choice takes it, and the links after it
+            # start over.
             for start in reversed(movable):
                 if plus[start] < links[start][1]:
                     plus[start] += 1

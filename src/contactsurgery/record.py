@@ -4,9 +4,21 @@ A record is declared by `_fields`, its field names in order, and
 `_defaults`, the values of its trailing fields that have one; `_check(self)`,
 if the class defines it, holds its checks.  The base writes the positional
 `__init__` of every record: one `set_field` per field, since assignment
-and deletion raise AttributeError, then `_check(self)`.  It is compiled
-once per class with `exec`, so the base imports neither `dataclasses` nor
-`inspect`.
+and deletion raise AttributeError, then `_check(self)`.
+
+Beside it, the same `exec` writes `_unchecked`, a static builder with
+the same parameters.  It makes the instance with `object.__new__` and
+stores the same fields in the same order, so the instance layout is the
+same, but it runs no `_check`.  Use it only where the caller holds the
+invariants `_check` would prove, and where an oracle test builds the
+same values through `__init__`.  Its one caller is the generator of
+`expansion.Expansion`, for knots, components and presentations: the
+generator walks an expansion's last link in an inner loop that builds
+one of each per presentation.  A class whose `_check` also stores a
+value (`LinkingMatrix`'s factored chain, `SurfaceModel`'s classes) must
+never be built with it.
+Both builders are compiled once per class, so the base imports neither
+`dataclasses` nor `inspect`.
 
 Equality, hash and repr read the fields through one `operator.attrgetter`,
 as a frozen dataclass's methods would: two records are equal when they are
@@ -26,18 +38,22 @@ from operator import attrgetter
 set_field = object.__setattr__
 
 
-def _write_init(cls):
-    """The positional `__init__` of a record class."""
+def _write_builders(cls):
+    """The positional `__init__` of a record class, and its `_unchecked`."""
     fields, check = cls._fields, getattr(cls, "_check", None)
-    params = [f"{name}=_defaults[{name!r}]" if name in cls._defaults else name for name in fields]
-    body = [f"set_field(self, {name!r}, {name})" for name in fields]
-    if check is not None:
-        body.append("_check(self)")
-    namespace = {"set_field": set_field, "_defaults": cls._defaults, "_check": check}
-    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), namespace)
-    init = namespace["__init__"]
-    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
-    return init
+    params = ", ".join(
+        f"{name}=_defaults[{name!r}]" if name in cls._defaults else name for name in fields)
+    sets = "".join(f"\n    set_field(self, {name!r}, {name})" for name in fields)
+    source = (f"def __init__(self, {params}):{sets}" + ("\n    _check(self)" if check else "")
+              + f"\ndef _unchecked({params}):\n    self = new(cls){sets}\n    return self")
+    namespace = {"set_field": set_field, "_defaults": cls._defaults, "_check": check,
+                 "new": object.__new__, "cls": cls}
+    exec(source, namespace)
+    builders = namespace["__init__"], namespace["_unchecked"]
+    for builder in builders:
+        builder.__module__ = cls.__module__
+        builder.__qualname__ = f"{cls.__qualname__}.{builder.__name__}"
+    return builders
 
 
 class Record:
@@ -49,7 +65,8 @@ class Record:
         get = attrgetter(*cls._fields)
         # attrgetter of one name gives the bare value, not a 1-tuple.
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
-        cls.__init__ = _write_init(cls)
+        init, unchecked = _write_builders(cls)
+        cls.__init__, cls._unchecked = init, staticmethod(unchecked)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

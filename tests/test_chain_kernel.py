@@ -15,6 +15,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -290,6 +291,41 @@ def test_the_d3_path_enters_few_python_frames(make, fresh, kept):
     assert len(first) <= fresh
     assert not [code.co_filename for code in first if is_machinery(code)]
     assert len(d3_path_frames(presentation)) <= kept
+
+
+def iteration_frames(presentations, n):
+    """The code of each Python frame that taking the next n items of the
+    iterator `presentations` enters, recorded by `sys.setprofile`."""
+    codes = []
+
+    def record(frame, event, arg):
+        if event == "call":
+            codes.append(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        for _ in islice(presentations, n):
+            pass
+    finally:
+        sys.setprofile(None)
+    return codes
+
+
+@pytest.mark.parametrize("r", [-1000, Fraction(-1656602001, 8242004)],
+                         ids=["one link", "four links"])
+def test_iterating_an_expansion_enters_few_python_frames(r):
+    # The one link has 999 stabilizations; the four links 200 each, so 999
+    # presentations run the last link's inner loop over 5 prefixes.  A
+    # presentation enters the generator and the unchecked builders of its
+    # last link's knot and component and of itself: 4 frames, on Python
+    # 3.11, where they were measured.  A new prefix adds a few frames
+    # more, and the count's mean, to one decimal, leaves them out.  With
+    # the checked constructors, whose `_check`s re-prove what the
+    # generator holds, a presentation entered 7.
+    n = 999
+    codes = iteration_frames(iter(expand(LegendrianKnot(-1, 0), r)), n)
+    assert round(len(codes) / n, 1) <= 4
+    assert not [code.co_filename for code in codes if is_machinery(code)]
 
 
 @SETTINGS

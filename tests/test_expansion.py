@@ -361,6 +361,37 @@ def test_drawn_terms_match_brute_force(knot, plus_one, terms):
     assert_matches_brute_force(knot, r)
 
 
+def records_of(presentation):
+    """The presentation, its components, then their knots."""
+    components = presentation.components
+    return (presentation, *components, *(c.legendrian for c in components))
+
+
+# An expansion builds its records without `_check`; each must be one that
+# `_check` passes, with the attributes, in order, of the equal record its
+# constructor builds (the same instance layout), and the presentation's
+# `_expansion` after them.  From any start: a start part-way through the
+# last link begins that link's inner loop past its first choice.
+@SETTINGS
+@given(knots(), st.booleans(), st.lists(st.integers(2, 8), min_size=1, max_size=4),
+       st.integers(0, 10**6))
+@example(LegendrianKnot(-1, 0), False, [8], 3)
+@example(LegendrianKnot(-1, 0), False, [8, 8, 8], 10)
+@example(LegendrianKnot(-3, 2), True, [5, 5, 5, 5], 14)
+def test_every_record_an_expansion_yields_is_sound(knot, plus_one, terms, start):
+    assume(not plus_one or terms[0] > 2)
+    r = coefficient_of(terms, plus_one)
+    reference = reference_expansion(knot, r)
+    start %= len(reference)
+    built = expand(knot, r)[start:]
+    assert built == reference[start:]
+    for presentation, twin in zip(built, reference[start:]):
+        for record, checked in zip(records_of(presentation), records_of(twin)):
+            record._check()
+            extra = ["_expansion"] if record is presentation else []
+            assert list(vars(record)) == list(vars(checked)) + extra
+
+
 def test_a_cache_cleared_when_full_matches_brute_force(monkeypatch):
     # Two entries: links 2 and 3 clear the cache every few presentations.
     monkeypatch.setattr(expansion_module, "LINK_CACHE_CAP", 2)

@@ -8,6 +8,7 @@ import pytest
 
 import contactsurgery
 from contactsurgery.catalog import KnotType
+from contactsurgery.errors import NotRealizable
 from contactsurgery.expansion import Component, ContactSurgeryPresentation
 from contactsurgery.ledger import (
     LedgerState, LedgerSubject, TightnessReport, TightRange, assert_fact)
@@ -85,6 +86,21 @@ def test_a_record_is_a_frozen_value(build, expected):
         record < copy
 
 
+@pytest.mark.parametrize("build", [build for build, _ in CASES.values()], ids=CASES)
+def test_the_unchecked_builder_stores_the_same_fields_in_the_same_order(build):
+    record = build()
+    copy = type(record)._unchecked(*record._values(record))
+    assert copy == record and copy is not record
+    # A `_check` may store a value after the fields; the copy has none.
+    assert list(vars(copy)) == list(vars(record))[:len(record._fields)] == list(record._fields)
+
+
+def test_the_unchecked_builder_runs_no_check():
+    with pytest.raises(NotRealizable):
+        LegendrianKnot(0, 0)
+    assert LegendrianKnot._unchecked(0, 0).tb == 0
+
+
 def test_cached_values_are_not_fields():
     matrix, copy = LinkingMatrix((0, -3), (-1,)), LinkingMatrix((0, -3), (-1,))
     assert matrix.determinant() == -1
@@ -112,8 +128,10 @@ def test_each_record_signature_is_its_fields():
     for cls in records:
         parameters = inspect.signature(cls).parameters.values()
         assert tuple(p.name for p in parameters) == cls._fields
-        assert cls.__init__.__code__.co_filename == "<string>"
-        assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+        for builder in (cls.__init__, cls._unchecked):
+            assert builder.__code__.co_filename == "<string>"
+            assert builder.__qualname__ == f"{cls.__name__}.{builder.__name__}"
+        assert inspect.signature(cls._unchecked) == inspect.signature(cls)
         defaults = {p.name: p.default for p in parameters if p.default is not p.empty}
         assert defaults == cls._defaults
         assert tuple(defaults) == cls._fields[len(cls._fields) - len(defaults):]
