@@ -17,7 +17,7 @@ from itertools import islice
 
 from .errors import InvalidCoefficient, OutOfRange, UnsupportedCoefficient, quote
 from .legendrian import NEGATIVE, POSITIVE, LegendrianKnot, stabilize
-from .record import Record, set_field
+from .record import Record, set_field, unchecked_builder
 
 ROLE_PLUS_ONE = "originalPlusOne"
 ROLE_CHAIN = "chainLink"
@@ -137,6 +137,16 @@ class ContactSurgeryPresentation(Record):
         return tuple((c.legendrian.tb, c.legendrian.rot) for c in self.components)
 
 
+# The builders `Expansion._presentations` uses, which skip `_check`.  Use them
+# only where every check is known to pass, and only for a class whose `_check`
+# stores nothing.  There the head, checked, comes first, every link's
+# coefficient is -1, both counts lie in [0, k], and each link keeps tb + rot
+# odd, since it moves tb by -k and rot by 2 p - k.  The tests'
+# `reference_expansion` builds the same records through the checked
+# constructors.
+_UNCHECKED = tuple(map(unchecked_builder, (LegendrianKnot, Component, ContactSurgeryPresentation)))
+
+
 class Expansion:
     """The presentations of contact r-surgery on a knot, as a lazy,
     read-only sequence.
@@ -162,9 +172,8 @@ class Expansion:
     walks the last link, p_m from its start to k_m, its rot stepping by 2.
     The last link's run of choices is never built as a whole, so an int
     index builds its presentation in O(links) even for k_m = 10**400 - 1,
-    and a slice a
-    tuple, iterating from its start when its step is 1.  All take one
-    generator, `_presentations`.
+    and a slice builds a tuple, iterating from its start when its step
+    is 1.  All take one generator, `_presentations`.
 
     Link j's component is fixed by (j, its rot, p_j).  In iteration order
     links 0 and 1 never meet a key twice: link 0 starts from the knot's
@@ -173,13 +182,13 @@ class Expansion:
     iteration keeps those links' components by key and reuses each; the
     cache is cleared when it holds LINK_CACHE_CAP of them.  A one- or
     two-link expansion keeps no cache, and a stream holds O(links) memory
-    plus at most LINK_CACHE_CAP components.  The generator holds the
-    invariants the records' `_check`s would prove (the +1 head, if any,
-    comes first, every link's coefficient is -1, both counts lie in
-    [0, k_j], and tb + rot stays odd), so it builds with their
-    `_unchecked` builders.  A presentation costs one tuple and
-    one record, plus a component built, or found, for the last link and
-    for each link after the last choice that changed.
+    plus at most LINK_CACHE_CAP components.  The generator holds what the
+    records' `_check`s would prove, so it builds with the three builders
+    this module compiles once, `_UNCHECKED`: `unchecked_LegendrianKnot`,
+    `unchecked_Component` and `unchecked_ContactSurgeryPresentation`, which
+    run no `_check`.  A presentation costs one tuple and one record, plus a
+    component built, or found, for the last link and for each link after
+    the last choice that changed.
     """
 
     _matrix = None
@@ -223,14 +232,7 @@ class Expansion:
     def _presentations(self, i):
         """The presentations in order, from index i (0 <= i < count) on."""
         links, head = self._links, self.head
-        # The builders that skip `_check`: the head, checked, comes first,
-        # every link's coefficient is -1, both counts lie in [0, k], and each
-        # link keeps tb + rot odd, since it moves tb by -k and rot by 2 p - k.
-        # The tests' `reference_expansion` builds the same records through
-        # the checked constructors.
-        knot, component, presentation = (
-            LegendrianKnot._unchecked, Component._unchecked,
-            ContactSurgeryPresentation._unchecked)
+        knot, component, presentation = _UNCHECKED
         if not links:
             only = presentation(head)
             set_field(only, "_expansion", self)

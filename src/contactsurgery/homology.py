@@ -22,10 +22,12 @@ product with rot, and only then turns each entry into its `Fraction`
 of the solution.  Each presentation's matrix is built, so factored,
 once: an expansion's presentations share one, and any other keeps its
 own.
-`linking_matrix` builds both kinds through `LinkingMatrix.of_pushoffs` and
-keeps the result in a plain `_matrix` attribute that starts at None, on the
-`Expansion` or on the presentation, so a first use enters no `functools` or
-importlib frame.
+`linking_matrix` builds both kinds with the `LinkingMatrix` constructor,
+in its one loop over the components, and keeps the result in a plain
+`_matrix` attribute that starts at None, on the `Expansion` or on the
+presentation, so a first use enters no `functools` or importlib frame.
+`SpinCEvaluation` is a record; `HomologyData` stays a dataclass, since the
+benchmark's tests call `dataclasses.replace` on it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from fractions import Fraction
 from .errors import NotRationalHomologySphere
 from .expansion import ContactSurgeryPresentation
 from .linalg import LinkingMatrix
-from .record import set_field
+from .record import Record, set_field
 
 
 def linking_matrix(presentation: ContactSurgeryPresentation) -> LinkingMatrix:
@@ -60,11 +62,12 @@ def linking_matrix(presentation: ContactSurgeryPresentation) -> LinkingMatrix:
         # Every presentation of an expansion has the same tbs and coefficients.
         # A loop reads them faster than `map` over an `attrgetter` when the
         # caches are cold, as in a one-shot call.
-        tbs, coefficients = [], []
+        tbs, diagonal = [], []
         for c in presentation.components:
-            tbs.append(c.legendrian.tb)
-            coefficients.append(c.coefficient)
-        matrix = LinkingMatrix.of_pushoffs(tbs, coefficients)
+            tb = c.legendrian.tb
+            tbs.append(tb)
+            diagonal.append(tb + c.coefficient)
+        matrix = LinkingMatrix(tuple(diagonal), tuple(tbs[:-1]))
         set_field(owner, "_matrix", matrix)
     return matrix
 
@@ -83,14 +86,11 @@ def homology_data(matrix: LinkingMatrix) -> HomologyData:
     return HomologyData(det, abs(det) if det else None, signature, 1 + len(matrix.diagonal))
 
 
-@dataclass(frozen=True)
-class SpinCEvaluation:
+class SpinCEvaluation(Record):
     """Chern-class data of a presentation: rotation vector, the exact
     solution of M x = rot, and c^2 = x . rot."""
 
-    rot_vector: tuple[int, ...]
-    solution: tuple[Fraction, ...]
-    c_squared: Fraction
+    _fields = ("rot_vector", "solution", "c_squared")
 
 
 def spin_c_evaluation(presentation: ContactSurgeryPresentation) -> SpinCEvaluation:

@@ -15,7 +15,6 @@ fraction-free elimination, `_eliminate`, which `det_int`,
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 
 from .record import Record, set_field
 
@@ -83,14 +82,6 @@ class LinkingMatrix(Record):
             raise ValueError("linking needs one entry fewer than diagonal")
         set_field(self, "_chain", pushoff_chain(self.diagonal, self.linking))
 
-    @classmethod
-    def of_pushoffs(cls, tbs, coefficients) -> LinkingMatrix:
-        """The matrix of a chain of components, each a pushoff of the one
-        before it, with these tbs and contact coefficients: component j
-        links every earlier component i in tb_i, and its smooth framing is
-        tb_j + coefficient_j."""
-        return cls(tuple(map(add, tbs, coefficients)), tuple(tbs[:-1]))
-
     @property
     def entries(self) -> IntMatrix:
         """The n x n matrix itself, built in O(n^2) on each read."""
@@ -102,9 +93,6 @@ class LinkingMatrix(Record):
 
     def determinant(self) -> int:
         return self._chain[2]
-
-    def signature(self) -> int:
-        return self._chain[3]
 
     def adjugate_form(self, rhs) -> int:
         """rhs^T adj(M) rhs = r^T adj(T) r = -det [[T, r], [r^T, 0]] for

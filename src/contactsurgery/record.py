@@ -4,21 +4,13 @@ A record is declared by `_fields`, its field names in order, and
 `_defaults`, the values of its trailing fields that have one; `_check(self)`,
 if the class defines it, holds its checks.  The base writes the positional
 `__init__` of every record: one `set_field` per field, since assignment
-and deletion raise AttributeError, then `_check(self)`.
+and deletion raise AttributeError, then `_check(self)`.  It is compiled
+once per class, so the base imports neither `dataclasses` nor `inspect`.
 
-Beside it, the same `exec` writes `_unchecked`, a static builder with
-the same parameters.  It makes the instance with `object.__new__` and
-stores the same fields in the same order, so the instance layout is the
-same, but it runs no `_check`.  Use it only where the caller holds the
-invariants `_check` would prove, and where an oracle test builds the
-same values through `__init__`.  Its one caller is the generator of
-`expansion.Expansion`, for knots, components and presentations: the
-generator walks an expansion's last link in an inner loop that builds
-one of each per presentation.  A class whose `_check` also stores a
-value (`LinkingMatrix`'s factored chain, `SurfaceModel`'s classes) must
-never be built with it.
-Both builders are compiled once per class, so the base imports neither
-`dataclasses` nor `inspect`.
+`unchecked_builder(cls)` compiles, when asked, a builder with the same
+parameters and the same `set_field`s on `object.__new__`, so its instances
+have the same layout, but it runs no `_check`.  `expansion` asks for three,
+where it holds what their checks would prove.
 
 Equality, hash and repr read the fields through one `operator.attrgetter`,
 as a frozen dataclass's methods would: two records are equal when they are
@@ -38,22 +30,28 @@ from operator import attrgetter
 set_field = object.__setattr__
 
 
-def _write_builders(cls):
-    """The positional `__init__` of a record class, and its `_unchecked`."""
-    fields, check = cls._fields, getattr(cls, "_check", None)
-    params = ", ".join(
-        f"{name}=_defaults[{name!r}]" if name in cls._defaults else name for name in fields)
-    sets = "".join(f"\n    set_field(self, {name!r}, {name})" for name in fields)
-    source = (f"def __init__(self, {params}):{sets}" + ("\n    _check(self)" if check else "")
-              + f"\ndef _unchecked({params}):\n    self = new(cls){sets}\n    return self")
-    namespace = {"set_field": set_field, "_defaults": cls._defaults, "_check": check,
-                 "new": object.__new__, "cls": cls}
-    exec(source, namespace)
-    builders = namespace["__init__"], namespace["_unchecked"]
-    for builder in builders:
-        builder.__module__ = cls.__module__
-        builder.__qualname__ = f"{cls.__qualname__}.{builder.__name__}"
-    return builders
+def _compile(cls, name, source):
+    """The function `name` that `source` defines for the record class `cls`.
+    In `source`, `{params}` stands for the fields as positional parameters
+    with their defaults, and `{sets}` for one `set_field` line per field, in
+    order, on `self`."""
+    fields, defaults = cls._fields, cls._defaults
+    params = ", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields)
+    sets = "".join(f"\n    set_field(self, {f!r}, {f})" for f in fields)
+    namespace = {"set_field": set_field, "_defaults": defaults,
+                 "_check": getattr(cls, "_check", None), "new": object.__new__, "cls": cls}
+    exec(source.format(params=params, sets=sets), namespace)
+    function = namespace[name]
+    function.__module__ = cls.__module__
+    return function
+
+
+def unchecked_builder(cls):
+    """`unchecked_<class name>`, a builder of `cls` records that runs no
+    `_check`, so its records lack any value a `_check` stores."""
+    name = f"unchecked_{cls.__name__}"
+    source = f"def {name}({{params}}):\n    self = new(cls){{sets}}\n    return self"
+    return _compile(cls, name, source)
 
 
 class Record:
@@ -65,8 +63,10 @@ class Record:
         get = attrgetter(*cls._fields)
         # attrgetter of one name gives the bare value, not a 1-tuple.
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
-        init, unchecked = _write_builders(cls)
-        cls.__init__, cls._unchecked = init, staticmethod(unchecked)
+        check = "\n    _check(self)" if hasattr(cls, "_check") else ""
+        init = _compile(cls, "__init__", "def __init__(self, {params}):{sets}" + check)
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

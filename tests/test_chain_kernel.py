@@ -112,7 +112,7 @@ def assert_matches_generic(diagonal, linking, rot):
     matrix = LinkingMatrix(diagonal, linking)
     entries = matrix.entries
     assert matrix.determinant() == det_int(entries)
-    assert matrix.signature() == signature_exact(entries)
+    assert homology_data(matrix).signature == signature_exact(entries)
     if matrix.determinant():
         assert_solves(matrix, rot)
 
@@ -220,7 +220,7 @@ def test_a_matrix_is_factored_when_built_and_only_then(monkeypatch):
     matrix = LinkingMatrix(diagonal, linking)
     assert vars(matrix)["_chain"] == expected  # stored by the constructor
     assert calls == [3]
-    assert (matrix.determinant(), matrix.signature()) == expected[2:]
+    assert (matrix.determinant(), homology_data(matrix).signature) == expected[2:]
     assert matrix.adjugate_form((-1, -2, -2)) == -1
     rhs = (-1, -2, -2)
     solution = solve_exact(matrix.entries, rhs)
@@ -244,8 +244,9 @@ def test_an_expansion_builds_its_matrix_once_whichever_read_comes_first(monkeypa
     assert expansion._matrix is matrix  # kept by the expansion, its owner
     assert all(linking_matrix(p) is matrix for p in expansion)
     assert calls == [len(expansion.tbs)]
-    assert matrix == LinkingMatrix.of_pushoffs(
-        expansion.tbs, [c.coefficient for c in expansion[0].components])
+    assert matrix == LinkingMatrix(
+        tuple(c.legendrian.tb + c.coefficient for c in expansion[0].components),
+        expansion.tbs[:-1])
 
 
 def d3_path_frames(presentation):
@@ -274,8 +275,8 @@ def is_machinery(code):
 
 
 @pytest.mark.parametrize("make, fresh, kept", [
-    (lambda: all_negative_presentation(LegendrianKnot(-1, 0), 12), 12, 8),
-    (lambda: expand(LegendrianKnot(-1, 0), Fraction(-7, 3))[1], 12, 8),
+    (lambda: all_negative_presentation(LegendrianKnot(-1, 0), 12), 11, 8),
+    (lambda: expand(LegendrianKnot(-1, 0), Fraction(-7, 3))[1], 11, 8),
 ], ids=["all negative", "expansion"])
 def test_the_d3_path_enters_few_python_frames(make, fresh, kept):
     # The benchmark times each op after a reference load, with cold caches,
@@ -283,7 +284,7 @@ def test_the_d3_path_enters_few_python_frames(make, fresh, kept):
     # enters.  The budgets are the counts on Python 3.11, where they were
     # measured; CI runs 3.10-3.13.  One frame is `d3_invariant`'s rot
     # comprehension, which 3.12 and later inline.  First use also builds
-    # and factors the matrix (`of_pushoffs`, `__init__`, `_check`,
+    # and factors the matrix (`LinkingMatrix.__init__`, `_check`,
     # `pushoff_chain`), an expansion's shared matrix just as a standalone
     # presentation's own.
     presentation = make()
@@ -351,7 +352,7 @@ def test_kernel_on_the_hand_checked_matrix():
     # ((-1, -2, -2), (-2, -4, -3), (-2, -3, -4))
     assert pushoff_chain((-1, -4, -4), (-2, -3)) == ((-1, -1, -2), (-1, 1), 1, -1)
     matrix = LinkingMatrix((-1, -4, -4), (-2, -3))
-    assert (matrix.determinant(), matrix.signature()) == (1, -1)
+    assert (matrix.determinant(), homology_data(matrix).signature) == (1, -1)
     solution = solve_exact(matrix.entries, (-1, -2, -2))
     assert solution == (1, 0, 0)
     assert matrix.adjugate_vector((-1, -2, -2)) == [matrix.determinant() * x for x in solution]
@@ -586,7 +587,8 @@ def test_forward_passes_match_the_bordered_determinant(chain):
     matrix = LinkingMatrix(diagonal, linking)
     entries = matrix.entries
     det = det_int(entries)
-    assert (matrix.determinant(), matrix.signature()) == (det, signature_exact(entries))
+    assert (matrix.determinant(), homology_data(matrix).signature) == (
+        det, signature_exact(entries))
     form = matrix.adjugate_form(rhs)
     assert isinstance(form, int)
     assert form == -det_int(bordered(entries, rhs))

@@ -3,13 +3,15 @@
 import importlib
 import inspect
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
 import contactsurgery
 from contactsurgery.catalog import KnotType
 from contactsurgery.errors import NotRealizable
-from contactsurgery.expansion import Component, ContactSurgeryPresentation
+from contactsurgery.expansion import _UNCHECKED, Component, ContactSurgeryPresentation
+from contactsurgery.homology import SpinCEvaluation
 from contactsurgery.ledger import (
     LedgerState, LedgerSubject, TightnessReport, TightRange, assert_fact)
 from contactsurgery.legendrian import InvariantStatus, LegendrianKnot, TransverseKnot
@@ -56,7 +58,15 @@ CASES = {
         lambda: LanternConfiguration("a", "b", "c", "d", "ab", "ac", "bc"),
         "LanternConfiguration(one='a', two='b', three='c', four='d', one_two='ab', "
         "one_three='ac', two_three='bc')"),
+    "SpinCEvaluation": (
+        lambda: SpinCEvaluation((1, 2), (Fraction(1), Fraction(-1, 2)), Fraction(0)),
+        "SpinCEvaluation(rot_vector=(1, 2), solution=(Fraction(1, 1), Fraction(-1, 2)), "
+        "c_squared=Fraction(0, 1))"),
 }
+
+# The classes `expansion` compiles an unchecked builder for, in the order of
+# its `_UNCHECKED`.
+UNCHECKED = dict(zip(("LegendrianKnot", "Component", "ContactSurgeryPresentation"), _UNCHECKED))
 
 
 def _twin(record):
@@ -86,19 +96,25 @@ def test_a_record_is_a_frozen_value(build, expected):
         record < copy
 
 
-@pytest.mark.parametrize("build", [build for build, _ in CASES.values()], ids=CASES)
-def test_the_unchecked_builder_stores_the_same_fields_in_the_same_order(build):
-    record = build()
-    copy = type(record)._unchecked(*record._values(record))
-    assert copy == record and copy is not record
-    # A `_check` may store a value after the fields; the copy has none.
-    assert list(vars(copy)) == list(vars(record))[:len(record._fields)] == list(record._fields)
+@pytest.mark.parametrize("name", UNCHECKED)
+def test_the_unchecked_builder_stores_the_same_fields_in_the_same_order(name):
+    record = CASES[name][0]()
+    copy = UNCHECKED[name](*record._values(record))
+    assert type(copy) is type(record) and copy == record and copy is not record
+    assert list(vars(copy)) == list(vars(record)) == list(record._fields)
 
 
 def test_the_unchecked_builder_runs_no_check():
     with pytest.raises(NotRealizable):
         LegendrianKnot(0, 0)
-    assert LegendrianKnot._unchecked(0, 0).tb == 0
+    assert UNCHECKED["LegendrianKnot"](0, 0).tb == 0
+    with pytest.raises(ValueError, match="must be \\+1 or -1"):
+        Component(LegendrianKnot(-1, 0), 0)
+    assert UNCHECKED["Component"](LegendrianKnot(-1, 0), 0).coefficient == 0
+    two = (Component(LegendrianKnot(-1, 0), 1),) * 2
+    with pytest.raises(ValueError, match="at most one"):
+        ContactSurgeryPresentation(two)
+    assert UNCHECKED["ContactSurgeryPresentation"](two).components == two
 
 
 def test_cached_values_are_not_fields():
@@ -128,10 +144,24 @@ def test_each_record_signature_is_its_fields():
     for cls in records:
         parameters = inspect.signature(cls).parameters.values()
         assert tuple(p.name for p in parameters) == cls._fields
-        for builder in (cls.__init__, cls._unchecked):
-            assert builder.__code__.co_filename == "<string>"
-            assert builder.__qualname__ == f"{cls.__name__}.{builder.__name__}"
-        assert inspect.signature(cls._unchecked) == inspect.signature(cls)
+        assert cls.__init__.__code__.co_filename == "<string>"
+        assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
         defaults = {p.name: p.default for p in parameters if p.default is not p.empty}
         assert defaults == cls._defaults
         assert tuple(defaults) == cls._fields[len(cls._fields) - len(defaults):]
+    for name, builder in UNCHECKED.items():
+        cls = type(CASES[name][0]())
+        assert builder.__code__.co_filename == "<string>"
+        assert builder.__name__ == builder.__qualname__ == f"unchecked_{name}"
+        assert builder.__module__ == cls.__module__
+        assert inspect.signature(builder) == inspect.signature(cls)
+
+
+def test_each_record_class_compiles_only_its_init():
+    # Unchecked builders are compiled on request; no class keeps one.
+    for cls in _package_records():
+        assert not hasattr(cls, "_unchecked")
+        functions = [getattr(value, "__func__", value) for value in vars(cls).values()]
+        compiled = [f.__name__ for f in functions
+                    if getattr(getattr(f, "__code__", None), "co_filename", "") == "<string>"]
+        assert compiled == ["__init__"]
