@@ -27,9 +27,11 @@ ROLE_CHAIN = "chainLink"
 # for r = 10**400 or r = -10**-30 would expand along about 10**400 or 10**30.
 TERMS_CAP = 10**6
 
-# The most chain-link components one iteration of an `Expansion` keeps for
-# reuse, a few hundred bytes each (about 1.3 MB when full); a full cache is
-# cleared, so a stream's memory stays bounded however long it runs.
+# The most records one iteration of an `Expansion` keeps for reuse: chain-link
+# components, each of the last link's recorded runs counting as its k_m + 1
+# components, and a two-link chain's last-link knots.  A component is a few
+# hundred bytes (about 1.3 MB when full); a full cache is cleared, so a
+# stream's memory stays bounded however long it runs.
 LINK_CACHE_CAP = 4096
 
 
@@ -170,25 +172,35 @@ class Expansion:
     p_0, ..., p_{m-1}, rebuilding only the links after the last choice
     that changed, and builds that prefix's tuple once; an inner loop then
     walks the last link, p_m from its start to k_m, its rot stepping by 2.
-    The last link's run of choices is never built as a whole, so an int
-    index builds its presentation in O(links) even for k_m = 10**400 - 1,
+    The last link's run of choices is built only as it is walked, so an
+    int index builds its presentation in O(links) even for k_m = 10**400 - 1,
     and a slice builds a tuple, iterating from its start when its step
     is 1.  All take one generator, `_presentations`.
 
     Link j's component is fixed by (j, its rot, p_j).  In iteration order
     links 0 and 1 never meet a key twice: link 0 starts from the knot's
     rot, and link 1 from a rot that differs for each p_0.  From link 2 on,
-    the last link included, different prefixes reach the same rot, so an
-    iteration keeps those links' components by key and reuses each; the
-    cache is cleared when it holds LINK_CACHE_CAP of them.  A one- or
-    two-link expansion keeps no cache, and a stream holds O(links) memory
-    plus at most LINK_CACHE_CAP components.  The generator holds what the
-    records' `_check`s would prove, so it builds with the three builders
-    this module compiles once, `_UNCHECKED`: `unchecked_LegendrianKnot`,
-    `unchecked_Component` and `unchecked_ContactSurgeryPresentation`, which
-    run no `_check`.  A presentation costs one tuple and one record, plus a
-    component built, or found, for the last link and for each link after
-    the last choice that changed.
+    different prefixes reach the same rot, so an iteration keeps the
+    components of links 2, ..., m - 1 by key and reuses each.  The last
+    link's components depend only on the rot it starts from: with m >= 2,
+    a prefix that walks it from p_m = 0 records the run of k_m + 1
+    components it built, and a later prefix that starts from the same rot
+    walks that run.  With two links every component is new, but the last
+    link's knot at a rot recurs for each p_0, so the iteration builds it
+    once.  A one-link expansion keeps nothing.  One budget bounds what an
+    iteration keeps: LINK_CACHE_CAP records, a run counting k_m + 1; all
+    of it is cleared when the next would not fit.  A run or the knots are
+    kept only when k_m + 1 fits the budget, and a run only once it is
+    whole, so an int index, which stops after one presentation, keeps
+    none, and a stream holds O(links) memory plus at most LINK_CACHE_CAP
+    records.  The generator holds what the records' `_check`s would
+    prove, so it builds with the three builders this module compiles
+    once, `_UNCHECKED`: `unchecked_LegendrianKnot`, `unchecked_Component`
+    and `unchecked_ContactSurgeryPresentation`, which run no `_check`.  A
+    presentation costs one tuple and one record, plus the last link's
+    component unless it walks a recorded run, and its knot unless that is
+    shared; and a component built, or found, for each link after the last
+    choice that changed.
     """
 
     _matrix = None
@@ -249,7 +261,14 @@ class Expansion:
         chain = [None] * m
         # The odometer steps links 0, ..., m - 1; the last link is walked below.
         movable = [j for j, (_, k) in enumerate(links[:m]) if k]
-        cache = {}
+        # What the iteration keeps, `held` records in all (see the class):
+        # (j, rot, p) -> link j's component, for 1 < j < m; with m > 1, the
+        # rot the last link starts from -> its run of k_m + 1 components;
+        # with two links, a rot -> the last link's knot there.
+        kept, held, cap = {}, 0, LINK_CACHE_CAP
+        # A run, or a two-link chain's knots, are kept only if k_m + 1 fits.
+        share_knots = m == 1 and k_m < cap
+        record_runs = m > 1 and k_m < cap
         start = 0
         while True:
             # Links before `start` are those of the previous prefix; link j
@@ -259,33 +278,61 @@ class Expansion:
                 p = plus[j]
                 rots[j + 1] = rot = rots[j] + 2 * p - k
                 key = (j, rot, p)
-                link = cache.get(key)
+                link = kept.get(key)
                 if link is None:
                     link = component(knot(tb, rot), -1, k - p, p)
                     # Links 0 and 1 never see a key twice (see the class).
                     if j > 1:
-                        if len(cache) >= LINK_CACHE_CAP:
-                            cache.clear()
-                        cache[key] = link
+                        if held >= cap:
+                            kept.clear()
+                            held = 0
+                        kept[key] = link
+                        held += 1
                 chain[j] = link
             prefix = head + tuple(chain)
             # The last link: each further positive stabilization adds 2 to rot.
-            rot = rots[m] + 2 * plus[m] - k_m
-            for p in range(plus[m], k_m + 1):
-                if m > 1:
-                    key = (m, rot, p)
-                    link = cache.get(key)
-                    if link is None:
-                        link = component(knot(tb_m, rot), -1, k_m - p, p)
-                        if len(cache) >= LINK_CACHE_CAP:
-                            cache.clear()
-                        cache[key] = link
-                else:
+            p, first = plus[m], rots[m]
+            rot = first + 2 * p - k_m
+            run = kept.get(first) if record_runs else None
+            if run is not None:
+                for link in islice(run, p, None):
+                    built = presentation(prefix + (link,))
+                    set_field(built, "_expansion", self)
+                    yield built
+            elif not share_knots:
+                # Record a run walked from p_m = 0: it is kept only once
+                # whole, so an int index never keeps one.
+                record = None
+                if record_runs and not p:
+                    if held + k_m + 1 > cap:
+                        kept.clear()
+                        held = 0
+                    held += k_m + 1
+                    record = []
+                for p in range(p, k_m + 1):
                     link = component(knot(tb_m, rot), -1, k_m - p, p)
-                built = presentation(prefix + (link,))
-                set_field(built, "_expansion", self)
-                yield built
-                rot += 2
+                    if record is not None:
+                        record.append(link)
+                    built = presentation(prefix + (link,))
+                    set_field(built, "_expansion", self)
+                    yield built
+                    rot += 2
+                if record is not None:
+                    kept[first] = record
+            else:
+                # Two links: the knot at a rot recurs for each p_0.
+                for p in range(p, k_m + 1):
+                    shape = kept.get(rot)
+                    if shape is None:
+                        if held >= cap:
+                            kept.clear()
+                            held = 0
+                        kept[rot] = shape = knot(tb_m, rot)
+                        held += 1
+                    built = presentation(prefix + (component(shape, -1, k_m - p, p),))
+                    set_field(built, "_expansion", self)
+                    yield built
+                    rot += 2
             plus[m] = 0
             # The next prefix, a mixed-radix number: the last link before m
             # that has a further choice takes it, and the links after it

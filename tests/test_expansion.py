@@ -392,10 +392,55 @@ def test_every_record_an_expansion_yields_is_sound(knot, plus_one, terms, start)
             assert list(vars(record)) == list(vars(checked)) + extra
 
 
-def test_a_cache_cleared_when_full_matches_brute_force(monkeypatch):
-    # Two entries: links 2 and 3 clear the cache every few presentations.
-    monkeypatch.setattr(expansion_module, "LINK_CACHE_CAP", 2)
-    assert_matches_brute_force(LegendrianKnot(-1, 0), coefficient_of((5, 5, 5, 5), True))
+# Four links of 3 stabilizations, so a run of the last link is 4 records;
+# two links of 3 or 6, whose last link's knots an iteration shares.
+@pytest.mark.parametrize("terms, plus_one, cap", [
+    ((5, 5, 5, 5), True, 2),
+    ((5, 5, 5, 5), True, 4),
+    ((5, 5, 5, 5), True, 16),
+    ((5, 5), True, 4),
+    ((8, 8), False, 7),
+    ((8, 8), False, 6),
+], ids=[
+    # A run does not fit: link 2 clears the cache every few presentations.
+    "runs never recorded",
+    # Each run fills the budget, so the next clears it: 127 clears, 64 prefixes.
+    "a run clears the cache",
+    # 49 runs recorded, 15 prefixes walk a kept one, 16 clears.
+    "runs reused and cleared",
+    # The knots of one prefix fill the budget; the next prefix clears it.
+    "two-link knots cleared",
+    "two-link knots cleared, no head",
+    # k_m + 1 = 7 does not fit: no knot is kept.
+    "two-link knots not kept",
+])
+def test_a_cache_cleared_when_full_matches_brute_force(monkeypatch, terms, plus_one, cap):
+    monkeypatch.setattr(expansion_module, "LINK_CACHE_CAP", cap)
+    assert_matches_brute_force(LegendrianKnot(-1, 0), coefficient_of(terms, plus_one))
+
+
+def test_an_int_index_builds_a_component_per_link(monkeypatch):
+    # 1 - r = [8, 8, 8]: three links of 6 stabilizations.  A run of the
+    # last link fits the budget, so iteration records it from p_2 = 0; an
+    # int index stops after one presentation and must not build the rest
+    # of that run, nor walk the earlier prefixes.  Each i lies in a later
+    # prefix, with p_2 = 0 or past it.
+    knot, component, presentation = expansion_module._UNCHECKED
+    built = 0
+
+    def counted(*args):
+        nonlocal built
+        built += 1
+        return component(*args)
+
+    monkeypatch.setattr(expansion_module, "_UNCHECKED", (knot, counted, presentation))
+    expansion = expand(LegendrianKnot(-1, 0), coefficient_of((8, 8, 8), False))
+    assert 6 + 1 < expansion_module.LINK_CACHE_CAP
+    whole = tuple(expansion)
+    for i in (7, 7 * 23, 7 * 23 + 4, len(whole) - 7, len(whole) - 1):
+        built = 0
+        assert expansion[i] == whole[i]
+        assert built <= 3 + 1, (i, built)
 
 
 def test_streaming_an_expansion_keeps_bounded_memory():
@@ -403,6 +448,25 @@ def test_streaming_an_expansion_keeps_bounded_memory():
     # presentations, link 3 meets a new (rot, p_3) at each one, so a cache
     # without a bound would grow with the number iterated.
     expansion = expand(LegendrianKnot(-1, 0), coefficient_of((302,) * 4, False))
+    peaks = []
+    for n in (20_000, 80_000):
+        tracemalloc.start()
+        try:
+            for _ in itertools.islice(expansion, n):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+def test_streaming_a_two_link_expansion_keeps_its_knots_bounded(monkeypatch):
+    # Two links of 300 stabilizations: prefix p_0 needs the last link's
+    # knots at 301 rots, one of them new, so a knot cache without a bound
+    # would hold 301 + p_0 knots.  With a budget of 320 records it is
+    # cleared every 20 prefixes; p_0 reaches 66 and 265.
+    monkeypatch.setattr(expansion_module, "LINK_CACHE_CAP", 320)
+    expansion = expand(LegendrianKnot(-1, 0), coefficient_of((302, 302), False))
     peaks = []
     for n in (20_000, 80_000):
         tracemalloc.start()
