@@ -28,10 +28,10 @@ ROLE_CHAIN = "chainLink"
 TERMS_CAP = 10**6
 
 # The most records one iteration of an `Expansion` keeps for reuse: chain-link
-# components, each of the last link's recorded runs counting as its k_m + 1
-# components, and a two-link chain's last-link knots.  A component is a few
-# hundred bytes (about 1.3 MB when full); a full cache is cleared, so a
-# stream's memory stays bounded however long it runs.
+# components, the last link's knots, and its recorded runs, each counting as
+# its k_m + 1 components once stored.  A component is a few hundred bytes
+# (about 1.3 MB when full); a full cache is cleared, so a stream's memory
+# stays bounded however long it runs, the one run being recorded on top.
 LINK_CACHE_CAP = 4096
 
 
@@ -182,25 +182,29 @@ class Expansion:
     rot, and link 1 from a rot that differs for each p_0.  From link 2 on,
     different prefixes reach the same rot, so an iteration keeps the
     components of links 2, ..., m - 1 by key and reuses each.  The last
-    link's components depend only on the rot it starts from: with m >= 2,
-    a prefix that walks it from p_m = 0 records the run of k_m + 1
-    components it built, and a later prefix that starts from the same rot
-    walks that run.  With two links every component is new, but the last
-    link's knot at a rot recurs for each p_0, so the iteration builds it
-    once.  A one-link expansion keeps nothing.  One budget bounds what an
-    iteration keeps: LINK_CACHE_CAP records, a run counting k_m + 1; all
-    of it is cleared when the next would not fit.  A run or the knots are
-    kept only when k_m + 1 fits the budget, and a run only once it is
-    whole, so an int index, which stops after one presentation, keeps
-    none, and a stream holds O(links) memory plus at most LINK_CACHE_CAP
-    records.  The generator holds what the records' `_check`s would
-    prove, so it builds with the three builders this module compiles
-    once, `_UNCHECKED`: `unchecked_LegendrianKnot`, `unchecked_Component`
-    and `unchecked_ContactSurgeryPresentation`, which run no `_check`.  A
-    presentation costs one tuple and one record, plus the last link's
-    component unless it walks a recorded run, and its knot unless that is
-    shared; and a component built, or found, for each link after the last
-    choice that changed.
+    link is walked one of two ways: a prefix that starts it from a rot with
+    a recorded run walks that run, and any other builds it as it walks.
+    The last link's knot at a rot recurs across prefixes, so whenever a
+    prefix comes before it (m >= 1) the walk keeps each knot by rot and
+    shares it.  Its components depend only on the rot it starts from, so
+    with m >= 2 a walk from p_m = 0 also records the run of k_m + 1
+    components it built, under that rot.  A one-link expansion keeps
+    nothing.  One budget bounds what an iteration keeps: LINK_CACHE_CAP
+    records, a component or a knot counting 1 and a run k_m + 1; all of it
+    is cleared when the next would not fit.  A run counts once stored, at
+    the end of its walk, so a knot may clear the cache while a run is
+    recorded, and the one run in progress comes on top of the budget.
+    Knots and runs are kept only when k_m + 1 fits the budget, and a run
+    only once it is whole, so an int index, which stops after one
+    presentation, keeps no run, and a stream holds O(links) memory plus at
+    most LINK_CACHE_CAP records and one run.  The generator holds what the
+    records' `_check`s would prove, so it builds with the three builders
+    this module compiles once, `_UNCHECKED`: `unchecked_LegendrianKnot`,
+    `unchecked_Component` and `unchecked_ContactSurgeryPresentation`, which
+    run no `_check`.  A presentation costs one tuple and one record, plus
+    the last link's component unless it walks a recorded run, and its knot
+    unless that is shared; and a component built, or found, for each link
+    after the last choice that changed.
     """
 
     _matrix = None
@@ -262,13 +266,13 @@ class Expansion:
         # The odometer steps links 0, ..., m - 1; the last link is walked below.
         movable = [j for j, (_, k) in enumerate(links[:m]) if k]
         # What the iteration keeps, `held` records in all (see the class):
-        # (j, rot, p) -> link j's component, for 1 < j < m; with m > 1, the
-        # rot the last link starts from -> its run of k_m + 1 components;
-        # with two links, a rot -> the last link's knot there.
-        kept, held, cap = {}, 0, LINK_CACHE_CAP
-        # A run, or a two-link chain's knots, are kept only if k_m + 1 fits.
-        share_knots = m == 1 and k_m < cap
-        record_runs = m > 1 and k_m < cap
+        # in `kept`, (j, rot, p) -> link j's component, for 1 < j < m, and
+        # the rot the last link starts from -> its run of k_m + 1
+        # components, counted once stored; in `knots`, a rot -> the last
+        # link's knot there.  The last link's knots and runs are kept only
+        # after a prefix, and only if k_m + 1 fits.
+        kept, knots, held, cap = {}, {}, 0, LINK_CACHE_CAP
+        share = m > 0 and k_m < cap
         start = 0
         while True:
             # Links before `start` are those of the previous prefix; link j
@@ -284,8 +288,7 @@ class Expansion:
                     # Links 0 and 1 never see a key twice (see the class).
                     if j > 1:
                         if held >= cap:
-                            kept.clear()
-                            held = 0
+                            kept, knots, held = {}, {}, 0
                         kept[key] = link
                         held += 1
                 chain[j] = link
@@ -293,24 +296,26 @@ class Expansion:
             # The last link: each further positive stabilization adds 2 to rot.
             p, first = plus[m], rots[m]
             rot = first + 2 * p - k_m
-            run = kept.get(first) if record_runs else None
+            run = kept.get(first)
             if run is not None:
                 for link in islice(run, p, None):
                     built = presentation(prefix + (link,))
                     set_field(built, "_expansion", self)
                     yield built
-            elif not share_knots:
-                # Record a run walked from p_m = 0: it is kept only once
-                # whole, so an int index never keeps one.
-                record = None
-                if record_runs and not p:
-                    if held + k_m + 1 > cap:
-                        kept.clear()
-                        held = 0
-                    held += k_m + 1
-                    record = []
+            else:
+                # With m > 1 a walk from p_m = 0 records its run, which is
+                # kept only once whole, so an int index never keeps one.
+                record = [] if share and m > 1 and not p else None
                 for p in range(p, k_m + 1):
-                    link = component(knot(tb_m, rot), -1, k_m - p, p)
+                    shape = knots.get(rot)
+                    if shape is None:
+                        shape = knot(tb_m, rot)
+                        if share:
+                            if held >= cap:
+                                kept, knots, held = {}, {}, 0
+                            knots[rot] = shape
+                            held += 1
+                    link = component(shape, -1, k_m - p, p)
                     if record is not None:
                         record.append(link)
                     built = presentation(prefix + (link,))
@@ -318,21 +323,12 @@ class Expansion:
                     yield built
                     rot += 2
                 if record is not None:
+                    # The run counts once stored; a knot may have cleared
+                    # the cache during its walk.
+                    if held + k_m + 1 > cap:
+                        kept, knots, held = {}, {}, 0
                     kept[first] = record
-            else:
-                # Two links: the knot at a rot recurs for each p_0.
-                for p in range(p, k_m + 1):
-                    shape = kept.get(rot)
-                    if shape is None:
-                        if held >= cap:
-                            kept.clear()
-                            held = 0
-                        kept[rot] = shape = knot(tb_m, rot)
-                        held += 1
-                    built = presentation(prefix + (component(shape, -1, k_m - p, p),))
-                    set_field(built, "_expansion", self)
-                    yield built
-                    rot += 2
+                    held += k_m + 1
             plus[m] = 0
             # The next prefix, a mixed-radix number: the last link before m
             # that has a further choice takes it, and the links after it

@@ -393,21 +393,29 @@ def test_every_record_an_expansion_yields_is_sound(knot, plus_one, terms, start)
 
 
 # Four links of 3 stabilizations, so a run of the last link is 4 records;
-# two links of 3 or 6, whose last link's knots an iteration shares.
+# three links of 3; two links of 3 or 6, whose last link's knots an
+# iteration shares.  The counts were read off an instrumented copy.
 @pytest.mark.parametrize("terms, plus_one, cap", [
     ((5, 5, 5, 5), True, 2),
     ((5, 5, 5, 5), True, 4),
-    ((5, 5, 5, 5), True, 16),
+    ((5, 5, 5, 5), True, 24),
+    ((5, 5, 5), False, 18),
     ((5, 5), True, 4),
     ((8, 8), False, 7),
     ((8, 8), False, 6),
 ], ids=[
-    # A run does not fit: link 2 clears the cache every few presentations.
+    # Neither a run nor a knot fits: link 2 clears the cache every few
+    # presentations (31 clears).
     "runs never recorded",
-    # Each run fills the budget, so the next clears it: 127 clears, 64 prefixes.
+    # Link 2, a knot in the walk and the stored run each clear the cache
+    # about once a prefix: 191 clears over 64 prefixes.
     "a run clears the cache",
-    # 49 runs recorded, 15 prefixes walk a kept one, 16 clears.
+    # 49 runs recorded, 15 prefixes walk a kept one, 16 clears.  At cap
+    # 16 the knots leave no room: no run is walked again.
     "runs reused and cleared",
+    # Each of the 4 clears comes from a knot kept while a run is recorded;
+    # 13 runs stored, 3 prefixes walk a kept one.
+    "a knot clears the cache mid-run",
     # The knots of one prefix fill the budget; the next prefix clears it.
     "two-link knots cleared",
     "two-link knots cleared, no head",
@@ -441,6 +449,20 @@ def test_an_int_index_builds_a_component_per_link(monkeypatch):
         built = 0
         assert expansion[i] == whole[i]
         assert built <= 3 + 1, (i, built)
+
+
+# The last link's knot at a rot is one object across prefixes: built
+# while a run of three links is recorded, or by any walk of two links.
+@pytest.mark.parametrize("terms", [(8, 8, 8), (8, 8)], ids=["three links", "two links"])
+def test_an_iteration_shares_the_last_link_knot_at_each_rot(terms):
+    expansion = expand(LegendrianKnot(-1, 0), coefficient_of(terms, False))
+    assert 6 + 1 < expansion_module.LINK_CACHE_CAP
+    knots = {}
+    for presentation in expansion:
+        shape = presentation.components[-1].legendrian
+        assert knots.setdefault(shape.rot, shape) is shape
+    # The last link's rot is the sum of 2 p_j - 6 over the links.
+    assert sorted(knots) == list(range(-6 * len(terms), 6 * len(terms) + 1, 2))
 
 
 def test_streaming_an_expansion_keeps_bounded_memory():
