@@ -220,22 +220,20 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    from dataclasses import asdict
-
     from . import diagramio
-    from .homology import homology_data, linking_matrix
+    from .homology import homology_fields, linking_matrix
 
     presentation = diagramio.parse_diagram_file(args.file)
-    data = homology_data(linking_matrix(presentation))
-    _check_printable((data.determinant, data.signature, data.euler_characteristic))
+    data = homology_fields(linking_matrix(presentation))
+    _check_printable((data["determinant"], data["signature"], data["euler_characteristic"]))
     if args.json:
-        _write_json(asdict(data))
+        _write_json(data)
         return 0
-    order = "infinite" if data.order_h1 is None else str(data.order_h1)
+    order = "infinite" if data["order_h1"] is None else str(data["order_h1"])
     print(f"|H1| = {order}")
-    print(f"signature = {data.signature}")
-    print(f"euler characteristic = {data.euler_characteristic}")
-    print(f"determinant = {data.determinant}")
+    print(f"signature = {data['signature']}")
+    print(f"euler characteristic = {data['euler_characteristic']}")
+    print(f"determinant = {data['determinant']}")
     return 0
 
 

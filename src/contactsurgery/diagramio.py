@@ -19,7 +19,8 @@ by `errors.read_field`, and the entries of nested integer lists by
 from __future__ import annotations
 
 # Each reader imports its format's records when it runs, so an open book or
-# a facts file loads no expansion, and a diagram no openbook.
+# a facts file loads no presentation records, and a diagram no openbook and
+# no expansion.
 from .errors import (
     DiagramFormatError, InvalidCoefficient, NotRealizable, quote, read_field, read_json)
 
@@ -45,8 +46,8 @@ def parse_coefficient(raw, path: str) -> int:
 
 
 def presentation_from_dict(data: object, source: str = "diagram") -> ContactSurgeryPresentation:
-    from .expansion import Component, ContactSurgeryPresentation
     from .legendrian import LegendrianKnot
+    from .presentation import Component, ContactSurgeryPresentation
 
     raw_components = read_field(data, "components", list, source)
     components = []

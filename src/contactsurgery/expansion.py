@@ -6,6 +6,10 @@ the negative continued fraction expansion of 1 - r.  Each chain link is
 a pushoff of its predecessor carrying a prescribed number of
 stabilizations; enumerating the stabilization sign choices produces the
 whole set of presentations, all-negative choice first.
+
+The records it builds, `Component` and `ContactSurgeryPresentation`, and
+the two roles live in `presentation`, which a diagram reader loads without
+this module; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -16,12 +20,11 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import InvalidCoefficient, OutOfRange, UnsupportedCoefficient, quote
-from .legendrian import NEGATIVE, POSITIVE, LegendrianKnot, stabilize
-from .record import Record, set_field, unchecked_builder
-
-ROLE_PLUS_ONE = "originalPlusOne"
-ROLE_CHAIN = "chainLink"
-
+from .legendrian import NEGATIVE, LegendrianKnot, stabilize
+# The records live in `presentation`; this module re-exports all four names.
+from .presentation import (  # noqa: F401
+    ROLE_CHAIN, ROLE_PLUS_ONE, Component, ContactSurgeryPresentation)
+from .record import set_field, unchecked_builder
 
 # The most terms a negative continued fraction may have.  Contact r-surgery
 # for r = 10**400 or r = -10**-30 would expand along about 10**400 or 10**30.
@@ -76,67 +79,6 @@ def evaluate_continued_fraction(terms) -> Fraction:
     for a in reversed(terms[:-1]):
         value = a - 1 / value
     return value
-
-
-class Component(Record):
-    """One link component of a surgery presentation.
-
-    Stabilizations commute, so a component stores how many of each sign it
-    carries.  Its role follows from the coefficient: the one +1 is on the
-    original knot, and every -1 is a chain link.
-    """
-
-    _fields = ("legendrian", "coefficient", "negative_stabs", "positive_stabs")
-    _defaults = {"negative_stabs": 0, "positive_stabs": 0}
-
-    def _check(self) -> None:
-        if self.coefficient not in (1, -1):
-            raise ValueError("contact coefficient must be +1 or -1")
-        if self.negative_stabs < 0 or self.positive_stabs < 0:
-            raise ValueError("stabilization counts must be non-negative")
-
-    @property
-    def role(self) -> str:
-        """ROLE_PLUS_ONE for the +1 coefficient, ROLE_CHAIN for -1."""
-        return ROLE_PLUS_ONE if self.coefficient == 1 else ROLE_CHAIN
-
-    @property
-    def stab_signs(self) -> tuple[str, ...]:
-        """The stabilization signs, negatives first."""
-        return (NEGATIVE,) * self.negative_stabs + (POSITIVE,) * self.positive_stabs
-
-
-class ContactSurgeryPresentation(Record):
-    """An ordered chain of components presenting a contact surgery.
-
-    At most one component carries the +1 coefficient; it precedes the
-    chain, and every chain link is a pushoff of its predecessor.
-    """
-
-    _fields = ("components", "overtwisted")
-    _defaults = {"components": (), "overtwisted": False}
-
-    # The `Expansion` that built this presentation, whose linking matrix
-    # it shares, and the linking matrix `homology.linking_matrix` built for
-    # a presentation that has none.  Not fields: equality, hash and repr
-    # ignore them, and a presentation built from the same fields has neither.
-    _expansion = None
-    _matrix = None
-
-    def _check(self) -> None:
-        # One pass: a second +1 is reported before a misplaced one.
-        components = self.components
-        seen, misplaced = bool(components) and components[0].coefficient == 1, False
-        for c in components[1:]:
-            if c.coefficient == 1:
-                if seen:
-                    raise ValueError("at most one +1 component is allowed")
-                seen = misplaced = True
-        if misplaced:
-            raise ValueError("the +1 component must precede the chain")
-
-    def tb_rot_profile(self) -> tuple[tuple[int, int], ...]:
-        return tuple((c.legendrian.tb, c.legendrian.rot) for c in self.components)
 
 
 # The builders `Expansion._presentations` uses, which skip `_check`.  Use them

@@ -26,18 +26,19 @@ own.
 in its one loop over the components, and keeps the result in a plain
 `_matrix` attribute that starts at None, on the `Expansion` or on the
 presentation, so a first use enters no `functools` or importlib frame.
-`SpinCEvaluation` is a record; `HomologyData` stays a dataclass, since the
-benchmark's tests call `dataclasses.replace` on it.
+`SpinCEvaluation` is a record.  `HomologyData` is a frozen dataclass, since
+the benchmark's tests call `dataclasses.replace` on it, but it becomes one
+only when its first record is built; `d3` builds none, and the `homology`
+verb renders `homology_fields`, so neither loads `dataclasses`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotRationalHomologySphere
-from .expansion import ContactSurgeryPresentation
 from .linalg import LinkingMatrix
+from .presentation import ContactSurgeryPresentation
 from .record import Record, set_field
 
 
@@ -72,18 +73,48 @@ def linking_matrix(presentation: ContactSurgeryPresentation) -> LinkingMatrix:
     return matrix
 
 
-@dataclass(frozen=True)
 class HomologyData:
+    """|H1| (None when infinite), signature, euler characteristic and the
+    determinant of a linking matrix, as a frozen dataclass."""
+
     determinant: int
     order_h1: int | None  # None marks infinite first homology
     signature: int
     euler_characteristic: int
+
+    # The first record built, or unpickled, makes this class a frozen
+    # dataclass in place, so every module keeps the one class object; these
+    # two methods then give way to the dataclass's.  Two threads building
+    # the first record at once could race; the package starts none.  A
+    # module `__getattr__` would also defer `dataclasses`, but would slow
+    # every attribute read of this module (see tests/test_package.py).
+    def __init__(self, *args, **kwargs):
+        _make_dataclass()
+        self.__init__(*args, **kwargs)
+
+    def __setstate__(self, state):
+        _make_dataclass()
+        self.__dict__.update(state)
+
+
+def _make_dataclass() -> None:
+    from dataclasses import dataclass
+
+    del HomologyData.__init__, HomologyData.__setstate__
+    dataclass(frozen=True)(HomologyData)
 
 
 def homology_data(matrix: LinkingMatrix) -> HomologyData:
     """|H1| (None when infinite), signature, and euler = 1 + size."""
     _, _, det, signature = matrix._chain
     return HomologyData(det, abs(det) if det else None, signature, 1 + len(matrix.diagonal))
+
+
+def homology_fields(matrix: LinkingMatrix) -> dict:
+    """`homology_data`'s four values by field name, without a record."""
+    _, _, det, signature = matrix._chain
+    return {"determinant": det, "order_h1": abs(det) if det else None,
+            "signature": signature, "euler_characteristic": 1 + len(matrix.diagonal)}
 
 
 class SpinCEvaluation(Record):

@@ -10,6 +10,7 @@ not make itself.  d3, which reads det * c^2 as one integer
 (`adjugate_form`), must equal the DGS formula assembled from them.
 """
 
+import dataclasses
 import os
 import random
 import sys
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import contactsurgery
 from contactsurgery import linalg
 from contactsurgery.diagramio import presentation_from_dict, presentation_to_dict
 from contactsurgery.errors import NotRationalHomologySphere
@@ -32,9 +34,11 @@ from contactsurgery.expansion import (
     presentation_for_framing,
 )
 from contactsurgery.homology import (
+    HomologyData,
     LinkingMatrix,
     d3_invariant,
     homology_data,
+    homology_fields,
     linking_matrix,
     spin_c_evaluation,
 )
@@ -137,6 +141,21 @@ def test_kernel_matches_generic_on_presentations(presentation):
         assert spin.c_squared == sum(x * r for x, r in zip(spin.solution, rot))
         # The independent pass: spin^c reads det * c^2 off adj(M) rot.
         assert det * spin.c_squared == matrix.adjugate_form(rot)
+
+
+@SETTINGS
+@given(presentations())
+# A lone +1 on a tb = -1 knot, and +1 then two links on a tb = -3 knot:
+# det = 0, so |H1| is infinite, under a +1 head.
+@example(all_negative_presentation(LegendrianKnot(-1, 0), 1))
+@example(all_negative_presentation(LegendrianKnot(-3, 0), 3))
+def test_the_homology_verbs_reader_is_homology_data_as_a_dict(presentation):
+    # The `homology` verb renders `homology_fields`, which builds no record.
+    matrix = linking_matrix(presentation)
+    fields = homology_fields(matrix)
+    assert fields == dataclasses.asdict(homology_data(matrix))
+    assert list(fields) == [f.name for f in dataclasses.fields(HomologyData)]
+    assert "homology_fields" not in contactsurgery.__all__
 
 
 @SETTINGS
@@ -286,7 +305,10 @@ def test_the_d3_path_enters_few_python_frames(make, fresh, kept):
     # comprehension, which 3.12 and later inline.  First use also builds
     # and factors the matrix (`LinkingMatrix.__init__`, `_check`,
     # `pushoff_chain`), an expansion's shared matrix just as a standalone
-    # presentation's own.
+    # presentation's own.  The process's first `HomologyData` makes the
+    # class a dataclass, a one-time cost outside the d3 path; one is built
+    # first, so the count is the same when the test runs alone.
+    HomologyData(1, 1, 0, 2)
     presentation = make()
     first = d3_path_frames(presentation)
     assert len(first) <= fresh

@@ -593,12 +593,10 @@ _RECORD_CODEGEN = ("dataclasses", "inspect")
 
 
 @pytest.mark.parametrize("argv, unloaded, unloaded_stdlib", [
-    # homology's HomologyData stays a dataclass while bench/tests/test_bench.py:74
-    # calls dataclasses.replace on it, so d3 and homology load dataclasses.
     (["d3", "--file", "fixtures/unknot-n2.json"],
-     ("ledger", "openbook", "acceptance", "catalog"), ()),
+     ("ledger", "openbook", "acceptance", "catalog", "expansion"), _RECORD_CODEGEN),
     (["homology", "--file", "fixtures/unknot-n2.json"],
-     ("ledger", "openbook", "acceptance", "catalog"), ()),
+     ("ledger", "openbook", "acceptance", "catalog", "expansion"), _RECORD_CODEGEN),
     (["catalog", "--list"],
      ("expansion", "homology", "linalg", "diagramio", "openbook", "ledger"), _RECORD_CODEGEN),
     (["openbook", "--file", "fixtures/torus-book.json", "--action"],

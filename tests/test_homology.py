@@ -1,6 +1,12 @@
+import dataclasses
 import itertools
 import math
+import os
+import pathlib
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +20,9 @@ from contactsurgery.expansion import (
     ContactSurgeryPresentation,
     all_negative_presentation,
 )
+import contactsurgery
 from contactsurgery.homology import (
+    HomologyData,
     d3_invariant,
     homology_data,
     linking_matrix,
@@ -176,6 +184,78 @@ def test_homology_data_hand_checked():
     assert data.determinant == -1
     assert data.signature == 0
     assert data.euler_characteristic == 3
+
+
+_DATA_REPR = "HomologyData(determinant=-5, order_h1=5, signature=-2, euler_characteristic=3)"
+
+
+def test_homology_data_is_one_frozen_dataclass():
+    # The first record built makes the class a dataclass in place, so every
+    # name for it, the package's included, is the one class object.
+    data = HomologyData(-5, 5, -2, 3)
+    built = homology_data(linking_matrix(all_negative_presentation(LegendrianKnot(-1, 0), 2)))
+    assert type(built) is HomologyData is contactsurgery.HomologyData
+    assert dataclasses.is_dataclass(HomologyData)
+    assert (HomologyData.__qualname__, HomologyData.__module__) == (
+        "HomologyData", "contactsurgery.homology")
+    assert repr(data) == _DATA_REPR
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.signature = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del data.signature
+    same = HomologyData(determinant=-5, order_h1=5, signature=-2, euler_characteristic=3)
+    assert data == same and hash(data) == hash(same)
+    assert data != HomologyData(5, 5, -2, 3)
+    assert pickle.loads(pickle.dumps(data)) == data
+    assert dataclasses.replace(data, determinant=5) == HomologyData(5, 5, -2, 3)
+    assert dataclasses.asdict(data) == {
+        "determinant": -5, "order_h1": 5, "signature": -2, "euler_characteristic": 3}
+
+
+def _fresh_process(probe: str, stdin: bytes = b"") -> list[str]:
+    """The lines `probe` prints in a fresh `python -S` process."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], input=stdin,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, check=True, timeout=60,
+    )
+    return result.stdout.decode().splitlines()
+
+
+def test_the_first_homology_data_of_a_process_loads_dataclasses():
+    probe = (
+        "import sys\n"
+        "from contactsurgery.homology import HomologyData\n"
+        "print('dataclasses' in sys.modules)\n"
+        "data = HomologyData(1, 1, 0, 2)\n"
+        "print('dataclasses' in sys.modules)\n"
+        "import dataclasses\n"
+        "print(repr(data), dataclasses.is_dataclass(data), data == HomologyData(1, 1, 0, 2))\n"
+        "print(dataclasses.replace(data, signature=-1))\n"
+    )
+    assert _fresh_process(probe) == [
+        "False", "True",
+        "HomologyData(determinant=1, order_h1=1, signature=0, euler_characteristic=2) True True",
+        "HomologyData(determinant=1, order_h1=1, signature=-1, euler_characteristic=2)",
+    ]
+
+
+def test_a_homology_data_built_by_keyword_or_unpickled_first_is_a_dataclass():
+    by_keyword = (
+        "from contactsurgery.homology import HomologyData\n"
+        "print(HomologyData(determinant=-5, order_h1=5, signature=-2, euler_characteristic=3))\n"
+    )
+    assert _fresh_process(by_keyword) == [_DATA_REPR]
+    unpickled = (
+        "import pickle, sys\n"
+        "data = pickle.load(sys.stdin.buffer)\n"
+        "print(data, hash(data) == hash((-5, 5, -2, 3)))\n"
+        "from contactsurgery.homology import HomologyData\n"
+        "print(data == HomologyData(-5, 5, -2, 3))\n"
+    )
+    stdin = pickle.dumps(HomologyData(-5, 5, -2, 3))
+    assert _fresh_process(unpickled, stdin) == [f"{_DATA_REPR} True", "True"]
 
 
 def test_characteristic_polynomial_of_spec_matrix():
