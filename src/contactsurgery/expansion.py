@@ -30,8 +30,8 @@ from .record import set_field, unchecked_builder
 # for r = 10**400 or r = -10**-30 would expand along about 10**400 or 10**30.
 TERMS_CAP = 10**6
 
-# The most records one iteration of an `Expansion` keeps for reuse: chain-link
-# components, the last link's knots, and its recorded runs, each counting as
+# The most records one iteration of an `Expansion` keeps for reuse, all of
+# them the last link's: its knots, and its recorded runs, each counting as
 # its k_m + 1 components once stored.  A component is a few hundred bytes
 # (about 1.3 MB when full); a full cache is cleared, so a stream's memory
 # stays bounded however long it runs, the one run being recorded on top.
@@ -119,23 +119,21 @@ class Expansion:
     and a slice builds a tuple, iterating from its start when its step
     is 1.  All take one generator, `_presentations`.
 
-    Link j's component is fixed by (j, its rot, p_j).  In iteration order
-    links 0 and 1 never meet a key twice: link 0 starts from the knot's
-    rot, and link 1 from a rot that differs for each p_0.  From link 2 on,
-    different prefixes reach the same rot, so an iteration keeps the
-    components of links 2, ..., m - 1 by key and reuses each.  The last
-    link is walked one of two ways: a prefix that starts it from a rot with
-    a recorded run walks that run, and any other builds it as it walks.
-    The last link's knot at a rot recurs across prefixes, so whenever a
-    prefix comes before it (m >= 1) the walk keeps each knot by rot and
+    The odometer builds link j < m, knot and component, each time a choice
+    at or before it changes, prod(k_i + 1 for i <= j) times in a full
+    iteration, and keeps it only in the prefix.  Only the last link's
+    records are kept.  It is walked one of two ways: a prefix that starts
+    it from a rot with a recorded run walks that run, and any other builds
+    it as it walks.  Its knot at a rot recurs across prefixes, so whenever
+    a prefix comes before it (m >= 1) the walk keeps each knot by rot and
     shares it.  Its components depend only on the rot it starts from, so
     with m >= 2 a walk from p_m = 0 also records the run of k_m + 1
     components it built, under that rot.  A one-link expansion keeps
     nothing.  One budget bounds what an iteration keeps: LINK_CACHE_CAP
-    records, a component or a knot counting 1 and a run k_m + 1; all of it
-    is cleared when the next would not fit.  A run counts once stored, at
-    the end of its walk, so a knot may clear the cache while a run is
-    recorded, and the one run in progress comes on top of the budget.
+    records, a knot counting 1 and a run k_m + 1; all of it is cleared
+    when the next would not fit.  A run counts once stored, at the end of
+    its walk, so a knot may clear the cache while a run is recorded, and
+    the one run in progress comes on top of the budget.
     Knots and runs are kept only when k_m + 1 fits the budget, and a run
     only once it is whole, so an int index, which stops after one
     presentation, keeps no run, and a stream holds O(links) memory plus at
@@ -145,8 +143,8 @@ class Expansion:
     `unchecked_Component` and `unchecked_ContactSurgeryPresentation`, which
     run no `_check`.  A presentation costs one tuple and one record, plus
     the last link's component unless it walks a recorded run, and its knot
-    unless that is shared; and a component built, or found, for each link
-    after the last choice that changed.
+    unless that is shared; and a knot and a component for each link from
+    the last choice that changed on.
     """
 
     _matrix = None
@@ -208,12 +206,11 @@ class Expansion:
         # The odometer steps links 0, ..., m - 1; the last link is walked below.
         movable = [j for j, (_, k) in enumerate(links[:m]) if k]
         # What the iteration keeps, `held` records in all (see the class):
-        # in `kept`, (j, rot, p) -> link j's component, for 1 < j < m, and
-        # the rot the last link starts from -> its run of k_m + 1
+        # in `runs`, the rot the last link starts from -> its run of k_m + 1
         # components, counted once stored; in `knots`, a rot -> the last
-        # link's knot there.  The last link's knots and runs are kept only
-        # after a prefix, and only if k_m + 1 fits.
-        kept, knots, held, cap = {}, {}, 0, LINK_CACHE_CAP
+        # link's knot there.  Both are kept only after a prefix, and only
+        # if k_m + 1 fits.
+        runs, knots, held, cap = {}, {}, 0, LINK_CACHE_CAP
         share = m > 0 and k_m < cap
         start = 0
         while True:
@@ -223,22 +220,12 @@ class Expansion:
                 tb, k = links[j]
                 p = plus[j]
                 rots[j + 1] = rot = rots[j] + 2 * p - k
-                key = (j, rot, p)
-                link = kept.get(key)
-                if link is None:
-                    link = component(knot(tb, rot), -1, k - p, p)
-                    # Links 0 and 1 never see a key twice (see the class).
-                    if j > 1:
-                        if held >= cap:
-                            kept, knots, held = {}, {}, 0
-                        kept[key] = link
-                        held += 1
-                chain[j] = link
+                chain[j] = component(knot(tb, rot), -1, k - p, p)
             prefix = head + tuple(chain)
             # The last link: each further positive stabilization adds 2 to rot.
             p, first = plus[m], rots[m]
             rot = first + 2 * p - k_m
-            run = kept.get(first)
+            run = runs.get(first)
             if run is not None:
                 for link in islice(run, p, None):
                     built = presentation(prefix + (link,))
@@ -254,7 +241,7 @@ class Expansion:
                         shape = knot(tb_m, rot)
                         if share:
                             if held >= cap:
-                                kept, knots, held = {}, {}, 0
+                                runs, knots, held = {}, {}, 0
                             knots[rot] = shape
                             held += 1
                     link = component(shape, -1, k_m - p, p)
@@ -268,8 +255,8 @@ class Expansion:
                     # The run counts once stored; a knot may have cleared
                     # the cache during its walk.
                     if held + k_m + 1 > cap:
-                        kept, knots, held = {}, {}, 0
-                    kept[first] = record
+                        runs, knots, held = {}, {}, 0
+                    runs[first] = record
                     held += k_m + 1
             plus[m] = 0
             # The next prefix, a mixed-radix number: the last link before m

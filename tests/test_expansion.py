@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import tracemalloc
@@ -346,8 +347,9 @@ def coefficient_of(terms, plus_one: bool) -> Fraction:
 
 
 # coefficients() (q <= 12) seldom gives more than two links with
-# stabilizations, so it seldom reaches the links from 2 on, whose components
-# an iteration keeps and reuses; these terms are drawn directly.
+# stabilizations, so it seldom reaches links before the last that the
+# odometer rebuilds as earlier choices change, or a last link whose runs an
+# iteration records and walks again; these terms are drawn directly.
 @SETTINGS
 @given(knots(), st.booleans(), st.lists(st.integers(2, 8), min_size=1, max_size=5))
 @example(LegendrianKnot(-1, 0), False, [8, 8, 8])
@@ -392,30 +394,38 @@ def test_every_record_an_expansion_yields_is_sound(knot, plus_one, terms, start)
             assert list(vars(record)) == list(vars(checked)) + extra
 
 
-# Four links of 3 stabilizations, so a run of the last link is 4 records;
-# three links of 3; two links of 3 or 6, whose last link's knots an
-# iteration shares.  The counts were read off an instrumented copy.
+# Three to five links whose last has 3 stabilizations, so a run of the
+# last link is 4 records; two links of 3 or 6, whose last link's knots an
+# iteration shares.  Only the last link's
+# knots and runs are kept.  The counts were read off an instrumented copy.
 @pytest.mark.parametrize("terms, plus_one, cap", [
     ((5, 5, 5, 5), True, 2),
     ((5, 5, 5, 5), True, 4),
     ((5, 5, 5, 5), True, 24),
     ((5, 5, 5), False, 18),
+    ((5, 3, 5, 3, 5), False, 12),
     ((5, 5), True, 4),
     ((8, 8), False, 7),
     ((8, 8), False, 6),
 ], ids=[
-    # Neither a run nor a knot fits: link 2 clears the cache every few
-    # presentations (31 clears).
-    "runs never recorded",
-    # Link 2, a knot in the walk and the stored run each clear the cache
-    # about once a prefix: 191 clears over 64 prefixes.
+    # k_m + 1 = 4 does not fit: no knot or run is kept, and nothing is
+    # cleared.
+    "no knot or run fits",
+    # A knot kept while a run is recorded and the stored run each clear
+    # the cache about once a prefix: 127 clears over 64 prefixes, and no
+    # run is walked again.
     "a run clears the cache",
-    # 49 runs recorded, 15 prefixes walk a kept one, 16 clears.  At cap
+    # 40 runs recorded, 24 prefixes walk a kept one, 9 clears.  At cap
     # 16 the knots leave no room: no run is walked again.
     "runs reused and cleared",
     # Each of the 4 clears comes from a knot kept while a run is recorded;
     # 13 runs stored, 3 prefixes walk a kept one.
     "a knot clears the cache mid-run",
+    # Between prefixes the odometer rebuilds each link from the choice
+    # that changed up to link 3, which a cleared cache leaves alone.  15
+    # of the 23 clears come from a knot kept while a run is recorded, 8
+    # from a stored run; 40 runs recorded, 24 prefixes walk a kept one.
+    "five links, a knot clears the cache mid-run",
     # The knots of one prefix fill the budget; the next prefix clears it.
     "two-link knots cleared",
     "two-link knots cleared, no head",
@@ -449,6 +459,24 @@ def test_an_int_index_builds_a_component_per_link(monkeypatch):
         built = 0
         assert expansion[i] == whole[i]
         assert built <= 3 + 1, (i, built)
+
+
+def test_a_full_iteration_builds_each_earlier_link_once_per_prefix(monkeypatch):
+    # 1 - r = [4, 5, 3, 6]: links of 2, 3, 1 and 4 stabilizations.  The
+    # odometer rebuilds link j < m each time a choice at or before it
+    # changes, and keeps it nowhere else, so a full iteration builds it
+    # prod(k_i + 1 for i <= j) times: linear in the presentations.
+    knot, component, presentation = expansion_module._UNCHECKED
+    built = collections.Counter()
+
+    def counted(shape, *args):
+        built[shape.tb] += 1
+        return component(shape, *args)
+
+    monkeypatch.setattr(expansion_module, "_UNCHECKED", (knot, counted, presentation))
+    expansion = expand(LegendrianKnot(-1, 0), coefficient_of((4, 5, 3, 6), False))
+    assert len(tuple(expansion)) == 3 * 4 * 2 * 5
+    assert [built[tb] for tb in expansion.tbs[:-1]] == [3, 3 * 4, 3 * 4 * 2]
 
 
 # The last link's knot at a rot is one object across prefixes: built
