@@ -30,11 +30,12 @@ from .record import set_field, unchecked_builder
 # for r = 10**400 or r = -10**-30 would expand along about 10**400 or 10**30.
 TERMS_CAP = 10**6
 
-# The most records one iteration of an `Expansion` keeps for reuse, all of
-# them the last link's: its knots, and its recorded runs, each counting as
-# its k_m + 1 components once stored.  A component is a few hundred bytes
-# (about 1.3 MB when full); a full cache is cleared, so a stream's memory
-# stays bounded however long it runs, the one run being recorded on top.
+# The most records of each kind one iteration of an `Expansion` keeps for
+# reuse, all of them the last link's: this many knots, and runs of this many
+# components in all, the run being recorded included.  Each dict is cleared
+# when full, so a stream's memory stays bounded however long it runs; both
+# can be full at once, so at worst it keeps 2 * LINK_CACHE_CAP records
+# (0.64 MB of knots and 0.46 MB of components under tracemalloc, Python 3.11).
 LINK_CACHE_CAP = 4096
 
 
@@ -122,26 +123,27 @@ class Expansion:
     The odometer builds link j < m, knot and component, each time a choice
     at or before it changes, prod(k_i + 1 for i <= j) times in a full
     iteration, and keeps it only in the prefix.  Only the last link's
-    records are kept.  It is walked one of two ways: a prefix that starts
-    it from a rot with a recorded run walks that run, and any other builds
-    it as it walks.  Its knot at a rot recurs across prefixes, so whenever
-    a prefix comes before it (m >= 1) the walk keeps each knot by rot and
-    shares it.  Its components depend only on the rot it starts from, so
-    with m >= 2 a walk from p_m = 0 also records the run of k_m + 1
-    components it built, under that rot.  A one-link expansion keeps
-    nothing.  One budget bounds what an iteration keeps: LINK_CACHE_CAP
-    records, a knot counting 1 and a run k_m + 1; all of it is cleared
-    when the next would not fit.  A run counts once stored, at the end of
-    its walk, so a knot may clear the cache while a run is recorded, and
-    the one run in progress comes on top of the budget.
-    Knots and runs are kept only when k_m + 1 fits the budget, and a run
-    only once it is whole, so an int index, which stops after one
-    presentation, keeps no run, and a stream holds O(links) memory plus at
-    most LINK_CACHE_CAP records and one run.  The generator holds what the
-    records' `_check`s would prove, so it builds with the three builders
-    this module compiles once, `_UNCHECKED`: `unchecked_LegendrianKnot`,
-    `unchecked_Component` and `unchecked_ContactSurgeryPresentation`, which
-    run no `_check`.  A presentation costs one tuple and one record, plus
+    records are kept, and only where they can recur.  It is walked one of
+    two ways: a prefix that starts it from a rot with a recorded run walks
+    that run, and any other builds it as it walks.  Call the links before
+    it with k_j > 0 movable.  Its knot at a rot recurs across prefixes
+    once a link is movable, so then, if k_m < LINK_CACHE_CAP, the walk
+    keeps each knot by rot and shares it.  Its components depend only on
+    the rot it starts from, which recurs once the last two movable links
+    trade one choice, about k + 1 prefixes later for k the last movable
+    link's.  So with two movable links, and if (k + 1)(k_m + 1) <=
+    LINK_CACHE_CAP, a walk from p_m = 0 also records the run of k_m + 1
+    components it built, under that rot.  Each dict bounds itself: the
+    knots are cleared when LINK_CACHE_CAP are kept, and the runs when the
+    one a walk starts to record would take them past LINK_CACHE_CAP
+    components.  A run is kept only once whole, so an int index, which
+    stops after one presentation, keeps no run, and a stream holds
+    O(links) memory plus at most 2 * LINK_CACHE_CAP records.  The
+    generator holds what the records' `_check`s would prove, so it builds
+    with the three builders this module compiles once, `_UNCHECKED`:
+    `unchecked_LegendrianKnot`, `unchecked_Component` and
+    `unchecked_ContactSurgeryPresentation`, which run no `_check`.  A
+    presentation costs one tuple and one record, plus
     the last link's component unless it walks a recorded run, and its knot
     unless that is shared; and a knot and a component for each link from
     the last choice that changed on.
@@ -205,13 +207,14 @@ class Expansion:
         chain = [None] * m
         # The odometer steps links 0, ..., m - 1; the last link is walked below.
         movable = [j for j, (_, k) in enumerate(links[:m]) if k]
-        # What the iteration keeps, `held` records in all (see the class):
-        # in `runs`, the rot the last link starts from -> its run of k_m + 1
-        # components, counted once stored; in `knots`, a rot -> the last
-        # link's knot there.  Both are kept only after a prefix, and only
-        # if k_m + 1 fits.
-        runs, knots, held, cap = {}, {}, 0, LINK_CACHE_CAP
-        share = m > 0 and k_m < cap
+        # What the iteration keeps, only where it can recur (see the class):
+        # `knots`, a rot -> the last link's knot there, at most `cap`; `runs`,
+        # a start rot of the last link -> its k_m + 1 components, at most
+        # `room` runs.
+        runs, knots, cap = {}, {}, LINK_CACHE_CAP
+        room = cap // (k_m + 1)
+        share = movable and k_m < cap
+        keep = len(movable) > 1 and links[movable[-1]][1] < room
         start = 0
         while True:
             # Links before `start` are those of the previous prefix; link j
@@ -232,18 +235,19 @@ class Expansion:
                     set_field(built, "_expansion", self)
                     yield built
             else:
-                # With m > 1 a walk from p_m = 0 records its run, which is
-                # kept only once whole, so an int index never keeps one.
-                record = [] if share and m > 1 and not p else None
+                # A walk from p_m = 0 records its run, which is kept only
+                # once whole, so an int index never keeps one.
+                record = [] if keep and not p else None
+                if record is not None and len(runs) >= room:
+                    runs.clear()
                 for p in range(p, k_m + 1):
                     shape = knots.get(rot)
                     if shape is None:
                         shape = knot(tb_m, rot)
                         if share:
-                            if held >= cap:
-                                runs, knots, held = {}, {}, 0
+                            if len(knots) >= cap:
+                                knots.clear()
                             knots[rot] = shape
-                            held += 1
                     link = component(shape, -1, k_m - p, p)
                     if record is not None:
                         record.append(link)
@@ -252,12 +256,7 @@ class Expansion:
                     yield built
                     rot += 2
                 if record is not None:
-                    # The run counts once stored; a knot may have cleared
-                    # the cache during its walk.
-                    if held + k_m + 1 > cap:
-                        runs, knots, held = {}, {}, 0
                     runs[first] = record
-                    held += k_m + 1
             plus[m] = 0
             # The next prefix, a mixed-radix number: the last link before m
             # that has a further choice takes it, and the links after it

@@ -395,15 +395,20 @@ def test_every_record_an_expansion_yields_is_sound(knot, plus_one, terms, start)
 
 
 # Three to five links whose last has 3 stabilizations, so a run of the
-# last link is 4 records; two links of 3 or 6, whose last link's knots an
-# iteration shares.  Only the last link's
-# knots and runs are kept.  The counts were read off an instrumented copy.
+# last link is 4 components, or 5 in [12, 3, 5]; two or three links whose
+# last link's knots an iteration shares but whose runs cannot recur.  Only
+# the last link's knots and runs are kept, each dict under its own bound.
+# The counts were read off an instrumented copy.
 @pytest.mark.parametrize("terms, plus_one, cap", [
     ((5, 5, 5, 5), True, 2),
     ((5, 5, 5, 5), True, 4),
     ((5, 5, 5, 5), True, 24),
     ((5, 5, 5), False, 18),
     ((5, 3, 5, 3, 5), False, 12),
+    ((12, 3, 5), True, 8),
+    ((12, 3, 5), False, 7),
+    ((5, 2, 5, 5), True, 16),
+    ((2, 9, 9), False, 8),
     ((5, 5), True, 4),
     ((8, 8), False, 7),
     ((8, 8), False, 6),
@@ -411,22 +416,34 @@ def test_every_record_an_expansion_yields_is_sound(knot, plus_one, terms, start)
     # k_m + 1 = 4 does not fit: no knot or run is kept, and nothing is
     # cleared.
     "no knot or run fits",
-    # A knot kept while a run is recorded and the stored run each clear
-    # the cache about once a prefix: 127 clears over 64 prefixes, and no
-    # run is walked again.
-    "a run clears the cache",
-    # 40 runs recorded, 24 prefixes walk a kept one, 9 clears.  At cap
-    # 16 the knots leave no room: no run is walked again.
+    # A start rot recurs about 3 + 1 prefixes later, and 4 runs need
+    # 4 * 4 = 16 components: no run is recorded, and the knots are cleared
+    # 39 times.
+    "knots cleared, no run fits",
+    # 25 runs recorded, 39 prefixes walk a kept one, the runs cleared 4
+    # times; the 13 knots never fill their dict.
     "runs reused and cleared",
-    # Each of the 4 clears comes from a knot kept while a run is recorded;
-    # 13 runs stored, 3 prefixes walk a kept one.
-    "a knot clears the cache mid-run",
+    # 9 runs recorded, 7 walked again, the runs cleared twice, no knot
+    # cleared.
+    "three links, runs cleared",
     # Between prefixes the odometer rebuilds each link from the choice
-    # that changed up to link 3, which a cleared cache leaves alone.  15
-    # of the 23 clears come from a knot kept while a run is recorded, 8
-    # from a stored run; 40 runs recorded, 24 prefixes walk a kept one.
-    "five links, a knot clears the cache mid-run",
-    # The knots of one prefix fill the budget; the next prefix clears it.
+    # that changed up to link 3, which a cleared dict leaves alone.  40
+    # runs recorded, 24 prefixes walk a kept one, the runs cleared 13
+    # times.
+    "five links, runs cleared",
+    # (1 + 1) * (3 + 1) = 8 components: 12 runs recorded, 10 walked
+    # again, the runs cleared 5 times and the knots twice, each clear
+    # leaving the other dict alone.
+    "a knot clear leaves the runs alone",
+    # One below (1 + 1) * (3 + 1): no run is recorded.
+    "no run fits, one below",
+    # A link of k = 0 sits between the movable links 0 and 2: 9 runs
+    # recorded, 7 walked again, the runs cleared twice.
+    "a fixed link between the movable ones",
+    # Link 1 is the only movable link, so no start rot recurs and no run
+    # is recorded; the knots are cleared 4 times.
+    "one movable link, no runs",
+    # The knots of one prefix fill their dict; the next prefix clears it.
     "two-link knots cleared",
     "two-link knots cleared, no head",
     # k_m + 1 = 7 does not fit: no knot is kept.
@@ -479,6 +496,34 @@ def test_a_full_iteration_builds_each_earlier_link_once_per_prefix(monkeypatch):
     assert [built[tb] for tb in expansion.tbs[:-1]] == [3, 3 * 4, 3 * 4 * 2]
 
 
+def test_a_full_iteration_builds_the_last_link_knot_once_per_rot(monkeypatch):
+    # 1 - r = [5, 5, 1002]: links of 3, 3 and 1,000 stabilizations.  The
+    # last link's 1,007 knots fit LINK_CACHE_CAP whatever runs are kept
+    # beside them, so a full iteration of 16,016 presentations builds each
+    # once.
+    knot, component, presentation = expansion_module._UNCHECKED
+    built = collections.Counter()
+
+    def counted(tb, rot):
+        built[tb, rot] += 1
+        return knot(tb, rot)
+
+    monkeypatch.setattr(expansion_module, "_UNCHECKED", (counted, component, presentation))
+    expansion = expand(LegendrianKnot(-1, 0), coefficient_of((5, 5, 1002), False))
+    assert len(tuple(expansion)) == 4 * 4 * 1001
+    last = [n for (tb, _), n in built.items() if tb == expansion.tbs[-1]]
+    assert len(last) == sum(last) == 1007
+
+
+def test_an_iteration_with_one_prefix_keeps_nothing():
+    # 1 - r = [2, 2, 700]: no link before the last has a choice, so there
+    # is one prefix and no knot or run of the last link recurs.
+    stream = iter(expand(LegendrianKnot(-1, 0), coefficient_of((2, 2, 700), False)))
+    assert len(list(itertools.islice(stream, 699))) == 699
+    kept = stream.gi_frame.f_locals
+    assert kept["knots"] == {} and kept["runs"] == {}
+
+
 # The last link's knot at a rot is one object across prefixes: built
 # while a run of three links is recorded, or by any walk of two links.
 @pytest.mark.parametrize("terms", [(8, 8, 8), (8, 8)], ids=["three links", "two links"])
@@ -493,10 +538,21 @@ def test_an_iteration_shares_the_last_link_knot_at_each_rot(terms):
     assert sorted(knots) == list(range(-6 * len(terms), 6 * len(terms) + 1, 2))
 
 
-def test_streaming_an_expansion_keeps_bounded_memory():
-    # Four links of 300 stabilizations each.  Over the first 80,000
-    # presentations, link 3 meets a new (rot, p_3) at each one, so a cache
-    # without a bound would grow with the number iterated.
+def test_streaming_an_expansion_keeps_bounded_memory(monkeypatch):
+    # Four links of 300 stabilizations each.  A start rot of link 3 recurs
+    # only when links 1 and 2 trade a choice, about 301 prefixes later, and
+    # 301 runs of 301 components do not fit LINK_CACHE_CAP: over the first
+    # 80,000 presentations no run is recorded.
+    stream = iter(expand(LegendrianKnot(-1, 0), coefficient_of((302,) * 4, False)))
+    for _ in itertools.islice(stream, 80_000):
+        pass
+    assert stream.gi_frame.f_locals["runs"] == {}
+    # Each prefix of 301 presentations needs link 3's knots at 301 rots, one
+    # of them new, so a knot cache without a bound would grow with the
+    # number iterated.  With a bound of 320 knots it is cleared 3 times in
+    # the first 20,000 presentations and 12 in 80,000, so both peaks hold a
+    # full dict.
+    monkeypatch.setattr(expansion_module, "LINK_CACHE_CAP", 320)
     expansion = expand(LegendrianKnot(-1, 0), coefficient_of((302,) * 4, False))
     peaks = []
     for n in (20_000, 80_000):
