@@ -408,7 +408,8 @@ def chain_reduction_fixture(n: int):
              positive kappa_minus twist, [kappa_minus+, sigma2+].
 
     Returns (surface, config, base_word, rewrite_position,
-    destabilize_curve, drop_index, drop_boundary, target_base_word).
+    destabilize_curve, drop_boundary, target_base_word); `giroux_destabilize`
+    finds the coordinate to drop, but the model cannot tell the boundary.
     """
     if n == 1:
         curves = {
@@ -443,7 +444,6 @@ def chain_reduction_fixture(n: int):
             2,
             "v",
             2,
-            2,
             (("u", "+"),),
         )
     if n in (2, 3):
@@ -476,7 +476,7 @@ def chain_reduction_fixture(n: int):
             if n == 2
             else (("kappa_minus", "+"), ("sigma2", "+"))
         )
-        return (surface, config, base, 2, "sigma2", 1, 1, (("v", "+"),))
+        return (surface, config, base, 2, "sigma2", 1, (("v", "+"),))
     raise ValueError(f"no fixture for n={n}")
 
 
@@ -490,7 +490,6 @@ def run_chain_reduction(n: int):
         base,
         position,
         destab_curve,
-        drop_index,
         drop_boundary,
         target_base,
     ) = chain_reduction_fixture(n)
@@ -499,11 +498,7 @@ def run_chain_reduction(n: int):
     if homology_action(start, surface) != homology_action(rewritten, surface):
         raise AssertionError("rewrite changed the homology action")
     reduced_surface, finished = giroux_destabilize(
-        surface,
-        rewritten,
-        destab_curve,
-        drop_index=drop_index,
-        drop_boundary=drop_boundary,
+        surface, rewritten, destab_curve, drop_boundary=drop_boundary
     )
     target = attach_surgery_twists(
         reduced_surface, target_base, "kappa", "kappa_minus", n

@@ -38,8 +38,9 @@ from fractions import Fraction
 
 from .errors import NotRationalHomologySphere
 from .linalg import LinkingMatrix
-from .presentation import ContactSurgeryPresentation
 from .record import Record, set_field
+
+# ContactSurgeryPresentation annotations are never evaluated, so no import.
 
 
 def linking_matrix(presentation: ContactSurgeryPresentation) -> LinkingMatrix:

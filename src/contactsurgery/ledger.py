@@ -27,7 +27,7 @@ from itertools import chain
 
 from .errors import Contradiction, IncompleteData, NotRealizable, quote
 from .legendrian import InvariantStatus, LegendrianKnot, TransverseKnot
-from .record import Record, set_field
+from .record import Record
 
 # KnotType annotations name a catalog.KnotType; they are never evaluated,
 # so this module does not import catalog.
@@ -96,12 +96,11 @@ class LedgerState(Record):
     smallest offset; among facts at one offset the first asserted wins.
     Building a state whose ceiling covers every framing or reaches its floor
     raises Contradiction.  Start from LedgerState() and add facts with
-    assert_fact, or many at once with assert_facts.
+    assert_fact, or many at once with assert_facts.  It keeps no cache.
     """
 
     _fields = ("facts", "ceiling", "floor")
     _defaults = {"facts": (), "ceiling": None, "floor": None}
-    _by_offset = None  # `_offset_index(facts)`, built by the first `rows` that needs it
 
     def _check(self) -> None:
         _clash(self.ceiling, self.floor, self.facts)
@@ -123,9 +122,10 @@ class LedgerState(Record):
         ceiling, Unknown, and NonZero from the floor.  A Zero framing is
         justified by the ceiling when it covers every framing, else by the
         Zero fact at the nearest offset at or above it, a NonZero framing by
-        the NonZero fact at the nearest offset at or below it.  Each run
-        finds its first fact by one bisect and then advances with k;
-        `status_at` gives the same statuses framing by framing."""
+        the NonZero fact at the nearest offset at or below it.  Each call
+        indexes the facts once, and each run finds its first fact by one
+        bisect and then advances with k; `status_at` gives the same
+        statuses framing by framing."""
         ceiling, floor = self.ceiling, self.floor
         if ceiling is not None and ceiling.offset is None:
             for k in range(lo, hi + 1):
@@ -134,10 +134,7 @@ class LedgerState(Record):
         # The Zero run is lo..zero_end - 1 and the NonZero run nonzero_start..hi.
         zero_end = lo if ceiling is None else max(lo, min(ceiling.offset, hi) + 1)
         nonzero_start = hi + 1 if floor is None else min(max(floor.offset, lo), hi + 1)
-        by_offset = self._by_offset
-        if by_offset is None:
-            by_offset = _offset_index(self.facts)
-            set_field(self, "_by_offset", by_offset)
+        by_offset = _offset_index(self.facts)
         zeros, zero_rules = by_offset[ZERO]
         j = bisect_left(zeros, lo)
         for k in range(lo, zero_end):
@@ -338,13 +335,19 @@ TightRange.__doc__ = """All rational coefficients r >= anchor, with the certifyi
 
 class TightnessReport(Record):
     """Union of upward-closed ranges of surgery coefficients certified to
-    carry tight contact structures, with per-range provenance."""
+    carry tight contact structures, with per-range provenance; `sl_tb_gap`
+    is read off the knot."""
 
-    _fields = ("knot", "ranges", "sl_tb_gap")
-    _defaults = {"sl_tb_gap": None}
+    _fields = ("knot", "ranges")
 
     def anchor(self) -> int | None:
         return min((rng.anchor for rng in self.ranges), default=None)
+
+    @property
+    def sl_tb_gap(self) -> int | None:
+        """max_sl - max_tb of the knot, or None when either is unknown."""
+        sl, tb = self.knot.max_sl, self.knot.max_tb
+        return None if sl is None or tb is None else sl - tb
 
 
 def tight_surgery_ranges(knot: KnotType) -> TightnessReport:
@@ -374,7 +377,4 @@ def tight_surgery_ranges(knot: KnotType) -> TightnessReport:
         for label, rule in _TIGHT_RANGE_RULES
         if rule.holds(subject)
     )
-    gap = None
-    if knot.max_sl is not None and knot.max_tb is not None:
-        gap = knot.max_sl - knot.max_tb
-    return TightnessReport(knot=knot, ranges=ranges, sl_tb_gap=gap)
+    return TightnessReport(knot=knot, ranges=ranges)

@@ -427,16 +427,16 @@ def giroux_destabilize(
     letters,
     curve: str,
     *,
-    drop_index: int | None = None,
     drop_boundary: int | None = None,
 ):
     """Undo a stabilization: remove the unique positive twist on the curve,
     drop one lattice direction, and reduce every class modulo the curve.
 
     The destabilized curve must carry exactly one letter, positive, and
-    its class must be unimodular in the dropped direction so that the
-    reduction lands in the smaller lattice.  The curve itself bounds in
-    the destabilized surface and leaves the alphabet.
+    its class must have an entry of +1 or -1; the last one is the dropped
+    direction, so the reduction lands in the smaller lattice.  The curve
+    bounds in the destabilized surface and leaves the alphabet, and the
+    boundary `drop_boundary` goes, by default the last.
     """
     letters = tuple(letters)
     cls = surface.curve_class(curve)
@@ -447,22 +447,17 @@ def giroux_destabilize(
         )
     if surface.boundary_count < 2:
         raise InvalidStabilization("cannot destabilize past one boundary component")
-    if drop_index is None:
-        drop_index = _last_unit(cls)
-        if drop_index is None:
-            raise InvalidStabilization(
-                f"class of {quote(curve)!r} has no unimodular coordinate to drop"
-            )
-    if not 0 <= drop_index < len(cls) or abs(cls[drop_index]) != 1:
+    drop = _last_unit(cls)
+    if drop is None:
         raise InvalidStabilization(
-            f"class of {quote(curve)!r} is not unimodular at index {quote(drop_index)}"
+            f"class of {quote(curve)!r} has no unimodular coordinate to drop"
         )
     if drop_boundary is None:
         drop_boundary = len(surface.boundary_classes) - 1
     if not 0 <= drop_boundary < len(surface.boundary_classes):
         raise InvalidStabilization("no such boundary component")
     curves = tuple((name, vec) for name, vec in surface.curves if name != curve)
-    destabilized = _quotient(surface, cls, drop_index, curves, drop_boundary)
+    destabilized = _quotient(surface, cls, drop, curves, drop_boundary)
     return destabilized, letters[: hits[0]] + letters[hits[0] + 1:]
 
 

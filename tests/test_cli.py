@@ -598,18 +598,20 @@ _RECORD_CODEGEN = ("dataclasses", "inspect")
     (["homology", "--file", "fixtures/unknot-n2.json"],
      ("ledger", "openbook", "acceptance", "catalog", "expansion"), _RECORD_CODEGEN),
     (["catalog", "--list"],
-     ("expansion", "homology", "linalg", "diagramio", "openbook", "ledger"), _RECORD_CODEGEN),
+     ("expansion", "homology", "linalg", "diagramio", "openbook", "ledger", "presentation"),
+     _RECORD_CODEGEN),
     (["openbook", "--file", "fixtures/torus-book.json", "--action"],
-     ("ledger", "catalog", "homology", "linalg", "acceptance", "expansion"),
+     ("ledger", "catalog", "homology", "linalg", "acceptance", "expansion", "presentation"),
      (*_RECORD_CODEGEN, "fractions")),
     (["ledger", "--window", "0", "1"],
-     ("catalog", "expansion", "homology", "linalg", "diagramio", "acceptance", "openbook"),
+     ("catalog", "expansion", "homology", "linalg", "diagramio", "acceptance", "openbook",
+      "presentation"),
      _RECORD_CODEGEN),
     (["ledger", "--knot", "T(2,3)", "--tb", "1", "--rot", "0", "--sl", "1", "--binding"],
-     ("expansion", "homology", "linalg", "diagramio", "openbook", "acceptance"),
+     ("expansion", "homology", "linalg", "diagramio", "openbook", "acceptance", "presentation"),
      _RECORD_CODEGEN),
     (["classify", "--knot", "T(2,3)"],
-     ("openbook", "expansion", "homology", "linalg", "diagramio", "acceptance"),
+     ("openbook", "expansion", "homology", "linalg", "diagramio", "acceptance", "presentation"),
      _RECORD_CODEGEN),
     (["expand", "--tb", "-1", "--rot", "0", "--coeff", "3"],
      ("linalg", "homology", "ledger", "openbook", "catalog", "acceptance", "diagramio"),
@@ -629,7 +631,7 @@ def test_cli_ledger_facts_loads_no_expansion(tmp_path):
     path = _facts_file(tmp_path, [{"offset": 2, "status": "NonZero"}])
     loaded = _modules_loaded_by("-m", "contactsurgery.cli", "ledger", "--facts", path)
     assert "contactsurgery.diagramio" in loaded
-    assert not loaded & {"contactsurgery.expansion", "fractions"}
+    assert not loaded & {"contactsurgery.expansion", "contactsurgery.presentation", "fractions"}
 
 
 def test_main_with_argv_leaves_the_collector_alone(capsys):

@@ -455,8 +455,9 @@ def test_a_cache_cleared_when_full_matches_brute_force(monkeypatch, terms, plus_
 
 
 def test_an_int_index_builds_a_component_per_link(monkeypatch):
-    # 1 - r = [8, 8, 8]: three links of 6 stabilizations.  A run of the
-    # last link fits the budget, so iteration records it from p_2 = 0; an
+    # 1 - r = [8, 8, 8]: three links of 6 stabilizations.  The runs of the
+    # last link fit the runs' own bound, (6 + 1) * (6 + 1) components within
+    # LINK_CACHE_CAP, so iteration records one from p_2 = 0; an
     # int index stops after one presentation and must not build the rest
     # of that run, nor walk the earlier prefixes.  Each i lies in a later
     # prefix, with p_2 = 0 or past it.
@@ -569,8 +570,9 @@ def test_streaming_an_expansion_keeps_bounded_memory(monkeypatch):
 def test_streaming_a_two_link_expansion_keeps_its_knots_bounded(monkeypatch):
     # Two links of 300 stabilizations: prefix p_0 needs the last link's
     # knots at 301 rots, one of them new, so a knot cache without a bound
-    # would hold 301 + p_0 knots.  With a budget of 320 records it is
-    # cleared every 20 prefixes; p_0 reaches 66 and 265.
+    # would hold 301 + p_0 knots.  With the knots' own bound,
+    # LINK_CACHE_CAP, set to 320, it is cleared every 20 prefixes; p_0
+    # reaches 66 and 265.
     monkeypatch.setattr(expansion_module, "LINK_CACHE_CAP", 320)
     expansion = expand(LegendrianKnot(-1, 0), coefficient_of((302, 302), False))
     peaks = []

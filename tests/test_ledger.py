@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from contactsurgery import ledger
 from contactsurgery.catalog import (
+    Catalog,
     KnotType,
     UNKNOT,
     cable_of_trefoil,
@@ -279,6 +280,15 @@ def test_tight_surgeries_gap_tracks_summands():
         assert tight_surgery_ranges(total).sl_tb_gap == copies
 
 
+def test_the_sl_tb_gap_is_read_off_the_knot():
+    catalog = Catalog.builtin()
+    for knot in map(catalog.lookup, catalog.names()):
+        assert tight_surgery_ranges(knot).sl_tb_gap == knot.max_sl - knot.max_tb
+    for bounds in ({"max_tb": 1}, {"max_sl": 1}):
+        knot = KnotType("half-known", genus=1, slice_genus=1, **bounds)
+        assert tight_surgery_ranges(knot).sl_tb_gap is None
+
+
 def test_tight_surgeries_incomplete_data():
     with pytest.raises(IncompleteData):
         tight_surgery_ranges(KnotType("mystery", genus=2, slice_genus=1))
@@ -393,11 +403,14 @@ def test_a_window_does_not_rescan_the_facts_per_framing():
     assert rows[0] == (-150, Status.ZERO, "z99")
     assert rows[150] == (0, Status.ZERO, "z0")
     assert rows[-1] == (150, Status.NONZERO, "n99")
+    before = counted.facts.passes
     for k in range(-150, 151):
         counted.status_at(k)
+    assert counted.facts.passes == before
+    for k in range(-150, 151):
         counted.window(k, k)
-    # One pass builds the offset index; nothing else reads the facts.
-    assert counted.facts.passes <= 1
+    # Each read builds the offset index in one pass; status_at reads no fact.
+    assert counted.facts.passes == before + 301
 
 
 def _bisect_rows(state, lo, hi):
@@ -460,8 +473,8 @@ def test_rows_walk_the_runs_as_status_at_and_a_bisect_read_them(window):
 @example(_read_window((-2, Status.ZERO), (3, Status.NONZERO), lo=-6, hi=6))
 @example(_read_window(lo=0, hi=2))
 @given(read_windows())
-def test_rows_build_the_offset_index_on_first_use_only(window):
-    # The index is kept on the state by the first read that needs it; a
+def test_rows_build_the_offset_index_once_per_read(window):
+    # Each read builds the index once and keeps nothing on the state; a
     # ceiling that covers every framing names every row without it.
     state, lo, hi = window
     with mock.patch.object(ledger, "_offset_index", wraps=ledger._offset_index) as index:
@@ -469,7 +482,7 @@ def test_rows_build_the_offset_index_on_first_use_only(window):
         assert list(state.rows(lo, hi)) == first
         wider = list(state.rows(lo - 3, hi + 3))
     covers_all = state.ceiling is not None and state.ceiling.offset is None
-    assert index.call_count == (0 if covers_all else 1)
+    assert index.call_count == (0 if covers_all else 3)
     assert wider[3:len(wider) - 3] == first
     assert [(k, status) for k, status, _ in wider] == [
         (k, state.status_at(k)) for k in range(lo - 3, hi + 4)]

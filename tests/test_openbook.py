@@ -97,11 +97,9 @@ def _lantern_with_a_long_name():
      LONG_NAME),
     (lambda: giroux_destabilize(_with_curve((2, 0, 0)), ((LONG_NAME, "+"),), LONG_NAME),
      InvalidStabilization, LONG_NAME),
-    (lambda: giroux_destabilize(_with_curve((1, 0, 0)), ((LONG_NAME, "+"),), LONG_NAME,
-                                drop_index=HUGE_INTEGER), InvalidStabilization, HUGE_INTEGER),
     (lambda: stabilize(LegendrianKnot(-1, 0), LONG_NAME), ValueError, LONG_NAME),
 ], ids=["rank", "curve_class", "direction", "position", "letters", "stabilize",
-        "destabilize-twists", "destabilize-no-unit", "destabilize-index", "legendrian-sign"])
+        "destabilize-twists", "destabilize-no-unit", "legendrian-sign"])
 def test_a_message_quotes_a_long_name_or_integer(call, error, echoed):
     with pytest.raises(error) as raised:
         call()
@@ -774,16 +772,16 @@ def test_giroux_destabilize_requires_unique_positive_twist():
         giroux_destabilize(bigger, (), "core")
 
 
-@pytest.mark.parametrize("drop_index", [5, -1])
-def test_giroux_destabilize_rejects_an_index_outside_the_class(drop_index):
-    annulus = SurfaceModel(
-        genus=0, boundary_count=2, pairing=((0,),),
-        curves=(("kappa", (1,)),), boundary_classes=((1,), (-1,)),
-    )
-    page, word = giroux_stabilize(annulus, (), "h", (0, 1))
-    assert page.h1_rank == 2
-    with pytest.raises(InvalidStabilization, match=f"at index {drop_index}"):
-        giroux_destabilize(page, word, "h", drop_index=drop_index)
+@pytest.mark.parametrize("n, index", [(1, 2), (2, 1), (3, 1)])
+def test_giroux_destabilize_drops_the_last_unit_coordinate(n, index):
+    # The coordinates A8's chain reductions drop: v = (0, 1, 1), for n = 1,
+    # has two unit entries and loses the last; sigma2 = (0, 1, 0), for
+    # n = 2 and 3, has one.
+    surface, _, _, _, curve, boundary, _ = chain_reduction_fixture(n)
+    page, word = giroux_destabilize(surface, ((curve, "+"),), curve, drop_boundary=boundary)
+    rest = tuple((name, vec) for name, vec in surface.curves if name != curve)
+    assert word == ()
+    assert page == openbook._quotient(surface, surface.curve_class(curve), index, rest, boundary)
 
 
 def test_cap_off_deletes_matching_twists():

@@ -47,9 +47,8 @@ CASES = {
                     f"LedgerState(facts=(Fact(offset=1, status={_NONZERO}, rule='r'),), "
                     f"ceiling=None, floor=Fact(offset=1, status={_NONZERO}, rule='r'))"),
     "TightnessReport": (
-        lambda: TightnessReport(KnotType("T(2,3)", 1, 1, 1, 1), (TightRange(2, "r"),), 0),
-        f"TightnessReport(knot={_TREFOIL}, ranges=(TightRange(anchor=2, rule='r'),), "
-        "sl_tb_gap=0)"),
+        lambda: TightnessReport(KnotType("T(2,3)", 1, 1, 1, 1), (TightRange(2, "r"),)),
+        f"TightnessReport(knot={_TREFOIL}, ranges=(TightRange(anchor=2, rule='r'),))"),
     "KnotType": (lambda: KnotType("T(2,3)", 1, 1, 1, 1), _TREFOIL),
     "SurfaceModel": (lambda: SurfaceModel(0, 2, ((0,),), (("a", (1,)),), ((1,), (-1,))),
                      "SurfaceModel(genus=0, boundary_count=2, pairing=((0,),), "
