@@ -5,8 +5,9 @@ Diagram schema: a top-level object with "components" and an optional
 {"tb": int, "rot": int, "coeff": "+1"|"-1"|1|-1, "role": str,
 "stab_signs": [str, ...]}; role and stab_signs are optional on input, and
 a role must be the one its coeff gives: "originalPlusOne" for +1,
-"chainLink" for -1.  Every component has tb + rot odd, and each one after
-the first is a pushoff of its predecessor stabilized by its stab_signs.
+"chainLink" for -1.  The +1 components come first, before every -1.
+Every component has tb + rot odd, and each one after the first is a
+pushoff of its predecessor stabilized by its stab_signs.
 Stabilizations commute, so stab_signs is read as a multiset (a component
 stores the two counts, and the pushoff rule is checked from them) and is
 written negatives first.  Open book schema:
@@ -86,8 +87,8 @@ def presentation_from_dict(data: object, source: str = "diagram") -> ContactSurg
     overtwisted = read_field(data, "overtwisted", bool, source, False)
     try:
         return ContactSurgeryPresentation(tuple(components), overtwisted=overtwisted)
-    except ValueError as exc:
-        raise DiagramFormatError(f"{source}.components: {exc}") from exc
+    except ValueError as exc:  # its message starts with the path components[i]
+        raise DiagramFormatError(f"{source}.{exc}") from exc
 
 
 def parse_diagram_file(path: str) -> ContactSurgeryPresentation:

@@ -149,7 +149,7 @@ def d3_invariant(presentation: ContactSurgeryPresentation) -> Fraction:
     (nonzero determinant); the empty presentation gives -1/2.  With
     det * c^2 = N, the integer `adjugate_form` of the rot vector,
     d3 = (N - det * (3 * signature + 2 * euler - 4 * q)) / (4 * det), where
-    q is 1 just when the first component is the (only) +1.
+    q is the number of +1 components.
     """
     matrix = linking_matrix(presentation)
     _, _, det, signature = matrix._chain
@@ -157,9 +157,9 @@ def d3_invariant(presentation: ContactSurgeryPresentation) -> Fraction:
         raise NotRationalHomologySphere(
             "d3 is undefined: the surgered manifold has infinite H1"
         )
-    comps = presentation.components
-    # A comprehension enters one more frame than `map` over an `attrgetter`,
-    # but on cold caches it runs faster.
-    form = matrix.adjugate_form([c.legendrian.rot for c in comps])
-    q = 1 if comps and comps[0].coefficient == 1 else 0
-    return Fraction(form - det * (3 * signature + 2 * (1 + len(comps)) - 4 * q), 4 * det)
+    rots, q = [], 0
+    for c in presentation.components:
+        rots.append(c.legendrian.rot)
+        q += c.coefficient == 1
+    form = matrix.adjugate_form(rots)
+    return Fraction(form - det * (3 * signature + 2 * (1 + len(rots)) - 4 * q), 4 * det)

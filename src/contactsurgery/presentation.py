@@ -19,8 +19,8 @@ class Component(Record):
     """One link component of a surgery presentation.
 
     Stabilizations commute, so a component stores how many of each sign it
-    carries.  Its role follows from the coefficient: the one +1 is on the
-    original knot, and every -1 is a chain link.
+    carries.  Its role follows from the coefficient: a +1 is on the original
+    knot or a pushoff of it, and every -1 is a chain link.
     """
 
     _fields = ("legendrian", "coefficient", "negative_stabs", "positive_stabs")
@@ -46,8 +46,8 @@ class Component(Record):
 class ContactSurgeryPresentation(Record):
     """An ordered chain of components presenting a contact surgery.
 
-    At most one component carries the +1 coefficient; it precedes the
-    chain, and every chain link is a pushoff of its predecessor.
+    The +1 components form a leading block, which the chain follows, and
+    every component after the first is a pushoff of its predecessor.
     """
 
     _fields = ("components", "overtwisted")
@@ -61,16 +61,11 @@ class ContactSurgeryPresentation(Record):
     _matrix = None
 
     def _check(self) -> None:
-        # One pass: a second +1 is reported before a misplaced one.
-        components = self.components
-        seen, misplaced = bool(components) and components[0].coefficient == 1, False
-        for c in components[1:]:
-            if c.coefficient == 1:
-                if seen:
-                    raise ValueError("at most one +1 component is allowed")
-                seen = misplaced = True
-        if misplaced:
-            raise ValueError("the +1 component must precede the chain")
+        # The +1 components form a leading block: the coefficients never rise.
+        coefficients = [c.coefficient for c in self.components]
+        if coefficients != sorted(coefficients, reverse=True):
+            i = coefficients.index(1, coefficients.index(-1))
+            raise ValueError(f"components[{i}]: a +1 component must precede every -1")
 
     def tb_rot_profile(self) -> tuple[tuple[int, int], ...]:
         return tuple((c.legendrian.tb, c.legendrian.rot) for c in self.components)

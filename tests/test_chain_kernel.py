@@ -294,15 +294,14 @@ def is_machinery(code):
 
 
 @pytest.mark.parametrize("make, fresh, kept", [
-    (lambda: all_negative_presentation(LegendrianKnot(-1, 0), 12), 11, 8),
-    (lambda: expand(LegendrianKnot(-1, 0), Fraction(-7, 3))[1], 11, 8),
+    (lambda: all_negative_presentation(LegendrianKnot(-1, 0), 12), 10, 7),
+    (lambda: expand(LegendrianKnot(-1, 0), Fraction(-7, 3))[1], 10, 7),
 ], ids=["all negative", "expansion"])
 def test_the_d3_path_enters_few_python_frames(make, fresh, kept):
     # The benchmark times each op after a reference load, with cold caches,
     # as a one-shot CLI call runs; a cold op pays mostly for the frames it
     # enters.  The budgets are the counts on Python 3.11, where they were
-    # measured; CI runs 3.10-3.13.  One frame is `d3_invariant`'s rot
-    # comprehension, which 3.12 and later inline.  First use also builds
+    # measured; CI runs 3.10-3.13.  First use also builds
     # and factors the matrix (`LinkingMatrix.__init__`, `_check`,
     # `pushoff_chain`), an expansion's shared matrix just as a standalone
     # presentation's own.  The process's first `HomologyData` makes the
@@ -503,12 +502,37 @@ def test_adjugate_form_is_det_times_c_squared(chain, rhs):
 
 
 @st.composite
+def headed_presentations(draw):
+    """A leading block of 0-4 +1 heads, then 0-5 -1 links, on a knot with
+    tb in [-6, 3]: each component after the first is a pushoff of its
+    predecessor stabilized 0-2 times with each sign."""
+    knot = draw(knots(tb_max=3))
+    heads, links = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    components = []
+    for coefficient in (1,) * heads + (-1,) * links:
+        negatives = positives = 0
+        if components:
+            negatives, positives = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        knot = LegendrianKnot(knot.tb - negatives - positives, knot.rot + positives - negatives)
+        components.append(Component(knot, coefficient, negatives, positives))
+    return ContactSurgeryPresentation(tuple(components))
+
+
+def pushoffs(knot, *coefficients):
+    """Unstabilized pushoffs of the knot, one per coefficient."""
+    return ContactSurgeryPresentation(tuple(Component(knot, c) for c in coefficients))
+
+
+@st.composite
 def standalone_presentations(draw):
     """A presentation from `expand`, from `all_negative_presentation`
-    (tb + n = 0 included), or read back from its dict."""
-    kind = draw(st.sampled_from(["expansion", "all negative", "parsed"]))
+    (tb + n = 0 included), with a leading block of +1 heads, or read back
+    from its dict."""
+    kind = draw(st.sampled_from(["expansion", "all negative", "leading block", "parsed"]))
     if kind == "all negative":
         return all_negative_presentation(draw(knots()), draw(st.integers(1, 24)))
+    if kind == "leading block":
+        return draw(headed_presentations())
     presentation = draw(presentations())
     if kind == "parsed":
         return presentation_from_dict(presentation_to_dict(presentation))
@@ -530,8 +554,11 @@ def generic_d3(presentation):
     return (c_squared - 3 * signature_exact(entries) - 2 * (len(comps) + 1)) / 4 + q
 
 
-@settings(SETTINGS, derandomize=True)
+@settings(SETTINGS, derandomize=True, max_examples=100)
 @given(standalone_presentations())
+@example(pushoffs(LegendrianKnot(-1, 0), 1, 1))  # d3 = 1/2
+@example(pushoffs(LegendrianKnot(-1, 0), 1, 1, 1, 1, -1))
+@example(pushoffs(LegendrianKnot(-2, 1), 1, 1))  # 1/2-surgery at tb -2: det 3
 def test_d3_invariant_matches_the_generic_formula(presentation):
     expected = generic_d3(presentation)
     if expected is None:
@@ -541,6 +568,38 @@ def test_d3_invariant_matches_the_generic_formula(presentation):
     d3 = d3_invariant(presentation)
     assert d3 == expected
     assert d3_invariant(presentation) == d3  # from the kept matrix
+
+
+@SETTINGS
+@given(knots(tb_max=3), st.integers(0, 5))
+@example(LegendrianKnot(-1, 0), 0)
+@example(LegendrianKnot(-1, 0), 1)
+@example(LegendrianKnot(3, 0), 5)
+def test_a_minus_one_pushoff_cancels_a_plus_one_head(knot, k):
+    # Ding-Geiges-Stipsicz: contact (-1)-surgery on the unstabilized pushoff
+    # of a (+1)-surgered knot cancels it, so k + 1 heads and that pushoff
+    # present what k heads do: the same |H1| and the same d3.
+    heads = pushoffs(knot, *(1,) * k)
+    cancelled = pushoffs(knot, *(1,) * (k + 1), -1)
+    det = linking_matrix(heads).determinant()
+    assert abs(linking_matrix(cancelled).determinant()) == abs(det)
+    if det:
+        assert d3_invariant(cancelled) == d3_invariant(heads)
+    else:
+        for presentation in (heads, cancelled):
+            with pytest.raises(NotRationalHomologySphere):
+                d3_invariant(presentation)
+
+
+@SETTINGS
+@given(knots(tb_min=-8, tb_max=5), st.integers(1, 11))
+@example(LegendrianKnot(-1, 0), 2)
+@example(LegendrianKnot(-1, 0), 1)  # (+1)-surgery at tb -1: S^1 x S^2
+def test_k_heads_present_contact_one_over_k_surgery(knot, k):
+    # Contact 1/k-surgery on K has smooth coefficient tb + 1/k, so |H1| is
+    # the numerator of tb + 1/k.
+    det = linking_matrix(pushoffs(knot, *(1,) * k)).determinant()
+    assert abs(det) == abs((knot.tb + Fraction(1, k)).numerator)
 
 
 @pytest.mark.parametrize("make", [

@@ -77,16 +77,33 @@ def test_parse_rejects_zero_coefficient():
         presentation_from_dict(bad)
 
 
-def test_parse_rejects_two_plus_ones():
-    bad = {
-        "components": [
-            {"tb": -1, "rot": 0, "coeff": "+1"},
-            {"tb": -1, "rot": 0, "coeff": "+1"},
-        ]
-    }
+def test_parse_rejects_a_plus_one_after_a_minus_one():
+    # Every other rule holds: the third component is the unstabilized
+    # pushoff of the second.
+    bad = {"components": [*UNKNOT_N2["components"], {"tb": -2, "rot": -1, "coeff": "+1"}]}
     with pytest.raises(DiagramFormatError) as info:
         presentation_from_dict(bad)
-    assert "components" in str(info.value)
+    assert str(info.value) == (
+        "diagram.components[2]: a +1 component must precede every -1")
+
+
+def test_parse_reads_a_leading_block_of_two_plus_ones():
+    head = {"tb": -1, "rot": 0, "coeff": "+1", "role": "originalPlusOne"}
+    presentation = presentation_from_dict({"components": [head, head]})
+    assert [c.coefficient for c in presentation.components] == [1, 1]
+    assert presentation_to_dict(presentation) == {
+        "components": [{**head, "stab_signs": []}] * 2}
+
+
+def test_the_two_heads_fixture_is_contact_one_half_surgery_on_the_unknot(capsys):
+    # Contact 1/2-surgery on the tb -1 unknot has smooth coefficient -1/2,
+    # so it gives S^3, with d3 = 1/2: not the standard tight S^3 (-1/2).
+    fixture = str(pathlib.Path(__file__).resolve().parent.parent
+                  / "fixtures" / "unknot-two-heads.json")
+    assert main(["d3", "--file", fixture]) == 0
+    assert capsys.readouterr().out == "1/2\n"
+    assert main(["homology", "--file", fixture]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "|H1| = 1"
 
 
 def test_parse_reports_field_paths():
@@ -597,6 +614,8 @@ _RECORD_CODEGEN = ("dataclasses", "inspect")
      ("ledger", "openbook", "acceptance", "catalog", "expansion"), _RECORD_CODEGEN),
     (["homology", "--file", "fixtures/unknot-n2.json"],
      ("ledger", "openbook", "acceptance", "catalog", "expansion"), _RECORD_CODEGEN),
+    (["d3", "--file", "fixtures/unknot-two-heads.json"],
+     ("ledger", "openbook", "acceptance", "catalog", "expansion"), _RECORD_CODEGEN),
     (["catalog", "--list"],
      ("expansion", "homology", "linalg", "diagramio", "openbook", "ledger", "presentation"),
      _RECORD_CODEGEN),
@@ -616,7 +635,7 @@ _RECORD_CODEGEN = ("dataclasses", "inspect")
     (["expand", "--tb", "-1", "--rot", "0", "--coeff", "3"],
      ("linalg", "homology", "ledger", "openbook", "catalog", "acceptance", "diagramio"),
      _RECORD_CODEGEN),
-], ids=["d3", "homology", "catalog", "openbook", "ledger", "ledger-knot", "classify",
+], ids=["d3", "homology", "d3-two-heads", "catalog", "openbook", "ledger", "ledger-knot", "classify",
         "expand"])
 def test_cli_verb_loads_only_the_modules_it_uses(argv, unloaded, unloaded_stdlib):
     loaded = _modules_loaded_by("-m", "contactsurgery.cli", *argv)

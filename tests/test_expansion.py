@@ -771,15 +771,25 @@ def test_component_role_follows_its_coefficient():
         Component(knot, 0)
 
 
-@pytest.mark.parametrize("coefficients, message", [
-    ((1, 1), "at most one \\+1 component is allowed"),
-    ((-1, 1), "the \\+1 component must precede the chain"),
-    # A second +1 is reported before a misplaced one.
-    ((-1, 1, 1), "at most one \\+1 component is allowed"),
-    ((1, -1, 1), "at most one \\+1 component is allowed"),
-    ((-1, -1, 1), "the \\+1 component must precede the chain"),
+@pytest.mark.parametrize("coefficients, index", [
+    ((-1, 1), 1),
+    ((-1, 1, 1), 1),
+    ((1, -1, 1), 2),
+    ((-1, -1, 1), 2),
+    ((1, 1, -1, -1, 1, -1), 4),
 ])
-def test_presentation_rejects_a_misplaced_plus_one(coefficients, message):
+def test_presentation_rejects_a_misplaced_plus_one(coefficients, index):
+    # The message names the first +1 after a -1.
     knot = LegendrianKnot(-5, 0)
+    message = f"^components\\[{index}\\]: a \\+1 component must precede every -1$"
     with pytest.raises(ValueError, match=message):
         ContactSurgeryPresentation(tuple(Component(knot, c) for c in coefficients))
+
+
+@pytest.mark.parametrize("coefficients", [
+    (), (1,), (-1,), (1, 1), (1, 1, 1, -1), (1, -1, -1),
+])
+def test_presentation_accepts_a_leading_block_of_plus_ones(coefficients):
+    knot = LegendrianKnot(-5, 0)
+    components = tuple(Component(knot, c) for c in coefficients)
+    assert ContactSurgeryPresentation(components).components == components

@@ -11,12 +11,12 @@ import contactsurgery
 from contactsurgery.catalog import KnotType
 from contactsurgery.errors import NotRealizable
 from contactsurgery.expansion import _UNCHECKED, Component, ContactSurgeryPresentation
-from contactsurgery.homology import SpinCEvaluation
+from contactsurgery.homology import SpinCEvaluation, linking_matrix
 from contactsurgery.ledger import (
     LedgerState, LedgerSubject, TightnessReport, TightRange, assert_fact)
 from contactsurgery.legendrian import InvariantStatus, LegendrianKnot, TransverseKnot
 from contactsurgery.linalg import LinkingMatrix
-from contactsurgery.openbook import LanternConfiguration, SurfaceModel
+from contactsurgery.openbook import LanternConfiguration, SurfaceModel, homology_action
 from contactsurgery.record import Record, unchecked_builder
 
 _KNOT = "LegendrianKnot(tb=-2, rot=-1)"
@@ -116,10 +116,11 @@ def test_the_unchecked_builder_runs_no_check():
     with pytest.raises(ValueError, match="must be \\+1 or -1"):
         Component(LegendrianKnot(-1, 0), 0)
     assert UNCHECKED["Component"](LegendrianKnot(-1, 0), 0).coefficient == 0
-    two = (Component(LegendrianKnot(-1, 0), 1),) * 2
-    with pytest.raises(ValueError, match="at most one"):
-        ContactSurgeryPresentation(two)
-    assert UNCHECKED["ContactSurgeryPresentation"](two).components == two
+    knot = LegendrianKnot(-1, 0)
+    misplaced = (Component(knot, -1), Component(knot, 1))
+    with pytest.raises(ValueError, match="must precede every -1"):
+        ContactSurgeryPresentation(misplaced)
+    assert UNCHECKED["ContactSurgeryPresentation"](misplaced).components == misplaced
 
 
 def test_cached_values_are_not_fields():
@@ -127,9 +128,20 @@ def test_cached_values_are_not_fields():
     assert matrix.determinant() == -1
     assert matrix.entries == ((0, -1), (-1, -3))
     assert matrix == copy and hash(matrix) == hash(copy) and repr(matrix) == repr(copy)
-    state, fresh = CASES["LedgerState"][0](), CASES["LedgerState"][0]()
-    assert state.window(1, 1) == [(1, InvariantStatus.NONZERO, "r")]
-    assert state == fresh and hash(state) == hash(fresh) and repr(state) == repr(fresh)
+    presentation, fresh = (CASES["ContactSurgeryPresentation"][0]() for _ in range(2))
+    assert linking_matrix(presentation) is vars(presentation)["_matrix"]
+    assert presentation == fresh and hash(presentation) == hash(fresh)
+    assert repr(presentation) == repr(fresh)
+    torus, fresh = (SurfaceModel(1, 1, ((0, 1), (-1, 0)), (("a", (1, 0)), ("b", (0, 1))))
+                    for _ in range(2))
+    assert homology_action((("a", "+"), ("b", "-")), torus) == ((2, -1), (-1, 1))
+    assert set(torus._updates) == {"a", "b"} and not fresh._updates
+    assert torus == fresh and hash(torus) == hash(fresh) and repr(torus) == repr(fresh)
+    # A ledger state keeps no cache: reading it stores nothing.
+    state = CASES["LedgerState"][0]()
+    assert list(state.rows(0, 1)) == [(0, InvariantStatus.UNKNOWN, None),
+                                      (1, InvariantStatus.NONZERO, "r")]
+    assert list(vars(state)) == list(state._fields)
 
 
 def test_a_knot_type_has_no_flags_by_default():
